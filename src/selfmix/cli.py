@@ -68,6 +68,9 @@ class Schema:
                     out[name] = parse(raw[name])
                 except ValueError as exc:
                     raise ConfigError(f"config key {name}: {exc}") from exc
+                if isinstance(out[name], float) and not math.isfinite(out[name]):
+                    raise ConfigError(f"config key {name}: must be finite, "
+                                      f"got {raw[name]!r}")
             else:
                 out[name] = default
         return out
@@ -530,3 +533,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:  # console script wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

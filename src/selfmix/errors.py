@@ -33,10 +33,6 @@ class DegenerateEqualFrequencies(SelfmixError, ValueError):
     """Two-tone operation received two identical frequencies."""
 
 
-class NoConvergence(SelfmixError, RuntimeError):
-    """Iterative solver failed to converge (pathological parameters)."""
-
-
 class NoInteriorMaximum(SelfmixError, ValueError):
     """Bias optimisation found no interior maximum (e.g. zero series resistance)."""
 

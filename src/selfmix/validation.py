@@ -15,7 +15,7 @@ import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals
 from .errors import NoInteriorMaximum
-from .units import SPEED_OF_LIGHT, dbm_to_amplitude
+from .units import SPEED_OF_LIGHT, db_to_amplitude_ratio, dbm_to_amplitude
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,11 @@ def check_bias_optimum() -> list[CheckResult]:
     trio = diode.DiodeModel(1e-13, 1.2, 4.0)
     opt = diode.optimal_bias_static(trio, (0.3, 1.0))
     grid = np.arange(0.3, 1.0, 10e-6)
-    dense = grid[int(np.argmax(np.asarray(
-        diode.iv_derivatives(trio, grid).d2i_dv2)))]
+    # second differences of the solved current, independent of the closed
+    # form behind iv_derivatives and optimal_bias_static
+    current = diode.terminal_current(trio, grid)
+    second = current[2:] - 2.0 * current[1:-1] + current[:-2]
+    dense = grid[1 + int(np.argmax(second))]
     ok = abs(opt.terminal_voltage - dense) < 1e-3
     try:
         diode.optimal_bias_static(diode.DiodeModel(1e-13, 1.2, 0.0), (0.3, 1.0))
@@ -230,7 +233,7 @@ def check_bias_optimum() -> list[CheckResult]:
     results.append(CheckResult(
         name="static bias optimum vs 10 uV dense-grid scan (R_s = 4 ohm)",
         passed=ok and r0_ok,
-        detail=f"golden-section {opt.terminal_voltage:.6f} V vs dense grid "
+        detail=f"closed form {opt.terminal_voltage:.6f} V vs dense grid "
                f"{dense:.6f} V (within 1 mV); R_s = 0 raises "
                "NoInteriorMaximum"))
     d = diode.default_diode()
@@ -243,6 +246,54 @@ def check_bias_optimum() -> list[CheckResult]:
                "are fitted to place it at 0.73 V / 2.5 mA (vendor values "
                "unpublished)"))
     return results
+
+
+def _bisection_terminal_current(model: diode.DiodeModel,
+                                v: np.ndarray) -> np.ndarray:
+    """Terminal current by 200 halvings of the junction-voltage bracket
+    [min(v, 0), max(v, 0)]."""
+    lo, hi = np.minimum(v, 0.0), np.maximum(v, 0.0)
+    scale = model.series_resistance * model.saturation_current
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = mid + scale * np.expm1(
+            np.minimum(mid / model.emission_voltage, 700.0)) > v
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return model.saturation_current * np.expm1(
+        0.5 * (lo + hi) / model.emission_voltage)
+
+
+def check_diode_solver() -> CheckResult:
+    """terminal_current against bisection at 1e-9 relative, and
+    iv_derivatives against 0.1 mV central differences of terminal_current
+    within 3e-4 of each column's largest magnitude, over the diode-iv
+    default grid and the voltages the strong-drive bias-sweep cells reach."""
+    device = diode.default_diode()
+    iv_grid = 0.002 * np.arange(451)
+    chain = diode.default_chain()
+    peak = db_to_amplitude_ratio(chain.lna_gain_db) * (
+        dbm_to_amplitude(5.0) + dbm_to_amplitude(0.0))
+    sweep_v = np.linspace(-peak, 0.8 + peak, 4001)
+    h = 1e-4
+    worst_i = worst_d = 0.0
+    for model, v in ((device, iv_grid), (chain.loop_model(), sweep_v)):
+        i = diode.terminal_current(model, v)
+        ref = _bisection_terminal_current(model, v)
+        worst_i = max(worst_i, float(np.max(np.abs(i - ref) / np.maximum(
+            np.abs(ref), model.saturation_current))))
+        d = diode.iv_derivatives(model, v)
+        up = diode.terminal_current(model, v + h)
+        down = diode.terminal_current(model, v - h)
+        for exact, fd in ((d.di_dv, (up - down) / (2.0 * h)),
+                          (d.d2i_dv2, (up - 2.0 * i + down) / (h * h))):
+            worst_d = max(worst_d, float(np.max(np.abs(exact - fd))
+                                         / np.max(np.abs(exact))))
+    return CheckResult(
+        name="diode solver vs bisection, derivatives vs finite differences",
+        passed=worst_i <= 1e-9 and worst_d <= 3e-4,
+        detail=f"current {worst_i:.1e} relative (<= 1e-9), derivatives "
+               f"{worst_d:.1e} of column maximum (<= 3e-4), over 0..0.9 V "
+               f"and the +/-{peak:.1f} V strong-drive swing")
 
 
 def check_friis_anchors() -> CheckResult:
@@ -293,6 +344,7 @@ def run_all() -> list[CheckResult]:
     results.append(check_row_rotation_compensation())
     results.append(check_square_law_slope())
     results.extend(check_bias_optimum())
+    results.append(check_diode_solver())
     results.append(check_friis_anchors())
     results.append(check_bias_insensitivity())
     return results

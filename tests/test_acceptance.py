@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from selfmix import arrays, diode, linkbudget, patterns, signals, validation
-from selfmix.errors import NoInteriorMaximum
 from selfmix.units import SPEED_OF_LIGHT, dbm_to_amplitude
 
 THETA_FULL = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.25))
@@ -175,22 +174,12 @@ def test_07_square_law_slope():
 
 
 def test_08_bias_optimum_existence():
-    trio = diode.DiodeModel(1e-13, 1.2, 4.0)
-    opt = diode.optimal_bias_static(trio, (0.3, 1.0))
-    grid = np.arange(0.3, 1.0, 10e-6)
-    dense = grid[int(np.argmax(np.asarray(
-        diode.iv_derivatives(trio, grid).d2i_dv2)))]
-    assert abs(opt.terminal_voltage - dense) < 1e-3
-    with pytest.raises(NoInteriorMaximum):
-        diode.optimal_bias_static(diode.DiodeModel(1e-13, 1.2, 0.0),
-                                  (0.3, 1.0))
+    dense_scan, default_opt = validation.check_bias_optimum()
     # the default device is *fitted* to put its static optimum at 0.73 V;
     # that placement is a calibration, not a derived result
-    default_opt = diode.optimal_bias_static(diode.default_diode(), (0.3, 1.0))
-    assert default_opt.terminal_voltage == pytest.approx(0.73, abs=0.02)
-    report(8, f"R_s = 4 ohm optimum {opt.terminal_voltage:.4f} V within 1 mV "
-              f"of 10 uV dense scan; R_s = 0 raises NoInteriorMaximum; "
-              f"fitted default optimum {default_opt.terminal_voltage:.4f} V")
+    assert dense_scan.passed, dense_scan.detail
+    assert default_opt.passed, default_opt.detail
+    report(8, f"{dense_scan.detail}; fitted default {default_opt.detail}")
 
 
 def test_09_friis_anchors():

@@ -1,10 +1,25 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfmix.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_module(args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          **kwargs)
 
 
 def run(args):
@@ -105,6 +120,22 @@ class TestConfigHandling:
     def test_missing_out_exits_2(self):
         assert run(["array-factor", "--quiet"]) == 2
 
+    @pytest.mark.parametrize("command, line", [
+        ("diode-iv", "saturation_current_a = nan"),
+        ("diode-iv", "series_resistance_ohm = inf"),
+        ("array-factor", "f1_hz = nan"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_spectrum_contains_difference_tone(self, tmp_path):
@@ -179,3 +210,17 @@ class TestOtherCommands:
         assert "FAIL" not in stdout
         assert "PASS" in stdout
         assert "known deviation" in stdout.lower()
+
+
+class TestScripts:
+    def test_module_run_prints_usage(self):
+        result = run_module(["-m", "selfmix.cli"])
+        assert result.returncode == 2
+        assert "usage: selfmix" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_diode_bias_optimum_demo_runs(self, tmp_path):
+        result = run_module([str(ROOT / "demos" / "diode_bias_optimum.py")],
+                            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "static optimum (bare diode)" in result.stdout

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from selfmix import validation
 from selfmix.diode import (
     BiasPoint,
     DiodeModel,
@@ -19,7 +20,7 @@ from selfmix.diode import (
     terminal_current,
 )
 from selfmix.errors import EmptyToneList, NoInteriorMaximum
-from selfmix.signals import ToneSpec
+from selfmix.signals import ToneSpec, plan_sampling, synthesize_waveform
 from selfmix.units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
 
 # explicit trio used for the solver-facing tests (separate from the fitted
@@ -48,6 +49,18 @@ def bisection_terminal_current(model, v, iters=200):
             lo = mid
     vj = 0.5 * (lo + hi)
     return model.saturation_current * (math.exp(vj / model.emission_voltage) - 1.0)
+
+
+class TestDiodeModel:
+    @pytest.mark.parametrize("field", ["saturation_current", "ideality",
+                                       "series_resistance", "thermal_voltage"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        params = dict(saturation_current=1e-13, ideality=1.2,
+                      series_resistance=4.0, thermal_voltage=0.02585)
+        params[field] = value
+        with pytest.raises(ValueError):
+            DiodeModel(**params)
 
 
 class TestJunctionCurrent:
@@ -82,16 +95,46 @@ class TestTerminalCurrent:
         assert terminal_current(TRIO, 0.75) < junction_current(TRIO, 0.75)
 
     def test_against_bisection_oracle(self):
-        for v in (-2.0, 0.2, 0.5, 0.75, 1.0, 2.5):
-            i = terminal_current(TRIO, v)
-            assert i == pytest.approx(bisection_terminal_current(TRIO, v),
-                                      rel=1e-9, abs=1e-18)
+        # 14.33 V on the default chain's loop is within the swing of a
+        # 0 dBm / -5 dBm cell with the 25 dB LNA
+        voltages = (-1e4, -100.0, -2.0, 0.2, 0.5, 0.75, 1.0, 2.5, 14.33,
+                    100.0, 1e3, 1e4)
+        models = [DiodeModel(1e-13, 1.2, r) for r in (4.0, 6.2, 56.2)]
+        for model in models + [default_chain().loop_model()]:
+            for v in voltages:
+                i = terminal_current(model, v)
+                assert i == pytest.approx(bisection_terminal_current(model, v),
+                                          rel=1e-9, abs=1e-18)
 
     def test_residual_tolerance(self):
-        for v in (0.3, 0.6, 0.75, 1.5):
+        # voltage form: the current form cannot reach 1e-12 in double
+        # precision once the junction is a small part of v
+        nvt = TRIO.emission_voltage
+        for v in (0.3, 0.6, 0.75, 1.5, 49.0, 1e3, 1e4):
             i = terminal_current(TRIO, v)
-            residual = abs(i - junction_current(TRIO, v - i * 4.0))
-            assert residual <= 1e-12 * max(abs(i), 1e-13)
+            u = math.log1p(i / TRIO.saturation_current)
+            residual = abs(nvt * u + i * TRIO.series_resistance - v)
+            assert residual <= 1e-12 * max(abs(v), nvt)
+
+    def test_vector_equals_scalar_calls(self):
+        # every sample of the 0 dBm / -5 dBm cell, solved as one vector
+        chain = default_chain()
+        gain = db_to_amplitude_ratio(chain.lna_gain_db)
+        tones = [ToneSpec(t.frequency, gain * t.amplitude)
+                 for t in two_tone(0.0, -5.0)]
+        rate, duration = plan_sampling([37.5e9, 38.5e9, 1e9], oversample=24.0)
+        v = chain.bias.terminal_voltage + synthesize_waveform(
+            tones, rate, duration).samples
+        assert v.size == 4096
+        loop = chain.loop_model()
+        vector = terminal_current(loop, v)
+        assert np.array_equal(vector,
+                              [terminal_current(loop, float(x)) for x in v])
+
+    def test_overflow_is_an_error_not_nan(self):
+        # I_s R_s / nV_T ~ 3e-309: the junction exponent passes 709 at 30 V
+        with pytest.raises(ValueError):
+            terminal_current(DiodeModel(1e-300, 1.0, 1e-10), 30.0)
 
     def test_strictly_increasing(self):
         grid = np.arange(0.0, 0.9001, 1e-3)
@@ -130,10 +173,8 @@ class TestIvDerivatives:
 
 class TestOptimalBiasStatic:
     def test_matches_dense_grid(self):
-        opt = optimal_bias_static(TRIO, (0.3, 1.0))
-        grid = np.arange(0.3, 1.0, 10e-6)
-        dense = grid[int(np.argmax(np.asarray(iv_derivatives(TRIO, grid).d2i_dv2)))]
-        assert abs(opt.terminal_voltage - dense) < 1e-3
+        dense_scan = validation.check_bias_optimum()[0]
+        assert dense_scan.passed, dense_scan.detail
 
     def test_no_interior_maximum_without_series_resistance(self):
         with pytest.raises(NoInteriorMaximum):
@@ -143,10 +184,10 @@ class TestOptimalBiasStatic:
         with pytest.raises(NoInteriorMaximum):
             optimal_bias_static(TRIO, (0.3, 0.5))
 
-    def test_stable_under_grid_refinement(self):
-        coarse = optimal_bias_static(TRIO, (0.3, 1.0), grid_step=1e-3)
-        fine = optimal_bias_static(TRIO, (0.3, 1.0), grid_step=1e-4)
-        assert abs(coarse.terminal_voltage - fine.terminal_voltage) < 1e-4
+    def test_default_device_exact_optimum(self):
+        opt = optimal_bias_static(default_diode(), (0.3, 1.0))
+        assert opt.terminal_voltage == pytest.approx(0.729792, abs=1e-6)
+        assert opt.bias_current == pytest.approx(2.5016e-3, abs=1e-7)
 
     def test_default_device_calibration(self):
         # fitted placeholder device: optimum pinned at 0.73 V / 2.5 mA
@@ -249,6 +290,14 @@ class TestBiasPowerSweep:
         vals = np.array([row[0].if_power_dbm for row in sweep.cells])
         best = bias[int(np.argmax(vals))]
         assert 0.55 <= best <= 0.75
+
+    def test_strong_drive_cells_solve(self):
+        chain = default_chain()
+        bias = np.round(np.arange(0.0, 0.8001, 0.05), 10)
+        sweep = bias_power_sweep(chain, bias, [0.0, 5.0], (37.5e9, 38.5e9))
+        cells = [c for row in sweep.cells for c in row]
+        assert not any(isinstance(c, SweepCellError) for c in cells)
+        assert all(math.isfinite(c.if_power_dbm) for c in cells)
 
     def test_grids_validated(self):
         chain = default_chain()
