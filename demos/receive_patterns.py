@@ -16,9 +16,8 @@ from selfmix.arrays import (
     ArrayGeometry,
     Direction,
     TwoToneIllumination,
-    cut_direction,
-    if_array_factor,
-    rf_array_factor,
+    if_array_factor_cut,
+    rf_array_factor_cut,
     simulate_array_timedomain,
 )
 from selfmix.patterns import (
@@ -50,9 +49,9 @@ for grid, name in ((c1, "element at 37.5 GHz"), (c2, "element at 38.5 GHz"),
 # multiply in the array factor of the sparse 4x2 layout
 geometry = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
 total_if = total_pattern(
-    sm, lambda t: if_array_factor(geometry, F1, F2, cut_direction(t, 0.0)))
+    sm, if_array_factor_cut(geometry, F1, F2, sm.theta_samples, sm.phi_cut))
 total_rf = total_pattern(
-    sm, lambda t: rf_array_factor(geometry, 38.5e9, cut_direction(t, 0.0)))
+    sm, rf_array_factor_cut(geometry, 38.5e9, sm.theta_samples, sm.phi_cut))
 bw_if = beamwidth_3db(total_if)
 bw_rf = beamwidth_3db(total_rf)
 print(f"\ntotal pattern 3 dB width, IF combining: "
@@ -72,7 +71,7 @@ flip = simulate_array_timedomain(flipped, ill)
 print(f"\n180 deg feed flip on the second row:")
 print(f"  IF combined power change: "
       f"{abs(flip.if_power_rel_db - base.if_power_rel_db):.2e} dB")
-rf_broadside = rf_array_factor(flipped, 38.5e9, Direction(0.0))
+rf_broadside = rf_array_factor_cut(flipped, 38.5e9, [0.0], 0.0)[0]
 print(f"  RF combined broadside factor: {rf_broadside:.2e} "
       "(an RF array would go blind at broadside)")
 print("done.")

@@ -34,13 +34,9 @@ from .arrays import (
     combine_elements,
     cut_direction,
     effective_spacing,
-    element_if_signal,
-    if_array_factor,
     if_array_factor_cut,
     load_geometry,
     parse_geometry,
-    path_phase,
-    rf_array_factor,
     rf_array_factor_cut,
     simulate_array_timedomain,
 )

@@ -1,0 +1,6 @@
+"""``python -m selfmix``: the ``selfmix`` command-line tool."""
+
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

@@ -43,6 +43,7 @@ from .signals import (
 from .units import DB_FLOOR, SPEED_OF_LIGHT, amplitude_ratio_to_db
 
 _TWO_PI = 2.0 * math.pi
+FACTOR_CHUNK = 1024  # directions per block of the array-factor kernel
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,14 @@ class ArrayGeometry:
             raise ValueError("need at least one element")
         if not np.all(np.isfinite(pos)):
             raise ValueError("element positions must be finite")
-        # no two elements may coincide
-        for i in range(pos.shape[0]):
-            for j in range(i + 1, pos.shape[0]):
-                if np.allclose(pos[i], pos[j], rtol=0.0, atol=0.0):
-                    raise ValueError(f"elements {i} and {j} coincide")
+        # no two elements may coincide: after a stable sort equal rows are
+        # adjacent (the sort, like ==, takes -0.0 and 0.0 as equal)
+        order = np.lexsort((pos[:, 1], pos[:, 0]))
+        ranked = pos[order]
+        same = np.all(ranked[1:] == ranked[:-1], axis=1)
+        if same.any():
+            k = int(np.argmax(same))
+            raise ValueError(f"elements {order[k]} and {order[k + 1]} coincide")
         offsets = self.rf_phase_offsets
         if offsets is None:
             offsets = np.zeros(pos.shape[0])
@@ -185,13 +189,6 @@ class TwoToneIllumination:
 
 
 @dataclass(frozen=True)
-class ElementIfSignal:
-    if_frequency: float
-    amplitude: float
-    phase: float
-
-
-@dataclass(frozen=True)
 class CombineResult:
     power_gain_db: float
     output_phasor: complex
@@ -211,86 +208,52 @@ def _relative_positions(g: ArrayGeometry) -> np.ndarray:
 
 def element_phases(g: ArrayGeometry, d: Direction, frequency: float) -> np.ndarray:
     """Plane-wave phase of every element relative to element 0 at the given
-    frequency: ``2*pi * (r_k . u) * f / c0``."""
+    frequency: ``2*pi * (r_k . u) * f / c0`` (the time-domain oracle's own
+    route, independent of the array-factor kernel)."""
     u = d.in_plane_unit()
     return _TWO_PI * (_relative_positions(g) @ u) * frequency / SPEED_OF_LIGHT
-
-
-def path_phase(g: ArrayGeometry, k: int, d: Direction, frequency: float) -> float:
-    """Phase advance of element ``k`` relative to element 0.
-
-    Reduces to ``2*pi * d_k * (f/c0) * sin(theta)`` for a linear array
-    scanned in its own plane.
-    """
-    if not 0 <= k < g.element_count:
-        raise IndexError(f"element index {k} out of range 0..{g.element_count - 1}")
-    return float(element_phases(g, d, frequency)[k])
-
-
-def element_if_signal(g: ArrayGeometry, k: int,
-                      ill: TwoToneIllumination) -> ElementIfSignal:
-    """Self-mixed IF tone produced at element ``k``.
-
-    The IF phase is the difference of the two RF path phases, so it depends
-    only on the tone spacing ``f1 - f2``, not on the absolute RF. The
-    amplitude uses the conventional ``a1*a2/2`` prefactor; absolute scale
-    cancels in every normalized array quantity (see
-    :func:`selfmix.signals.analytic_two_tone_products` for the unnormalized
-    expansion).
-    """
-    if not 0 <= k < g.element_count:
-        raise IndexError(f"element index {k} out of range 0..{g.element_count - 1}")
-    a1, a2 = ill.amplitudes
-    phase = path_phase(g, k, ill.direction, ill.f1) - path_phase(
-        g, k, ill.direction, ill.f2)
-    phase = (phase + math.pi) % _TWO_PI - math.pi
-    return ElementIfSignal(if_frequency=ill.if_frequency,
-                           amplitude=0.5 * a1 * a2,
-                           phase=phase)
-
-
-def if_array_factor(g: ArrayGeometry, f1: float, f2: float,
-                    d: Direction) -> float:
-    """Normalized IF array factor ``|sum_k exp(j*dphi_k)| / N`` with
-    ``dphi_k`` the self-mixed per-element phase (difference-frequency
-    phase). Static RF feed offsets cancel in self-mixing and do not enter.
-    """
-    phases = element_phases(g, d, f1) - element_phases(g, d, f2)
-    return float(np.abs(np.exp(1j * phases).mean()))
-
-
-def rf_array_factor(g: ArrayGeometry, f_rf: float, d: Direction) -> float:
-    """Normalized RF array factor of the same layout combined at RF; static
-    feed offsets do enter here."""
-    phases = element_phases(g, d, f_rf) + g.rf_phase_offsets
-    return float(np.abs(np.exp(1j * phases).mean()))
 
 
 def if_array_factor_cut(g: ArrayGeometry, f1: float, f2: float,
                         theta_signed: np.ndarray | Sequence[float],
                         phi_cut: float) -> np.ndarray:
-    """Vectorized IF array factor along a signed-theta cut."""
-    return _factor_cut(g, f1 - f2, np.asarray(theta_signed, dtype=float),
-                       phi_cut, offsets=None)
+    """Normalized IF array factor ``|sum_k exp(j*dphi_k)| / N`` along a
+    signed-theta cut; ``dphi_k`` is set by ``f1 - f2`` only, and static RF
+    feed offsets cancel. A :class:`Direction` ``d`` is the one-element cut
+    ``theta_signed = [d.theta]`` at ``phi_cut = d.phi``."""
+    return _array_factor(g, f1 - f2, np.asarray(theta_signed, dtype=float),
+                         phi_cut, offsets=None)
 
 
 def rf_array_factor_cut(g: ArrayGeometry, f_rf: float,
                         theta_signed: np.ndarray | Sequence[float],
                         phi_cut: float) -> np.ndarray:
-    """Vectorized RF array factor along a signed-theta cut."""
-    return _factor_cut(g, f_rf, np.asarray(theta_signed, dtype=float),
-                       phi_cut, offsets=g.rf_phase_offsets)
+    """Normalized RF array factor along a signed-theta cut; static feed
+    offsets do enter here."""
+    return _array_factor(g, f_rf, np.asarray(theta_signed, dtype=float),
+                         phi_cut, offsets=g.rf_phase_offsets)
 
 
-def _factor_cut(g: ArrayGeometry, frequency: float, theta: np.ndarray,
-                phi_cut: float, offsets: np.ndarray | None) -> np.ndarray:
+def _array_factor(g: ArrayGeometry, frequency: float, theta: np.ndarray,
+                  phi_cut: float, offsets: np.ndarray | None) -> np.ndarray:
+    """``|mean_k exp(j*phase_k)|`` per direction, :data:`FACTOR_CHUNK`
+    directions at a time so that memory is bounded for any cut length."""
     # signed theta at fixed phi is equivalent to |theta| at phi or phi+pi
     u = np.column_stack([np.sin(theta) * math.cos(phi_cut),
                          np.sin(theta) * math.sin(phi_cut)])
-    phases = _TWO_PI * (u @ _relative_positions(g).T) * frequency / SPEED_OF_LIGHT
-    if offsets is not None:
-        phases = phases + offsets[np.newaxis, :]
-    return np.abs(np.exp(1j * phases).mean(axis=1))
+    rel_t = _relative_positions(g).T
+    af = np.empty(u.shape[0])
+    for start in range(0, u.shape[0], FACTOR_CHUNK):
+        chunk = u[start:start + FACTOR_CHUNK]
+        # numpy sends a one-row product to a matrix-vector routine that
+        # rounds differently: two rows keep results independent of chunking
+        rows = np.repeat(chunk, 2, axis=0) if len(chunk) == 1 else chunk
+        phases = _TWO_PI * (rows @ rel_t) * frequency / SPEED_OF_LIGHT
+        if offsets is not None:
+            phases = phases + offsets[np.newaxis, :]
+        af[start:start + len(chunk)] = np.abs(
+            np.exp(1j * phases).mean(axis=1))[:len(chunk)]
+    return af
 
 
 def effective_spacing(d_element: float, delta_f: float, f_ref: float) -> float:

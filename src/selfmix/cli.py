@@ -13,10 +13,11 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from . import arrays, diode, linkbudget, patterns, signals, validation
 from .errors import ConfigError, SelfmixError
 from .tables import Table
 from .units import SPEED_OF_LIGHT
+
+# Largest grid (directions, voltages, sweep cells), checked before anything
+# is allocated; far above the 18 001 directions of the largest cut in use.
+MAX_GRID_POINTS = 1_000_000
 
 _EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value, "
            "unreadable file), 3 computation error (solver or model failure)")
@@ -95,19 +100,43 @@ def _write_output(table: Table, out: str | None, fmt: str,
         print(f"wrote {len(table.rows)} rows to {out}")
 
 
+def _check_grid_size(points: float, name: str) -> None:
+    if not points <= MAX_GRID_POINTS:  # also catches an infinite count
+        raise ConfigError(f"{name} grid would have {points:.4g} points; "
+                          f"the limit is {MAX_GRID_POINTS}")
+
+
+def _grid_count(start: float, stop: float, step: float, name: str) -> int:
+    """Points of ``start, start + step, ...`` up to ``stop``, checked
+    against :data:`MAX_GRID_POINTS`."""
+    ratio = (stop - start) / step
+    _check_grid_size(ratio + 1.0, name)
+    return int(round(ratio)) + 1
+
+
 def _theta_grid_deg(start: float, stop: float, step: float) -> np.ndarray:
     if step <= 0.0 or stop <= start:
         raise ConfigError("need theta_stop_deg > theta_start_deg and "
                           "theta_step_deg > 0")
-    count = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(count)
+    return start + step * np.arange(_grid_count(start, stop, step, "theta"))
+
+
+@contextlib.contextmanager
+def _invariants_are_config_errors() -> Iterator[None]:
+    """An invariant a model object rejects when built from config values is
+    a configuration error (exit 2), not a computation error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
-    if cfg["geometry_file"]:
-        return arrays.load_geometry(cfg["geometry_file"])
-    return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
-                                            cfg["dx_m"], cfg["dy_m"])
+    with _invariants_are_config_errors():
+        if cfg["geometry_file"]:
+            return arrays.load_geometry(cfg["geometry_file"])
+        return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
+                                                cfg["dx_m"], cfg["dy_m"])
 
 
 _GEOMETRY_KEYS = dict(
@@ -141,17 +170,20 @@ _CHAIN_KEYS = dict(
 
 
 def _diode_from_config(cfg: dict) -> diode.DiodeModel:
-    return diode.DiodeModel(saturation_current=cfg["saturation_current_a"],
-                            ideality=cfg["ideality"],
-                            series_resistance=cfg["series_resistance_ohm"],
-                            thermal_voltage=cfg["thermal_voltage_v"])
+    with _invariants_are_config_errors():
+        return diode.DiodeModel(saturation_current=cfg["saturation_current_a"],
+                                ideality=cfg["ideality"],
+                                series_resistance=cfg["series_resistance_ohm"],
+                                thermal_voltage=cfg["thermal_voltage_v"])
 
 
 def _chain_from_config(cfg: dict) -> diode.MixingChain:
-    chain = diode.MixingChain(
-        lna_gain_db=cfg["lna_gain_db"], diode=_diode_from_config(cfg),
-        bias=diode.BiasPoint(0.0, 0.0), if_load_ohms=cfg["if_load_ohm"],
-        source_impedance_ohms=cfg["source_impedance_ohm"])
+    with _invariants_are_config_errors():
+        chain = diode.MixingChain(
+            lna_gain_db=cfg["lna_gain_db"], diode=_diode_from_config(cfg),
+            bias=diode.BiasPoint(0.0, 0.0), if_load_ohms=cfg["if_load_ohm"],
+            source_impedance_ohms=cfg["source_impedance_ohm"])
+    # solving the bias point is computation: its failures stay exit 3
     return chain.at_bias_voltage(cfg["bias_v"])
 
 
@@ -211,7 +243,8 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     model = _diode_from_config(cfg)
     if cfg["v_step_v"] <= 0 or cfg["v_stop_v"] <= cfg["v_start_v"]:
         raise ConfigError("need v_stop_v > v_start_v and v_step_v > 0")
-    count = int(round((cfg["v_stop_v"] - cfg["v_start_v"]) / cfg["v_step_v"])) + 1
+    count = _grid_count(cfg["v_start_v"], cfg["v_stop_v"], cfg["v_step_v"],
+                        "voltage")
     grid = cfg["v_start_v"] + cfg["v_step_v"] * np.arange(count)
     current = np.asarray(diode.terminal_current(model, grid))
     deriv = diode.iv_derivatives(model, grid)
@@ -251,6 +284,7 @@ def cmd_bias_sweep(cfg: dict) -> Table:
                  "bias")
     power = _grid(cfg["power_start_dbm"], cfg["power_stop_dbm"],
                   cfg["power_step_dbm"], "power")
+    _check_grid_size(len(bias) * len(power), "bias x power")
     sweep = diode.bias_power_sweep(chain, bias, power,
                                    (cfg["f1_hz"], cfg["f2_hz"]),
                                    cfg["weaker_tone_offset_db"])
@@ -277,6 +311,7 @@ def cmd_freq_sweep(cfg: dict) -> Table:
                  "bias")
     centers = _grid(cfg["center_start_hz"], cfg["center_stop_hz"],
                     cfg["center_step_hz"], "center frequency")
+    _check_grid_size(len(bias) * len(centers), "bias x center frequency")
     sweep = diode.bias_frequency_sweep(
         chain, bias, centers, cfg["spacing_hz"],
         (cfg["power1_dbm"], cfg["power2_dbm"]))
@@ -286,8 +321,8 @@ def cmd_freq_sweep(cfg: dict) -> Table:
 def _grid(start: float, stop: float, step: float, name: str) -> list[float]:
     if step <= 0.0 or stop < start:
         raise ConfigError(f"need {name} stop >= start and step > 0")
-    count = int(round((stop - start) / step)) + 1
-    return [start + step * k for k in range(count)]
+    return [start + step * k
+            for k in range(_grid_count(start, stop, step, name))]
 
 
 ARRAY_FACTOR_SCHEMA = Schema(
@@ -520,10 +555,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown command {args.command}")
         _write_output(table, args.out, args.format, args.quiet)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SelfmixError, ValueError) as exc:

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,16 +154,16 @@ def self_mix_pattern(c1: PatternGrid, c2: PatternGrid) -> PatternGrid:
 
 
 def total_pattern(sm: PatternGrid,
-                  array_factor: Callable[[float], float]) -> PatternGrid:
+                  array_factor: np.ndarray | Sequence[float]) -> PatternGrid:
     """Total array receive pattern: array factor times the element
-    self-mixing pattern, evaluated along the cut.
-
-    ``array_factor`` is called with the signed theta of each grid sample
-    (close over the phi cut, e.g. via
-    ``selfmix.arrays.cut_direction``)."""
-    af = np.array([float(array_factor(t)) for t in sm.theta_samples])
+    self-mixing pattern. ``array_factor`` holds the factor at each of
+    ``sm.theta_samples``, e.g. from ``selfmix.arrays.if_array_factor_cut``."""
+    af = np.asarray(array_factor, dtype=float)
+    if af.shape != sm.theta_samples.shape:
+        raise ValueError(f"array factor has shape {af.shape}, the cut has "
+                         f"{sm.theta_samples.shape}")
     if np.any(af < 0.0) or not np.all(np.isfinite(af)):
-        raise ValueError("array factor must return finite values >= 0")
+        raise ValueError("array factor must be finite and >= 0")
     return PatternGrid(theta_samples=sm.theta_samples, phi_cut=sm.phi_cut,
                        gains=af * sm.gains, frequency=sm.frequency)
 

@@ -10,10 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from selfmix import arrays, diode, linkbudget, patterns, signals, validation
-from selfmix.units import SPEED_OF_LIGHT, dbm_to_amplitude
-
-THETA_FULL = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.25))
+from selfmix import arrays, diode, linkbudget, signals, validation
+from selfmix.units import dbm_to_amplitude
 
 
 def report(n, text):
@@ -22,47 +20,21 @@ def report(n, text):
 
 def test_01_limiting_case_array_gain():
     start = time.perf_counter()
-    lam = SPEED_OF_LIGHT / 36e9
-    g = arrays.ArrayGeometry.linear(8, 10.0 * lam)
-    af = arrays.if_array_factor_cut(g, 36e9 + 1e3, 36e9, THETA_FULL, 0.0)
-    combiner = arrays.combine_elements(np.ones(8), np.zeros(8)).power_gain_db
+    result = validation.check_limiting_case_array_gain()
     elapsed = time.perf_counter() - start
-    assert af.min() >= 0.999999
-    assert combiner == pytest.approx(9.03, abs=0.01)
+    assert result.passed, result.detail
     assert elapsed < 1.0
-    report(1, f"1 kHz tone spacing at 10 RF-wavelength pitch: min array "
-              f"factor {af.min():.8f}, combiner {combiner:.4f} dB "
+    report(1, f"1 kHz tone spacing at 10 RF-wavelength pitch: {result.detail} "
               f"({elapsed:.2f} s)")
 
 
 def test_02_if_vs_rf_beamwidth():
     start = time.perf_counter()
-    g = arrays.ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
-    phi = math.pi / 2.0  # E-plane cut (x = 0 plane)
-    af_if = arrays.if_array_factor_cut(g, 38.5e9, 37.5e9, THETA_FULL, phi)
-    af_rf = arrays.rf_array_factor_cut(g, 38.5e9, THETA_FULL, phi)
-    floor = 1.0 / math.sqrt(2.0)
-    in_60 = np.abs(THETA_FULL) <= math.radians(60.0)
-    rf_lobes = patterns.find_lobes(
-        patterns.PatternGrid(THETA_FULL[in_60], phi, af_rf[in_60], 38.5e9),
-        floor)
-    if_side_lobes = [t for t in patterns.find_lobes(
-        patterns.PatternGrid(THETA_FULL[in_60], phi, af_if[in_60], 1e9),
-        floor) if abs(t) > 1e-9]
-    bw_if = patterns.beamwidth_3db(
-        patterns.PatternGrid(THETA_FULL, phi, af_if, 1e9))
-    bw_rf = patterns.beamwidth_3db(
-        patterns.PatternGrid(THETA_FULL, phi, af_rf, 38.5e9))
-    ratio = bw_if.width / bw_rf.width
+    result = validation.check_if_vs_rf_beamwidth()
     elapsed = time.perf_counter() - start
-    assert len(rf_lobes) >= 2
-    assert len(if_side_lobes) == 0
-    assert not bw_rf.no_crossing
-    assert ratio > 10.0
+    assert result.passed, result.detail
     assert elapsed < 5.0
-    report(2, f"4x2 E-plane: RF shows {len(rf_lobes)} lobes above -3 dB in "
-              f"|theta|<=60 deg, IF none; width ratio {ratio:.1f} "
-              f"({elapsed:.2f} s)")
+    report(2, f"4x2 E-plane: {result.detail} ({elapsed:.2f} s)")
 
 
 def test_03_effective_spacing():
@@ -120,12 +92,12 @@ def test_05_array_oracle_equivalence():
         n = int(rng.integers(2, 9))
         g = arrays.ArrayGeometry(rng.uniform(-0.05, 0.05, size=(n, 2)))
         q1, q2 = rng.uniform(0.5, 2.0, size=2)
-        for t in theta:
+        af_cut = arrays.if_array_factor_cut(g, 37.5e9, 38.5e9, theta, 0.0)
+        for t, af in zip(theta, af_cut):
             d = arrays.cut_direction(float(t), 0.0)
             c1 = max(math.cos(t), 0.0) ** q1
             c2 = max(math.cos(t), 0.0) ** q2
-            analytic = (arrays.if_array_factor(g, 37.5e9, 38.5e9, d)
-                        * c1 * c2 * math.sqrt(n))
+            analytic = af * c1 * c2 * math.sqrt(n)
             if analytic < 1e-6:
                 continue
             ill = arrays.TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), d)
@@ -152,7 +124,7 @@ def test_06_row_rotation_compensation():
     base = arrays.simulate_array_timedomain(g, ill)
     flip = arrays.simulate_array_timedomain(g_flip, ill)
     delta = abs(flip.if_power_rel_db - base.if_power_rel_db)
-    rf = arrays.rf_array_factor(g_flip, 38.5e9, arrays.Direction(0.0))
+    rf = arrays.rf_array_factor_cut(g_flip, 38.5e9, [0.0], 0.0)[0]
     rf_db = 20.0 * math.log10(max(rf, 1e-300))
     assert delta < 1e-9
     assert rf_db < -60.0

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from selfmix.arrays import (
+    FACTOR_CHUNK,
     ArrayGeometry,
     Direction,
     TwoToneIllumination,
     combine_elements,
     cut_direction,
     effective_spacing,
-    element_if_signal,
-    if_array_factor,
     if_array_factor_cut,
     parse_geometry,
-    path_phase,
-    rf_array_factor,
     rf_array_factor_cut,
     simulate_array_timedomain,
 )
@@ -24,6 +21,15 @@ from selfmix.units import DB_FLOOR, SPEED_OF_LIGHT
 
 C0 = SPEED_OF_LIGHT
 EDGE_ON = Direction(theta=math.pi / 2, phi=0.0)
+
+
+def if_factor(g, f1, f2, d):
+    """IF array factor in one direction: a one-element cut at d.phi."""
+    return float(if_array_factor_cut(g, f1, f2, [d.theta], d.phi)[0])
+
+
+def rf_factor(g, f_rf, d):
+    return float(rf_array_factor_cut(g, f_rf, [d.theta], d.phi)[0])
 
 
 def random_geometry(rng, n=None):
@@ -53,6 +59,28 @@ class TestGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry([[0.0, 0.0], [0.0, 0.0]])
 
+    def test_coincidence_found_at_scale(self):
+        pos = ArrayGeometry.planar_grid(64, 64, 0.032, 0.036).element_positions
+        pos = pos.copy()
+        pos[4095] = pos[0]
+        with pytest.raises(ValueError, match="elements 0 and 4095 coincide"):
+            ArrayGeometry(pos)
+
+    def test_signed_zeros_coincide(self):
+        with pytest.raises(ValueError, match="elements 1 and 2 coincide"):
+            ArrayGeometry([[0.5, 0.0], [0.0, 0.25], [-0.0, 0.25]])
+        # a sort that put -0.0 before 0.0 would separate rows 0 and 2
+        with pytest.raises(ValueError, match="elements 0 and 2 coincide"):
+            ArrayGeometry([[-0.0, 0.5], [0.0, 0.25], [0.0, 0.5]])
+
+    def test_distinct_elements_sharing_coordinates_accepted(self):
+        g = ArrayGeometry([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        assert g.element_count == 4
+
+    def test_non_finite_rejected_before_coincidence(self):
+        with pytest.raises(ValueError, match="finite"):
+            ArrayGeometry([[np.nan, 0.0], [np.nan, 0.0]])
+
     def test_planar_grid_layout(self):
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
         assert g.element_count == 8
@@ -77,49 +105,42 @@ class TestPathPhase:
     def test_broadside_is_zero(self):
         rng = np.random.default_rng(2)
         g = random_geometry(rng)
-        for k in range(g.element_count):
-            assert path_phase(g, k, Direction(0.0), 38e9) == pytest.approx(0.0, abs=1e-12)
+        assert rf_factor(g, 38e9, Direction(0.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_array_anchor(self):
-        # 32 mm element, edge-on arrival, 36 GHz (about 4 RF wavelengths)
+        # 32 mm element, edge-on arrival, 36 GHz (about 4 RF wavelengths):
+        # the two-element factor is |cos(phase / 2)|
         g = ArrayGeometry.linear(2, 0.032)
         expected = 2 * math.pi * 0.032 * 36e9 / C0
-        assert path_phase(g, 1, EDGE_ON, 36e9) == pytest.approx(expected, rel=1e-12)
+        assert rf_factor(g, 36e9, EDGE_ON) == pytest.approx(
+            abs(math.cos(expected / 2)), rel=1e-12)
         assert 0.032 / (C0 / 36e9) == pytest.approx(4.0, abs=0.2)
 
     def test_reference_element_always_zero(self):
-        g = ArrayGeometry([[0.01, 0.02], [0.03, 0.01]])
-        assert path_phase(g, 0, EDGE_ON, 38e9) == 0.0
-
-    def test_index_out_of_range(self):
-        g = ArrayGeometry.linear(2, 0.032)
-        with pytest.raises(IndexError):
-            path_phase(g, 2, EDGE_ON, 38e9)
+        # element 0 is the phase reference wherever it sits
+        g = ArrayGeometry([[0.01, 0.02]])
+        assert rf_factor(g, 38e9, EDGE_ON) == 1.0
 
 
 class TestElementIfSignal:
     def test_broadside_phase_zero(self):
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
-        ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 1.0), Direction(0.0))
-        for k in range(8):
-            assert element_if_signal(g, k, ill).phase == pytest.approx(0.0, abs=1e-12)
+        assert if_factor(g, 37.5e9, 38.5e9, Direction(0.0)) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_edge_on_anchor(self):
         g = ArrayGeometry.linear(2, 0.032)
         ill = TwoToneIllumination(38.5e9, 37.5e9, (1.0, 1.0), EDGE_ON)
-        s = element_if_signal(g, 1, ill)
-        assert s.phase == pytest.approx(2 * math.pi * 0.032 * 1e9 / C0, rel=1e-9)
-        assert s.if_frequency == pytest.approx(1e9)
-        assert s.amplitude == pytest.approx(0.5)
+        phase = 2 * math.pi * 0.032 * 1e9 / C0
+        assert if_factor(g, ill.f1, ill.f2, ill.direction) == pytest.approx(
+            math.cos(phase / 2), rel=1e-9)
+        assert ill.if_frequency == pytest.approx(1e9)
 
     def test_only_difference_frequency_matters(self):
         g = ArrayGeometry.linear(3, 0.032)
-        d = cut_direction(0.7, 0.0)
-        base = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 1.0), d)
-        shifted = TwoToneIllumination(39.5e9, 40.5e9, (1.0, 1.0), d)
-        for k in range(3):
-            assert element_if_signal(g, k, base).phase == pytest.approx(
-                element_if_signal(g, k, shifted).phase, abs=1e-12)
+        theta = np.linspace(-1.5, 1.5, 31)
+        assert np.array_equal(if_array_factor_cut(g, 37.5e9, 38.5e9, theta, 0.0),
+                              if_array_factor_cut(g, 39.5e9, 40.5e9, theta, 0.0))
 
 
 class TestIfArrayFactor:
@@ -127,12 +148,12 @@ class TestIfArrayFactor:
         rng = np.random.default_rng(8)
         for _ in range(5):
             g = random_geometry(rng)
-            assert if_array_factor(g, 37.5e9, 38.5e9, Direction(0.0)) == 1.0
+            assert if_factor(g, 37.5e9, 38.5e9, Direction(0.0)) == 1.0
 
     def test_two_element_edge_on(self):
         g = ArrayGeometry.linear(2, 0.032)
         expected = math.cos(math.pi * 0.032 * 1e9 / C0)
-        assert if_array_factor(g, 38.5e9, 37.5e9, EDGE_ON) == pytest.approx(
+        assert if_factor(g, 38.5e9, 37.5e9, EDGE_ON) == pytest.approx(
             expected, rel=1e-12)
         assert expected == pytest.approx(0.9444, abs=5e-4)
 
@@ -148,33 +169,33 @@ class TestIfArrayFactor:
         g = random_geometry(rng, 5)
         g_shift = ArrayGeometry(g.element_positions + np.array([0.7, -0.3]))
         d = cut_direction(0.5, 0.9)
-        assert if_array_factor(g, 37.5e9, 38.5e9, d) == pytest.approx(
-            if_array_factor(g_shift, 37.5e9, 38.5e9, d), abs=1e-12)
+        assert if_factor(g, 37.5e9, 38.5e9, d) == pytest.approx(
+            if_factor(g_shift, 37.5e9, 38.5e9, d), abs=1e-12)
 
     def test_common_frequency_offset_invariance(self):
         rng = np.random.default_rng(34)
         g = random_geometry(rng, 6)
         d = cut_direction(-0.8, 0.2)
-        assert if_array_factor(g, 37.5e9, 38.5e9, d) == pytest.approx(
-            if_array_factor(g, 39.5e9, 40.5e9, d), abs=1e-12)
+        assert if_factor(g, 37.5e9, 38.5e9, d) == pytest.approx(
+            if_factor(g, 39.5e9, 40.5e9, d), abs=1e-12)
 
 
 class TestRfArrayFactor:
     def test_broadside_unity(self):
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
-        assert rf_array_factor(g, 38.5e9, Direction(0.0)) == 1.0
+        assert rf_factor(g, 38.5e9, Direction(0.0)) == 1.0
 
     def test_grating_lobe_at_four_wavelength_spacing(self):
         f = 36e9
         g = ArrayGeometry.linear(2, 4 * C0 / f)
         d = Direction(theta=math.asin(0.25))
-        assert rf_array_factor(g, f, d) == pytest.approx(1.0, abs=1e-12)
+        assert rf_factor(g, f, d) == pytest.approx(1.0, abs=1e-12)
         assert math.degrees(d.theta) == pytest.approx(14.48, abs=0.01)
 
     def test_uniform_array_null(self):
         f = 36e9
         g = ArrayGeometry.linear(4, 0.5 * C0 / f)
-        assert rf_array_factor(g, f, Direction(math.asin(0.5))) < 1e-9
+        assert rf_factor(g, f, Direction(math.asin(0.5))) < 1e-9
 
     def test_if_factor_wider_than_rf_factor(self):
         # the RF factor dips into its first null within a few degrees; the
@@ -190,6 +211,29 @@ class TestRfArrayFactor:
         assert math.degrees(theta[first_dip]) < 10.0
         # never even drops 3 dB across the whole visible range
         assert af_if.min() > 1.0 / math.sqrt(2.0)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", ["if", "rf"])
+    def test_chunked_cut_equals_single_directions(self, kind):
+        # more than three chunks, ending in a one-direction chunk
+        rng = np.random.default_rng(5)
+        g = random_geometry(rng, 16).with_rf_phase_offsets(
+            rng.uniform(-math.pi, math.pi, 16))
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 3 * FACTOR_CHUNK + 1)
+
+        def cut(t):
+            if kind == "if":
+                return if_array_factor_cut(g, 37.5e9, 38.5e9, t, 0.4)
+            return rf_array_factor_cut(g, 38.5e9, t, 0.4)
+
+        full = cut(theta)
+        single = np.array([cut(theta[i:i + 1])[0] for i in range(theta.size)])
+        assert np.array_equal(full, single)
+
+    def test_empty_cut(self):
+        g = ArrayGeometry.linear(3, 0.032)
+        assert if_array_factor_cut(g, 37.5e9, 38.5e9, [], 0.0).shape == (0,)
 
 
 class TestEffectiveSpacing:
@@ -247,7 +291,7 @@ class TestTimeDomainArray:
         d = cut_direction(math.pi / 2, 0.0)
         ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), d)
         r = simulate_array_timedomain(g, ill)
-        af = if_array_factor(g, 37.5e9, 38.5e9, d)
+        af = if_factor(g, 37.5e9, 38.5e9, d)
         assert r.if_power_rel_db - 10 * math.log10(2) == pytest.approx(
             20 * math.log10(af), abs=0.05)
 
@@ -269,12 +313,12 @@ class TestTimeDomainArray:
         theta = np.linspace(-math.pi / 2, math.pi / 2, 19)
         g = random_geometry(rng, 4)
         q1, q2 = 0.8, 1.3
-        for t in theta:
+        af_cut = if_array_factor_cut(g, 37.5e9, 38.5e9, theta, 0.0)
+        for t, af in zip(theta, af_cut):
             d = cut_direction(float(t), 0.0)
             c1 = max(math.cos(t), 0.0) ** q1
             c2 = max(math.cos(t), 0.0) ** q2
-            analytic = (if_array_factor(g, 37.5e9, 38.5e9, d) * c1 * c2
-                        * math.sqrt(4))
+            analytic = af * c1 * c2 * math.sqrt(4)
             if analytic < 1e-6:
                 continue
             ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), d)

@@ -136,6 +136,61 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, grid", [
+        ("array-factor", "theta_step_deg = 1e-9", "theta"),
+        ("pattern", "theta_step_deg = 1e-320", "theta"),
+        ("diode-iv", "v_step_v = 1e-12", "voltage"),
+        ("bias-sweep", "bias_step_v = 1e-9", "bias"),
+        ("freq-sweep", "center_step_hz = 1e-3", "center frequency"),
+        # each axis under the cap, their product over it
+        ("bias-sweep", "bias_stop_v = 100\nbias_step_v = 1e-3\n"
+                       "power_stop_dbm = 40\npower_step_dbm = 1",
+         "bias x power"),
+        ("freq-sweep", "bias_stop_v = 100\nbias_step_v = 1e-3\n"
+                       "center_stop_hz = 44e9", "bias x center frequency"),
+    ])
+    def test_grid_over_cap_exits_2(self, tmp_path, capsys, command, text,
+                                   grid):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {grid} grid would have" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("diode-iv", "ideality = 5", "ideality must lie in [1, 3]"),
+        ("bias-sweep", "if_load_ohm = 0", "must be positive"),
+        ("array-factor", "nx = 0", "shape (N, 2)"),
+        ("array-factor", "GEOMETRY\n", "elements 0 and 1 coincide"),
+    ])
+    def test_bad_model_parameter_exits_2(self, tmp_path, capsys, command,
+                                         text, message):
+        geo = tmp_path / "layout.txt"
+        geo.write_text("0.01 0.02\n0.01 0.02 180\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("GEOMETRY", f"geometry_file = {geo}")
+                       + "\n")
+        out = tmp_path / "x.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+        assert not out.exists()
+
+    def test_solver_overflow_stays_exit_3(self, tmp_path, capsys):
+        # valid parameters whose terminal current overflows at 30 V
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("saturation_current_a = 1e-300\n"
+                       "series_resistance_ohm = 1e-10\nv_stop_v = 30\n")
+        assert run(["diode-iv", "--config", str(cfg),
+                    "--out", str(tmp_path / "x.csv"), "--quiet"]) == 3
+        assert "computation error" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_spectrum_contains_difference_tone(self, tmp_path):
@@ -218,6 +273,19 @@ class TestScripts:
         assert result.returncode == 2
         assert "usage: selfmix" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_package_run_prints_usage(self):
+        result = run_module(["-m", "selfmix"])
+        assert result.returncode == 2
+        assert "usage: selfmix" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("demo", ["receive_patterns.py",
+                                      "if_array_factor.py"])
+    def test_array_demo_runs(self, tmp_path, demo):
+        result = run_module([str(ROOT / "demos" / demo)], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.rstrip().endswith("done.")
 
     def test_diode_bias_optimum_demo_runs(self, tmp_path):
         result = run_module([str(ROOT / "demos" / "diode_bias_optimum.py")],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selfmix.arrays import ArrayGeometry, cut_direction, if_array_factor, rf_array_factor
+from selfmix.arrays import ArrayGeometry, if_array_factor_cut, rf_array_factor_cut
 from selfmix.errors import GridMismatch, InvalidGrid
 from selfmix.patterns import (
     AnalyticPattern,
@@ -105,23 +105,31 @@ class TestSelfMixPattern:
 class TestTotalPattern:
     def test_unity_array_factor_is_identity(self):
         sm = self_mix_pattern(cos_q_grid(1.0, 37.5e9), cos_q_grid(1.0, 38.5e9))
-        out = total_pattern(sm, lambda theta: 1.0)
+        out = total_pattern(sm, np.ones_like(sm.theta_samples))
         assert np.allclose(out.gains, sm.gains, atol=0.0)
+
+    def test_factor_shape_and_values_checked(self):
+        sm = self_mix_pattern(cos_q_grid(1.0, 37.5e9), cos_q_grid(1.0, 38.5e9))
+        with pytest.raises(ValueError, match="shape"):
+            total_pattern(sm, np.ones(sm.theta_samples.size - 1))
+        bad = np.ones_like(sm.theta_samples)
+        for value in (-0.5, np.nan):
+            bad[3] = value
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                total_pattern(sm, bad)
 
     def test_single_element_array(self):
         g = ArrayGeometry([[0.0, 0.0]])
         sm = self_mix_pattern(cos_q_grid(1.0, 37.5e9), cos_q_grid(1.0, 38.5e9))
-        out = total_pattern(
-            sm, lambda t: if_array_factor(g, 37.5e9, 38.5e9,
-                                          cut_direction(t, sm.phi_cut)))
+        out = total_pattern(sm, if_array_factor_cut(
+            g, 37.5e9, 38.5e9, sm.theta_samples, sm.phi_cut))
         assert np.allclose(out.gains, sm.gains, atol=1e-15)
 
     def test_never_exceeds_element_pattern(self):
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
         sm = self_mix_pattern(cos_q_grid(1.0, 37.5e9), cos_q_grid(1.0, 38.5e9))
-        out = total_pattern(
-            sm, lambda t: if_array_factor(g, 37.5e9, 38.5e9,
-                                          cut_direction(t, sm.phi_cut)))
+        out = total_pattern(sm, if_array_factor_cut(
+            g, 37.5e9, 38.5e9, sm.theta_samples, sm.phi_cut))
         assert np.all(out.gains <= sm.gains + 1e-15)
 
     def test_rf_combining_shows_grating_lobes_where_if_does_not(self):
@@ -130,12 +138,10 @@ class TestTotalPattern:
         sm = self_mix_pattern(
             sample_pattern(AnalyticPattern.cos_q(1.0, 37.5e9), THETA, phi),
             sample_pattern(AnalyticPattern.cos_q(1.0, 38.5e9), THETA, phi))
-        total_if = total_pattern(
-            sm, lambda t: if_array_factor(g, 37.5e9, 38.5e9,
-                                          cut_direction(t, phi))).normalized()
-        total_rf = total_pattern(
-            sm, lambda t: rf_array_factor(g, 38.5e9,
-                                          cut_direction(t, phi))).normalized()
+        total_if = total_pattern(sm, if_array_factor_cut(
+            g, 37.5e9, 38.5e9, THETA, phi)).normalized()
+        total_rf = total_pattern(sm, rf_array_factor_cut(
+            g, 38.5e9, THETA, phi)).normalized()
         in_60 = np.abs(THETA) <= math.radians(60.0)
         floor = 1.0 / math.sqrt(2.0)
         rf60 = PatternGrid(THETA[in_60], phi, total_rf.gains[in_60], 38.5e9)
@@ -169,11 +175,8 @@ class TestBeamwidth:
 
     def test_if_vs_rf_array_factor_width_ratio(self):
         g = ArrayGeometry.linear(4, 0.032)
-        af_if = np.array([if_array_factor(g, 38.5e9, 37.5e9,
-                                          cut_direction(t, 0.0))
-                          for t in THETA])
-        af_rf = np.array([rf_array_factor(g, 38.5e9, cut_direction(t, 0.0))
-                          for t in THETA])
+        af_if = if_array_factor_cut(g, 38.5e9, 37.5e9, THETA, 0.0)
+        af_rf = rf_array_factor_cut(g, 38.5e9, THETA, 0.0)
         bw_if = beamwidth_3db(PatternGrid(THETA, 0.0, af_if, 1e9))
         bw_rf = beamwidth_3db(PatternGrid(THETA, 0.0, af_rf, 38.5e9))
         assert bw_if.width / bw_rf.width > 10.0
