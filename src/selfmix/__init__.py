@@ -33,6 +33,7 @@ from .arrays import (
     TwoToneIllumination,
     combine_elements,
     cut_direction,
+    cut_phase_count,
     effective_spacing,
     if_array_factor_cut,
     load_geometry,

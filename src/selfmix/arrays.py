@@ -43,7 +43,9 @@ from .signals import (
 from .units import DB_FLOOR, SPEED_OF_LIGHT, amplitude_ratio_to_db
 
 _TWO_PI = 2.0 * math.pi
-FACTOR_CHUNK = 1024  # directions per block of the array-factor kernel
+# phases per block of the array-factor kernel: memory stays bounded for any
+# cut length and element count, and a block stays within the CPU caches
+FACTOR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,9 @@ class ArrayGeometry:
         pos = np.asarray(self.element_positions, dtype=float)
         if pos.ndim == 1:
             pos = pos.reshape(-1, 2) if pos.size == 2 else pos
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ValueError("element_positions must have shape (N, 2)")
-        if pos.shape[0] < 1:
-            raise ValueError("need at least one element")
+        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
+            raise ValueError("element_positions must have shape (N, 2), "
+                             "N >= 1")
         if not np.all(np.isfinite(pos)):
             raise ValueError("element positions must be finite")
         # no two elements may coincide: after a stable sort equal rows are
@@ -107,6 +108,8 @@ class ArrayGeometry:
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != (pos.shape[0],):
             raise ValueError("rf_phase_offsets must have one entry per element")
+        if not np.all(np.isfinite(offsets)):
+            raise ValueError("rf_phase_offsets must be finite")
         pos = pos.copy()
         offsets = offsets.copy()
         pos.flags.writeable = False
@@ -127,8 +130,11 @@ class ArrayGeometry:
     @classmethod
     def planar_grid(cls, nx: int, ny: int, dx: float, dy: float) -> "ArrayGeometry":
         """Rectangular nx-by-ny grid (x-major ordering)."""
-        pts = [(ix * dx, iy * dy) for iy in range(ny) for ix in range(nx)]
-        return cls(np.asarray(pts))
+        if nx < 1 or ny < 1:  # no elements, whatever the other axis asks
+            return cls(np.empty((0, 2)))
+        with np.errstate(over="ignore"):  # an infinite position is rejected
+            x, y = np.arange(nx) * dx, np.arange(ny) * dy
+        return cls(np.column_stack([np.tile(x, ny), np.repeat(y, nx)]))
 
     def with_rf_phase_offsets(self, offsets: Sequence[float]) -> "ArrayGeometry":
         return replace(self, rf_phase_offsets=np.asarray(offsets, dtype=float))
@@ -202,16 +208,13 @@ class ArrayIfResult:
     if_phase: float
 
 
-def _relative_positions(g: ArrayGeometry) -> np.ndarray:
-    return g.element_positions - g.element_positions[0]
-
-
 def element_phases(g: ArrayGeometry, d: Direction, frequency: float) -> np.ndarray:
     """Plane-wave phase of every element relative to element 0 at the given
     frequency: ``2*pi * (r_k . u) * f / c0`` (the time-domain oracle's own
     route, independent of the array-factor kernel)."""
     u = d.in_plane_unit()
-    return _TWO_PI * (_relative_positions(g) @ u) * frequency / SPEED_OF_LIGHT
+    rel = g.element_positions - g.element_positions[0]
+    return _TWO_PI * (rel @ u) * frequency / SPEED_OF_LIGHT
 
 
 def if_array_factor_cut(g: ArrayGeometry, f1: float, f2: float,
@@ -234,25 +237,67 @@ def rf_array_factor_cut(g: ArrayGeometry, f_rf: float,
                          phi_cut, offsets=g.rf_phase_offsets)
 
 
+def cut_phase_count(g: ArrayGeometry, directions: int,
+                    offsets: np.ndarray | None = None) -> int:
+    """Phases the kernel evaluates for a cut of ``directions`` directions
+    (``offsets`` as the cut passes them: None for the IF cut,
+    ``g.rf_phase_offsets`` for the RF cut): ``directions * (|X| + |Y|)`` for
+    a factorised product layout, ``directions * N`` otherwise."""
+    return directions * sum(p.shape[0] for p, _ in _cut_layouts(g, offsets))
+
+
+def _cut_layouts(g: ArrayGeometry, offsets: np.ndarray | None
+                 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Sub-layouts and their offsets whose phasor means multiply to the cut.
+
+    A product layout, whose distinct x values X and y values Y give
+    ``|X| * |Y| = N`` (exact, as no two elements coincide), with no or equal
+    feed offsets factorises into the sub-layouts (X, 0) and (0, Y); a common
+    feed phase drops out of the magnitude. Every other layout is summed
+    element by element."""
+    pos = g.element_positions
+    xs, ys = np.unique(pos[:, 0]), np.unique(pos[:, 1])
+    if xs.size * ys.size == pos.shape[0] and (
+            offsets is None or np.all(offsets == offsets[0])):
+        return [(np.column_stack([xs, np.zeros(xs.size)]), None),
+                (np.column_stack([np.zeros(ys.size), ys]), None)]
+    return [(pos, offsets)]
+
+
 def _array_factor(g: ArrayGeometry, frequency: float, theta: np.ndarray,
                   phi_cut: float, offsets: np.ndarray | None) -> np.ndarray:
-    """``|mean_k exp(j*phase_k)|`` per direction, :data:`FACTOR_CHUNK`
-    directions at a time so that memory is bounded for any cut length."""
+    """``|mean_k exp(j*phase_k)|`` per direction, over the sub-layouts of
+    :func:`_cut_layouts`. Phases that overflow raise :class:`ValueError`."""
     # signed theta at fixed phi is equivalent to |theta| at phi or phi+pi
     u = np.column_stack([np.sin(theta) * math.cos(phi_cut),
                          np.sin(theta) * math.sin(phi_cut)])
-    rel_t = _relative_positions(g).T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        af = math.prod(_phasor_mean(u, pos, frequency, off)
+                       for pos, off in _cut_layouts(g, offsets))
+    if not np.all(np.isfinite(af)):
+        raise ValueError("array factor is not finite: the element phases "
+                         "overflow")
+    return af
+
+
+def _phasor_mean(u: np.ndarray, positions: np.ndarray, frequency: float,
+                 offsets: np.ndarray | None) -> np.ndarray:
+    """``|mean_k exp(j*phase_k)|`` for the in-plane directions ``u``, about
+    :data:`FACTOR_BLOCK` phases at a time."""
+    rel_t = (positions - positions[0]).T
+    per_block = max(1, FACTOR_BLOCK // positions.shape[0])
     af = np.empty(u.shape[0])
-    for start in range(0, u.shape[0], FACTOR_CHUNK):
-        chunk = u[start:start + FACTOR_CHUNK]
+    for start in range(0, u.shape[0], per_block):
+        block = u[start:start + per_block]
         # numpy sends a one-row product to a matrix-vector routine that
-        # rounds differently: two rows keep results independent of chunking
-        rows = np.repeat(chunk, 2, axis=0) if len(chunk) == 1 else chunk
+        # rounds differently: two rows keep results independent of blocking
+        rows = np.repeat(block, 2, axis=0) if len(block) == 1 else block
         phases = _TWO_PI * (rows @ rel_t) * frequency / SPEED_OF_LIGHT
         if offsets is not None:
-            phases = phases + offsets[np.newaxis, :]
-        af[start:start + len(chunk)] = np.abs(
-            np.exp(1j * phases).mean(axis=1))[:len(chunk)]
+            phases += offsets
+        af[start:start + len(block)] = np.hypot(
+            np.cos(phases).mean(axis=1),
+            np.sin(phases).mean(axis=1))[:len(block)]
     return af
 
 

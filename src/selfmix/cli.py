@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -24,11 +25,16 @@ import numpy as np
 from . import arrays, diode, linkbudget, patterns, signals, validation
 from .errors import ConfigError, SelfmixError
 from .tables import Table
-from .units import SPEED_OF_LIGHT
+from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db
 
-# Largest grid (directions, voltages, sweep cells), checked before anything
-# is allocated; far above the 18 001 directions of the largest cut in use.
+# Largest grid (directions, voltages, sweep cells, array elements), checked
+# before anything is allocated; far above the 18 001 directions of the
+# largest cut in use.
 MAX_GRID_POINTS = 1_000_000
+# Most phases an IF and RF array-factor cut pair may evaluate, as the kernel
+# counts them (arrays.cut_phase_count), so that no cut runs for hours; above
+# the 2 x 18 001 x 4096 of a summed 64 x 64 layout at 0.01 deg.
+MAX_CUT_PHASES = 200_000_000
 
 _EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value, "
            "unreadable file), 3 computation error (solver or model failure)")
@@ -100,10 +106,12 @@ def _write_output(table: Table, out: str | None, fmt: str,
         print(f"wrote {len(table.rows)} rows to {out}")
 
 
-def _check_grid_size(points: float, name: str) -> None:
-    if not points <= MAX_GRID_POINTS:  # also catches an infinite count
+def _check_grid_size(points: float, name: str,
+                     limit: int | None = None) -> None:
+    limit = MAX_GRID_POINTS if limit is None else limit
+    if not points <= limit:  # also catches an infinite count
         raise ConfigError(f"{name} grid would have {points:.4g} points; "
-                          f"the limit is {MAX_GRID_POINTS}")
+                          f"the limit is {limit}")
 
 
 def _grid_count(start: float, stop: float, step: float, name: str) -> int:
@@ -134,9 +142,25 @@ def _invariants_are_config_errors() -> Iterator[None]:
 def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
     with _invariants_are_config_errors():
         if cfg["geometry_file"]:
-            return arrays.load_geometry(cfg["geometry_file"])
+            geometry = arrays.load_geometry(cfg["geometry_file"])
+            _check_grid_size(geometry.element_count, "element")
+            return geometry
+        _check_grid_size(cfg["nx"] * cfg["ny"], "element")
         return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
                                                 cfg["dx_m"], cfg["dy_m"])
+
+
+def _factor_cuts(geometry: arrays.ArrayGeometry, cfg: dict, theta: np.ndarray,
+                 phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """IF and RF array-factor cuts, checked against :data:`MAX_CUT_PHASES`."""
+    _check_grid_size(arrays.cut_phase_count(geometry, theta.size)
+                     + arrays.cut_phase_count(geometry, theta.size,
+                                              geometry.rf_phase_offsets),
+                     "array-factor phase", MAX_CUT_PHASES)
+    return (arrays.if_array_factor_cut(geometry, cfg["f1_hz"], cfg["f2_hz"],
+                                       theta, phi),
+            arrays.rf_array_factor_cut(geometry, cfg["rf_freq_hz"], theta,
+                                       phi))
 
 
 _GEOMETRY_KEYS = dict(
@@ -337,8 +361,9 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
     geometry = _geometry_from_config(cfg)
     theta_deg = _theta_grid_deg(cfg["theta_start_deg"], cfg["theta_stop_deg"],
                                 cfg["theta_step_deg"])
-    theta = np.radians(theta_deg)
     phi = math.radians(cfg["phi_cut_deg"])
+    af_if, af_rf = (af.tolist() for af in _factor_cuts(
+        geometry, cfg, np.radians(theta_deg), phi))
     if not quiet and not cfg["geometry_file"]:
         delta_f = abs(cfg["f1_hz"] - cfg["f2_hz"])
         for pitch, count, axis in ((cfg["dx_m"], cfg["nx"], "x"),
@@ -349,20 +374,13 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
                 e_rf = pitch * cfg["rf_freq_hz"] / SPEED_OF_LIGHT
                 print(f"{axis}-pitch {pitch * 1e3:.1f} mm: effective IF "
                       f"spacing {e_if:.4f} wavelengths vs {e_rf:.3f} at RF")
-    af_if = arrays.if_array_factor_cut(geometry, cfg["f1_hz"], cfg["f2_hz"],
-                                       theta, phi)
-    af_rf = arrays.rf_array_factor_cut(geometry, cfg["rf_freq_hz"], theta, phi)
-    table = Table(columns=["theta_deg", "phi_deg", "af_if", "af_rf",
-                           "af_if_db", "af_rf_db"])
-    for td, a_if, a_rf in zip(theta_deg, af_if, af_rf):
-        table.append([float(td), cfg["phi_cut_deg"], float(a_if), float(a_rf),
-                      _db20(a_if), _db20(a_rf)])
-    return table
-
-
-def _db20(x: float) -> float:
-    from .units import amplitude_ratio_to_db
-    return amplitude_ratio_to_db(float(x))
+    return Table(columns=["theta_deg", "phi_deg", "af_if", "af_rf",
+                          "af_if_db", "af_rf_db"],
+                 rows=list(zip(theta_deg.tolist(),
+                               itertools.repeat(cfg["phi_cut_deg"]),
+                               af_if, af_rf,
+                               map(amplitude_ratio_to_db, af_if),
+                               map(amplitude_ratio_to_db, af_rf))))
 
 
 PATTERN_SCHEMA = Schema(
@@ -396,16 +414,15 @@ def cmd_pattern(cfg: dict) -> Table:
         c1 = patterns.sample_pattern(element(cfg["f1_hz"]), theta, phi)
         c2 = patterns.sample_pattern(element(cfg["f2_hz"]), theta, phi)
     sm = patterns.self_mix_pattern(c1, c2).normalized()
-    af_if = arrays.if_array_factor_cut(geometry, cfg["f1_hz"], cfg["f2_hz"],
-                                       sm.theta_samples, phi)
-    af_rf = arrays.rf_array_factor_cut(geometry, cfg["rf_freq_hz"],
-                                       sm.theta_samples, phi)
-    table = Table(columns=["theta_deg", "gain_db", "af_if", "af_rf",
-                           "total_if_db", "total_rf_db"])
-    for t, g, a_if, a_rf in zip(sm.theta_samples, sm.gains, af_if, af_rf):
-        table.append([math.degrees(float(t)), _db20(g), float(a_if),
-                      float(a_rf), _db20(g * a_if), _db20(g * a_rf)])
-    return table
+    af_if, af_rf = _factor_cuts(geometry, cfg, sm.theta_samples, phi)
+    db = amplitude_ratio_to_db
+    return Table(columns=["theta_deg", "gain_db", "af_if", "af_rf",
+                          "total_if_db", "total_rf_db"],
+                 rows=list(zip(map(math.degrees, sm.theta_samples.tolist()),
+                               map(db, sm.gains.tolist()),
+                               af_if.tolist(), af_rf.tolist(),
+                               map(db, (sm.gains * af_if).tolist()),
+                               map(db, (sm.gains * af_rf).tolist()))))
 
 
 def _element_pattern(cfg: dict) -> Callable[[float], patterns.AnalyticPattern]:

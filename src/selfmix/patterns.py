@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridMismatch, InvalidGrid
+from .tables import Table
 from .units import DB_FLOOR
 
 _HALF_PI = math.pi / 2.0
@@ -245,9 +246,6 @@ def read_pattern_csv(source: str | Path, frequency: float,
 
 def write_pattern_csv(p: PatternGrid, target: str | Path) -> None:
     """Write a cut as CSV with header ``theta_deg,gain_db``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta_deg", "gain_db"])
-    for theta, db in zip(p.theta_samples, p.gains_db()):
-        writer.writerow([f"{math.degrees(theta):.9g}", f"{db:.9g}"])
-    Path(target).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    Table(columns=["theta_deg", "gain_db"],
+          rows=list(zip(map(math.degrees, p.theta_samples.tolist()),
+                        p.gains_db().tolist()))).write(target)

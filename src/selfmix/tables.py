@@ -47,8 +47,15 @@ class Table:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
+        # a row of floats in one %-format: a formatted float never needs
+        # quoting, and "%.9g" renders a float exactly as format_value does
+        all_floats = (float,) * len(self.columns)
+        float_row = ",".join(["%.9g"] * len(self.columns)) + "\n"
         for row in self.rows:
-            writer.writerow([format_value(v) for v in row])
+            if tuple(map(type, row)) == all_floats:
+                buf.write(float_row % tuple(row))
+            else:
+                writer.writerow([format_value(v) for v in row])
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -199,6 +199,41 @@ def check_row_rotation_compensation() -> CheckResult:
                f"broadside level {rf_db:.1f} dB (< -60)")
 
 
+def check_array_factor_factorization() -> CheckResult:
+    """Product layouts, whose cuts the kernel factorises into two 1-D cuts,
+    against an element-by-element phasor sum: the 4x2 reference grid, and a
+    non-uniform 4 x 3 product with equal non-zero feed offsets; IF and RF,
+    on two cut planes at 0.5 deg."""
+    theta = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.5))
+    xs = np.array([0.0, 0.011, 0.030, 0.052])
+    ys = np.array([-0.02, 0.017, 0.041])
+    layouts = [arrays.ArrayGeometry.planar_grid(4, 2, 0.032, 0.036),
+               arrays.ArrayGeometry(np.column_stack([np.tile(xs, 3),
+                                                     np.repeat(ys, 4)]),
+                                    np.full(12, 0.7))]
+    worst = 0.0
+    for g in layouts:
+        pos = g.element_positions
+        for phi in (0.6, math.pi / 2.0):
+            path = (np.outer(np.sin(theta) * math.cos(phi), pos[:, 0])
+                    + np.outer(np.sin(theta) * math.sin(phi), pos[:, 1]))
+            cuts = ((1.0e9, 0.0, arrays.if_array_factor_cut(
+                        g, 37.5e9, 38.5e9, theta, phi)),
+                    (38.5e9, g.rf_phase_offsets, arrays.rf_array_factor_cut(
+                        g, 38.5e9, theta, phi)))
+            for frequency, offsets, af in cuts:
+                phases = 2.0 * math.pi * frequency / SPEED_OF_LIGHT * path
+                direct = np.abs(np.exp(1j * (phases + offsets)).sum(axis=1))
+                worst = max(worst, float(np.max(np.abs(
+                    af - direct / g.element_count))))
+    return CheckResult(
+        name="array factor of product layouts vs element-by-element sum",
+        passed=worst <= 1e-12,
+        detail=f"worst |delta| {worst:.1e} over the 4x2 grid and a "
+               "non-uniform 4x3 product with equal feed offsets, IF and RF, "
+               "two cut planes (tolerance 1e-12)")
+
+
 def check_square_law_slope() -> CheckResult:
     chain = diode.default_chain()
     powers = [-60.0, -55.0, -50.0, -45.0]
@@ -342,6 +377,7 @@ def run_all() -> list[CheckResult]:
     results.extend(check_effective_spacing())
     results.append(check_array_oracle_equivalence())
     results.append(check_row_rotation_compensation())
+    results.append(check_array_factor_factorization())
     results.append(check_square_law_slope())
     results.extend(check_bias_optimum())
     results.append(check_diode_solver())

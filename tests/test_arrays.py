@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from selfmix.arrays import (
-    FACTOR_CHUNK,
+    FACTOR_BLOCK,
     ArrayGeometry,
     Direction,
     TwoToneIllumination,
     combine_elements,
     cut_direction,
+    cut_phase_count,
     effective_spacing,
     if_array_factor_cut,
     parse_geometry,
@@ -216,20 +217,55 @@ class TestRfArrayFactor:
 class TestKernel:
     @pytest.mark.parametrize("kind", ["if", "rf"])
     def test_chunked_cut_equals_single_directions(self, kind):
-        # more than three chunks, ending in a one-direction chunk
+        # more than three blocks of FACTOR_BLOCK // 64 directions, ending in
+        # a one-direction block: 64 elements summed one by one, and a
+        # non-uniform 64 x 64 product layout with equal feed offsets, whose
+        # 64-element sub-layouts are summed
         rng = np.random.default_rng(5)
-        g = random_geometry(rng, 16).with_rf_phase_offsets(
-            rng.uniform(-math.pi, math.pi, 16))
-        theta = np.linspace(-math.pi / 2, math.pi / 2, 3 * FACTOR_CHUNK + 1)
+        summed = random_geometry(rng, 64).with_rf_phase_offsets(
+            rng.uniform(-math.pi, math.pi, 64))
+        xs = np.cumsum(rng.uniform(0.01, 0.03, 64))
+        ys = np.cumsum(rng.uniform(0.01, 0.03, 64))
+        product = ArrayGeometry(np.column_stack([
+            np.tile(xs, 64), np.repeat(ys, 64)]), np.full(64 * 64, 0.9))
+        theta = np.linspace(-math.pi / 2, math.pi / 2,
+                            3 * (FACTOR_BLOCK // 64) + 1)
+        for g in (summed, product):
+            def cut(t):
+                if kind == "if":
+                    return if_array_factor_cut(g, 37.5e9, 38.5e9, t, 0.4)
+                return rf_array_factor_cut(g, 38.5e9, t, 0.4)
 
-        def cut(t):
-            if kind == "if":
-                return if_array_factor_cut(g, 37.5e9, 38.5e9, t, 0.4)
-            return rf_array_factor_cut(g, 38.5e9, t, 0.4)
+            full = cut(theta)
+            single = np.array([cut(theta[i:i + 1])[0]
+                               for i in range(theta.size)])
+            assert np.array_equal(full, single)
 
-        full = cut(theta)
-        single = np.array([cut(theta[i:i + 1])[0] for i in range(theta.size)])
-        assert np.array_equal(full, single)
+    def test_layout_one_short_of_a_product_is_summed(self):
+        # a 4 x 4 grid less one element must not take the product route
+        pos = ArrayGeometry.planar_grid(4, 4, 0.032, 0.036).element_positions
+        g = ArrayGeometry(pos[:-1])
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 181)
+        phi = 0.6
+        u = np.column_stack([np.sin(theta) * math.cos(phi),
+                             np.sin(theta) * math.sin(phi)])
+        for f, af in ((1e9, if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)),
+                      (38.5e9, rf_array_factor_cut(g, 38.5e9, theta, phi))):
+            phases = 2 * math.pi * f / C0 * (u @ pos[:-1].T)
+            direct = np.abs(np.exp(1j * phases).sum(axis=1)) / 15
+            assert np.max(np.abs(af - direct)) < 1e-12
+
+    def test_phase_count_follows_the_route(self):
+        grid = ArrayGeometry.planar_grid(16, 8, 0.032, 0.036)
+        assert cut_phase_count(grid, 721) == 721 * (16 + 8)
+        # equal feed offsets keep the product route, unequal ones do not
+        same = grid.with_rf_phase_offsets(np.full(128, 0.7))
+        assert cut_phase_count(same, 721, same.rf_phase_offsets) == 721 * 24
+        mixed = grid.with_rf_phase_offsets(np.arange(128.0))
+        assert cut_phase_count(mixed, 721) == 721 * 24
+        assert cut_phase_count(mixed, 721, mixed.rf_phase_offsets) == 721 * 128
+        short = ArrayGeometry(grid.element_positions[:-1])
+        assert cut_phase_count(short, 721) == 721 * 127
 
     def test_empty_cut(self):
         g = ArrayGeometry.linear(3, 0.032)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selfmix import cli
 from selfmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,11 +149,22 @@ class TestConfigHandling:
          "bias x power"),
         ("freq-sweep", "bias_stop_v = 100\nbias_step_v = 1e-3\n"
                        "center_stop_hz = 44e9", "bias x center frequency"),
+        ("array-factor", "nx = 100000\nny = 100000", "element"),
+        ("pattern", "nx = 100000\nny = 100000", "element"),
+        # elements and directions each under the cap; a layout that is not
+        # a product is summed, and directions x elements is over the cap
+        ("array-factor", "DIAGONAL\ntheta_step_deg = 1e-3",
+         "array-factor phase"),
+        ("pattern", "DIAGONAL\ntheta_step_deg = 1e-3", "array-factor phase"),
     ])
     def test_grid_over_cap_exits_2(self, tmp_path, capsys, command, text,
                                    grid):
+        geo = tmp_path / "diagonal.txt"
+        geo.write_text("".join(f"{k * 0.01} {k * 0.01}\n"
+                               for k in range(600)))
         cfg = tmp_path / "big.cfg"
-        cfg.write_text(text + "\n")
+        cfg.write_text(text.replace("DIAGONAL", f"geometry_file = {geo}")
+                       + "\n")
         out = tmp_path / "x.csv"
         assert run([command, "--config", str(cfg), "--out", str(out),
                     "--quiet"]) == 2
@@ -180,6 +192,41 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert message in err
+        assert not out.exists()
+
+    def test_geometry_file_over_cap_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        geo = tmp_path / "layout.txt"
+        geo.write_text("# four elements\n0 0\n0.03 0\n\n0 0.03\n0.03 0.03\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"geometry_file = {geo}\n")
+        out = tmp_path / "x.csv"
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "element grid would have 4 points; the limit is 3" in err
+        assert not out.exists()
+
+    def test_product_cut_capped_by_its_factorised_work(self, tmp_path):
+        # 10^6 elements x 181 directions, but a grid cut costs
+        # directions x (nx + ny) phases: well under the cap
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("nx = 1000\nny = 1000\ntheta_step_deg = 1\n")
+        out = tmp_path / "x.csv"
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 181
+
+    def test_overflowing_phases_exit_3(self, tmp_path, capsys):
+        # finite positions whose phases overflow to inf: no NaN columns
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("nx = 2\nny = 1\ndx_m = 1e308\nphi_cut_deg = 0\n")
+        out = tmp_path / "x.csv"
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "array factor is not finite" in err
         assert not out.exists()
 
     def test_solver_overflow_stays_exit_3(self, tmp_path, capsys):

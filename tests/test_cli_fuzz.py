@@ -1,0 +1,89 @@
+"""Bounded fuzz of the array-factor and pattern configs: every config exits
+0, 2 or 3 without a traceback, and no grid over the caps is computed."""
+
+import contextlib
+import csv
+import io
+import math
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from selfmix import cli  # noqa: E402
+
+COUNTS = st.one_of(st.integers(-2, 40),
+                   st.sampled_from([1000, 100_000, 1_000_001, 2 ** 40]))
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-320, 1e-9, 1e-4, 0.05, 0.25, 90.0, 1e308]))
+# each key mostly in its working range, sometimes anywhere
+ANGLES = st.one_of(st.floats(-90.0, 90.0), NUMBERS)
+STEPS = st.one_of(st.floats(0.05, 20.0), NUMBERS)
+PITCHES = st.one_of(st.floats(1e-3, 0.1), NUMBERS)
+FREQUENCIES = st.one_of(st.floats(1e9, 1e11), NUMBERS)
+KEYS = dict(nx=COUNTS, ny=COUNTS, dx_m=PITCHES, dy_m=PITCHES,
+            phi_cut_deg=ANGLES, theta_start_deg=ANGLES, theta_stop_deg=ANGLES,
+            theta_step_deg=STEPS, f1_hz=FREQUENCIES, f2_hz=FREQUENCIES,
+            rf_freq_hz=FREQUENCIES)
+PATTERN_KEYS = dict(
+    element_kind=st.sampled_from(["isotropic", "cos_q", "two_beam", "dipole"]),
+    cos_exponent=NUMBERS, beam_tilt_deg=NUMBERS, beam_width_deg=NUMBERS)
+
+
+def _theta_count(cfg):
+    """Directions the config asks for; None where it asks for no grid."""
+    start = cfg.get("theta_start_deg", -90.0)
+    stop = cfg.get("theta_stop_deg", 90.0)
+    step = cfg.get("theta_step_deg", 0.25)
+    if step <= 0.0 or stop <= start:
+        return None
+    return (stop - start) / step + 1.0
+
+
+def _run(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        out = Path(tmp) / "out.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(out), "--quiet"])
+        rows = None
+        if out.exists():
+            with out.open(newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+        return code, stderr.getvalue(), rows
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
+@given(command=st.sampled_from(["array-factor", "pattern"]),
+       cfg=st.fixed_dictionaries({}, optional={**KEYS, **PATTERN_KEYS}))
+def test_cut_configs_exit_cleanly(command, cfg):
+    if command == "array-factor":
+        cfg = {k: v for k, v in cfg.items() if k not in PATTERN_KEYS}
+    code, err, rows = _run(command, cfg)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    elements = cfg.get("nx", 4) * cfg.get("ny", 2)
+    directions = _theta_count(cfg)
+    over_cap = (elements > cli.MAX_GRID_POINTS
+                or (directions is not None
+                    and directions > cli.MAX_GRID_POINTS))
+    if over_cap:
+        assert code == 2, err
+    if code == 0:
+        assert rows is not None and len(rows) <= cli.MAX_GRID_POINTS
+        # a CLI grid is a product layout: each cut costs rows x (nx + ny)
+        phases = 2 * len(rows) * (cfg.get("nx", 4) + cfg.get("ny", 2))
+        assert phases <= cli.MAX_CUT_PHASES
+        # no silent garbage: every cell is finite
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+    else:
+        assert rows is None
