@@ -45,6 +45,7 @@ from .diode import (
     BiasPoint,
     ConversionResult,
     DiodeModel,
+    GridSweep,
     MixingChain,
     bias_frequency_sweep,
     bias_power_sweep,
@@ -52,6 +53,7 @@ from .diode import (
     default_diode,
     iv_derivatives,
     junction_current,
+    mix_cells,
     optimal_bias_static,
     simulate_mixing,
     terminal_current,

@@ -407,13 +407,20 @@ def cmd_pattern(cfg: dict) -> Table:
         if not (cfg["pattern_file_1"] and cfg["pattern_file_2"]):
             raise ConfigError("supply both pattern_file_1 and pattern_file_2 "
                               "or neither")
-        c1 = patterns.read_pattern_csv(cfg["pattern_file_1"], cfg["f1_hz"], phi)
-        c2 = patterns.read_pattern_csv(cfg["pattern_file_2"], cfg["f2_hz"], phi)
-    else:
-        element = _element_pattern(cfg)
-        c1 = patterns.sample_pattern(element(cfg["f1_hz"]), theta, phi)
-        c2 = patterns.sample_pattern(element(cfg["f2_hz"]), theta, phi)
-    sm = patterns.self_mix_pattern(c1, c2).normalized()
+    # element patterns and their cuts are built from config values: what
+    # they reject (a negative exponent, a theta grid past +-90 deg or of
+    # fewer than 3 directions, a malformed pattern file) is bad config
+    with _invariants_are_config_errors():
+        if cfg["pattern_file_1"]:
+            c1 = patterns.read_pattern_csv(cfg["pattern_file_1"],
+                                           cfg["f1_hz"], phi)
+            c2 = patterns.read_pattern_csv(cfg["pattern_file_2"],
+                                           cfg["f2_hz"], phi)
+        else:
+            element = _element_pattern(cfg)
+            c1 = patterns.sample_pattern(element(cfg["f1_hz"]), theta, phi)
+            c2 = patterns.sample_pattern(element(cfg["f2_hz"]), theta, phi)
+        sm = patterns.self_mix_pattern(c1, c2).normalized()
     af_if, af_rf = _factor_cuts(geometry, cfg, sm.theta_samples, phi)
     db = amplitude_ratio_to_db
     return Table(columns=["theta_deg", "gain_db", "af_if", "af_rf",
@@ -575,7 +582,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SelfmixError, ValueError) as exc:
+    except (SelfmixError, ValueError, OverflowError) as exc:
+        # OverflowError: a dB value past float range, e.g. a 7000 dB gain
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
 

@@ -34,7 +34,7 @@ from .errors import (
     NoInteriorMaximum,
     NyquistViolation,
 )
-from .signals import SampledWaveform, ToneSpec, dft_spectrum, plan_sampling, synthesize_waveform
+from .signals import ToneSpec, plan_sampling
 from .tables import Table
 from .units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
 
@@ -161,8 +161,8 @@ class ConversionResult:
 
 @dataclass(frozen=True)
 class SweepCellError:
-    """Marker stored in a sweep grid when one cell failed; other cells are
-    unaffected."""
+    """Marker stored in a sweep grid for a cell whose tone set cannot be
+    sampled; cells with other tone sets are unaffected."""
 
     message: str
 
@@ -205,15 +205,34 @@ def terminal_current(model: DiodeModel, v_terminal):
     nvt = model.emission_voltage
     i_s = model.saturation_current
     c = i_s * model.series_resistance / nvt
-    x = v / nvt
-    # omega(z) ~ exp(z) for z <= 1 and ~ z - ln z above
-    z = math.log(c) + c + x
-    z_hi = np.maximum(z, 1.0)
-    u = np.where(z > 1.0, np.log(z_hi - np.log(z_hi)) - math.log(c), x)
+    # omega(z) ~ exp(z) for z <= 1 and ~ z - ln z above; each line keeps
+    # the operation order of z = ln c + c + x, u = where(z > 1, ln(z_hi -
+    # ln z_hi) - ln c, x) and u -= (u + c expm1(u) - x) / (1 + c exp(u)),
+    # but works in place in three buffers instead of a temporary per step.
+    # Overflow anywhere ends in a non-finite current, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
+        x = v / nvt
+        u = x + (math.log(c) + c)
+        above = u > 1.0
+        step = np.maximum(u, 1.0)
+        slope = np.log(step)
+        step -= slope
+        np.log(step, out=step)
+        step -= math.log(c)
+        np.copyto(u, x)
+        np.copyto(u, step, where=above)
         for _ in range(OMEGA_STEPS):
-            u = u - (u + c * np.expm1(u) - x) / (1.0 + c * np.exp(u))
-        i = i_s * np.expm1(u)
+            np.expm1(u, out=step)
+            step *= c
+            step += u
+            step -= x
+            np.exp(u, out=slope)
+            slope *= c
+            slope += 1.0
+            step /= slope
+            u -= step
+        i = np.expm1(u, out=step)
+        i *= i_s
     if not np.all(np.isfinite(i)):
         # exp(u) overflows past u = 709, i.e. for c < 1e-307 * omega(z)
         raise ValueError("terminal current overflows for these diode parameters")
@@ -265,49 +284,100 @@ def optimal_bias_static(model: DiodeModel,
     return BiasPoint(terminal_voltage=v, bias_current=i)
 
 
-def simulate_mixing(chain: MixingChain, tones: Sequence[ToneSpec],
-                    if_frequency: float) -> ConversionResult:
-    """Time-domain mixing of a tone set through the biased diode.
+MIXING_BLOCK = 1 << 14
+"""Samples :func:`mix_cells` solves at a time: a block holds
+``max(1, MIXING_BLOCK // n)`` cells of ``n`` samples, so the solver's
+working arrays stay near 1 MB (a default sweep cell has 4096 samples)."""
 
-    The LNA power gain scales the tone amplitudes; the bias voltage and the
+
+def mix_cells(chain: MixingChain, biases: Sequence[BiasPoint],
+              amplitudes: np.ndarray | Sequence[Sequence[float]],
+              frequencies: Sequence[float], if_frequency: float,
+              phases: Sequence[float] | None = None) -> list[ConversionResult]:
+    """Time-domain mixing of one tone set at many bias points and drive
+    levels: cell ``k`` is biased at ``biases[k]`` and driven by the tones
+    ``frequencies`` with peak amplitudes ``amplitudes[k]`` (before the LNA)
+    and ``phases`` (default 0).
+
+    The LNA power gain scales the amplitudes; the bias voltage and the
     amplified waveform are superimposed and drive the diode through the
-    chain's source impedance; the loop current is solved per sample and the
-    component at ``if_frequency`` is extracted from its DFT.
-    ``if_power_dbm`` is the one-sided IF current tone dissipated in
-    ``if_load_ohms`` (floored at -200 dBm); ``dc_current`` is the DC bin of
-    the current.
+    chain's source impedance (the chain's own bias point is not used); the
+    loop current is solved per sample and the component at
+    ``if_frequency`` is extracted from its DFT. ``if_power_dbm`` is the
+    one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
+    -200 dBm); ``dc_current`` is the DC bin of the current. A cell whose
+    amplified tones are all zero is not solved: it reads the floor and its
+    bias current.
+
+    One sampling plan and one set of unit sines serve every cell, and the
+    cells are solved :data:`MIXING_BLOCK` samples at a time; each cell's
+    samples and results are bit for bit those of synthesising, solving and
+    transforming it alone.
     """
-    tones = list(tones)
-    if not tones:
+    freqs = [float(f) for f in frequencies]
+    if not freqs:
         raise EmptyToneList("need at least one tone")
+    if not all(f > 0.0 and math.isfinite(f) for f in freqs):
+        raise ValueError(f"tone frequencies must be positive, got {freqs}")
     if if_frequency <= 0.0:
         raise ValueError("if_frequency must be positive")
-    freqs = [t.frequency for t in tones]
     diffs = {abs(a - b) for a in freqs for b in freqs if a != b}
     if not any(math.isclose(if_frequency, d, rel_tol=1e-9) for d in diffs):
         raise ValueError(
             f"{if_frequency} Hz is not a difference frequency of the tone set")
+    amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
+        amplitudes, dtype=float)
+    if amplified.shape != (len(biases), len(freqs)):
+        raise ValueError(f"amplitudes must have shape ({len(biases)}, "
+                         f"{len(freqs)}), got {amplified.shape}")
+    if not np.all(np.isfinite(amplified) & (amplified >= 0.0)):
+        raise ValueError("amplified tone amplitudes must be finite and >= 0")
 
-    gain = db_to_amplitude_ratio(chain.lna_gain_db)
-    amplified = [ToneSpec(t.frequency, gain * t.amplitude, t.phase) for t in tones]
     # generous oversampling: the exponential diode produces products of all
     # orders, and only very high orders may alias onto the IF bin this way
     rate, duration = plan_sampling(freqs + [if_frequency], oversample=24.0)
-    if all(t.amplitude == 0.0 for t in amplified):
-        return ConversionResult(if_frequency=if_frequency,
-                                if_power_dbm=DB_FLOOR,
-                                dc_current=chain.bias.bias_current)
-    rf = synthesize_waveform(amplified, rate, duration)
-    v = chain.bias.terminal_voltage + rf.samples
-    i = terminal_current(chain.loop_model(), v)
-    spectrum = dft_spectrum(SampledWaveform(sample_rate=rate, samples=i))
-    i_if = abs(spectrum.amplitude_at(if_frequency))
-    if_power_w = i_if * i_if * chain.if_load_ohms / 2.0
-    return ConversionResult(
-        if_frequency=if_frequency,
-        if_power_dbm=watts_to_dbm(if_power_w),
-        dc_current=float(spectrum.complex_amplitudes[0].real),
-    )
+    n = int(round(duration * rate))
+    t = np.arange(n) / rate
+    phases = [0.0] * len(freqs) if phases is None else list(phases)
+    if len(phases) != len(freqs):
+        raise ValueError("need one phase per tone frequency")
+    sines = [np.sin(2.0 * math.pi * f * t + phase)
+             for f, phase in zip(freqs, phases)]
+    if_bin = int(round(if_frequency / (rate / n)))
+    loop = chain.loop_model()
+    results: list[ConversionResult] = [
+        ConversionResult(if_frequency=if_frequency, if_power_dbm=DB_FLOOR,
+                         dc_current=point.bias_current)
+        for point in biases]
+    driven = np.flatnonzero(amplified.any(axis=1))
+    per_block = max(1, MIXING_BLOCK // n)
+    for start in range(0, driven.size, per_block):
+        cells = driven[start:start + per_block]
+        # the operations of synthesize_waveform, then bias + waveform
+        v = np.zeros((cells.size, n))
+        for a, sine in zip(amplified[cells].T, sines):
+            v += a[:, None] * sine
+        v += np.array([biases[k].terminal_voltage for k in cells])[:, None]
+        # the DC and IF bins as dft_spectrum scales them
+        bins = np.fft.rfft(terminal_current(loop, v))[:, [0, if_bin]] / n
+        bins[:, 1] *= 2.0
+        for k, (dc, tone) in zip(cells.tolist(), bins.tolist()):
+            i_if = abs(tone)
+            if_power_w = i_if * i_if * chain.if_load_ohms / 2.0
+            results[k] = ConversionResult(if_frequency=if_frequency,
+                                          if_power_dbm=watts_to_dbm(if_power_w),
+                                          dc_current=dc.real)
+    return results
+
+
+def simulate_mixing(chain: MixingChain, tones: Sequence[ToneSpec],
+                    if_frequency: float) -> ConversionResult:
+    """Time-domain mixing of a tone set through the chain at its bias
+    point: the one-cell call of :func:`mix_cells`."""
+    tones = list(tones)
+    return mix_cells(chain, [chain.bias], [[t.amplitude for t in tones]],
+                     [t.frequency for t in tones], if_frequency,
+                     [t.phase for t in tones])[0]
 
 
 def _check_grid(values: Sequence[float], name: str) -> list[float]:
@@ -322,93 +392,71 @@ def _check_grid(values: Sequence[float], name: str) -> list[float]:
 
 
 @dataclass(frozen=True)
-class BiasPowerSweep:
-    """IF power over a (bias voltage, input power) grid."""
+class GridSweep:
+    """IF power over a grid of bias voltages (rows) and one drive axis
+    (columns): input power or two-tone centre frequency, written to the
+    table column ``axis_column``."""
 
     bias_voltages: tuple[float, ...]
-    input_powers_dbm: tuple[float, ...]
-    tone_frequencies: tuple[float, float]
-    weaker_tone_offset_db: float
+    axis_column: str
+    axis_values: tuple[float, ...]
     cells: tuple[tuple[ConversionResult | SweepCellError, ...], ...]
 
     def to_table(self) -> Table:
-        table = Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
+        table = Table(columns=["bias_v", self.axis_column, "if_power_dbm",
                                "dc_current_a"])
         for bias, row in zip(self.bias_voltages, self.cells):
-            for power, cell in zip(self.input_powers_dbm, row):
+            for value, cell in zip(self.axis_values, row):
                 if isinstance(cell, SweepCellError):
-                    table.append([bias, power, "error", "error"])
+                    table.append([bias, value, "error", "error"])
                 else:
-                    table.append([bias, power, cell.if_power_dbm,
+                    table.append([bias, value, cell.if_power_dbm,
                                   cell.dc_current])
         return table
 
 
-@dataclass(frozen=True)
-class BiasFrequencySweep:
-    """Sweep of IF power over (bias voltage, two-tone centre frequency)."""
-
-    bias_voltages: tuple[float, ...]
-    center_frequencies: tuple[float, ...]
-    tone_spacing: float
-    tone_powers_dbm: tuple[float, float]
-    cells: tuple[tuple[ConversionResult | SweepCellError, ...], ...]
-
-    def to_table(self) -> Table:
-        table = Table(columns=["bias_v", "center_freq_hz", "if_power_dbm",
-                               "dc_current_a"])
-        for bias, row in zip(self.bias_voltages, self.cells):
-            for freq, cell in zip(self.center_frequencies, row):
-                if isinstance(cell, SweepCellError):
-                    table.append([bias, freq, "error", "error"])
-                else:
-                    table.append([bias, freq, cell.if_power_dbm,
-                                  cell.dc_current])
-        return table
-
-
-def _run_cell(chain: MixingChain, tones: Sequence[ToneSpec],
-              if_frequency: float) -> ConversionResult | SweepCellError:
+def _mix_or_mark(chain: MixingChain, biases: Sequence[BiasPoint],
+                 amplitudes: Sequence[tuple[float, float]],
+                 frequencies: tuple[float, float], if_frequency: float
+                 ) -> list[ConversionResult | SweepCellError]:
+    """:func:`mix_cells`, or a :class:`SweepCellError` in every cell when
+    the tone set cannot be sampled."""
     try:
-        return simulate_mixing(chain, tones, if_frequency)
+        return mix_cells(chain, biases, amplitudes, frequencies, if_frequency)
     except NyquistViolation as exc:
-        return SweepCellError(message=str(exc))
+        return [SweepCellError(message=str(exc))] * len(biases)
 
 
 def bias_power_sweep(chain_template: MixingChain,
                      bias_grid: Sequence[float],
                      power_grid_dbm: Sequence[float],
                      tone_pair: tuple[float, float],
-                     weaker_tone_offset_db: float = -5.0) -> BiasPowerSweep:
-    """Independent :func:`simulate_mixing` runs over a bias x power grid.
+                     weaker_tone_offset_db: float = -5.0) -> GridSweep:
+    """:func:`simulate_mixing` over a bias x input power grid, as one
+    :func:`mix_cells` call.
 
     The second tone is driven ``weaker_tone_offset_db`` relative to the
-    first (default -5 dB). Cells are evaluated in deterministic row-major
-    (bias-major) order; a failing cell is recorded as
-    :class:`SweepCellError` without poisoning the rest.
+    first (default -5 dB). Cells are in row-major (bias-major) order; a
+    tone pair that cannot be sampled marks every cell :class:`SweepCellError`.
     """
     bias_values = _check_grid(bias_grid, "bias_grid")
     power_values = _check_grid(power_grid_dbm, "power_grid_dbm")
     f1, f2 = tone_pair
-    if_frequency = abs(f2 - f1)
-    rows = []
-    for bias in bias_values:
-        chain = chain_template.at_bias_voltage(bias)
-        row = []
-        for p_dbm in power_values:
-            tones = [
-                ToneSpec(f1, dbm_to_amplitude(p_dbm, chain.source_impedance_ohms)),
-                ToneSpec(f2, dbm_to_amplitude(p_dbm + weaker_tone_offset_db,
-                                              chain.source_impedance_ohms)),
-            ]
-            row.append(_run_cell(chain, tones, if_frequency))
-        rows.append(tuple(row))
-    return BiasPowerSweep(
+    points = [chain_template.at_bias_voltage(v).bias for v in bias_values]
+    z = chain_template.source_impedance_ohms
+    drive = [(dbm_to_amplitude(p, z),
+              dbm_to_amplitude(p + weaker_tone_offset_db, z))
+             for p in power_values]
+    cells = _mix_or_mark(chain_template,
+                         [point for point in points for _ in power_values],
+                         drive * len(points), (f1, f2), abs(f2 - f1))
+    width = len(power_values)
+    return GridSweep(
         bias_voltages=tuple(bias_values),
-        input_powers_dbm=tuple(power_values),
-        tone_frequencies=(float(f1), float(f2)),
-        weaker_tone_offset_db=float(weaker_tone_offset_db),
-        cells=tuple(rows),
+        axis_column="input_power_dbm",
+        axis_values=tuple(power_values),
+        cells=tuple(tuple(cells[k:k + width])
+                    for k in range(0, len(cells), width)),
     )
 
 
@@ -416,33 +464,29 @@ def bias_frequency_sweep(chain_template: MixingChain,
                          bias_grid: Sequence[float],
                          center_frequencies: Sequence[float],
                          spacing: float,
-                         powers_dbm: tuple[float, float]) -> BiasFrequencySweep:
-    """Sweep over bias and two-tone centre frequency at fixed tone powers.
+                         powers_dbm: tuple[float, float]) -> GridSweep:
+    """Sweep over bias and two-tone centre frequency at fixed tone powers,
+    one :func:`mix_cells` call per centre frequency.
 
-    Each centre ``f`` becomes the tone pair ``(f, f + spacing)``. The chain
-    model is frequency-flat, so columns only differ if the caller varies the
-    chain; the sweep exists to mirror the frequency-axis presentation of
-    measured data.
+    Each centre ``f`` becomes the tone pair ``(f, f + spacing)``; a pair
+    that cannot be sampled marks its column :class:`SweepCellError`. The
+    chain model is frequency-flat, so columns only differ if the caller
+    varies the chain; the sweep exists to mirror the frequency-axis
+    presentation of measured data.
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     bias_values = _check_grid(bias_grid, "bias_grid")
     centers = _check_grid(center_frequencies, "center_frequencies")
     p1_dbm, p2_dbm = powers_dbm
-    rows = []
-    for bias in bias_values:
-        chain = chain_template.at_bias_voltage(bias)
-        a1 = dbm_to_amplitude(p1_dbm, chain.source_impedance_ohms)
-        a2 = dbm_to_amplitude(p2_dbm, chain.source_impedance_ohms)
-        row = []
-        for f in centers:
-            tones = [ToneSpec(f, a1), ToneSpec(f + spacing, a2)]
-            row.append(_run_cell(chain, tones, spacing))
-        rows.append(tuple(row))
-    return BiasFrequencySweep(
+    points = [chain_template.at_bias_voltage(v).bias for v in bias_values]
+    z = chain_template.source_impedance_ohms
+    drive = [(dbm_to_amplitude(p1_dbm, z), dbm_to_amplitude(p2_dbm, z))]
+    columns = [_mix_or_mark(chain_template, points, drive * len(points),
+                            (f, f + spacing), spacing) for f in centers]
+    return GridSweep(
         bias_voltages=tuple(bias_values),
-        center_frequencies=tuple(centers),
-        tone_spacing=float(spacing),
-        tone_powers_dbm=(float(p1_dbm), float(p2_dbm)),
-        cells=tuple(rows),
+        axis_column="center_freq_hz",
+        axis_values=tuple(centers),
+        cells=tuple(zip(*columns)),
     )

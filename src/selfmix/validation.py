@@ -24,6 +24,7 @@ class CheckResult:
     passed: bool
     detail: str
     note: bool = False  # informational (known deviation), never a failure
+    values: tuple[float, ...] = ()  # the measured numbers behind detail
 
     @property
     def status(self) -> str:
@@ -246,7 +247,8 @@ def check_square_law_slope() -> CheckResult:
     return CheckResult(
         name="square-law regime slope (default chain, -60..-45 dBm)",
         passed=abs(slope - 2.0) <= 0.05,
-        detail=f"fitted slope {slope:.4f} dB/dB (2.00 +/- 0.05)")
+        detail=f"fitted slope {slope:.4f} dB/dB (2.00 +/- 0.05)",
+        values=(slope,))
 
 
 def check_bias_optimum() -> list[CheckResult]:
@@ -349,7 +351,8 @@ def check_friis_anchors() -> CheckResult:
         name="Friis anchors (34 / 38.5 GHz, 1.5 m, 25 dB probe)",
         passed=ok,
         detail=f"-43.4 -> {v34:.3f}, -39.5 -> {v385:.3f}, ideal-antenna "
-               f"-41.6 -> {v34i:.3f} dBm")
+               f"-41.6 -> {v34i:.3f} dBm",
+        values=(v34, v385, v34i))
 
 
 def check_bias_insensitivity() -> CheckResult:
@@ -365,7 +368,8 @@ def check_bias_insensitivity() -> CheckResult:
         name="bias insensitivity at strong drive (35 dB chain)",
         passed=ok,
         detail=f"IF spread over 0..0.8 V bias: {spreads[-20.0]:.2f} dB at "
-               f"-20 dBm (< 3), {spreads[-50.0]:.1f} dB at -50 dBm (> 10)")
+               f"-20 dBm (< 3), {spreads[-50.0]:.1f} dB at -50 dBm (> 10)",
+        values=(spreads[-20.0], spreads[-50.0]))
 
 
 def run_all() -> list[CheckResult]:

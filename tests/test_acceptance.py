@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from selfmix import arrays, diode, linkbudget, signals, validation
-from selfmix.units import dbm_to_amplitude
+from selfmix import arrays, signals, validation
 
 
 def report(n, text):
@@ -133,15 +132,9 @@ def test_06_row_rotation_compensation():
 
 
 def test_07_square_law_slope():
-    chain = diode.default_chain()
-    powers = [-60.0, -55.0, -50.0, -45.0]
-    out = []
-    for p in powers:
-        tones = [signals.ToneSpec(37.5e9, dbm_to_amplitude(p)),
-                 signals.ToneSpec(38.5e9, dbm_to_amplitude(p - 5.0))]
-        out.append(diode.simulate_mixing(chain, tones, 1e9).if_power_dbm)
-    slope = float(np.polyfit(powers, out, 1)[0])
-    assert slope == pytest.approx(2.0, abs=0.05)
+    result = validation.check_square_law_slope()
+    assert result.passed, result.detail
+    (slope,) = result.values
     report(7, f"IF power slope {slope:.4f} dB/dB over -60..-45 dBm input")
 
 
@@ -155,19 +148,12 @@ def test_08_bias_optimum_existence():
 
 
 def test_09_friis_anchors():
-    v34 = linkbudget.friis_rx_power(linkbudget.LinkBudgetParams(
-        tx_power_dbm=0.0, tx_gain_db=25.0, distance_m=1.5, frequency_hz=34e9,
-        total_efficiency_db=linkbudget.default_total_efficiency_db(34e9)))
-    v385 = linkbudget.friis_rx_power(linkbudget.LinkBudgetParams(
-        tx_power_dbm=5.0, tx_gain_db=25.0, distance_m=1.5, frequency_hz=38.5e9,
-        total_efficiency_db=linkbudget.default_total_efficiency_db(38.5e9)))
-    v34_ideal = linkbudget.friis_rx_power(linkbudget.LinkBudgetParams(
-        tx_power_dbm=0.0, tx_gain_db=25.0, distance_m=1.5, frequency_hz=34e9))
-    assert v34 == pytest.approx(-43.4, abs=0.1)
-    assert v385 == pytest.approx(-39.5, abs=0.1)
-    # independent hand calculation of the lossless 34 GHz case:
-    # 0 dBm + 25 dB + 20*log10((c0/34e9) / (6*pi)) = -41.6 dBm
-    assert v34_ideal == pytest.approx(-41.6, abs=0.05)
+    # -43.4 / -39.5 dBm within 0.1 dB, and the hand-calculated lossless
+    # 34 GHz case, 0 dBm + 25 dB + 20*log10((c0/34e9) / (6*pi)) = -41.6 dBm,
+    # within 0.05 dB
+    result = validation.check_friis_anchors()
+    assert result.passed, result.detail
+    v34, v385, v34_ideal = result.values
     report(9, f"receive power anchors: {v34:.2f} / {v385:.2f} dBm, "
               f"lossless 34 GHz case {v34_ideal:.2f} dBm")
 
@@ -175,15 +161,10 @@ def test_09_friis_anchors():
 def test_10_high_power_bias_insensitivity():
     # the rectifier-dominated regime needs roughly +13 dBm available at the
     # diode; a 35 dB front-end gain puts the -20 dBm input there (the
-    # physical chain's matching network performs that step-up implicitly)
-    chain = diode.default_chain(lna_gain_db=35.0)
-    bias = np.round(np.arange(0.0, 0.8001, 0.05), 10)
-    spreads = {}
-    for p in (-50.0, -20.0):
-        sweep = diode.bias_power_sweep(chain, bias, [p], (37.5e9, 38.5e9))
-        vals = np.array([row[0].if_power_dbm for row in sweep.cells])
-        spreads[p] = float(vals.max() - vals.min())
-    assert spreads[-20.0] < 3.0
-    assert spreads[-50.0] > 10.0
-    report(10, f"IF spread across 0..0.8 V bias: {spreads[-20.0]:.2f} dB at "
-               f"-20 dBm input, {spreads[-50.0]:.1f} dB at -50 dBm")
+    # physical chain's matching network performs that step-up implicitly):
+    # spread < 3 dB at -20 dBm, > 10 dB at -50 dBm
+    result = validation.check_bias_insensitivity()
+    assert result.passed, result.detail
+    spread_strong, spread_weak = result.values
+    report(10, f"IF spread across 0..0.8 V bias: {spread_strong:.2f} dB at "
+               f"-20 dBm input, {spread_weak:.1f} dB at -50 dBm")

@@ -178,6 +178,15 @@ class TestConfigHandling:
         ("bias-sweep", "if_load_ohm = 0", "must be positive"),
         ("array-factor", "nx = 0", "shape (N, 2)"),
         ("array-factor", "GEOMETRY\n", "elements 0 and 1 coincide"),
+        # the element pattern and its cut
+        ("pattern", "cos_exponent = -1", "cos_q pattern needs q >= 0"),
+        ("pattern", "element_kind = two_beam\nbeam_tilt_deg = 95",
+         "needs 0 < tilt < pi/2"),
+        ("pattern", "element_kind = two_beam\nbeam_width_deg = 0",
+         "needs width > 0"),
+        ("pattern", "theta_start_deg = -100", "within [-pi/2, pi/2]"),
+        ("pattern", "theta_start_deg = 0\ntheta_stop_deg = 1\n"
+                    "theta_step_deg = 1", "at least 3 samples"),
     ])
     def test_bad_model_parameter_exits_2(self, tmp_path, capsys, command,
                                          text, message):
@@ -192,6 +201,7 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert message in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_geometry_file_over_cap_exits_2(self, tmp_path, capsys,
@@ -229,6 +239,17 @@ class TestConfigHandling:
         assert "array factor is not finite" in err
         assert not out.exists()
 
+    def test_pattern_overflowing_phases_exit_3(self, tmp_path, capsys):
+        # the pattern is built from valid config; its factor cut overflows
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("nx = 2\nny = 1\ndx_m = 1e308\nphi_cut_deg = 0\n")
+        out = tmp_path / "x.csv"
+        assert run(["pattern", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "computation error: array factor is not finite" in err
+        assert not out.exists()
+
     def test_solver_overflow_stays_exit_3(self, tmp_path, capsys):
         # valid parameters whose terminal current overflows at 30 V
         cfg = tmp_path / "hot.cfg"
@@ -237,6 +258,40 @@ class TestConfigHandling:
         assert run(["diode-iv", "--config", str(cfg),
                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == 3
         assert "computation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "lna_gain_db = 7000\npower_start_dbm = -40\npower_stop_dbm = -40",
+        "power_start_dbm = 4000\npower_stop_dbm = 4000",
+    ])
+    def test_db_overflow_exits_3(self, tmp_path, capsys, text):
+        # finite dB values whose linear amplitude overflows a float
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("bias_start_v = 0.6\nbias_stop_v = 0.6\n" + text
+                       + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "computation error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_solver_overflow_in_sweep_exits_3(self, tmp_path, capsys):
+        # the bias point solves; the 120 dBm cell swings the loop past the
+        # overflow guard inside the mixing kernel
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("saturation_current_a = 1e-300\n"
+                       "series_resistance_ohm = 1e-10\n"
+                       "source_impedance_ohm = 1e-10\nlna_gain_db = 40\n"
+                       "bias_start_v = 0.65\nbias_stop_v = 0.65\n"
+                       "power_start_dbm = 120\npower_stop_dbm = 120\n")
+        out = tmp_path / "x.csv"
+        assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "computation error: terminal current overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOtherCommands:

@@ -1,5 +1,6 @@
-"""Bounded fuzz of the array-factor and pattern configs: every config exits
-0, 2 or 3 without a traceback, and no grid over the caps is computed."""
+"""Bounded fuzz of the array-factor, pattern, bias-sweep and freq-sweep
+configs: every config exits 0, 2 or 3 without a traceback, and no grid over
+the caps is computed."""
 
 import contextlib
 import csv
@@ -87,3 +88,78 @@ def test_cut_configs_exit_cleanly(command, cfg):
         assert all(math.isfinite(float(v)) for row in rows for v in row)
     else:
         assert rows is None
+
+
+# a sweep axis of 1..8 points, or one the CLI rejects before computing:
+# step <= 0, stop < start, or 8e8 points (over the cap); with both axes
+# always set, no example solves more than 64 cells
+def _axis(prefix, unit, starts, steps):
+    def keys(start, stop, step):
+        return {f"{prefix}_start_{unit}": start, f"{prefix}_stop_{unit}": stop,
+                f"{prefix}_step_{unit}": step}
+    valid = st.builds(lambda a, d, k: keys(a, a + d * (k - 1), d),
+                      starts, steps, st.integers(1, 8))
+    rejected = st.one_of(
+        st.builds(keys, starts, starts, st.sampled_from([0.0, -1.0])),
+        st.builds(lambda a, d: keys(a, a - d, d), starts, steps),
+        st.just(keys(0.0, 0.8, 1e-9)),
+    )
+    # mostly valid, so that most examples get as far as the solver
+    return st.integers(0, 5).flatmap(lambda k: rejected if k == 0 else valid)
+
+
+def _axis_count(cfg, prefix, unit):
+    """Points of an axis the CLI accepted, as it counts them."""
+    start, stop, step = (cfg[f"{prefix}_{k}_{unit}"]
+                         for k in ("start", "stop", "step"))
+    return int(round((stop - start) / step)) + 1
+
+
+TONES = st.integers(1, 80).map(lambda k: k * 0.5e9)
+LEVELS = st.floats(-80.0, 10.0)
+# working ranges; an example sets at most one of these keys to any number
+SWEEP_KEYS = dict(
+    saturation_current_a=st.floats(1e-15, 1e-9),
+    ideality=st.floats(1.0, 3.0),
+    series_resistance_ohm=st.floats(0.0, 100.0),
+    thermal_voltage_v=st.floats(0.02, 0.03),
+    lna_gain_db=st.floats(0.0, 40.0),
+    bias_v=st.floats(0.0, 0.8),
+    if_load_ohm=st.floats(1.0, 100.0),
+    source_impedance_ohm=st.floats(1.0, 100.0),
+)
+BIAS_AXIS = _axis("bias", "v", st.floats(-1.0, 1.0), st.floats(0.01, 0.5))
+SWEEPS = {
+    "bias-sweep": (
+        _axis("power", "dbm", LEVELS, st.floats(1.0, 20.0)), ("power", "dbm"),
+        dict(f1_hz=TONES, f2_hz=TONES, weaker_tone_offset_db=LEVELS)),
+    "freq-sweep": (
+        _axis("center", "hz", TONES, TONES), ("center", "hz"),
+        dict(spacing_hz=TONES, power1_dbm=LEVELS, power2_dbm=LEVELS)),
+}
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
+@given(data=st.data(), command=st.sampled_from(sorted(SWEEPS)))
+def test_sweep_configs_exit_cleanly(data, command):
+    axis, (prefix, unit), keys = SWEEPS[command]
+    keys = {**SWEEP_KEYS, **keys}
+    cfg = data.draw(st.fixed_dictionaries({}, optional=keys))
+    if data.draw(st.booleans()):
+        cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(NUMBERS)
+    cfg.update(data.draw(BIAS_AXIS))
+    cfg.update(data.draw(axis))
+    code, err, rows = _run(command, cfg)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert rows is None
+        return
+    # one row per grid cell, and at most 64 of them were solved
+    cells = _axis_count(cfg, "bias", "v") * _axis_count(cfg, prefix, unit)
+    assert len(rows) == cells <= 64
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row[:2])
+        # a cell is a finite IF power and DC current, or failed as a whole
+        assert row[2:] == ["error", "error"] or all(
+            math.isfinite(float(v)) for v in row[2:])

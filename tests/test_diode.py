@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from selfmix import validation
+from selfmix import diode, validation
 from selfmix.diode import (
+    OMEGA_STEPS,
     BiasPoint,
+    ConversionResult,
     DiodeModel,
     MixingChain,
     SweepCellError,
@@ -15,12 +18,19 @@ from selfmix.diode import (
     default_diode,
     iv_derivatives,
     junction_current,
+    mix_cells,
     optimal_bias_static,
     simulate_mixing,
     terminal_current,
 )
-from selfmix.errors import EmptyToneList, NoInteriorMaximum
-from selfmix.signals import ToneSpec, plan_sampling, synthesize_waveform
+from selfmix.errors import EmptyToneList, NoInteriorMaximum, NyquistViolation
+from selfmix.signals import (
+    SampledWaveform,
+    ToneSpec,
+    dft_spectrum,
+    plan_sampling,
+    synthesize_waveform,
+)
 from selfmix.units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
 
 # explicit trio used for the solver-facing tests (separate from the fitted
@@ -131,10 +141,34 @@ class TestTerminalCurrent:
         assert np.array_equal(vector,
                               [terminal_current(loop, float(x)) for x in v])
 
+    def test_in_place_steps_equal_the_textbook_update(self):
+        # the buffered Newton loop keeps the operation order of the one-line
+        # update, so every sample agrees bit for bit
+        loop = default_chain().loop_model()
+        v = np.concatenate([np.linspace(-1e4, 1e4, 4001),
+                            np.linspace(-20.0, 20.0, 4001)])
+        nvt = loop.emission_voltage
+        c = loop.saturation_current * loop.series_resistance / nvt
+        x = v / nvt
+        z = math.log(c) + c + x
+        z_hi = np.maximum(z, 1.0)
+        u = np.where(z > 1.0, np.log(z_hi - np.log(z_hi)) - math.log(c), x)
+        for _ in range(OMEGA_STEPS):
+            u = u - (u + c * np.expm1(u) - x) / (1.0 + c * np.exp(u))
+        textbook = loop.saturation_current * np.expm1(u)
+        assert terminal_current(loop, v).tobytes() == textbook.tobytes()
+
     def test_overflow_is_an_error_not_nan(self):
         # I_s R_s / nV_T ~ 3e-309: the junction exponent passes 709 at 30 V
         with pytest.raises(ValueError):
             terminal_current(DiodeModel(1e-300, 1.0, 1e-10), 30.0)
+
+    def test_voltage_past_float_range_raises_without_warnings(self):
+        # v / nV_T overflows to inf: the guard raises, numpy stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                terminal_current(TRIO, 1e308)
 
     def test_strictly_increasing(self):
         grid = np.arange(0.0, 0.9001, 1e-3)
@@ -350,3 +384,125 @@ class TestBiasFrequencySweep:
         with pytest.raises(ValueError):
             bias_frequency_sweep(default_chain(), [0.6], [34e9], 0.0,
                                  (-40.0, -45.0))
+
+
+def per_cell_route(chain, tones, if_frequency):
+    """Oracle: one cell synthesised, solved and transformed on its own, the
+    route of the per-cell sweep loop that the mixing kernel replaced."""
+    gain = db_to_amplitude_ratio(chain.lna_gain_db)
+    amplified = [ToneSpec(t.frequency, gain * t.amplitude, t.phase)
+                 for t in tones]
+    rate, duration = plan_sampling([t.frequency for t in tones]
+                                   + [if_frequency], oversample=24.0)
+    if all(t.amplitude == 0.0 for t in amplified):
+        return ConversionResult(if_frequency, DB_FLOOR,
+                                chain.bias.bias_current)
+    rf = synthesize_waveform(amplified, rate, duration)
+    current = terminal_current(chain.loop_model(),
+                               chain.bias.terminal_voltage + rf.samples)
+    spectrum = dft_spectrum(SampledWaveform(sample_rate=rate, samples=current))
+    i_if = abs(spectrum.amplitude_at(if_frequency))
+    return ConversionResult(
+        if_frequency=if_frequency,
+        if_power_dbm=watts_to_dbm(i_if * i_if * chain.if_load_ohms / 2.0),
+        dc_current=float(spectrum.complex_amplitudes[0].real))
+
+
+def bits(cell):
+    """A result as exact bit patterns (float.hex tells -0.0 from 0.0)."""
+    return (cell.if_frequency, cell.if_power_dbm.hex(), cell.dc_current.hex())
+
+
+class TestMixingKernel:
+    BIASES = [0.3, 0.65, 0.8]
+    POWERS = [-60.0, -30.0, -10.0, 0.0, 5.0]
+
+    @pytest.mark.parametrize("block, shapes", [
+        # 4 cells of 4096 samples per block: 15 cells end in a partial block
+        (4 * 4096 + 100, [(4, 4096)] * 3 + [(3, 4096)]),
+        (1, [(1, 4096)] * 15),
+    ])
+    def test_sweep_equals_per_cell_route(self, monkeypatch, block, shapes):
+        solved = []
+        plans = []
+
+        def recording_solve(model, v):
+            if np.ndim(v) == 2:
+                solved.append(v.shape)
+            return terminal_current(model, v)
+
+        def recording_plan(*args, **kwargs):
+            plans.append(args)
+            return plan_sampling(*args, **kwargs)
+
+        monkeypatch.setattr(diode, "MIXING_BLOCK", block)
+        monkeypatch.setattr(diode, "terminal_current", recording_solve)
+        monkeypatch.setattr(diode, "plan_sampling", recording_plan)
+        chain = default_chain()
+        sweep = bias_power_sweep(chain, self.BIASES, self.POWERS,
+                                 (37.5e9, 38.5e9))
+        assert solved == shapes
+        assert len(plans) == 1
+        monkeypatch.undo()
+        for bias, row in zip(self.BIASES, sweep.cells):
+            for p, cell in zip(self.POWERS, row):
+                expected = per_cell_route(chain.at_bias_voltage(bias),
+                                          two_tone(p, p - 5.0), 1e9)
+                assert bits(cell) == bits(expected), (bias, p)
+                # the strong-drive cells solve to finite values
+                assert math.isfinite(cell.if_power_dbm)
+                assert math.isfinite(cell.dc_current)
+
+    def test_one_cell_call_equals_per_cell_route(self):
+        # three tones with phases: simulate_mixing is the kernel's one-cell
+        # call and keeps the phase of each tone
+        chain = default_chain(bias_voltage=0.6)
+        tones = [ToneSpec(37.5e9, dbm_to_amplitude(-20.0), 0.4),
+                 ToneSpec(38.5e9, dbm_to_amplitude(-26.0), -2.0),
+                 ToneSpec(39.0e9, dbm_to_amplitude(-30.0), 3.0)]
+        assert bits(simulate_mixing(chain, tones, 1e9)) == bits(
+            per_cell_route(chain, tones, 1e9))
+
+    def test_silent_cell_reads_floor_and_bias_current(self):
+        # -5000 dBm is an amplitude of exactly 0: that cell is not solved,
+        # the driven cell beside it is
+        chain = default_chain()
+        sweep = bias_power_sweep(chain, [0.65], [-5000.0, -40.0],
+                                 (37.5e9, 38.5e9))
+        silent, driven = sweep.cells[0]
+        assert silent.if_power_dbm == DB_FLOOR
+        assert silent.dc_current == chain.bias.bias_current
+        biased = chain.at_bias_voltage(0.65)
+        assert bits(silent) == bits(per_cell_route(
+            biased, two_tone(-5000.0, -5005.0), 1e9))
+        assert bits(driven) == bits(per_cell_route(
+            biased, two_tone(-40.0, -45.0), 1e9))
+
+    def test_unsampleable_column_marks_only_that_column(self):
+        chain = default_chain()
+        biases = [0.6, 0.65]
+        centers = [34e9, 34e9 + 1.0, 35e9]
+        sweep = bias_frequency_sweep(chain, biases, centers, 1e9,
+                                     (-40.0, -45.0))
+        with pytest.raises(NyquistViolation) as violation:
+            plan_sampling([34e9 + 1.0, 35e9 + 1.0, 1e9], oversample=24.0)
+        for bias, row in zip(biases, sweep.cells):
+            assert row[1] == SweepCellError(str(violation.value))
+            for k in (0, 2):
+                tones = [ToneSpec(centers[k], dbm_to_amplitude(-40.0)),
+                         ToneSpec(centers[k] + 1e9, dbm_to_amplitude(-45.0))]
+                assert bits(row[k]) == bits(per_cell_route(
+                    chain.at_bias_voltage(bias), tones, 1e9))
+
+    def test_amplitudes_checked(self):
+        chain = default_chain()
+        with pytest.raises(ValueError, match="shape"):
+            mix_cells(chain, [chain.bias], [[0.1]], [37.5e9, 38.5e9], 1e9)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            mix_cells(chain, [chain.bias], [[0.1, -0.1]], [37.5e9, 38.5e9],
+                      1e9)
+        with pytest.raises(ValueError, match="positive"):
+            mix_cells(chain, [chain.bias], [[0.1, 0.1]], [-1e9, 1e9], 2e9)
+        with pytest.raises(ValueError, match="one phase per tone"):
+            mix_cells(chain, [chain.bias], [[0.1, 0.1]], [37.5e9, 38.5e9],
+                      1e9, [0.0])
