@@ -29,7 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateEqualFrequencies, EmptyInput, NonPositiveInput
+from .errors import (
+    DegenerateEqualFrequencies,
+    EmptyInput,
+    InvalidGrid,
+    NonPositiveInput,
+)
 from .signals import (
     FilterSpec,
     SampledWaveform,
@@ -140,21 +145,28 @@ class ArrayGeometry:
         return replace(self, rf_phase_offsets=np.asarray(offsets, dtype=float))
 
 
-def load_geometry(source: str | Path) -> ArrayGeometry:
+def load_geometry(source: str | Path,
+                  max_elements: int | None = None) -> ArrayGeometry:
     """Read a geometry table: one element per line, whitespace- or
     comma-separated columns ``x_m  y_m  [rf_phase_offset_deg]``; ``#`` starts
     a comment."""
     path = Path(source)
-    return parse_geometry(path.read_text(encoding="utf-8"))
+    return parse_geometry(path.read_text(encoding="utf-8"), max_elements)
 
 
-def parse_geometry(text: str) -> ArrayGeometry:
+def parse_geometry(text: str, max_elements: int | None = None) -> ArrayGeometry:
+    """Parse a geometry table (see :func:`load_geometry`). A table of more
+    than ``max_elements`` element lines is rejected with
+    :class:`InvalidGrid` before any line is parsed."""
+    rows = [(lineno, raw, line)
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+    if max_elements is not None and len(rows) > max_elements:
+        raise InvalidGrid(f"element grid would have {len(rows)} points; "
+                          f"the limit is {max_elements}")
     positions = []
     offsets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in rows:
         parts = line.replace(",", " ").split()
         if len(parts) not in (2, 3):
             raise ValueError(

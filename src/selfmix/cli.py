@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .errors import ConfigError, SelfmixError
+from .errors import ConfigError, NyquistViolation, SelfmixError
 from .tables import Table
 from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db
 
@@ -35,6 +35,8 @@ MAX_GRID_POINTS = 1_000_000
 # counts them (arrays.cut_phase_count), so that no cut runs for hours; above
 # the 2 x 18 001 x 4096 of a summed 64 x 64 layout at 0.01 deg.
 MAX_CUT_PHASES = 200_000_000
+# Longest record the spectrum subcommand synthesises.
+MAX_SPECTRUM_SAMPLES = 1 << 20
 
 _EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value, "
            "unreadable file), 3 computation error (solver or model failure)")
@@ -142,9 +144,8 @@ def _invariants_are_config_errors() -> Iterator[None]:
 def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
     with _invariants_are_config_errors():
         if cfg["geometry_file"]:
-            geometry = arrays.load_geometry(cfg["geometry_file"])
-            _check_grid_size(geometry.element_count, "element")
-            return geometry
+            return arrays.load_geometry(cfg["geometry_file"],
+                                        MAX_GRID_POINTS)
         _check_grid_size(cfg["nx"] * cfg["ny"], "element")
         return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
                                                 cfg["dx_m"], cfg["dy_m"])
@@ -243,7 +244,16 @@ def cmd_spectrum(cfg: dict) -> Table:
     tones = [signals.ToneSpec(snap(cfg["carrier_freq_hz"]), cfg["carrier_amp_v"])]
     tones += [signals.ToneSpec(snap(f), cfg["band_amp_v"]) for f in band]
     rate, duration = signals.plan_sampling([t.frequency for t in tones])
-    w = signals.synthesize_waveform(tones, rate, duration)
+    # a printed spectrum resolves the slowest tone over at least four
+    # periods: repeat the common period, which keeps every bin exact
+    samples = int(round(duration * rate))
+    while samples / rate * min(t.frequency for t in tones) < 4.0:
+        samples *= 2
+        if samples > MAX_SPECTRUM_SAMPLES:
+            raise NyquistViolation(
+                "frequencies share no common grid coarse enough to sample "
+                f"with <= {MAX_SPECTRUM_SAMPLES} points")
+    w = signals.synthesize_waveform(tones, rate, samples / rate)
     original = signals.dft_spectrum(w)
     mixed = signals.dft_spectrum(signals.square_law_mix(w))
     table = Table(columns=["frequency_hz", "original_amplitude_v",
@@ -302,7 +312,16 @@ BIAS_SWEEP_SCHEMA = Schema(
 )
 
 
+def _check_tone_pair(f1: float, f2: float) -> None:
+    """Two tones with positive, distinct frequencies, so that their
+    difference is a positive IF; anything else is bad config."""
+    if not (f1 > 0.0 and f2 > 0.0 and f1 != f2):
+        raise ConfigError("the two tones need positive, distinct "
+                          f"frequencies, got {f1!r} and {f2!r} Hz")
+
+
 def cmd_bias_sweep(cfg: dict) -> Table:
+    _check_tone_pair(cfg["f1_hz"], cfg["f2_hz"])
     chain = _chain_from_config(cfg)
     bias = _grid(cfg["bias_start_v"], cfg["bias_stop_v"], cfg["bias_step_v"],
                  "bias")
@@ -330,12 +349,16 @@ FREQ_SWEEP_SCHEMA = Schema(
 
 
 def cmd_freq_sweep(cfg: dict) -> Table:
-    chain = _chain_from_config(cfg)
     bias = _grid(cfg["bias_start_v"], cfg["bias_stop_v"], cfg["bias_step_v"],
                  "bias")
     centers = _grid(cfg["center_start_hz"], cfg["center_stop_hz"],
                     cfg["center_step_hz"], "center frequency")
     _check_grid_size(len(bias) * len(centers), "bias x center frequency")
+    if not cfg["spacing_hz"] > 0.0:
+        raise ConfigError("spacing_hz must be positive")
+    for center in centers:
+        _check_tone_pair(center, center + cfg["spacing_hz"])
+    chain = _chain_from_config(cfg)
     sweep = diode.bias_frequency_sweep(
         chain, bias, centers, cfg["spacing_hz"],
         (cfg["power1_dbm"], cfg["power2_dbm"]))

@@ -207,10 +207,13 @@ def terminal_current(model: DiodeModel, v_terminal):
     c = i_s * model.series_resistance / nvt
     # omega(z) ~ exp(z) for z <= 1 and ~ z - ln z above; each line keeps
     # the operation order of z = ln c + c + x, u = where(z > 1, ln(z_hi -
-    # ln z_hi) - ln c, x) and u -= (u + c expm1(u) - x) / (1 + c exp(u)),
-    # but works in place in three buffers instead of a temporary per step.
-    # Overflow anywhere ends in a non-finite current, checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # ln z_hi) - ln c, x) and, with e = c expm1(u), u -= (u + e - x) /
+    # (1 + c + e), but works in place in three buffers instead of a
+    # temporary per step; the slope 1 + c exp(u) reuses the step's expm1.
+    # Overflow anywhere ends in a non-finite current, checked below; so does
+    # a slope that cancels to 0, which needs 1 + c to lose its 1 (c > 2^53,
+    # I_s R_s above 1e14 V) and a voltage near -I_s R_s.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = v / nvt
         u = x + (math.log(c) + c)
         above = u > 1.0
@@ -224,11 +227,9 @@ def terminal_current(model: DiodeModel, v_terminal):
         for _ in range(OMEGA_STEPS):
             np.expm1(u, out=step)
             step *= c
+            np.add(step, 1.0 + c, out=slope)
             step += u
             step -= x
-            np.exp(u, out=slope)
-            slope *= c
-            slope += 1.0
             step /= slope
             u -= step
         i = np.expm1(u, out=step)
@@ -287,7 +288,8 @@ def optimal_bias_static(model: DiodeModel,
 MIXING_BLOCK = 1 << 14
 """Samples :func:`mix_cells` solves at a time: a block holds
 ``max(1, MIXING_BLOCK // n)`` cells of ``n`` samples, so the solver's
-working arrays stay near 1 MB (a default sweep cell has 4096 samples)."""
+working arrays stay near 1 MB (a default sweep cell has 2048 samples, one
+common period of its tones)."""
 
 
 def mix_cells(chain: MixingChain, biases: Sequence[BiasPoint],

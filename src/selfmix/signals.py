@@ -192,10 +192,9 @@ def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
 
     Raises :class:`EmptyToneList` when no tones are given and
     :class:`NyquistViolation` when ``sample_rate <= 2 * max(f_k)``. The
-    record must span at least one full period of the slowest tone; for
-    mixing pipelines prefer the several-period records that
-    :func:`plan_sampling` produces, so difference products stay well
-    resolved.
+    record must span at least one full period of the slowest tone; the
+    one-common-period records that :func:`plan_sampling` produces put every
+    tone and every mixing product of the tones on an exact bin.
     """
     tones = list(tones)
     if not tones:
@@ -354,9 +353,14 @@ def plan_sampling(frequencies: Iterable[float],
     alias landing on a low-frequency bin to correspondingly higher (weaker)
     product orders.
 
-    Frequencies must be (near-)integer in Hz; the common grid is their gcd.
-    Raises :class:`NyquistViolation` if no grid with at most ``max_samples``
-    samples exists (wildly incommensurate frequencies).
+    Frequencies must be (near-)integer in Hz; the common grid is their gcd
+    ``res`` and the record is one common period: ``(n * res, 1 / res)`` with
+    ``n`` the smallest power of two that samples fast enough. Any periodic
+    waveform over these frequencies, and any memoryless function of one,
+    repeats after that period, so a longer record only repeats the samples
+    and leaves every bin of the grid unchanged. Raises
+    :class:`NyquistViolation` if ``n`` would exceed ``max_samples`` (wildly
+    incommensurate frequencies).
     """
     freqs = [float(f) for f in frequencies if f > 0.0]
     if not freqs:
@@ -371,7 +375,6 @@ def plan_sampling(frequencies: Iterable[float],
         as_int.append(int(k))
     resolution = math.gcd(*as_int) if len(as_int) > 1 else as_int[0]
     f_max = max(freqs)
-    f_min = min(freqs)
     n = MIN_SAMPLES
     while n * resolution <= oversample * f_max:
         n *= 2
@@ -379,14 +382,4 @@ def plan_sampling(frequencies: Iterable[float],
             raise NyquistViolation(
                 "frequencies share no common grid coarse enough to sample "
                 f"with <= {max_samples} points")
-    sample_rate = float(n * resolution)
-    # keep the rate, lengthen the record until the slowest frequency
-    # completes at least four periods (bins stay exact: res/m divides res)
-    m = 1
-    while (n * m) / sample_rate * f_min < 4.0:
-        m *= 2
-        if n * m > max_samples:
-            raise NyquistViolation(
-                "frequencies share no common grid coarse enough to sample "
-                f"with <= {max_samples} points")
-    return sample_rate, (n * m) / sample_rate
+    return float(n * resolution), 1.0 / resolution

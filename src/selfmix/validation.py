@@ -56,7 +56,8 @@ def check_signal_oracle_equivalence(count: int = 20) -> CheckResult:
         name="signal oracle equivalence (self-convolution vs time-domain squaring)",
         passed=worst < 1e-9,
         detail=f"worst relative bin error {worst:.3e} over {count} random tone sets "
-               "(tolerance 1e-9)")
+               "(tolerance 1e-9)",
+        values=(worst,))
 
 
 def check_parseval(count: int = 10) -> CheckResult:

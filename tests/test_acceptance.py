@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from selfmix import arrays, signals, validation
+from selfmix import arrays, validation
 
 
 def report(n, text):
@@ -57,24 +57,10 @@ def test_03_effective_spacing():
 
 def test_04_signal_oracle_equivalence():
     start = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    n = 1024
-    worst = 0.0
-    for _ in range(50):
-        count = int(rng.integers(1, 6))
-        bins = rng.choice(np.arange(4, n // 8), size=count, replace=False)
-        tones = [signals.ToneSpec(float(b), float(rng.uniform(0.05, 1.0)),
-                                  float(rng.uniform(-math.pi, math.pi)))
-                 for b in bins]
-        w = signals.synthesize_waveform(tones, float(n), 1.0)
-        direct = signals.dft_spectrum(signals.square_law_mix(w))
-        conv = signals.spectrum_self_convolution(signals.dft_spectrum(w))
-        m = direct.complex_amplitudes.size
-        scale = np.abs(direct.complex_amplitudes).max()
-        err = np.abs(conv.complex_amplitudes[:m]
-                     - direct.complex_amplitudes) / scale
-        worst = max(worst, float(err.max()))
+    result = validation.check_signal_oracle_equivalence(50)
     elapsed = time.perf_counter() - start
+    (worst,) = result.values
+    assert result.passed, result.detail
     assert worst < 1e-9
     assert elapsed < 10.0
     report(4, f"50 random tone sets: worst relative bin error {worst:.2e} "

@@ -218,6 +218,42 @@ class TestConfigHandling:
         assert "element grid would have 4 points; the limit is 3" in err
         assert not out.exists()
 
+    def test_geometry_file_capped_before_later_lines_parse(
+            self, tmp_path, capsys, monkeypatch):
+        # the element count is checked before any line is parsed, so the
+        # malformed sixth line is never reached
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        geo = tmp_path / "layout.txt"
+        geo.write_text("".join(f"{k * 0.03} 0\n" for k in range(5))
+                       + "0.3 0.3 0.3 0.3\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"geometry_file = {geo}\n")
+        out = tmp_path / "x.csv"
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "element grid would have 6 points; the limit is 3" in err
+        assert "geometry line" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("bias-sweep", "f1_hz = 38.5e9"),
+        ("bias-sweep", "f1_hz = 0"),
+        ("freq-sweep", "spacing_hz = 0"),
+        ("freq-sweep", "center_start_hz = 0"),
+        ("freq-sweep", "center_start_hz = -1e9"),
+    ])
+    def test_bad_tone_config_exits_2(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "tones.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_product_cut_capped_by_its_factorised_work(self, tmp_path):
         # 10^6 elements x 181 directions, but a grid cut costs
         # directions x (nx + ny) phases: well under the cap
@@ -307,6 +343,18 @@ class TestOtherCommands:
                           "mixed_amplitude_v"]
         by_freq = {float(r[0]): float(r[2]) for r in rows}
         assert by_freq[1e9] == pytest.approx(1.0, abs=1e-9)
+
+    def test_spectrum_spans_four_periods_of_the_slowest_tone(self, tmp_path):
+        # one common period (10 ns) holds two periods of the 200 MHz
+        # carrier; the printed spectrum repeats it once more
+        out = tmp_path / "spec.csv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("carrier_freq_hz = 2e8\n")
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2049
+        assert 2e8 / float(rows[1][0]) == 4.0
 
     def test_diode_iv_columns(self, tmp_path):
         out = tmp_path / "iv.csv"

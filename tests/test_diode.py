@@ -135,7 +135,7 @@ class TestTerminalCurrent:
         rate, duration = plan_sampling([37.5e9, 38.5e9, 1e9], oversample=24.0)
         v = chain.bias.terminal_voltage + synthesize_waveform(
             tones, rate, duration).samples
-        assert v.size == 4096
+        assert v.size == 2048
         loop = chain.loop_model()
         vector = terminal_current(loop, v)
         assert np.array_equal(vector,
@@ -154,7 +154,7 @@ class TestTerminalCurrent:
         z_hi = np.maximum(z, 1.0)
         u = np.where(z > 1.0, np.log(z_hi - np.log(z_hi)) - math.log(c), x)
         for _ in range(OMEGA_STEPS):
-            u = u - (u + c * np.expm1(u) - x) / (1.0 + c * np.exp(u))
+            u = u - (u + c * np.expm1(u) - x) / (1.0 + c + c * np.expm1(u))
         textbook = loop.saturation_current * np.expm1(u)
         assert terminal_current(loop, v).tobytes() == textbook.tobytes()
 
@@ -169,6 +169,15 @@ class TestTerminalCurrent:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 terminal_current(TRIO, 1e308)
+
+    def test_cancelled_slope_raises_without_warnings(self):
+        # c = I_s R_s / nV_T ~ 3e19: 1 + c loses its 1, and near -I_s R_s
+        # the Newton slope cancels to 0; the guard raises, numpy stays quiet
+        model = DiodeModel(1e3, 1.2, 1e15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                terminal_current(model, -1e18)
 
     def test_strictly_increasing(self):
         grid = np.arange(0.0, 0.9001, 1e-3)
@@ -418,9 +427,9 @@ class TestMixingKernel:
     POWERS = [-60.0, -30.0, -10.0, 0.0, 5.0]
 
     @pytest.mark.parametrize("block, shapes", [
-        # 4 cells of 4096 samples per block: 15 cells end in a partial block
-        (4 * 4096 + 100, [(4, 4096)] * 3 + [(3, 4096)]),
-        (1, [(1, 4096)] * 15),
+        # 8 cells of 2048 samples per block: 15 cells end in a partial block
+        (4 * 4096 + 100, [(8, 2048), (7, 2048)]),
+        (1, [(1, 2048)] * 15),
     ])
     def test_sweep_equals_per_cell_route(self, monkeypatch, block, shapes):
         solved = []
@@ -493,6 +502,20 @@ class TestMixingKernel:
                          ToneSpec(centers[k] + 1e9, dbm_to_amplitude(-45.0))]
                 assert bits(row[k]) == bits(per_cell_route(
                     chain.at_bias_voltage(bias), tones, 1e9))
+
+    def test_megahertz_spacing_mixes_like_gigahertz_spacing(self):
+        # a 1 MHz pair needs 2^20 samples for one common period (four
+        # periods of the IF would need 2^22, past the sample budget); the
+        # memoryless chain sees only the tone amplitudes
+        chain = default_chain()
+        rate, duration = plan_sampling([37.5e9, 37.501e9, 1e6],
+                                       oversample=24.0)
+        assert round(rate * duration) == 1 << 20
+        close = simulate_mixing(chain, two_tone(-30.0, -35.0, 37.5e9,
+                                                37.501e9), 1e6)
+        wide = simulate_mixing(chain, two_tone(-30.0, -35.0), 1e9)
+        assert close.if_power_dbm == pytest.approx(wide.if_power_dbm,
+                                                   abs=1e-6)
 
     def test_amplitudes_checked(self):
         chain = default_chain()

@@ -282,10 +282,50 @@ class TestTwoToneProducts:
 def test_plan_sampling_covers_square():
     rate, duration = plan_sampling([F1, F2, 1e9])
     assert rate > 4 * F2
-    assert duration * 1e9 >= 4.0
     for f in (F1, F2, 1e9):
         bins = f * duration
         assert bins == pytest.approx(round(bins), abs=1e-6)
+
+
+@pytest.mark.parametrize("frequencies, common", [
+    ([F1, F2, 1e9], 500_000_000),
+    ([34e9, 35e9, 1e9], 1_000_000_000),
+    ([37.5e9, 37.501e9, 1e6], 1_000_000),
+    ([10.0, 6.0, 4.0], 2),
+    ([7.0], 7),
+    ([3.0, 5.0], 1),
+])
+def test_plan_sampling_is_one_common_period(frequencies, common):
+    rate, duration = plan_sampling(frequencies)
+    assert duration == 1.0 / common
+    n = rate / common
+    assert n == 2 ** round(math.log2(n)) and n >= 16
+    # the smallest such length: half of it would sample too slowly
+    assert rate > 4 * max(frequencies)
+    assert n == 16 or rate / 2 <= 4 * max(frequencies)
+
+
+def test_one_period_bins_equal_two_period_bins():
+    # any memoryless function of a periodic record repeats with it, so the
+    # DC and IF bins of one common period equal those of two
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        freqs = rng.choice(np.arange(1, 600), size=int(rng.integers(2, 4)),
+                           replace=False).astype(float)
+        tones = [ToneSpec(f, float(rng.uniform(0.1, 1.0)),
+                          float(rng.uniform(-math.pi, math.pi)))
+                 for f in freqs]
+        if_frequency = abs(freqs[1] - freqs[0])
+        rate, duration = plan_sampling(list(freqs) + [if_frequency],
+                                       oversample=24.0)
+        for detector in (lambda x: x * x, np.expm1):
+            bins = []
+            for periods in (1, 2):
+                w = synthesize_waveform(tones, rate, periods * duration)
+                s = dft_spectrum(SampledWaveform(rate, detector(w.samples)))
+                bins.append([s.amplitude_at(0.0), s.amplitude_at(if_frequency)])
+            for one, two in zip(*bins):
+                assert abs(one - two) <= 1e-12 * abs(two)
 
 
 def test_plan_sampling_rejects_fractional_hz():
