@@ -48,9 +48,20 @@ from .signals import (
 from .units import DB_FLOOR, SPEED_OF_LIGHT, amplitude_ratio_to_db
 
 _TWO_PI = 2.0 * math.pi
-# phases per block of the array-factor kernel: memory stays bounded for any
-# cut length and element count, and a block stays within the CPU caches
+# entries of each matrix of the array-factor kernel (bins x elements and
+# elements x Taylor terms): memory stays bounded for any cut length and
+# element count, and a block stays within the CPU caches
 FACTOR_BLOCK = 1 << 16
+# Taylor radius and order of the array-factor kernel: within a direction bin
+# every element phase moves by at most FACTOR_RHO about the bin centre, and
+# FACTOR_RHO**(P+1) / (P+1)! * e**FACTOR_RHO = 1.1e-18 <= 1e-17 bounds the
+# truncation error of the factor (19 is the least order meeting 1e-17)
+FACTOR_RHO = 1.0
+FACTOR_ORDER = 19
+# rows of each BLAS product of the kernel (see _bin_moments)
+_GEMM_ROWS = 16
+_ORDERS = np.arange(1.0, FACTOR_ORDER + 1)
+_POWERS_OF_J = np.array([1j ** m for m in range(FACTOR_ORDER + 1)])
 
 
 @dataclass(frozen=True)
@@ -251,10 +262,12 @@ def rf_array_factor_cut(g: ArrayGeometry, f_rf: float,
 
 def cut_phase_count(g: ArrayGeometry, directions: int,
                     offsets: np.ndarray | None = None) -> int:
-    """Phases the kernel evaluates for a cut of ``directions`` directions
-    (``offsets`` as the cut passes them: None for the IF cut,
-    ``g.rf_phase_offsets`` for the RF cut): ``directions * (|X| + |Y|)`` for
-    a factorised product layout, ``directions * N`` otherwise."""
+    """Nominal work of a cut of ``directions`` directions (``offsets`` as
+    the cut passes them: None for the IF cut, ``g.rf_phase_offsets`` for the
+    RF cut): ``directions * (|X| + |Y|)`` for a factorised product layout,
+    ``directions * N`` otherwise. It bounds the (direction, element) pairs
+    of a direct sum; the kernel itself evaluates one exponential per
+    (direction bin, element) and a Taylor polynomial per direction."""
     return directions * sum(p.shape[0] for p, _ in _cut_layouts(g, offsets))
 
 
@@ -264,13 +277,14 @@ def _cut_layouts(g: ArrayGeometry, offsets: np.ndarray | None
 
     A product layout, whose distinct x values X and y values Y give
     ``|X| * |Y| = N`` (exact, as no two elements coincide), with no or equal
-    feed offsets factorises into the sub-layouts (X, 0) and (0, Y); a common
-    feed phase drops out of the magnitude. Every other layout is summed
-    element by element."""
+    feed offsets factorises into the sub-layouts (X, 0) and (0, Y). Every
+    other layout is one sub-layout of all elements. A common feed phase
+    drops out of the magnitude, so equal offsets are passed as None."""
     pos = g.element_positions
+    if offsets is not None and np.all(offsets == offsets[0]):
+        offsets = None
     xs, ys = np.unique(pos[:, 0]), np.unique(pos[:, 1])
-    if xs.size * ys.size == pos.shape[0] and (
-            offsets is None or np.all(offsets == offsets[0])):
+    if xs.size * ys.size == pos.shape[0] and offsets is None:
         return [(np.column_stack([xs, np.zeros(xs.size)]), None),
                 (np.column_stack([np.zeros(ys.size), ys]), None)]
     return [(pos, offsets)]
@@ -278,39 +292,118 @@ def _cut_layouts(g: ArrayGeometry, offsets: np.ndarray | None
 
 def _array_factor(g: ArrayGeometry, frequency: float, theta: np.ndarray,
                   phi_cut: float, offsets: np.ndarray | None) -> np.ndarray:
-    """``|mean_k exp(j*phase_k)|`` per direction, over the sub-layouts of
-    :func:`_cut_layouts`. Phases that overflow raise :class:`ValueError`."""
-    # signed theta at fixed phi is equivalent to |theta| at phi or phi+pi
-    u = np.column_stack([np.sin(theta) * math.cos(phi_cut),
-                         np.sin(theta) * math.sin(phi_cut)])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        af = math.prod(_phasor_mean(u, pos, frequency, off)
-                       for pos, off in _cut_layouts(g, offsets))
-    if not np.all(np.isfinite(af)):
-        raise ValueError("array factor is not finite: the element phases "
-                         "overflow")
+    """``|mean_k exp(j*phase_k)|`` per direction, the product over the
+    sub-layouts of :func:`_cut_layouts`. Element phases that overflow raise
+    :class:`ValueError` before any direction is evaluated."""
+    # signed theta at fixed phi is |theta| at phi or phi + pi: along the cut
+    # every phase is a_k * sin(theta) + offset_k, a_k the phase per unit
+    # sin(theta) of element k relative to element 0
+    along = np.array([math.cos(phi_cut), math.sin(phi_cut)])
+    wavenumber = _TWO_PI * frequency / SPEED_OF_LIGHT
+    layouts = []
+    for pos, off in _cut_layouts(g, offsets):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            slopes = wavenumber * ((pos - pos[0]) @ along)
+        if not np.all(np.isfinite(slopes)):
+            raise ValueError("array factor is not finite: the element "
+                             "phases overflow")
+        layouts.append((slopes, None if off is None else np.exp(1j * off)))
+    s = np.sin(theta)
+    return math.prod(_phasor_mean(s, slopes, weights)
+                     for slopes, weights in layouts)
+
+
+def _phasor_mean(s: np.ndarray, slopes: np.ndarray,
+                 weights: np.ndarray | None) -> np.ndarray:
+    """``|mean_k w_k exp(j*a_k*s)|`` for each ``s = sin(theta)``, with
+    ``a_k = slopes`` (finite) and ``w_k = weights`` (None: all 1).
+
+    A blocked Taylor expansion in ``s`` (Anderson & Dahleh, "Rapid
+    computation of the discrete Fourier transform", SIAM J. Sci. Comput.
+    17(4), 1996): the directions are binned by ``s`` into bins of width
+    ``h = 2*FACTOR_RHO / max|a_k|`` centred on integer multiples ``c`` of
+    ``h``, and only occupied bins are kept, so there are no more bins than
+    directions. With ``t = 2*(s - c)/h`` in [-1, 1] and
+    ``b_k = a_k*h/2`` in [-FACTOR_RHO, FACTOR_RHO],
+
+        sum_k w_k exp(j*a_k*s) = sum_m t**m * G_m,
+        G_m = sum_k w_k exp(j*a_k*c) * (j*b_k)**m / m!,
+
+    truncated after m = :data:`FACTOR_ORDER`. Each bin takes one
+    exponential per element and a matrix product for its moments ``G_m``;
+    each direction takes a Horner pass in ``t``. Bins go through in blocks
+    and elements in chunks, so that no matrix exceeds :data:`FACTOR_BLOCK`
+    entries."""
+    amax = float(np.max(np.abs(slopes)))
+    b = (slopes / amax * FACTOR_RHO if amax > 0.0
+         else np.zeros(slopes.size))
+    x = s * (0.5 * amax / FACTOR_RHO)  # s in units of h
+    centre = np.rint(x)
+    t = 2.0 * (x - centre)  # exact
+    order = np.argsort(centre, kind="stable")
+    bins, first, counts = np.unique(centre[order], return_index=True,
+                                    return_counts=True)
+    bin_of = np.repeat(np.arange(bins.size), counts)  # per sorted direction
+    first = np.append(first, s.size)
+    chunk = min(slopes.size, FACTOR_BLOCK // (FACTOR_ORDER + 1))
+    per_block = FACTOR_BLOCK // chunk // _GEMM_ROWS * _GEMM_ROWS
+    af = np.empty(s.size)
+    for lo in range(0, bins.size, per_block):
+        hi = min(lo + per_block, bins.size)
+        coeffs = _bin_moments(bins[lo:hi], b, weights, chunk).T.copy()
+        span = slice(first[lo], first[hi])
+        local, tt = bin_of[span] - lo, t[order[span]]
+        acc = coeffs[FACTOR_ORDER][local]
+        for m in range(FACTOR_ORDER - 1, -1, -1):
+            acc *= tt
+            acc += coeffs[m][local]
+        af[order[span]] = np.abs(acc) / slopes.size
     return af
 
 
-def _phasor_mean(u: np.ndarray, positions: np.ndarray, frequency: float,
-                 offsets: np.ndarray | None) -> np.ndarray:
-    """``|mean_k exp(j*phase_k)|`` for the in-plane directions ``u``, about
-    :data:`FACTOR_BLOCK` phases at a time."""
-    rel_t = (positions - positions[0]).T
-    per_block = max(1, FACTOR_BLOCK // positions.shape[0])
-    af = np.empty(u.shape[0])
-    for start in range(0, u.shape[0], per_block):
-        block = u[start:start + per_block]
-        # numpy sends a one-row product to a matrix-vector routine that
-        # rounds differently: two rows keep results independent of blocking
-        rows = np.repeat(block, 2, axis=0) if len(block) == 1 else block
-        phases = _TWO_PI * (rows @ rel_t) * frequency / SPEED_OF_LIGHT
-        if offsets is not None:
-            phases += offsets
-        af[start:start + len(block)] = np.hypot(
-            np.cos(phases).mean(axis=1),
-            np.sin(phases).mean(axis=1))[:len(block)]
-    return af
+def _bin_moments(centres: np.ndarray, b: np.ndarray,
+                 weights: np.ndarray | None, chunk: int) -> np.ndarray:
+    """The moments ``G_m`` (one row per bin) of :func:`_phasor_mean`, summed
+    over chunks of ``chunk`` elements.
+
+    The bins go through BLAS as a stack of :data:`_GEMM_ROWS`-row products,
+    the last one padded with zero rows: OpenBLAS runs such a product on one
+    thread, and one row's result does not depend on the other rows. (A
+    taller product is split over threads, whose wake-up can cost
+    milliseconds on a busy host and whose split changes the rounding; a
+    one-row product goes to a matrix-vector routine that rounds
+    differently.)"""
+    rows = -(-centres.size // _GEMM_ROWS) * _GEMM_ROWS
+    padded = np.zeros(rows)
+    padded[:centres.size] = centres
+    moments = np.zeros((rows, FACTOR_ORDER + 1), dtype=complex)
+    for k in range(0, b.size, chunk):
+        phasors = _centre_phasors(padded, b[k:k + chunk])
+        terms = _taylor_terms(b[k:k + chunk],
+                              None if weights is None else weights[k:k + chunk])
+        moments += (phasors.reshape(-1, _GEMM_ROWS, phasors.shape[1])
+                    @ terms).reshape(rows, -1)
+    return moments[:centres.size]
+
+
+def _centre_phasors(centres: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``exp(j*a_k*c)`` for bin centres ``c = centres * h``: ``a_k*h`` is
+    ``2*b_k``, so no phase exceeds ``max|a_k|`` (plus ``FACTOR_RHO``) and
+    every phase of finite slopes is finite."""
+    phase = np.outer(centres, 2.0 * b)
+    phasors = np.empty(phase.shape, dtype=complex)
+    phasors.real = np.cos(phase)
+    phasors.imag = np.sin(phase)
+    return phasors
+
+
+def _taylor_terms(b: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """``w_k * (j*b_k)**m / m!`` for m = 0 .. :data:`FACTOR_ORDER`."""
+    ratios = np.empty((b.size, FACTOR_ORDER + 1))
+    ratios[:, 0] = 1.0
+    ratios[:, 1:] = b[:, None] / _ORDERS
+    terms = np.cumprod(ratios, axis=1) * _POWERS_OF_J  # b**m / m! * j**m
+    return terms if weights is None else terms * weights[:, None]
 
 
 def effective_spacing(d_element: float, delta_f: float, f_ref: float) -> float:

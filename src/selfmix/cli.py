@@ -31,9 +31,10 @@ from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db
 # before anything is allocated; far above the 18 001 directions of the
 # largest cut in use.
 MAX_GRID_POINTS = 1_000_000
-# Most phases an IF and RF array-factor cut pair may evaluate, as the kernel
-# counts them (arrays.cut_phase_count), so that no cut runs for hours; above
-# the 2 x 18 001 x 4096 of a summed 64 x 64 layout at 0.01 deg.
+# Most phases an IF and RF array-factor cut pair may span, counted as the
+# direction x element work of a direct sum (arrays.cut_phase_count), so that
+# no cut runs for hours; above the 2 x 18 001 x 4096 of a summed 64 x 64
+# layout at 0.01 deg.
 MAX_CUT_PHASES = 200_000_000
 # Longest record the spectrum subcommand synthesises.
 MAX_SPECTRUM_SAMPLES = 1 << 20
@@ -241,8 +242,10 @@ def cmd_spectrum(cfg: dict) -> Table:
         raise ConfigError("band_tone_count must be >= 1")
     band = (np.linspace(cfg["band_low_hz"], cfg["band_high_hz"], count)
             if count > 1 else np.array([cfg["band_low_hz"]]))
-    tones = [signals.ToneSpec(snap(cfg["carrier_freq_hz"]), cfg["carrier_amp_v"])]
-    tones += [signals.ToneSpec(snap(f), cfg["band_amp_v"]) for f in band]
+    with _invariants_are_config_errors():  # say a tone that snaps to 0 Hz
+        tones = [signals.ToneSpec(snap(cfg["carrier_freq_hz"]),
+                                  cfg["carrier_amp_v"])]
+        tones += [signals.ToneSpec(snap(f), cfg["band_amp_v"]) for f in band]
     rate, duration = signals.plan_sampling([t.frequency for t in tones])
     # a printed spectrum resolves the slowest tone over at least four
     # periods: repeat the common period, which keeps every bin exact

@@ -201,39 +201,72 @@ def check_row_rotation_compensation() -> CheckResult:
                f"broadside level {rf_db:.1f} dB (< -60)")
 
 
-def check_array_factor_factorization() -> CheckResult:
-    """Product layouts, whose cuts the kernel factorises into two 1-D cuts,
-    against an element-by-element phasor sum: the 4x2 reference grid, and a
-    non-uniform 4 x 3 product with equal non-zero feed offsets; IF and RF,
-    on two cut planes at 0.5 deg."""
-    theta = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.5))
+def direct_array_factor(g: arrays.ArrayGeometry, frequency: float,
+                        theta: np.ndarray, phi: float,
+                        offsets: np.ndarray | None = None) -> np.ndarray:
+    """``|mean_k exp(j*phase_k)|`` along a signed-theta cut by summing the
+    phasor of every element in every direction: the oracle of the
+    array-factor kernel."""
+    pos = g.element_positions
+    path = (np.outer(np.sin(theta) * math.cos(phi), pos[:, 0])
+            + np.outer(np.sin(theta) * math.sin(phi), pos[:, 1]))
+    phases = 2.0 * math.pi * frequency / SPEED_OF_LIGHT * path
+    if offsets is not None:
+        phases += offsets
+    return np.hypot(np.cos(phases).sum(axis=1),
+                    np.sin(phases).sum(axis=1)) / g.element_count
+
+
+def _kernel_cuts() -> list[tuple[arrays.ArrayGeometry, tuple[float, ...]]]:
+    """Layouts and cut planes: the 4x2 reference grid and a non-uniform
+    4 x 3 product with equal feed offsets, at phi = 0.6 and at pi/2 (where
+    the x sub-layout of the factorised cut is degenerate); 128 elements
+    jittered by up to a quarter pitch about a 16 x 8 grid with random feed
+    offsets; and two 4 x 4 sub-arrays 2 m apart with random feed offsets, an
+    aperture whose RF cut spreads over hundreds of Taylor bins with element
+    phases at the bin radius."""
+    rng = np.random.default_rng(11)
     xs = np.array([0.0, 0.011, 0.030, 0.052])
     ys = np.array([-0.02, 0.017, 0.041])
-    layouts = [arrays.ArrayGeometry.planar_grid(4, 2, 0.032, 0.036),
-               arrays.ArrayGeometry(np.column_stack([np.tile(xs, 3),
-                                                     np.repeat(ys, 4)]),
-                                    np.full(12, 0.7))]
+    ix, iy = np.meshgrid(np.arange(16), np.arange(8))
+    jittered = np.column_stack([
+        (ix.ravel() + rng.uniform(-0.25, 0.25, ix.size)) * 0.032,
+        (iy.ravel() + rng.uniform(-0.25, 0.25, iy.size)) * 0.036])
+    sub = arrays.ArrayGeometry.planar_grid(4, 4, 0.032, 0.036).element_positions
+    both = (0.6, math.pi / 2.0)
+    return [(arrays.ArrayGeometry.planar_grid(4, 2, 0.032, 0.036), both),
+            (arrays.ArrayGeometry(np.column_stack([np.tile(xs, 3),
+                                                   np.repeat(ys, 4)]),
+                                  np.full(12, 0.7)), both),
+            (arrays.ArrayGeometry(jittered,
+                                  rng.uniform(-math.pi, math.pi, 128)), (0.6,)),
+            (arrays.ArrayGeometry(np.vstack([sub, sub + [1.5, 1.4]]),
+                                  rng.uniform(-math.pi, math.pi, 32)), (0.6,))]
+
+
+def check_array_factor_kernel() -> CheckResult:
+    """The array-factor kernel (product factorisation and blocked Taylor
+    expansion) against an element-by-element phasor sum, IF and RF, at
+    0.5 deg over the layouts and cut planes of :func:`_kernel_cuts`."""
+    theta = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.5))
     worst = 0.0
-    for g in layouts:
-        pos = g.element_positions
-        for phi in (0.6, math.pi / 2.0):
-            path = (np.outer(np.sin(theta) * math.cos(phi), pos[:, 0])
-                    + np.outer(np.sin(theta) * math.sin(phi), pos[:, 1]))
-            cuts = ((1.0e9, 0.0, arrays.if_array_factor_cut(
+    for g, planes in _kernel_cuts():
+        for phi in planes:
+            cuts = ((1.0e9, None, arrays.if_array_factor_cut(
                         g, 37.5e9, 38.5e9, theta, phi)),
                     (38.5e9, g.rf_phase_offsets, arrays.rf_array_factor_cut(
                         g, 38.5e9, theta, phi)))
             for frequency, offsets, af in cuts:
-                phases = 2.0 * math.pi * frequency / SPEED_OF_LIGHT * path
-                direct = np.abs(np.exp(1j * (phases + offsets)).sum(axis=1))
-                worst = max(worst, float(np.max(np.abs(
-                    af - direct / g.element_count))))
+                direct = direct_array_factor(g, frequency, theta, phi, offsets)
+                worst = max(worst, float(np.max(np.abs(af - direct))))
     return CheckResult(
-        name="array factor of product layouts vs element-by-element sum",
+        name="array-factor kernel vs element-by-element sum (product, "
+             "jittered and 2 m layouts)",
         passed=worst <= 1e-12,
         detail=f"worst |delta| {worst:.1e} over the 4x2 grid and a "
-               "non-uniform 4x3 product with equal feed offsets, IF and RF, "
-               "two cut planes (tolerance 1e-12)")
+               "non-uniform 4x3 product with equal feed offsets (two cut "
+               "planes), 128 jittered elements and two 4x4 sub-arrays 2 m "
+               "apart with unequal feed offsets, IF and RF (tolerance 1e-12)")
 
 
 def check_square_law_slope() -> CheckResult:
@@ -382,7 +415,7 @@ def run_all() -> list[CheckResult]:
     results.extend(check_effective_spacing())
     results.append(check_array_oracle_equivalence())
     results.append(check_row_rotation_compensation())
-    results.append(check_array_factor_factorization())
+    results.append(check_array_factor_kernel())
     results.append(check_square_law_slope())
     results.extend(check_bias_optimum())
     results.append(check_diode_solver())

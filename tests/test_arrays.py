@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from selfmix import arrays
 from selfmix.arrays import (
     FACTOR_BLOCK,
+    FACTOR_RHO,
     ArrayGeometry,
     Direction,
     TwoToneIllumination,
@@ -19,6 +21,7 @@ from selfmix.arrays import (
 )
 from selfmix.errors import EmptyInput, NonPositiveInput
 from selfmix.units import DB_FLOOR, SPEED_OF_LIGHT
+from selfmix.validation import direct_array_factor
 
 C0 = SPEED_OF_LIGHT
 EDGE_ON = Direction(theta=math.pi / 2, phi=0.0)
@@ -247,13 +250,117 @@ class TestKernel:
         g = ArrayGeometry(pos[:-1])
         theta = np.linspace(-math.pi / 2, math.pi / 2, 181)
         phi = 0.6
-        u = np.column_stack([np.sin(theta) * math.cos(phi),
-                             np.sin(theta) * math.sin(phi)])
         for f, af in ((1e9, if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)),
                       (38.5e9, rf_array_factor_cut(g, 38.5e9, theta, phi))):
-            phases = 2 * math.pi * f / C0 * (u @ pos[:-1].T)
-            direct = np.abs(np.exp(1j * phases).sum(axis=1)) / 15
+            direct = direct_array_factor(g, f, theta, phi)
             assert np.max(np.abs(af - direct)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["if", "rf"])
+    def test_bin_edges_and_endfire(self, kind):
+        # directions on the edges s = (m + 1/2) h of the Taylor bins, where
+        # every phase is FACTOR_RHO from its bin centre, and at s = +-1
+        rng = np.random.default_rng(3)
+        g = ArrayGeometry(rng.uniform(0.0, 0.6, size=(40, 2)),
+                          rng.uniform(-math.pi, math.pi, 40))
+        phi = 0.9
+        f = 1e9 if kind == "if" else 38.5e9
+        rel = g.element_positions - g.element_positions[0]
+        a = 2 * math.pi * f / C0 * (rel @ [math.cos(phi), math.sin(phi)])
+        h = 2 * FACTOR_RHO / np.max(np.abs(a))
+        m = np.arange(-int(1 / h), int(1 / h))
+        s = np.concatenate([(m + 0.5) * h, [-1.0, 1.0]])
+        theta = np.arcsin(np.clip(s, -1.0, 1.0))
+        if kind == "if":
+            af = if_array_factor_cut(g, 38.5e9, 37.5e9, theta, phi)
+            direct = direct_array_factor(g, f, theta, phi)
+        else:
+            af = rf_array_factor_cut(g, f, theta, phi)
+            direct = direct_array_factor(g, f, theta, phi, g.rf_phase_offsets)
+        assert np.max(np.abs(af - direct)) < 1e-12
+
+    def test_random_wide_apertures(self):
+        rng = np.random.default_rng(2024)
+        theta = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.1))
+        for _ in range(20):
+            n = int(rng.integers(2, 65))
+            span = rng.uniform(0.5, 3.0)
+            g = ArrayGeometry(rng.uniform(0.0, span, size=(n, 2)),
+                              rng.uniform(-math.pi, math.pi, n))
+            phi = rng.uniform(-math.pi, math.pi)
+            af_if = if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)
+            af_rf = rf_array_factor_cut(g, 38.5e9, theta, phi)
+            assert np.max(np.abs(
+                af_if - direct_array_factor(g, 1e9, theta, phi))) < 1e-12
+            assert np.max(np.abs(af_rf - direct_array_factor(
+                g, 38.5e9, theta, phi, g.rf_phase_offsets))) < 1e-12
+
+    @pytest.mark.parametrize("layout", ["summed", "product"])
+    def test_broadside_exactly_one(self, layout):
+        rng = np.random.default_rng(12)
+        if layout == "summed":
+            pos = rng.uniform(0.0, 2.0, size=(37, 2))
+        else:
+            pos = ArrayGeometry.planar_grid(7, 5, 0.3, 0.4).element_positions
+        g = ArrayGeometry(pos, np.full(len(pos), 2.1))
+        theta = np.array([-0.4, 0.0, 0.0, 1.3])
+        for phi in (0.0, 0.7, math.pi / 2):
+            assert if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)[1] == 1.0
+            assert rf_array_factor_cut(g, 38.5e9, theta, phi)[2] == 1.0
+
+    def test_huge_aperture_bins_no_more_than_directions(self, monkeypatch):
+        # about 8e6 bins span sin(theta) in [-1, 1]; only the occupied ones
+        # are evaluated, so work and memory do not grow with the aperture
+        bins = []
+        moments = arrays._bin_moments
+
+        def spy(centres, *args):
+            bins.append(centres.size)
+            return moments(centres, *args)
+
+        monkeypatch.setattr(arrays, "_bin_moments", spy)
+        g = ArrayGeometry([[0.0, 0.0], [1e4, 0.0]])
+        theta = np.array([-0.7, 0.1, 1.2])
+        af = rf_array_factor_cut(g, 38.5e9, theta, 0.3)
+        assert bins and max(bins) <= theta.size
+        # phases near 8e6 rad carry about 1e-9 of rounding on either route
+        assert np.max(np.abs(
+            af - direct_array_factor(g, 38.5e9, theta, 0.3))) < 1e-8
+
+    def test_blocks_stay_within_factor_block(self, monkeypatch):
+        # more elements than one chunk of Taylor terms holds, and more bins
+        # than one block holds: every matrix stays within FACTOR_BLOCK
+        entries = []
+        phasors, terms = arrays._centre_phasors, arrays._taylor_terms
+
+        def spy_phasors(centres, b):
+            entries.append(centres.size * b.size)
+            return phasors(centres, b)
+
+        def spy_terms(b, weights):
+            out = terms(b, weights)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(arrays, "_centre_phasors", spy_phasors)
+        monkeypatch.setattr(arrays, "_taylor_terms", spy_terms)
+        rng = np.random.default_rng(8)
+        n = FACTOR_BLOCK // 16
+        g = ArrayGeometry(rng.uniform(0.0, 0.5, size=(n, 2)),
+                          rng.uniform(-math.pi, math.pi, n))
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 301)
+        af = rf_array_factor_cut(g, 38.5e9, theta, 0.2)
+        assert len(entries) > 4 and max(entries) <= FACTOR_BLOCK
+        assert np.max(np.abs(af - direct_array_factor(
+            g, 38.5e9, theta, 0.2, g.rf_phase_offsets))) < 1e-12
+
+    def test_overflowing_slopes_raise_before_binning(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("binned a cut whose phases overflow")
+
+        monkeypatch.setattr(arrays, "_phasor_mean", unreachable)
+        g = ArrayGeometry([[0.0, 0.0], [1e308, 0.0], [0.5, 0.3]])
+        with pytest.raises(ValueError, match="not finite"):
+            rf_array_factor_cut(g, 38.5e9, [0.1, 0.2], 0.0)
 
     def test_phase_count_follows_the_route(self):
         grid = ArrayGeometry.planar_grid(16, 8, 0.032, 0.036)

@@ -242,6 +242,9 @@ class TestConfigHandling:
         ("freq-sweep", "spacing_hz = 0"),
         ("freq-sweep", "center_start_hz = 0"),
         ("freq-sweep", "center_start_hz = -1e9"),
+        # snaps to 0 Hz on the default 1e8 Hz grid
+        ("spectrum", "carrier_freq_hz = 1e7"),
+        ("spectrum", "band_amp_v = -1"),
     ])
     def test_bad_tone_config_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "tones.cfg"
