@@ -47,7 +47,6 @@ from .diode import (
     DiodeModel,
     GridSweep,
     MixingChain,
-    bias_frequency_sweep,
     bias_power_sweep,
     default_chain,
     default_diode,

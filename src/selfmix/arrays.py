@@ -23,7 +23,7 @@ effects with brute-force waveform synthesis rather than phasor algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .signals import (
     FilterSpec,
-    SampledWaveform,
     ToneSpec,
     apply_filter,
     dft_spectrum,

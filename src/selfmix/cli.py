@@ -36,8 +36,6 @@ MAX_GRID_POINTS = 1_000_000
 # no cut runs for hours; above the 2 x 18 001 x 4096 of a summed 64 x 64
 # layout at 0.01 deg.
 MAX_CUT_PHASES = 200_000_000
-# Longest record the spectrum subcommand synthesises.
-MAX_SPECTRUM_SAMPLES = 1 << 20
 
 _EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value, "
            "unreadable file), 3 computation error (solver or model failure)")
@@ -229,33 +227,43 @@ SPECTRUM_SCHEMA = Schema(
 
 
 def cmd_spectrum(cfg: dict) -> Table:
-    """Carrier-plus-band self-mixing demo: original and squared spectra."""
+    """Carrier-plus-band self-mixing demo: original and squared spectra.
+
+    Every tone snaps to the nearest multiple of ``frequency_grid_hz``; band
+    tones that snap to one frequency are one tone of their summed
+    amplitude."""
     grid = cfg["frequency_grid_hz"]
     if grid <= 0:
         raise ConfigError("frequency_grid_hz must be positive")
-
-    def snap(f: float) -> float:
-        return round(f / grid) * grid
-
     count = cfg["band_tone_count"]
     if count < 1:
         raise ConfigError("band_tone_count must be >= 1")
-    band = (np.linspace(cfg["band_low_hz"], cfg["band_high_hz"], count)
-            if count > 1 else np.array([cfg["band_low_hz"]]))
+    _check_grid_size(count, "band tone")
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = (np.linspace(cfg["band_low_hz"], cfg["band_high_hz"], count)
+                if count > 1 else np.array([cfg["band_low_hz"]]))
+        tones_hz = np.append(cfg["carrier_freq_hz"], band)
+        snapped = np.round(tones_hz / grid) * grid
+    if not np.all(np.isfinite(snapped)):
+        raise ConfigError("tone frequencies in steps of frequency_grid_hz "
+                          "overflow the float range")
+    band, first, multiplicity = np.unique(snapped[1:], return_index=True,
+                                          return_counts=True)
+    order = np.argsort(first)  # the band's order, in which tones are summed
     with _invariants_are_config_errors():  # say a tone that snaps to 0 Hz
-        tones = [signals.ToneSpec(snap(cfg["carrier_freq_hz"]),
-                                  cfg["carrier_amp_v"])]
-        tones += [signals.ToneSpec(snap(f), cfg["band_amp_v"]) for f in band]
+        tones = [signals.ToneSpec(float(snapped[0]), cfg["carrier_amp_v"])]
+        tones += [signals.ToneSpec(float(f), float(k) * cfg["band_amp_v"])
+                  for f, k in zip(band[order], multiplicity[order])]
     rate, duration = signals.plan_sampling([t.frequency for t in tones])
     # a printed spectrum resolves the slowest tone over at least four
     # periods: repeat the common period, which keeps every bin exact
     samples = int(round(duration * rate))
     while samples / rate * min(t.frequency for t in tones) < 4.0:
         samples *= 2
-        if samples > MAX_SPECTRUM_SAMPLES:
+        if samples > signals.MAX_SAMPLES:
             raise NyquistViolation(
                 "frequencies share no common grid coarse enough to sample "
-                f"with <= {MAX_SPECTRUM_SAMPLES} points")
+                f"with <= {signals.MAX_SAMPLES} points")
     w = signals.synthesize_waveform(tones, rate, samples / rate)
     original = signals.dft_spectrum(w)
     mixed = signals.dft_spectrum(signals.square_law_mix(w))
@@ -334,37 +342,6 @@ def cmd_bias_sweep(cfg: dict) -> Table:
     sweep = diode.bias_power_sweep(chain, bias, power,
                                    (cfg["f1_hz"], cfg["f2_hz"]),
                                    cfg["weaker_tone_offset_db"])
-    return sweep.to_table()
-
-
-FREQ_SWEEP_SCHEMA = Schema(
-    **_DIODE_KEYS, **_CHAIN_KEYS,
-    bias_start_v=(float, 0.0),
-    bias_stop_v=(float, 0.8),
-    bias_step_v=(float, 0.05),
-    center_start_hz=(float, 34e9),
-    center_stop_hz=(float, 38e9),
-    center_step_hz=(float, 1e9),
-    spacing_hz=(float, 1e9),
-    power1_dbm=(float, -40.0),
-    power2_dbm=(float, -45.0),
-)
-
-
-def cmd_freq_sweep(cfg: dict) -> Table:
-    bias = _grid(cfg["bias_start_v"], cfg["bias_stop_v"], cfg["bias_step_v"],
-                 "bias")
-    centers = _grid(cfg["center_start_hz"], cfg["center_stop_hz"],
-                    cfg["center_step_hz"], "center frequency")
-    _check_grid_size(len(bias) * len(centers), "bias x center frequency")
-    if not cfg["spacing_hz"] > 0.0:
-        raise ConfigError("spacing_hz must be positive")
-    for center in centers:
-        _check_tone_pair(center, center + cfg["spacing_hz"])
-    chain = _chain_from_config(cfg)
-    sweep = diode.bias_frequency_sweep(
-        chain, bias, centers, cfg["spacing_hz"],
-        (cfg["power1_dbm"], cfg["power2_dbm"]))
     return sweep.to_table()
 
 
@@ -491,21 +468,19 @@ LINK_BUDGET_SCHEMA = Schema(
 
 
 def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
-    etas = []
-    for key, freq_key in (("eta1_db", "f1_hz"), ("eta2_db", "f2_hz")):
-        eta = cfg[key]
-        if math.isnan(eta):
-            eta = linkbudget.default_total_efficiency_db(cfg[freq_key])
-        etas.append(eta)
-    rx = []
-    for ptx, f, eta in ((cfg["tx_power1_dbm"], cfg["f1_hz"], etas[0]),
-                        (cfg["tx_power2_dbm"], cfg["f2_hz"], etas[1])):
-        params = linkbudget.LinkBudgetParams(
-            tx_power_dbm=ptx, tx_gain_db=cfg["tx_gain_db"],
-            distance_m=cfg["distance_m"], frequency_hz=f,
-            rx_directivity_db=cfg["rx_directivity_db"],
-            total_efficiency_db=eta)
-        rx.append(linkbudget.friis_rx_power(params))
+    links = []
+    with _invariants_are_config_errors():
+        for n in ("1", "2"):
+            eta = cfg[f"eta{n}_db"]
+            if math.isnan(eta):
+                eta = linkbudget.default_total_efficiency_db(cfg[f"f{n}_hz"])
+            links.append(linkbudget.LinkBudgetParams(
+                tx_power_dbm=cfg[f"tx_power{n}_dbm"],
+                tx_gain_db=cfg["tx_gain_db"], distance_m=cfg["distance_m"],
+                frequency_hz=cfg[f"f{n}_hz"],
+                rx_directivity_db=cfg["rx_directivity_db"],
+                total_efficiency_db=eta))
+    rx = [linkbudget.friis_rx_power(params) for params in links]
     conversion = cfg["conversion_gain_db"]
     if math.isnan(conversion):
         conversion = linkbudget.calibrate_conversion_gain(
@@ -518,11 +493,10 @@ def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
         if_amp_gain_db=cfg["if_amp_gain_db"],
         cable_loss_db=cfg["cable_loss_db"])
     if_out = linkbudget.chain_output_power((rx[0], rx[1]), chain)
-    table = Table(columns=["frequency_hz", "tx_power_dbm", "eta_tot_db",
-                           "rx_power_dbm", "if_output_dbm"])
-    table.append([cfg["f1_hz"], cfg["tx_power1_dbm"], etas[0], rx[0], if_out])
-    table.append([cfg["f2_hz"], cfg["tx_power2_dbm"], etas[1], rx[1], if_out])
-    return table
+    return Table(columns=["frequency_hz", "tx_power_dbm", "eta_tot_db",
+                          "rx_power_dbm", "if_output_dbm"],
+                 rows=[(p.frequency_hz, p.tx_power_dbm, p.total_efficiency_db,
+                        p_rx, if_out) for p, p_rx in zip(links, rx)])
 
 
 def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:
@@ -559,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("spectrum", "two-tone / carrier-plus-band self-mixed spectrum demo"),
         ("diode-iv", "diode I-V curve with first and second derivatives"),
         ("bias-sweep", "IF power over (bias voltage, input power) grid"),
-        ("freq-sweep", "IF power over (bias voltage, centre frequency) grid"),
         ("array-factor", "IF and RF array factor cuts for a layout"),
         ("pattern", "element pattern products and total receive patterns"),
         ("link-budget", "Friis receive powers and chain IF output"),
@@ -589,8 +562,6 @@ def main(argv: list[str] | None = None) -> int:
                                  args.quiet)
         elif args.command == "bias-sweep":
             table = cmd_bias_sweep(_load_config(args.config, BIAS_SWEEP_SCHEMA))
-        elif args.command == "freq-sweep":
-            table = cmd_freq_sweep(_load_config(args.config, FREQ_SWEEP_SCHEMA))
         elif args.command == "array-factor":
             table = cmd_array_factor(_load_config(args.config,
                                                   ARRAY_FACTOR_SCHEMA),

@@ -14,11 +14,11 @@ tones plus the bias voltage form a source that drives the diode through the
 chain's source impedance, the loop current is solved sample by sample, and
 the IF component is read from its DFT. Amplifier and filters are collapsed
 into a flat gain and an ideal IF load; there is no junction capacitance and
-hence no frequency dependence unless configured. This keeps every
-qualitative behaviour of the real chain at desk scale: the square-law slope,
-a whole-chain bias optimum well below the static one, near-cancellation of
-the conversion loss by the amplifier gain at moderate drive, and bias
-insensitivity once the diode rectifies hard.
+hence no frequency dependence. This keeps every qualitative behaviour of the
+real chain at desk scale: the square-law slope, a whole-chain bias optimum
+well below the static one, near-cancellation of the conversion loss by the
+amplifier gain at moderate drive, and bias insensitivity once the diode
+rectifies hard.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyToneList,
-    NoInteriorMaximum,
-    NyquistViolation,
-)
+from .errors import EmptyToneList, NoInteriorMaximum
 from .signals import ToneSpec, plan_sampling
 from .tables import Table
 from .units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
@@ -157,14 +153,6 @@ class ConversionResult:
     if_frequency: float
     if_power_dbm: float
     dc_current: float
-
-
-@dataclass(frozen=True)
-class SweepCellError:
-    """Marker stored in a sweep grid for a cell whose tone set cannot be
-    sampled; cells with other tone sets are unaffected."""
-
-    message: str
 
 
 @dataclass(frozen=True)
@@ -395,38 +383,21 @@ def _check_grid(values: Sequence[float], name: str) -> list[float]:
 
 @dataclass(frozen=True)
 class GridSweep:
-    """IF power over a grid of bias voltages (rows) and one drive axis
-    (columns): input power or two-tone centre frequency, written to the
-    table column ``axis_column``."""
+    """IF power over a grid of bias voltages (rows) and input powers
+    (columns)."""
 
     bias_voltages: tuple[float, ...]
-    axis_column: str
-    axis_values: tuple[float, ...]
-    cells: tuple[tuple[ConversionResult | SweepCellError, ...], ...]
+    input_powers_dbm: tuple[float, ...]
+    cells: tuple[tuple[ConversionResult, ...], ...]
 
     def to_table(self) -> Table:
-        table = Table(columns=["bias_v", self.axis_column, "if_power_dbm",
+        table = Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
                                "dc_current_a"])
         for bias, row in zip(self.bias_voltages, self.cells):
-            for value, cell in zip(self.axis_values, row):
-                if isinstance(cell, SweepCellError):
-                    table.append([bias, value, "error", "error"])
-                else:
-                    table.append([bias, value, cell.if_power_dbm,
-                                  cell.dc_current])
+            for power, cell in zip(self.input_powers_dbm, row):
+                table.append([bias, power, cell.if_power_dbm,
+                              cell.dc_current])
         return table
-
-
-def _mix_or_mark(chain: MixingChain, biases: Sequence[BiasPoint],
-                 amplitudes: Sequence[tuple[float, float]],
-                 frequencies: tuple[float, float], if_frequency: float
-                 ) -> list[ConversionResult | SweepCellError]:
-    """:func:`mix_cells`, or a :class:`SweepCellError` in every cell when
-    the tone set cannot be sampled."""
-    try:
-        return mix_cells(chain, biases, amplitudes, frequencies, if_frequency)
-    except NyquistViolation as exc:
-        return [SweepCellError(message=str(exc))] * len(biases)
 
 
 def bias_power_sweep(chain_template: MixingChain,
@@ -439,7 +410,11 @@ def bias_power_sweep(chain_template: MixingChain,
 
     The second tone is driven ``weaker_tone_offset_db`` relative to the
     first (default -5 dB). Cells are in row-major (bias-major) order; a
-    tone pair that cannot be sampled marks every cell :class:`SweepCellError`.
+    tone pair that cannot be sampled raises :class:`NyquistViolation`.
+
+    The chain is memoryless and frequency-flat, so the sweep over a band of
+    tone pairs at fixed powers is one call per pair, each at a single power
+    (``power_grid_dbm = [p1]``, ``weaker_tone_offset_db = p2 - p1``).
     """
     bias_values = _check_grid(bias_grid, "bias_grid")
     power_values = _check_grid(power_grid_dbm, "power_grid_dbm")
@@ -449,46 +424,13 @@ def bias_power_sweep(chain_template: MixingChain,
     drive = [(dbm_to_amplitude(p, z),
               dbm_to_amplitude(p + weaker_tone_offset_db, z))
              for p in power_values]
-    cells = _mix_or_mark(chain_template,
-                         [point for point in points for _ in power_values],
-                         drive * len(points), (f1, f2), abs(f2 - f1))
+    cells = mix_cells(chain_template,
+                      [point for point in points for _ in power_values],
+                      drive * len(points), (f1, f2), abs(f2 - f1))
     width = len(power_values)
     return GridSweep(
         bias_voltages=tuple(bias_values),
-        axis_column="input_power_dbm",
-        axis_values=tuple(power_values),
+        input_powers_dbm=tuple(power_values),
         cells=tuple(tuple(cells[k:k + width])
                     for k in range(0, len(cells), width)),
-    )
-
-
-def bias_frequency_sweep(chain_template: MixingChain,
-                         bias_grid: Sequence[float],
-                         center_frequencies: Sequence[float],
-                         spacing: float,
-                         powers_dbm: tuple[float, float]) -> GridSweep:
-    """Sweep over bias and two-tone centre frequency at fixed tone powers,
-    one :func:`mix_cells` call per centre frequency.
-
-    Each centre ``f`` becomes the tone pair ``(f, f + spacing)``; a pair
-    that cannot be sampled marks its column :class:`SweepCellError`. The
-    chain model is frequency-flat, so columns only differ if the caller
-    varies the chain; the sweep exists to mirror the frequency-axis
-    presentation of measured data.
-    """
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    bias_values = _check_grid(bias_grid, "bias_grid")
-    centers = _check_grid(center_frequencies, "center_frequencies")
-    p1_dbm, p2_dbm = powers_dbm
-    points = [chain_template.at_bias_voltage(v).bias for v in bias_values]
-    z = chain_template.source_impedance_ohms
-    drive = [(dbm_to_amplitude(p1_dbm, z), dbm_to_amplitude(p2_dbm, z))]
-    columns = [_mix_or_mark(chain_template, points, drive * len(points),
-                            (f, f + spacing), spacing) for f in centers]
-    return GridSweep(
-        bias_voltages=tuple(bias_values),
-        axis_column="center_freq_hz",
-        axis_values=tuple(centers),
-        cells=tuple(zip(*columns)),
     )

@@ -77,34 +77,36 @@ def friis_rx_power(params: LinkBudgetParams) -> float:
     """
     wavelength = SPEED_OF_LIGHT / params.frequency_hz
     path_db = 20.0 * math.log10(wavelength / (4.0 * math.pi * params.distance_m))
-    return (params.tx_power_dbm + params.tx_gain_db + path_db
-            + params.rx_directivity_db + params.total_efficiency_db)
+    return _finite_db(params.tx_power_dbm + params.tx_gain_db + path_db
+                      + params.rx_directivity_db + params.total_efficiency_db,
+                      "received power")
 
 
 def chain_output_power(rx_tone_powers_dbm: tuple[float, float],
-                       chain: ChainSpec, square_law: bool = True) -> float:
+                       chain: ChainSpec) -> float:
     """IF output power of the receive chain for two received tone powers.
 
-    With ``square_law`` set (the normal case) the conversion stage follows
-    the product rule: ``P_if = (P1 + G_lna) + (P2 + G_lna) + K`` with ``K =
-    conversion_gain_db``, so the output moves 1 dB per dB of each tone.
-    With ``square_law`` off the stage is treated as linear on the summed
-    tone power. Combiner, IF amplifier and cable then apply as plain dB
-    terms. Tones at the -200 dBm floor propagate the floor.
+    The conversion stage follows the product rule: ``P_if = (P1 + G_lna) +
+    (P2 + G_lna) + K`` with ``K = conversion_gain_db``, so the output moves
+    1 dB per dB of each tone. Combiner, IF amplifier and cable then apply
+    as plain dB terms. Tones at the -200 dBm floor propagate the floor.
     """
     p1, p2 = rx_tone_powers_dbm
     if p1 <= DB_FLOOR or p2 <= DB_FLOOR:
         return DB_FLOOR
-    p1_amped = p1 + chain.lna_gain_db
-    p2_amped = p2 + chain.lna_gain_db
-    if square_law:
-        mixed = p1_amped + p2_amped + chain.conversion_gain_db
-    else:
-        total = 10.0 ** (p1_amped / 10.0) + 10.0 ** (p2_amped / 10.0)
-        mixed = 10.0 * math.log10(total) + chain.conversion_gain_db
+    mixed = ((p1 + chain.lna_gain_db) + (p2 + chain.lna_gain_db)
+             + chain.conversion_gain_db)
     out = (mixed + chain.combiner_gain_db + chain.if_amp_gain_db
            - chain.cable_loss_db)
-    return max(out, DB_FLOOR)
+    return max(_finite_db(out, "IF output power"), DB_FLOOR)
+
+
+def _finite_db(value: float, name: str) -> float:
+    """A sum of finite dB terms that left the float range is an overflow,
+    not a power."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} overflows the float range ({value} dB)")
+    return value
 
 
 def calibrate_conversion_gain(chain: MixingChain,

@@ -35,6 +35,10 @@ _TWO_PI = 2.0 * math.pi
 MIN_SAMPLES = 16
 """Smallest waveform length accepted by the spectral operations."""
 
+MAX_SAMPLES = 1 << 20
+"""Longest record :func:`plan_sampling` chooses (and the longest the
+``spectrum`` subcommand repeats one to)."""
+
 _CONTENT_THRESHOLD = 1e-9
 """Relative magnitude below which a DFT bin counts as empty when estimating
 occupied bandwidth."""
@@ -67,7 +71,6 @@ class SampledWaveform:
 
     sample_rate: float
     samples: np.ndarray
-    start_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0.0:
@@ -87,15 +90,8 @@ class SampledWaveform:
         return self.samples.size
 
     @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    @property
     def nyquist(self) -> float:
         return self.sample_rate / 2.0
-
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.samples.size) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -184,11 +180,11 @@ class TwoToneProducts:
 
 
 def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
-                        duration: float, start_time: float = 0.0) -> SampledWaveform:
+                        duration: float) -> SampledWaveform:
     """Sum-of-sines synthesis on a uniform time grid.
 
     ``samples[i] = sum_k a_k * sin(2*pi*f_k*t_i + phi_k)`` with
-    ``t_i = start_time + i / sample_rate``.
+    ``t_i = i / sample_rate``.
 
     Raises :class:`EmptyToneList` when no tones are given and
     :class:`NyquistViolation` when ``sample_rate <= 2 * max(f_k)``. The
@@ -209,12 +205,11 @@ def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
             f"duration {duration} s does not cover one period of the "
             f"{f_min} Hz tone")
     n = int(round(duration * sample_rate))
-    t = start_time + np.arange(n) / sample_rate
+    t = np.arange(n) / sample_rate
     samples = np.zeros(n)
     for tone in tones:
         samples += tone.amplitude * np.sin(_TWO_PI * tone.frequency * t + tone.phase)
-    return SampledWaveform(sample_rate=sample_rate, samples=samples,
-                           start_time=start_time)
+    return SampledWaveform(sample_rate=sample_rate, samples=samples)
 
 
 def occupied_max_frequency(w: SampledWaveform) -> float:
@@ -242,8 +237,7 @@ def square_law_mix(w: SampledWaveform) -> SampledWaveform:
             f"sample rate {w.sample_rate} Hz cannot represent the square of "
             f"content at {f_max} Hz")
     return SampledWaveform(sample_rate=w.sample_rate,
-                           samples=w.samples * w.samples,
-                           start_time=w.start_time)
+                           samples=w.samples * w.samples)
 
 
 def apply_filter(w: SampledWaveform, spec: FilterSpec) -> SampledWaveform:
@@ -260,8 +254,7 @@ def apply_filter(w: SampledWaveform, spec: FilterSpec) -> SampledWaveform:
         keep = (freqs >= spec.cutoff_low) & (freqs <= spec.cutoff_high)
     bins[~keep] = 0.0
     filtered = np.fft.irfft(bins, n=n)
-    return SampledWaveform(sample_rate=w.sample_rate, samples=filtered,
-                           start_time=w.start_time)
+    return SampledWaveform(sample_rate=w.sample_rate, samples=filtered)
 
 
 def dft_spectrum(w: SampledWaveform) -> Spectrum:
@@ -342,7 +335,6 @@ def analytic_two_tone_products(t1: ToneSpec, t2: ToneSpec) -> TwoToneProducts:
 
 
 def plan_sampling(frequencies: Iterable[float],
-                  max_samples: int = 1 << 20,
                   oversample: float = 4.0) -> tuple[float, float]:
     """Choose ``(sample_rate, duration)`` putting every frequency on an exact
     DFT bin with rate above ``oversample`` times the highest one.
@@ -359,8 +351,8 @@ def plan_sampling(frequencies: Iterable[float],
     waveform over these frequencies, and any memoryless function of one,
     repeats after that period, so a longer record only repeats the samples
     and leaves every bin of the grid unchanged. Raises
-    :class:`NyquistViolation` if ``n`` would exceed ``max_samples`` (wildly
-    incommensurate frequencies).
+    :class:`NyquistViolation` if ``n`` would exceed :data:`MAX_SAMPLES`
+    (wildly incommensurate frequencies).
     """
     freqs = [float(f) for f in frequencies if f > 0.0]
     if not freqs:
@@ -378,8 +370,8 @@ def plan_sampling(frequencies: Iterable[float],
     n = MIN_SAMPLES
     while n * resolution <= oversample * f_max:
         n *= 2
-        if n > max_samples:
+        if n > MAX_SAMPLES:
             raise NyquistViolation(
                 "frequencies share no common grid coarse enough to sample "
-                f"with <= {max_samples} points")
+                f"with <= {MAX_SAMPLES} points")
     return float(n * resolution), 1.0 / resolution

@@ -38,11 +38,6 @@ def dbm_to_amplitude(p_dbm: float, impedance: float = 50.0) -> float:
     return math.sqrt(2.0 * impedance * dbm_to_watts(p_dbm))
 
 
-def amplitude_to_dbm(amplitude: float, impedance: float = 50.0,
-                     floor: float = DB_FLOOR) -> float:
-    return watts_to_dbm(amplitude * amplitude / (2.0 * impedance), floor)
-
-
 def db_to_amplitude_ratio(gain_db: float) -> float:
     """Power gain in dB -> multiplicative amplitude factor."""
     return 10.0 ** (gain_db / 20.0)
@@ -52,9 +47,3 @@ def amplitude_ratio_to_db(ratio: float, floor: float = DB_FLOOR) -> float:
     if ratio <= 0.0:
         return floor
     return max(floor, 20.0 * math.log10(ratio))
-
-
-def power_ratio_to_db(ratio: float, floor: float = DB_FLOOR) -> float:
-    if ratio <= 0.0:
-        return floor
-    return max(floor, 10.0 * math.log10(ratio))

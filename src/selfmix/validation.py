@@ -178,7 +178,8 @@ def check_array_oracle_equivalence(geometry_count: int = 3) -> CheckResult:
         name="array oracle equivalence (time-domain vs analytic product)",
         passed=worst < 0.05 and compared >= 40,
         detail=f"worst |delta| {worst:.2e} dB over {compared} grid points "
-               "(tolerance 0.05 dB)")
+               "(tolerance 0.05 dB)",
+        values=(worst, float(compared)))
 
 
 def check_row_rotation_compensation() -> CheckResult:
@@ -198,7 +199,8 @@ def check_row_rotation_compensation() -> CheckResult:
         name="row-rotation compensation (180 deg feed flip on one row)",
         passed=ok,
         detail=f"IF combined power change {delta:.2e} dB (< 1e-9); RF "
-               f"broadside level {rf_db:.1f} dB (< -60)")
+               f"broadside level {rf_db:.1f} dB (< -60)",
+        values=(delta, rf_db))
 
 
 def direct_array_factor(g: arrays.ArrayGeometry, frequency: float,

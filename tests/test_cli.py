@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,13 +143,16 @@ class TestConfigHandling:
         ("pattern", "theta_step_deg = 1e-320", "theta"),
         ("diode-iv", "v_step_v = 1e-12", "voltage"),
         ("bias-sweep", "bias_step_v = 1e-9", "bias"),
-        ("freq-sweep", "center_step_hz = 1e-3", "center frequency"),
+        ("bias-sweep", "power_step_dbm = 1e-9", "power"),
         # each axis under the cap, their product over it
         ("bias-sweep", "bias_stop_v = 100\nbias_step_v = 1e-3\n"
                        "power_stop_dbm = 40\npower_step_dbm = 1",
          "bias x power"),
-        ("freq-sweep", "bias_stop_v = 100\nbias_step_v = 1e-3\n"
-                       "center_stop_hz = 44e9", "bias x center frequency"),
+        # the same with the long axis on power
+        ("bias-sweep", "power_start_dbm = -100\npower_stop_dbm = 100\n"
+                       "power_step_dbm = 1e-3\nbias_step_v = 0.01",
+         "bias x power"),
+        ("spectrum", "band_tone_count = 1000001", "band tone"),
         ("array-factor", "nx = 100000\nny = 100000", "element"),
         ("pattern", "nx = 100000\nny = 100000", "element"),
         # elements and directions each under the cap; a layout that is not
@@ -187,6 +191,10 @@ class TestConfigHandling:
         ("pattern", "theta_start_deg = -100", "within [-pi/2, pi/2]"),
         ("pattern", "theta_start_deg = 0\ntheta_stop_deg = 1\n"
                     "theta_step_deg = 1", "at least 3 samples"),
+        # link parameters, and the default efficiency table's frequencies
+        ("link-budget", "distance_m = 0", "distance_m must be positive"),
+        ("link-budget", "eta1_db = 1", "total_efficiency_db must be <= 0"),
+        ("link-budget", "f1_hz = 35e9", "no default total efficiency"),
     ])
     def test_bad_model_parameter_exits_2(self, tmp_path, capsys, command,
                                          text, message):
@@ -239,12 +247,15 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command, text", [
         ("bias-sweep", "f1_hz = 38.5e9"),
         ("bias-sweep", "f1_hz = 0"),
-        ("freq-sweep", "spacing_hz = 0"),
-        ("freq-sweep", "center_start_hz = 0"),
-        ("freq-sweep", "center_start_hz = -1e9"),
+        ("bias-sweep", "f2_hz = -1e9"),
+        ("bias-sweep", "f2_hz = 0"),
+        # equal tones: a zero spacing, so no IF
+        ("bias-sweep", "f2_hz = 37.5e9"),
         # snaps to 0 Hz on the default 1e8 Hz grid
         ("spectrum", "carrier_freq_hz = 1e7"),
         ("spectrum", "band_amp_v = -1"),
+        # 37.5e9 / 1e-320 Hz steps is past the float range
+        ("spectrum", "frequency_grid_hz = 1e-320"),
     ])
     def test_bad_tone_config_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "tones.cfg"
@@ -315,6 +326,40 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("tx_gain_db = 1e308\nrx_directivity_db = 1e308",
+         "received power overflows"),
+        ("tx_power1_dbm = -1e308\ntx_gain_db = -1e308",
+         "received power overflows"),
+        ("lna_gain_db = 1e308\nconversion_gain_db = 0",
+         "IF output power overflows"),
+    ])
+    def test_link_budget_overflow_exits_3(self, tmp_path, capsys, text,
+                                          message):
+        # finite dB terms whose sum leaves the float range: no inf columns
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["link-budget", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"computation error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unsampleable_tone_pair_exits_3(self, tmp_path, capsys):
+        # a 1 Hz common grid needs far more than 2^20 samples: the sweep's
+        # one tone pair fails the whole command
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text("f1_hz = 37500000001\n")
+        out = tmp_path / "x.csv"
+        assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("computation error: frequencies share no common grid "
+                       "coarse enough to sample with <= 1048576 points\n")
+        assert not out.exists()
+
     def test_solver_overflow_in_sweep_exits_3(self, tmp_path, capsys):
         # the bias point solves; the 120 dBm cell swings the loop past the
         # overflow guard inside the mixing kernel
@@ -359,6 +404,20 @@ class TestOtherCommands:
         assert len(rows) == 2049
         assert 2e8 / float(rows[1][0]) == 4.0
 
+    def test_spectrum_million_band_tones_is_bounded_work(self, tmp_path):
+        # a million tones snap to six grid frequencies: six sines, not a
+        # million, and the band's summed amplitude is kept
+        out = tmp_path / "spec.csv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("band_tone_count = 1000000\n")
+        start = time.perf_counter()
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        assert time.perf_counter() - start < 1.0
+        _, rows = read_csv(out)
+        band = [float(r[1]) for r in rows if 38e9 <= float(r[0]) <= 38.5e9]
+        assert sum(band) == pytest.approx(1e6 * 0.25, rel=1e-9)
+
     def test_diode_iv_columns(self, tmp_path):
         out = tmp_path / "iv.csv"
         assert run(["diode-iv", "--out", str(out), "--quiet"]) == 0
@@ -381,18 +440,20 @@ class TestOtherCommands:
                           "dc_current_a"]
         assert len(rows) == 3 * 2
 
-    def test_freq_sweep_shape(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("bias_start_v = 0.65\nbias_stop_v = 0.65\n"
-                       "bias_step_v = 0.05\ncenter_start_hz = 34e9\n"
-                       "center_stop_hz = 38e9\ncenter_step_hz = 1e9\n")
-        out = tmp_path / "fs.csv"
-        assert run(["freq-sweep", "--config", str(cfg), "--out", str(out),
-                    "--quiet"]) == 0
-        header, rows = read_csv(out)
-        assert header == ["bias_v", "center_freq_hz", "if_power_dbm",
-                          "dc_current_a"]
-        assert len(rows) == 5
+    def test_bias_sweep_at_one_power_is_a_frequency_column(self, tmp_path):
+        # the chain is frequency-flat: at fixed tone powers, the tone pairs
+        # 34 / 35 GHz and 36 / 37 GHz give byte-identical tables
+        outs = []
+        for f1 in (34e9, 36e9):
+            cfg = tmp_path / f"{f1:.0f}.cfg"
+            cfg.write_text("bias_start_v = 0.6\nbias_stop_v = 0.7\n"
+                           "power_start_dbm = -40\npower_stop_dbm = -40\n"
+                           f"f1_hz = {f1}\nf2_hz = {f1 + 1e9}\n")
+            outs.append(tmp_path / f"{f1:.0f}.csv")
+            assert run(["bias-sweep", "--config", str(cfg),
+                        "--out", str(outs[-1]), "--quiet"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_csv(outs[0])[1]) == 3
 
     def test_pattern_columns(self, tmp_path):
         out = tmp_path / "pat.csv"

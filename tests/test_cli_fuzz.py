@@ -1,6 +1,6 @@
-"""Bounded fuzz of the array-factor, pattern, bias-sweep and freq-sweep
-configs: every config exits 0, 2 or 3 without a traceback, and no grid over
-the caps is computed."""
+"""Bounded fuzz of the array-factor, pattern, bias-sweep and link-budget
+configs: every config exits 0, 2 or 3 without a traceback, no grid over the
+caps is computed, and an output holds only finite numbers."""
 
 import contextlib
 import csv
@@ -63,6 +63,10 @@ def _run(command, cfg):
         return code, stderr.getvalue(), rows
 
 
+def _all_finite(rows):
+    return all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
 @given(command=st.sampled_from(["array-factor", "pattern"]),
        cfg=st.fixed_dictionaries({}, optional={**KEYS, **PATTERN_KEYS}))
@@ -85,7 +89,7 @@ def test_cut_configs_exit_cleanly(command, cfg):
         phases = 2 * len(rows) * (cfg.get("nx", 4) + cfg.get("ny", 2))
         assert phases <= cli.MAX_CUT_PHASES
         # no silent garbage: every cell is finite
-        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert _all_finite(rows)
     else:
         assert rows is None
 
@@ -127,39 +131,61 @@ SWEEP_KEYS = dict(
     bias_v=st.floats(0.0, 0.8),
     if_load_ohm=st.floats(1.0, 100.0),
     source_impedance_ohm=st.floats(1.0, 100.0),
+    f1_hz=TONES, f2_hz=TONES, weaker_tone_offset_db=LEVELS,
 )
 BIAS_AXIS = _axis("bias", "v", st.floats(-1.0, 1.0), st.floats(0.01, 0.5))
-SWEEPS = {
-    "bias-sweep": (
-        _axis("power", "dbm", LEVELS, st.floats(1.0, 20.0)), ("power", "dbm"),
-        dict(f1_hz=TONES, f2_hz=TONES, weaker_tone_offset_db=LEVELS)),
-    "freq-sweep": (
-        _axis("center", "hz", TONES, TONES), ("center", "hz"),
-        dict(spacing_hz=TONES, power1_dbm=LEVELS, power2_dbm=LEVELS)),
-}
+POWER_AXIS = _axis("power", "dbm", LEVELS, st.floats(1.0, 20.0))
+
+
+def _one_key_anywhere(data, cfg, keys):
+    """Sometimes set one of ``keys`` to any number, in range or not."""
+    if data.draw(st.booleans()):
+        cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(NUMBERS)
+    return cfg
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
-@given(data=st.data(), command=st.sampled_from(sorted(SWEEPS)))
-def test_sweep_configs_exit_cleanly(data, command):
-    axis, (prefix, unit), keys = SWEEPS[command]
-    keys = {**SWEEP_KEYS, **keys}
-    cfg = data.draw(st.fixed_dictionaries({}, optional=keys))
-    if data.draw(st.booleans()):
-        cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(NUMBERS)
+@given(data=st.data())
+def test_sweep_configs_exit_cleanly(data):
+    cfg = data.draw(st.fixed_dictionaries({}, optional=SWEEP_KEYS))
+    cfg = _one_key_anywhere(data, cfg, SWEEP_KEYS)
     cfg.update(data.draw(BIAS_AXIS))
-    cfg.update(data.draw(axis))
-    code, err, rows = _run(command, cfg)
+    cfg.update(data.draw(POWER_AXIS))
+    code, err, rows = _run("bias-sweep", cfg)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     if code != 0:
         assert rows is None
         return
-    # one row per grid cell, and at most 64 of them were solved
-    cells = _axis_count(cfg, "bias", "v") * _axis_count(cfg, prefix, unit)
+    # one row per grid cell, at most 64 of them, each a finite IF power
+    # and DC current
+    cells = _axis_count(cfg, "bias", "v") * _axis_count(cfg, "power", "dbm")
     assert len(rows) == cells <= 64
-    for row in rows:
-        assert all(math.isfinite(float(v)) for v in row[:2])
-        # a cell is a finite IF power and DC current, or failed as a whole
-        assert row[2:] == ["error", "error"] or all(
-            math.isfinite(float(v)) for v in row[2:])
+    assert _all_finite(rows)
+
+
+DB_TERMS = st.one_of(st.floats(-60.0, 60.0), NUMBERS)
+LINK_KEYS = dict(
+    tx_power1_dbm=DB_TERMS, tx_power2_dbm=DB_TERMS,
+    f1_hz=st.one_of(st.sampled_from([34e9, 36.5e9, 37.5e9, 38.5e9]), NUMBERS),
+    f2_hz=st.one_of(st.sampled_from([34e9, 36.5e9, 37.5e9, 38.5e9]), NUMBERS),
+    tx_gain_db=DB_TERMS, distance_m=st.one_of(st.floats(0.1, 100.0), NUMBERS),
+    rx_directivity_db=DB_TERMS, eta1_db=st.one_of(st.floats(-3.0, 0.0),
+                                                  NUMBERS),
+    eta2_db=st.one_of(st.floats(-3.0, 0.0), NUMBERS),
+    lna_gain_db=st.one_of(st.floats(0.0, 40.0), NUMBERS),
+    conversion_gain_db=DB_TERMS, combiner_gain_db=DB_TERMS,
+    if_amp_gain_db=DB_TERMS, cable_loss_db=DB_TERMS,
+)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
+@given(cfg=st.fixed_dictionaries({}, optional=LINK_KEYS))
+def test_link_budget_configs_exit_cleanly(cfg):
+    code, err, rows = _run("link-budget", cfg)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(rows) == 2 and _all_finite(rows)
+    else:
+        assert rows is None

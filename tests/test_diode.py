@@ -11,8 +11,6 @@ from selfmix.diode import (
     ConversionResult,
     DiodeModel,
     MixingChain,
-    SweepCellError,
-    bias_frequency_sweep,
     bias_power_sweep,
     default_chain,
     default_diode,
@@ -41,24 +39,6 @@ TRIO = DiodeModel(saturation_current=1e-13, ideality=1.2, series_resistance=4.0)
 def two_tone(p1_dbm, p2_dbm, f1=37.5e9, f2=38.5e9):
     return [ToneSpec(f1, dbm_to_amplitude(p1_dbm)),
             ToneSpec(f2, dbm_to_amplitude(p2_dbm))]
-
-
-def bisection_terminal_current(model, v, iters=200):
-    """Independent reference for the implicit terminal equation."""
-    lo, hi = min(v, 0.0), max(v, 0.0)
-
-    def h(vj):
-        return vj + model.series_resistance * model.saturation_current * (
-            math.exp(min(vj / model.emission_voltage, 60.0)) - 1.0) - v
-
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    vj = 0.5 * (lo + hi)
-    return model.saturation_current * (math.exp(vj / model.emission_voltage) - 1.0)
 
 
 class TestDiodeModel:
@@ -107,14 +87,14 @@ class TestTerminalCurrent:
     def test_against_bisection_oracle(self):
         # 14.33 V on the default chain's loop is within the swing of a
         # 0 dBm / -5 dBm cell with the 25 dB LNA
-        voltages = (-1e4, -100.0, -2.0, 0.2, 0.5, 0.75, 1.0, 2.5, 14.33,
-                    100.0, 1e3, 1e4)
+        voltages = np.array([-1e4, -100.0, -2.0, 0.2, 0.5, 0.75, 1.0, 2.5,
+                             14.33, 100.0, 1e3, 1e4])
         models = [DiodeModel(1e-13, 1.2, r) for r in (4.0, 6.2, 56.2)]
         for model in models + [default_chain().loop_model()]:
-            for v in voltages:
-                i = terminal_current(model, v)
-                assert i == pytest.approx(bisection_terminal_current(model, v),
-                                          rel=1e-9, abs=1e-18)
+            reference = validation._bisection_terminal_current(model, voltages)
+            for v, expected in zip(voltages, reference):
+                assert terminal_current(model, float(v)) == pytest.approx(
+                    expected, rel=1e-9, abs=1e-18)
 
     def test_residual_tolerance(self):
         # voltage form: the current form cannot reach 1e-12 in double
@@ -316,6 +296,13 @@ class TestBiasPowerSweep:
                                  two_tone(-40.0, -45.0), 1e9)
         assert sweep.cells[0][0] == direct
 
+    def test_single_cell_at_another_tone_pair_equals_direct_call(self):
+        chain = default_chain()
+        sweep = bias_power_sweep(chain, [0.65], [-40.0], (34e9, 35e9))
+        direct = simulate_mixing(chain.at_bias_voltage(0.65),
+                                 two_tone(-40.0, -45.0, 34e9, 35e9), 1e9)
+        assert sweep.cells[0][0] == direct
+
     def test_spread_shrinks_with_power(self):
         chain = default_chain()
         bias = np.arange(0.0, 0.8001, 0.1)
@@ -339,7 +326,6 @@ class TestBiasPowerSweep:
         bias = np.round(np.arange(0.0, 0.8001, 0.05), 10)
         sweep = bias_power_sweep(chain, bias, [0.0, 5.0], (37.5e9, 38.5e9))
         cells = [c for row in sweep.cells for c in row]
-        assert not any(isinstance(c, SweepCellError) for c in cells)
         assert all(math.isfinite(c.if_power_dbm) for c in cells)
 
     def test_grids_validated(self):
@@ -356,43 +342,17 @@ class TestBiasPowerSweep:
         assert table.columns == ["bias_v", "input_power_dbm", "if_power_dbm",
                                  "dc_current_a"]
 
-
-class TestBiasFrequencySweep:
-    def test_flat_chain_means_identical_columns(self):
+    def test_flat_chain_same_cells_at_every_centre(self):
+        # the memoryless chain has no frequency response: at fixed tone
+        # powers, every 1 GHz-spaced pair from 34 to 38 GHz mixes alike, up
+        # to the sampling's alias error
         chain = default_chain()
-        sweep = bias_frequency_sweep(chain, [0.6, 0.65],
-                                     [34e9, 35e9, 36e9, 37e9, 38e9],
-                                     1e9, (-40.0, -45.0))
-        for row in sweep.cells:
-            powers = [c.if_power_dbm for c in row]
+        for bias in (0.6, 0.65):
+            cells = [bias_power_sweep(chain, [bias], [-40.0],
+                                      (f, f + 1e9)).cells[0][0]
+                     for f in (34e9, 35e9, 36e9, 37e9, 38e9)]
+            powers = [c.if_power_dbm for c in cells]
             assert max(powers) - min(powers) < 1e-9
-
-    def test_single_point_reduces_to_simulate_mixing(self):
-        chain = default_chain()
-        sweep = bias_frequency_sweep(chain, [0.65], [37.5e9], 1e9,
-                                     (-40.0, -45.0))
-        direct = simulate_mixing(
-            chain.at_bias_voltage(0.65),
-            [ToneSpec(37.5e9, dbm_to_amplitude(-40.0)),
-             ToneSpec(38.5e9, dbm_to_amplitude(-45.0))], 1e9)
-        assert sweep.cells[0][0] == direct
-
-    def test_cell_error_poisons_only_that_cell(self):
-        chain = default_chain()
-        # centre offset by 1 Hz: the common sampling grid degenerates to a
-        # 1 Hz resolution, far beyond the sample budget
-        sweep = bias_frequency_sweep(chain, [0.65],
-                                     [34e9, 34e9 + 1.0, 35e9], 1e9,
-                                     (-40.0, -45.0))
-        row = sweep.cells[0]
-        assert isinstance(row[1], SweepCellError)
-        assert not isinstance(row[0], SweepCellError)
-        assert not isinstance(row[2], SweepCellError)
-
-    def test_spacing_validated(self):
-        with pytest.raises(ValueError):
-            bias_frequency_sweep(default_chain(), [0.6], [34e9], 0.0,
-                                 (-40.0, -45.0))
 
 
 def per_cell_route(chain, tones, if_frequency):
@@ -487,21 +447,24 @@ class TestMixingKernel:
         assert bits(driven) == bits(per_cell_route(
             biased, two_tone(-40.0, -45.0), 1e9))
 
-    def test_unsampleable_column_marks_only_that_column(self):
-        chain = default_chain()
-        biases = [0.6, 0.65]
-        centers = [34e9, 34e9 + 1.0, 35e9]
-        sweep = bias_frequency_sweep(chain, biases, centers, 1e9,
-                                     (-40.0, -45.0))
-        with pytest.raises(NyquistViolation) as violation:
+    def test_unsampleable_pair_raises_before_solving(self, monkeypatch):
+        # the pair's 1 Hz common grid is past the sample budget: the sweep
+        # raises plan_sampling's NyquistViolation and solves no cell
+        solved = []
+
+        def recording_solve(model, v):
+            if np.ndim(v) == 2:
+                solved.append(v.shape)
+            return terminal_current(model, v)
+
+        monkeypatch.setattr(diode, "terminal_current", recording_solve)
+        with pytest.raises(NyquistViolation) as expected:
             plan_sampling([34e9 + 1.0, 35e9 + 1.0, 1e9], oversample=24.0)
-        for bias, row in zip(biases, sweep.cells):
-            assert row[1] == SweepCellError(str(violation.value))
-            for k in (0, 2):
-                tones = [ToneSpec(centers[k], dbm_to_amplitude(-40.0)),
-                         ToneSpec(centers[k] + 1e9, dbm_to_amplitude(-45.0))]
-                assert bits(row[k]) == bits(per_cell_route(
-                    chain.at_bias_voltage(bias), tones, 1e9))
+        with pytest.raises(NyquistViolation) as raised:
+            bias_power_sweep(default_chain(), [0.6, 0.65], [-40.0, -30.0],
+                             (34e9 + 1.0, 35e9 + 1.0))
+        assert str(raised.value) == str(expected.value)
+        assert solved == []
 
     def test_megahertz_spacing_mixes_like_gigahertz_spacing(self):
         # a 1 MHz pair needs 2^20 samples for one common period (four
