@@ -44,7 +44,7 @@ from .signals import (
     square_law_mix,
     synthesize_waveform,
 )
-from .units import DB_FLOOR, SPEED_OF_LIGHT, amplitude_ratio_to_db
+from .units import DB_FLOOR, SPEED_OF_LIGHT
 
 _TWO_PI = 2.0 * math.pi
 # entries of each matrix of the array-factor kernel (bins x elements and
@@ -506,5 +506,8 @@ def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,
     if ratio <= 0.0:
         return ArrayIfResult(if_power_rel_db=DB_FLOOR, if_phase=0.0)
     phase = math.atan2((total / reference).imag, (total / reference).real)
-    return ArrayIfResult(if_power_rel_db=amplitude_ratio_to_db(ratio),
+    # scalar dB kept apart from units.amplitude_ratio_to_db: the oracle
+    # shares no kernel with the fast path it checks
+    return ArrayIfResult(if_power_rel_db=max(DB_FLOOR,
+                                             20.0 * math.log10(ratio)),
                          if_phase=phase)

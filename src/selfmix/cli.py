@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .errors import ConfigError, NyquistViolation, SelfmixError
+from .errors import ConfigError, InvalidParams, NyquistViolation, SelfmixError
 from .tables import Table
 from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db
 
@@ -107,11 +106,13 @@ def _write_output(table: Table, out: str | None, fmt: str,
         print(f"wrote {len(table.rows)} rows to {out}")
 
 
-def _check_grid_size(points: float, name: str,
+def _check_grid_size(points: int | float, name: str,
                      limit: int | None = None) -> None:
+    """Refuse a count (an exact int, or ``inf`` past the float range) above
+    ``limit``, naming it exactly."""
     limit = MAX_GRID_POINTS if limit is None else limit
-    if not points <= limit:  # also catches an infinite count
-        raise ConfigError(f"{name} grid would have {points:.4g} points; "
+    if not points <= limit:
+        raise ConfigError(f"{name} grid would have {points} points; "
                           f"the limit is {limit}")
 
 
@@ -119,8 +120,9 @@ def _grid_count(start: float, stop: float, step: float, name: str) -> int:
     """Points of ``start, start + step, ...`` up to ``stop``, checked
     against :data:`MAX_GRID_POINTS`."""
     ratio = (stop - start) / step
-    _check_grid_size(ratio + 1.0, name)
-    return int(round(ratio)) + 1
+    count = round(ratio) + 1 if math.isfinite(ratio) else math.inf
+    _check_grid_size(count, name)
+    return count
 
 
 def _theta_grid_deg(start: float, stop: float, step: float) -> np.ndarray:
@@ -264,16 +266,22 @@ def cmd_spectrum(cfg: dict) -> Table:
             raise NyquistViolation(
                 "frequencies share no common grid coarse enough to sample "
                 f"with <= {signals.MAX_SAMPLES} points")
+    # the record's peak is at most the amplitude sum, and a DFT bin of its
+    # square sums `samples` terms of at most peak**2; the factor 4 leaves
+    # room for the FFT's partial sums and the one-sided doubling
+    peak = sum(t.amplitude for t in tones)
+    if not math.isfinite(4.0 * samples * peak * peak):
+        raise OverflowError(
+            f"the squared record of amplitudes summing to {peak} V over "
+            f"{samples} samples overflows the float range")
     w = signals.synthesize_waveform(tones, rate, samples / rate)
     original = signals.dft_spectrum(w)
     mixed = signals.dft_spectrum(signals.square_law_mix(w))
-    table = Table(columns=["frequency_hz", "original_amplitude_v",
-                           "mixed_amplitude_v"])
-    orig = original.magnitudes
-    for k, f in enumerate(mixed.bin_frequencies):
-        amp_in = float(orig[k]) if k < orig.size else 0.0
-        table.append([float(f), amp_in, float(mixed.magnitudes[k])])
-    return table
+    return Table(columns=["frequency_hz", "original_amplitude_v",
+                          "mixed_amplitude_v"],
+                 rows=np.column_stack([mixed.bin_frequencies,
+                                       original.magnitudes,
+                                       mixed.magnitudes]).tolist())
 
 
 DIODE_IV_SCHEMA = Schema(
@@ -294,10 +302,9 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     current = np.asarray(diode.terminal_current(model, grid))
     deriv = diode.iv_derivatives(model, grid)
     table = Table(columns=["voltage_v", "current_a", "di_dv_s",
-                           "d2i_dv2_s_per_v"])
-    for v, i, g1, g2 in zip(grid, current, np.asarray(deriv.di_dv),
-                            np.asarray(deriv.d2i_dv2)):
-        table.append([float(v), float(i), float(g1), float(g2)])
+                           "d2i_dv2_s_per_v"],
+                  rows=np.column_stack([grid, current, deriv.di_dv,
+                                        deriv.d2i_dv2]).tolist())
     if not quiet:
         try:
             opt = diode.optimal_bias_static(
@@ -365,8 +372,7 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
     theta_deg = _theta_grid_deg(cfg["theta_start_deg"], cfg["theta_stop_deg"],
                                 cfg["theta_step_deg"])
     phi = math.radians(cfg["phi_cut_deg"])
-    af_if, af_rf = (af.tolist() for af in _factor_cuts(
-        geometry, cfg, np.radians(theta_deg), phi))
+    af_if, af_rf = _factor_cuts(geometry, cfg, np.radians(theta_deg), phi)
     if not quiet and not cfg["geometry_file"]:
         delta_f = abs(cfg["f1_hz"] - cfg["f2_hz"])
         for pitch, count, axis in ((cfg["dx_m"], cfg["nx"], "x"),
@@ -379,11 +385,10 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
                       f"spacing {e_if:.4f} wavelengths vs {e_rf:.3f} at RF")
     return Table(columns=["theta_deg", "phi_deg", "af_if", "af_rf",
                           "af_if_db", "af_rf_db"],
-                 rows=list(zip(theta_deg.tolist(),
-                               itertools.repeat(cfg["phi_cut_deg"]),
-                               af_if, af_rf,
-                               map(amplitude_ratio_to_db, af_if),
-                               map(amplitude_ratio_to_db, af_rf))))
+                 rows=np.column_stack([
+                     theta_deg, np.full(theta_deg.size, cfg["phi_cut_deg"]),
+                     af_if, af_rf, amplitude_ratio_to_db(af_if),
+                     amplitude_ratio_to_db(af_rf)]).tolist())
 
 
 PATTERN_SCHEMA = Schema(
@@ -428,11 +433,9 @@ def cmd_pattern(cfg: dict) -> Table:
     db = amplitude_ratio_to_db
     return Table(columns=["theta_deg", "gain_db", "af_if", "af_rf",
                           "total_if_db", "total_rf_db"],
-                 rows=list(zip(map(math.degrees, sm.theta_samples.tolist()),
-                               map(db, sm.gains.tolist()),
-                               af_if.tolist(), af_rf.tolist(),
-                               map(db, (sm.gains * af_if).tolist()),
-                               map(db, (sm.gains * af_rf).tolist()))))
+                 rows=np.column_stack([
+                     np.degrees(sm.theta_samples), db(sm.gains), af_if, af_rf,
+                     db(sm.gains * af_if), db(sm.gains * af_rf)]).tolist())
 
 
 def _element_pattern(cfg: dict) -> Callable[[float], patterns.AnalyticPattern]:
@@ -473,7 +476,11 @@ def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
         for n in ("1", "2"):
             eta = cfg[f"eta{n}_db"]
             if math.isnan(eta):
-                eta = linkbudget.default_total_efficiency_db(cfg[f"f{n}_hz"])
+                try:
+                    eta = linkbudget.default_total_efficiency_db(
+                        cfg[f"f{n}_hz"])
+                except InvalidParams as exc:
+                    raise ConfigError(f"{exc}; set eta{n}_db") from exc
             links.append(linkbudget.LinkBudgetParams(
                 tx_power_dbm=cfg[f"tx_power{n}_dbm"],
                 tx_gain_db=cfg["tx_gain_db"], distance_m=cfg["distance_m"],

@@ -391,13 +391,16 @@ class GridSweep:
     cells: tuple[tuple[ConversionResult, ...], ...]
 
     def to_table(self) -> Table:
-        table = Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
-                               "dc_current_a"])
-        for bias, row in zip(self.bias_voltages, self.cells):
-            for power, cell in zip(self.input_powers_dbm, row):
-                table.append([bias, power, cell.if_power_dbm,
-                              cell.dc_current])
-        return table
+        cells = [cell for row in self.cells for cell in row]
+        return Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
+                              "dc_current_a"],
+                     rows=np.column_stack([
+                         np.repeat(self.bias_voltages,
+                                   len(self.input_powers_dbm)),
+                         np.tile(self.input_powers_dbm,
+                                 len(self.bias_voltages)),
+                         [c.if_power_dbm for c in cells],
+                         [c.dc_current for c in cells]]).tolist())
 
 
 def bias_power_sweep(chain_template: MixingChain,

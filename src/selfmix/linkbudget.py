@@ -135,6 +135,4 @@ def default_total_efficiency_db(frequency_hz: float) -> float:
     for key, value in DEFAULT_TOTAL_EFFICIENCY_DB.items():
         if math.isclose(frequency_hz, key, rel_tol=1e-9):
             return value
-    raise InvalidParams(
-        f"no default total efficiency for {frequency_hz} Hz; supply "
-        "total_efficiency_db explicitly")
+    raise InvalidParams(f"no default total efficiency for {frequency_hz} Hz")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidGrid
 from .tables import Table
-from .units import DB_FLOOR
+from .units import DB_FLOOR, amplitude_ratio_to_db
 
 _HALF_PI = math.pi / 2.0
 
@@ -68,9 +68,7 @@ class PatternGrid:
                            self.gains / peak, self.frequency)
 
     def gains_db(self, floor: float = DB_FLOOR) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(self.gains)
-        return np.maximum(db, floor)
+        return amplitude_ratio_to_db(self.gains, floor)
 
 
 @dataclass(frozen=True)
@@ -247,5 +245,5 @@ def read_pattern_csv(source: str | Path, frequency: float,
 def write_pattern_csv(p: PatternGrid, target: str | Path) -> None:
     """Write a cut as CSV with header ``theta_deg,gain_db``."""
     Table(columns=["theta_deg", "gain_db"],
-          rows=list(zip(map(math.degrees, p.theta_samples.tolist()),
-                        p.gains_db().tolist()))).write(target)
+          rows=np.column_stack([np.degrees(p.theta_samples),
+                                p.gains_db()]).tolist()).write(target)

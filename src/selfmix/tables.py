@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,14 +48,17 @@ class Table:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        # a row of floats in one %-format: a formatted float never needs
-        # quoting, and "%.9g" renders a float exactly as format_value does
-        all_floats = (float,) * len(self.columns)
-        float_row = ",".join(["%.9g"] * len(self.columns)) + "\n"
-        for row in self.rows:
-            if tuple(map(type, row)) == all_floats:
-                buf.write(float_row % tuple(row))
-            else:
+        # a table of full rows of floats is written a row per %-format: a
+        # formatted float never needs quoting, and "%.9g" renders a float
+        # exactly as format_value does
+        width = len(self.columns)
+        cells = itertools.chain.from_iterable(self.rows)
+        if (set(map(len, self.rows)) <= {width}
+                and set(map(type, cells)) <= {float}):
+            float_row = ",".join(["%.9g"] * width) + "\n"
+            buf.writelines(map(float_row.__mod__, map(tuple, self.rows)))
+        else:
+            for row in self.rows:
                 writer.writerow([format_value(v) for v in row])
         return buf.getvalue()
 

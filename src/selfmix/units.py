@@ -15,6 +15,9 @@ Power/amplitude conventions:
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 """Free-space speed of light in m/s (exact SI value)."""
@@ -43,7 +46,11 @@ def db_to_amplitude_ratio(gain_db: float) -> float:
     return 10.0 ** (gain_db / 20.0)
 
 
-def amplitude_ratio_to_db(ratio: float, floor: float = DB_FLOOR) -> float:
-    if ratio <= 0.0:
-        return floor
-    return max(floor, 20.0 * math.log10(ratio))
+def amplitude_ratio_to_db(ratio: np.ndarray | Sequence[float] | float,
+                          floor: float = DB_FLOOR) -> np.ndarray:
+    """Amplitude ratios -> power dB, element by element: ``floor`` where
+    ``ratio <= 0``, else ``max(20*log10(ratio), floor)``; a NaN stays NaN."""
+    ratio = np.asarray(ratio, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.maximum(20.0 * np.log10(ratio), floor)
+    return np.where(ratio <= 0.0, floor, db)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,11 @@ class TestConfigHandling:
         ("link-budget", "distance_m = 0", "distance_m must be positive"),
         ("link-budget", "eta1_db = 1", "total_efficiency_db must be <= 0"),
         ("link-budget", "f1_hz = 35e9", "no default total efficiency"),
+        # named by the config key that would supply it
+        ("link-budget", "f1_hz = 34.5e9",
+         "no default total efficiency for 34500000000.0 Hz; set eta1_db"),
+        ("link-budget", "f2_hz = 40e9",
+         "no default total efficiency for 40000000000.0 Hz; set eta2_db"),
     ])
     def test_bad_model_parameter_exits_2(self, tmp_path, capsys, command,
                                          text, message):
@@ -211,6 +217,33 @@ class TestConfigHandling:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, count", [
+        # one over the limit reads as one over it
+        ("spectrum", "band_tone_count = 1000001", "1000001"),
+        # 180 / 1.8e-4 = 999999.9999999999 steps: 1000001 points
+        ("array-factor", "theta_step_deg = 1.8e-4", "1000001"),
+        ("array-factor", "theta_step_deg = 1e-320", "inf"),
+    ])
+    def test_grid_count_over_cap_is_exact(self, tmp_path, capsys, command,
+                                          text, count):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text + "\n")
+        assert run([command, "--config", str(cfg), "--out",
+                    str(tmp_path / "x.csv"), "--quiet"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"grid would have {count} points; the limit is 1000000\n")
+
+    def test_grid_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
+        # 9.4 steps round to a grid of exactly 10 points: the count that is
+        # built is the count that is capped
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("v_start_v = 0\nv_stop_v = 9.4e-6\nv_step_v = 1e-6\n")
+        out = tmp_path / "iv.csv"
+        assert run(["diode-iv", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        assert len(read_csv(out)[1]) == 10
 
     def test_geometry_file_over_cap_exits_2(self, tmp_path, capsys,
                                             monkeypatch):
@@ -345,6 +378,21 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"computation error: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_spectrum_amplitude_overflow_exits_3(self, tmp_path, capsys):
+        # amplitudes whose sum and square leave the float range: one
+        # message, no file of nan/inf rows and no numpy warning on the way
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("carrier_amp_v = 1e308\nband_amp_v = 1e308\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: the squared record")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_unsampleable_tone_pair_exits_3(self, tmp_path, capsys):

@@ -3,9 +3,12 @@ import io
 import math
 
 import numpy as np
+import pytest
 
+from selfmix import cli, patterns
 from selfmix.patterns import PatternGrid, write_pattern_csv
 from selfmix.tables import Table, format_value
+from selfmix.units import DB_FLOOR, amplitude_ratio_to_db
 
 
 def per_cell_csv(table):
@@ -16,6 +19,11 @@ def per_cell_csv(table):
     for row in table.rows:
         writer.writerow([format_value(v) for v in row])
     return buf.getvalue()
+
+
+def scalar_db(ratio, floor=DB_FLOOR):
+    """The reference dB of one amplitude ratio, through math.log10."""
+    return floor if ratio <= 0.0 else max(floor, 20.0 * math.log10(ratio))
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
@@ -71,3 +79,94 @@ class TestCsvBytes:
         for t, db in zip(p.theta_samples, p.gains_db()):
             writer.writerow([f"{math.degrees(t):.9g}", f"{db:.9g}"])
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("odd_row", [
+        (0.5, np.float64(0.25), 0.125),
+        (0.5, 1_000_000_007, 0.125),  # "%.9g" would round the int
+        (0.5, 0.25),
+        None,  # no rows at all
+    ])
+    def test_one_odd_row_falls_back(self, odd_row):
+        # a float table with one row the float route cannot take writes
+        # every row through format_value, with the same bytes
+        rows = [] if odd_row is None else [
+            (0.1, -0.0, 1e-300), odd_row, (math.inf, 2.5e-13, 123456789.0)]
+        table = Table(["a", "b", "c"], rows)
+        assert table.to_csv() == per_cell_csv(table)
+
+
+class TestDbKernel:
+    # the default floor, and one below 20*log10(1e-300) = -6000 dB that
+    # sends every ratio through the logarithm
+    @pytest.mark.parametrize("floor", [DB_FLOOR, -7000.0])
+    def test_same_digits_as_scalar_log10(self, floor):
+        rng = np.random.default_rng(11)
+        ratios = 10.0 ** rng.uniform(-300.0, 3.0, size=1_000_000)
+        ratios = np.append(ratios, [0.0, -0.0, -1e-3, math.inf, 1e-300, 1e3])
+        db = amplitude_ratio_to_db(ratios, floor).tolist()
+        ref = [scalar_db(r, floor) for r in ratios.tolist()]
+        # np.log10 and math.log10 may differ in the last bit; never in the
+        # 9 digits that are written
+        differ = [k for k, (a, b) in enumerate(zip(db, ref)) if a != b]
+        assert [f"{db[k]:.9g}" for k in differ] == [f"{ref[k]:.9g}"
+                                                    for k in differ]
+        assert db[-6:] == [floor, floor, floor, math.inf, max(floor, -6000.0),
+                           60.0]
+
+    def test_scalar_in_array_out(self):
+        assert amplitude_ratio_to_db(2.0).shape == ()
+        assert float(amplitude_ratio_to_db(10.0, floor=-50.0)) == 20.0
+        assert amplitude_ratio_to_db([1e-3, 0.0], floor=-50.0).tolist() == [
+            -50.0, -50.0]
+
+
+class TestCommandTables:
+    """Default array-factor and pattern CSVs against a per-cell rebuild
+    from the same cut arrays."""
+
+    def rebuild(self, columns, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])
+        return buf.getvalue()
+
+    def cuts(self, schema):
+        cfg = schema.resolve({})
+        theta_deg = cli._theta_grid_deg(cfg["theta_start_deg"],
+                                        cfg["theta_stop_deg"],
+                                        cfg["theta_step_deg"])
+        return cfg, theta_deg, math.radians(cfg["phi_cut_deg"])
+
+    def test_array_factor(self, tmp_path):
+        cfg, theta_deg, phi = self.cuts(cli.ARRAY_FACTOR_SCHEMA)
+        af_if, af_rf = cli._factor_cuts(cli._geometry_from_config(cfg), cfg,
+                                        np.radians(theta_deg), phi)
+        rows = [(float(t), cfg["phi_cut_deg"], float(i), float(r),
+                 scalar_db(float(i)), scalar_db(float(r)))
+                for t, i, r in zip(theta_deg, af_if, af_rf)]
+        out = tmp_path / "af.csv"
+        assert cli.main(["array-factor", "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == self.rebuild(
+            ["theta_deg", "phi_deg", "af_if", "af_rf", "af_if_db",
+             "af_rf_db"], rows)
+
+    def test_pattern(self, tmp_path):
+        cfg, theta_deg, phi = self.cuts(cli.PATTERN_SCHEMA)
+        element = cli._element_pattern(cfg)
+        sm = patterns.self_mix_pattern(
+            *(patterns.sample_pattern(element(cfg[f]), np.radians(theta_deg),
+                                      phi) for f in ("f1_hz", "f2_hz"))
+        ).normalized()
+        af_if, af_rf = cli._factor_cuts(cli._geometry_from_config(cfg), cfg,
+                                        sm.theta_samples, phi)
+        rows = [(math.degrees(t), scalar_db(float(g)), float(i), float(r),
+                 scalar_db(float(g * i)), scalar_db(float(g * r)))
+                for t, g, i, r in zip(sm.theta_samples, sm.gains, af_if,
+                                      af_rf)]
+        out = tmp_path / "pattern.csv"
+        assert cli.main(["pattern", "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == self.rebuild(
+            ["theta_deg", "gain_db", "af_if", "af_rf", "total_if_db",
+             "total_rf_db"], rows)
