@@ -59,7 +59,7 @@ lobes = find_lobes(PatternGrid(theta, phi_e_plane, af_rf, RF), floor)
 print(f"\nRF grating lobes above -3 dB: "
       + ", ".join(f"{math.degrees(t):+.1f} deg" for t in lobes))
 
-gain = combine_elements(np.ones(8), np.zeros(8)).power_gain_db
+gain = combine_elements(np.ones(8), np.zeros(8))
 print(f"\n8-way coherent combining adds {gain:.2f} dB at broadside and, "
       "thanks to the\nflat IF factor, keeps nearly all of it across the "
       "whole angular range")

@@ -28,7 +28,6 @@ The package provides:
 from .arrays import (
     ArrayGeometry,
     ArrayIfResult,
-    CombineResult,
     Direction,
     TwoToneIllumination,
     combine_elements,

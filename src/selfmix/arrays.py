@@ -217,12 +217,6 @@ class TwoToneIllumination:
 
 
 @dataclass(frozen=True)
-class CombineResult:
-    power_gain_db: float
-    output_phasor: complex
-
-
-@dataclass(frozen=True)
 class ArrayIfResult:
     """IF output of the combined array relative to one isotropic element."""
 
@@ -423,11 +417,12 @@ def effective_spacing(d_element: float, delta_f: float, f_ref: float) -> float:
 
 
 def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
-                     combiner_loss_db: float = 0.0) -> CombineResult:
-    """Ideal matched N-to-1 combiner with scalar loss.
+                     combiner_loss_db: float = 0.0) -> float:
+    """Power gain in dB of an ideal matched N-to-1 combiner with scalar
+    loss.
 
-    Output amplitude is ``sum(phasors) / sqrt(N)``; the reported power gain
-    is referred to the first element's power, so N equal co-phased inputs
+    Output amplitude is ``sum(phasors) / sqrt(N)``; the power gain is
+    referred to the first element's power, so N equal co-phased inputs
     give ``10*log10(N) - loss``. Full cancellation reports the -200 dB
     floor.
     """
@@ -443,12 +438,10 @@ def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
         raise ValueError("reference element amplitude must be non-zero")
     n = amplitudes.size
     total = np.sum(amplitudes * np.exp(1j * phases))
-    output = complex(total / math.sqrt(n))
     ratio = abs(total) / (math.sqrt(n) * abs(amplitudes[0]))
     if ratio <= 0.0:
-        return CombineResult(power_gain_db=DB_FLOOR, output_phasor=output)
-    gain_db = max(DB_FLOOR, 20.0 * math.log10(ratio) - combiner_loss_db)
-    return CombineResult(power_gain_db=gain_db, output_phasor=output)
+        return DB_FLOOR
+    return max(DB_FLOOR, 20.0 * math.log10(ratio) - combiner_loss_db)
 
 
 def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,

@@ -189,7 +189,6 @@ _DIODE_KEYS = dict(
 
 _CHAIN_KEYS = dict(
     lna_gain_db=(float, 25.0),
-    bias_v=(float, 0.65),
     if_load_ohm=(float, 50.0),
     source_impedance_ohm=(float, 50.0),
 )
@@ -204,13 +203,14 @@ def _diode_from_config(cfg: dict) -> diode.DiodeModel:
 
 
 def _chain_from_config(cfg: dict) -> diode.MixingChain:
+    for key in ("if_load_ohm", "source_impedance_ohm"):
+        if not cfg[key] > 0.0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
     with _invariants_are_config_errors():
-        chain = diode.MixingChain(
+        return diode.MixingChain(
             lna_gain_db=cfg["lna_gain_db"], diode=_diode_from_config(cfg),
-            bias=diode.BiasPoint(0.0, 0.0), if_load_ohms=cfg["if_load_ohm"],
+            if_load_ohms=cfg["if_load_ohm"],
             source_impedance_ohms=cfg["source_impedance_ohm"])
-    # solving the bias point is computation: its failures stay exit 3
-    return chain.at_bias_voltage(cfg["bias_v"])
 
 
 # --------------------------------------------------------------------------
@@ -475,6 +475,8 @@ def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
     with _invariants_are_config_errors():
         for n in ("1", "2"):
             eta = cfg[f"eta{n}_db"]
+            if eta > 0.0:
+                raise ConfigError(f"eta{n}_db must be <= 0, got {eta!r}")
             if math.isnan(eta):
                 try:
                     eta = linkbudget.default_total_efficiency_db(

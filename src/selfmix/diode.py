@@ -91,11 +91,6 @@ class BiasPoint:
     terminal_voltage: float
     bias_current: float
 
-    @classmethod
-    def at_voltage(cls, model: DiodeModel, voltage: float) -> "BiasPoint":
-        return cls(terminal_voltage=voltage,
-                   bias_current=float(terminal_current(model, voltage)))
-
 
 @dataclass(frozen=True)
 class MixingChain:
@@ -110,47 +105,33 @@ class MixingChain:
 
     lna_gain_db: float
     diode: DiodeModel
-    bias: BiasPoint
+    bias_voltage: float = 0.65
+    """Terminal bias voltage; the default is the whole-chain optimum of the
+    default device (the *static* diode-only optimum sits higher, near
+    0.73 V)."""
     if_load_ohms: float = 50.0
     source_impedance_ohms: float = 50.0
 
     def __post_init__(self) -> None:
         if self.if_load_ohms <= 0.0 or self.source_impedance_ohms <= 0.0:
             raise ValueError("if_load_ohms and source_impedance_ohms must be positive")
-        expected = float(terminal_current(self.loop_model(),
-                                          self.bias.terminal_voltage))
-        scale = max(abs(expected), self.diode.saturation_current)
-        if abs(self.bias.bias_current - expected) > 1e-6 * scale:
-            raise ValueError(
-                "bias point is inconsistent with the chain's conduction "
-                "loop; build the chain with MixingChain.at_bias_voltage or "
-                "BiasPoint.at_voltage(chain.loop_model(), v)")
 
     def loop_model(self) -> DiodeModel:
         """Diode model whose series resistance includes the source."""
         return replace(self.diode, series_resistance=(
             self.diode.series_resistance + self.source_impedance_ohms))
 
-    def at_bias_voltage(self, voltage: float) -> "MixingChain":
-        return replace(self, bias=BiasPoint.at_voltage(self.loop_model(), voltage))
-
 
 def default_chain(lna_gain_db: float = 25.0,
-                  bias_voltage: float = 0.65,
                   diode: DiodeModel | None = None) -> MixingChain:
     """Reference receive chain: 25 dB flat LNA, default diode, 50 ohm
-    source and IF load, biased at the whole-chain optimum (about 0.65 V for
-    the default device; the *static* diode-only optimum sits higher, near
-    0.73 V)."""
+    source and IF load, biased at the chain's default voltage."""
     diode = diode if diode is not None else default_diode()
-    chain = MixingChain(lna_gain_db=lna_gain_db, diode=diode,
-                        bias=BiasPoint(0.0, 0.0))
-    return chain.at_bias_voltage(bias_voltage)
+    return MixingChain(lna_gain_db=lna_gain_db, diode=diode)
 
 
 @dataclass(frozen=True)
 class ConversionResult:
-    if_frequency: float
     if_power_dbm: float
     dc_current: float
 
@@ -280,24 +261,23 @@ working arrays stay near 1 MB (a default sweep cell has 2048 samples, one
 common period of its tones)."""
 
 
-def mix_cells(chain: MixingChain, biases: Sequence[BiasPoint],
+def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
               amplitudes: np.ndarray | Sequence[Sequence[float]],
               frequencies: Sequence[float], if_frequency: float,
               phases: Sequence[float] | None = None) -> list[ConversionResult]:
-    """Time-domain mixing of one tone set at many bias points and drive
-    levels: cell ``k`` is biased at ``biases[k]`` and driven by the tones
-    ``frequencies`` with peak amplitudes ``amplitudes[k]`` (before the LNA)
-    and ``phases`` (default 0).
+    """Time-domain mixing of one tone set at many bias voltages and drive
+    levels: cell ``k`` is biased at ``bias_voltages[k]`` and driven by the
+    tones ``frequencies`` with peak amplitudes ``amplitudes[k]`` (before the
+    LNA) and ``phases`` (default 0).
 
     The LNA power gain scales the amplitudes; the bias voltage and the
     amplified waveform are superimposed and drive the diode through the
-    chain's source impedance (the chain's own bias point is not used); the
-    loop current is solved per sample and the component at
-    ``if_frequency`` is extracted from its DFT. ``if_power_dbm`` is the
-    one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
-    -200 dBm); ``dc_current`` is the DC bin of the current. A cell whose
-    amplified tones are all zero is not solved: it reads the floor and its
-    bias current.
+    chain's source impedance; the loop current is solved per sample and the
+    component at ``if_frequency`` is extracted from its DFT.
+    ``if_power_dbm`` is the one-sided IF current tone dissipated in
+    ``if_load_ohms`` (floored at -200 dBm); ``dc_current`` is the DC bin of
+    the current. A cell whose amplified tones are all zero is not sampled:
+    it reads the floor and the loop current at its bias voltage.
 
     One sampling plan and one set of unit sines serve every cell, and the
     cells are solved :data:`MIXING_BLOCK` samples at a time; each cell's
@@ -315,10 +295,11 @@ def mix_cells(chain: MixingChain, biases: Sequence[BiasPoint],
     if not any(math.isclose(if_frequency, d, rel_tol=1e-9) for d in diffs):
         raise ValueError(
             f"{if_frequency} Hz is not a difference frequency of the tone set")
+    bias = np.asarray(bias_voltages, dtype=float)
     amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
         amplitudes, dtype=float)
-    if amplified.shape != (len(biases), len(freqs)):
-        raise ValueError(f"amplitudes must have shape ({len(biases)}, "
+    if bias.ndim != 1 or amplified.shape != (bias.size, len(freqs)):
+        raise ValueError(f"amplitudes must have shape ({bias.size}, "
                          f"{len(freqs)}), got {amplified.shape}")
     if not np.all(np.isfinite(amplified) & (amplified >= 0.0)):
         raise ValueError("amplified tone amplitudes must be finite and >= 0")
@@ -335,11 +316,12 @@ def mix_cells(chain: MixingChain, biases: Sequence[BiasPoint],
              for f, phase in zip(freqs, phases)]
     if_bin = int(round(if_frequency / (rate / n)))
     loop = chain.loop_model()
-    results: list[ConversionResult] = [
-        ConversionResult(if_frequency=if_frequency, if_power_dbm=DB_FLOOR,
-                         dc_current=point.bias_current)
-        for point in biases]
-    driven = np.flatnonzero(amplified.any(axis=1))
+    silent = ~amplified.any(axis=1)
+    results: list[ConversionResult] = [None] * bias.size
+    for k, dc in zip(np.flatnonzero(silent).tolist(),
+                     terminal_current(loop, bias[silent]).tolist()):
+        results[k] = ConversionResult(if_power_dbm=DB_FLOOR, dc_current=dc)
+    driven = np.flatnonzero(~silent)
     per_block = max(1, MIXING_BLOCK // n)
     for start in range(0, driven.size, per_block):
         cells = driven[start:start + per_block]
@@ -347,25 +329,25 @@ def mix_cells(chain: MixingChain, biases: Sequence[BiasPoint],
         v = np.zeros((cells.size, n))
         for a, sine in zip(amplified[cells].T, sines):
             v += a[:, None] * sine
-        v += np.array([biases[k].terminal_voltage for k in cells])[:, None]
+        v += bias[cells][:, None]
         # the DC and IF bins as dft_spectrum scales them
         bins = np.fft.rfft(terminal_current(loop, v))[:, [0, if_bin]] / n
         bins[:, 1] *= 2.0
         for k, (dc, tone) in zip(cells.tolist(), bins.tolist()):
             i_if = abs(tone)
             if_power_w = i_if * i_if * chain.if_load_ohms / 2.0
-            results[k] = ConversionResult(if_frequency=if_frequency,
-                                          if_power_dbm=watts_to_dbm(if_power_w),
-                                          dc_current=dc.real)
+            results[k] = ConversionResult(
+                if_power_dbm=watts_to_dbm(if_power_w), dc_current=dc.real)
     return results
 
 
 def simulate_mixing(chain: MixingChain, tones: Sequence[ToneSpec],
                     if_frequency: float) -> ConversionResult:
     """Time-domain mixing of a tone set through the chain at its bias
-    point: the one-cell call of :func:`mix_cells`."""
+    voltage: the one-cell call of :func:`mix_cells`."""
     tones = list(tones)
-    return mix_cells(chain, [chain.bias], [[t.amplitude for t in tones]],
+    return mix_cells(chain, [chain.bias_voltage],
+                     [[t.amplitude for t in tones]],
                      [t.frequency for t in tones], if_frequency,
                      [t.phase for t in tones])[0]
 
@@ -422,14 +404,13 @@ def bias_power_sweep(chain_template: MixingChain,
     bias_values = _check_grid(bias_grid, "bias_grid")
     power_values = _check_grid(power_grid_dbm, "power_grid_dbm")
     f1, f2 = tone_pair
-    points = [chain_template.at_bias_voltage(v).bias for v in bias_values]
     z = chain_template.source_impedance_ohms
     drive = [(dbm_to_amplitude(p, z),
               dbm_to_amplitude(p + weaker_tone_offset_db, z))
              for p in power_values]
     cells = mix_cells(chain_template,
-                      [point for point in points for _ in power_values],
-                      drive * len(points), (f1, f2), abs(f2 - f1))
+                      np.repeat(bias_values, len(power_values)),
+                      drive * len(bias_values), (f1, f2), abs(f2 - f1))
     width = len(power_values)
     return GridSweep(
         bias_voltages=tuple(bias_values),

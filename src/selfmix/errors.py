@@ -25,10 +25,6 @@ class TooFewSamples(SelfmixError, ValueError):
     """Waveform is too short for spectral analysis (fewer than 16 samples)."""
 
 
-class NonUniformBins(SelfmixError, ValueError):
-    """Spectrum bins are not uniformly spaced."""
-
-
 class DegenerateEqualFrequencies(SelfmixError, ValueError):
     """Two-tone operation received two identical frequencies."""
 

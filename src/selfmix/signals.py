@@ -25,7 +25,6 @@ from .errors import (
     CutoffAboveNyquist,
     DegenerateEqualFrequencies,
     EmptyToneList,
-    NonUniformBins,
     NyquistViolation,
     TooFewSamples,
 )
@@ -96,31 +95,25 @@ class SampledWaveform:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided amplitude spectrum on a uniform frequency grid."""
+    """One-sided amplitude spectrum: bin ``k`` holds ``k * resolution``
+    Hz, starting at DC."""
 
-    bin_frequencies: np.ndarray
     complex_amplitudes: np.ndarray
     resolution: float
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.bin_frequencies, dtype=float)
         amps = np.asarray(self.complex_amplitudes, dtype=complex)
-        if freqs.ndim != 1 or amps.ndim != 1 or freqs.size != amps.size:
-            raise ValueError("bin_frequencies and complex_amplitudes must be "
-                             "1-D arrays of equal length")
-        if freqs.size < 2:
+        if amps.ndim != 1:
+            raise ValueError("complex_amplitudes must be a 1-D array")
+        if amps.size < 2:
             raise ValueError("spectrum needs at least two bins")
-        if abs(freqs[0]) > 1e-12 * self.resolution:
-            raise NonUniformBins("spectrum must start at the DC bin")
-        steps = np.diff(freqs)
-        if not np.allclose(steps, self.resolution, rtol=1e-9, atol=0.0):
-            raise NonUniformBins("spectrum bins must be uniformly spaced")
-        freqs = freqs.copy()
         amps = amps.copy()
-        freqs.flags.writeable = False
         amps.flags.writeable = False
-        object.__setattr__(self, "bin_frequencies", freqs)
         object.__setattr__(self, "complex_amplitudes", amps)
+
+    @property
+    def bin_frequencies(self) -> np.ndarray:
+        return np.arange(self.complex_amplitudes.size) * self.resolution
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -130,7 +123,7 @@ class Spectrum:
         """Index of the bin holding ``frequency`` (must be on-grid)."""
         idx = frequency / self.resolution
         k = int(round(idx))
-        if abs(idx - k) > 1e-6 or not (0 <= k < self.bin_frequencies.size):
+        if abs(idx - k) > 1e-6 or not (0 <= k < self.complex_amplitudes.size):
             raise ValueError(
                 f"{frequency} Hz is not a bin of this spectrum "
                 f"(resolution {self.resolution} Hz)")
@@ -271,10 +264,7 @@ def dft_spectrum(w: SampledWaveform) -> Spectrum:
     amps[1:] *= 2.0
     if n % 2 == 0:
         amps[-1] /= 2.0  # Nyquist bin is not mirrored
-    resolution = w.sample_rate / n
-    freqs = np.arange(amps.size) * resolution
-    return Spectrum(bin_frequencies=freqs, complex_amplitudes=amps,
-                    resolution=resolution)
+    return Spectrum(complex_amplitudes=amps, resolution=w.sample_rate / n)
 
 
 def spectrum_self_convolution(s: Spectrum) -> Spectrum:
@@ -286,11 +276,6 @@ def spectrum_self_convolution(s: Spectrum) -> Spectrum:
     two-sided form, convolved, and folded back. The output keeps the input
     resolution and doubles the bin range.
     """
-    # construction already guarantees uniform bins; recheck cheaply because
-    # callers may build Spectrum instances by hand
-    steps = np.diff(s.bin_frequencies)
-    if not np.allclose(steps, s.resolution, rtol=1e-9, atol=0.0):
-        raise NonUniformBins("spectrum bins must be uniformly spaced")
     one_sided = s.complex_amplitudes
     m = one_sided.size - 1
     # two-sided line spectrum: index m is DC, a tone of amplitude a
@@ -304,9 +289,7 @@ def spectrum_self_convolution(s: Spectrum) -> Spectrum:
     out = np.empty(2 * m + 1, dtype=complex)
     out[0] = product[centre]
     out[1:] = 2.0 * product[centre + 1:]
-    freqs = np.arange(out.size) * s.resolution
-    return Spectrum(bin_frequencies=freqs, complex_amplitudes=out,
-                    resolution=s.resolution)
+    return Spectrum(complex_amplitudes=out, resolution=s.resolution)
 
 
 def analytic_two_tone_products(t1: ToneSpec, t2: ToneSpec) -> TwoToneProducts:

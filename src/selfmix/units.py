@@ -27,7 +27,11 @@ DB_FLOOR = -200.0
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    try:
+        return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError:
+        raise OverflowError(
+            f"{p_dbm} dBm overflows the float range in watts") from None
 
 
 def watts_to_dbm(p_watts: float, floor: float = DB_FLOOR) -> float:
@@ -43,7 +47,11 @@ def dbm_to_amplitude(p_dbm: float, impedance: float = 50.0) -> float:
 
 def db_to_amplitude_ratio(gain_db: float) -> float:
     """Power gain in dB -> multiplicative amplitude factor."""
-    return 10.0 ** (gain_db / 20.0)
+    try:
+        return 10.0 ** (gain_db / 20.0)
+    except OverflowError:
+        raise OverflowError(f"a gain of {gain_db} dB overflows the float "
+                            "range as an amplitude ratio") from None
 
 
 def amplitude_ratio_to_db(ratio: np.ndarray | Sequence[float] | float,

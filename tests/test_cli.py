@@ -110,6 +110,17 @@ class TestConfigHandling:
                     "--out", str(tmp_path / "x.csv")]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bias_sweep_has_no_chain_bias_key(self, tmp_path, capsys):
+        # the sweep biases every row at its grid voltage
+        cfg = tmp_path / "bias.cfg"
+        cfg.write_text("bias_v = 0.65\n")
+        out = tmp_path / "x.csv"
+        assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        assert ("config error: unknown config key(s): bias_v; allowed: "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["array-factor", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path / "x.csv")]) == 2
@@ -180,7 +191,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, text, message", [
         ("diode-iv", "ideality = 5", "ideality must lie in [1, 3]"),
-        ("bias-sweep", "if_load_ohm = 0", "must be positive"),
+        # named by the config key, not the library field
+        ("bias-sweep", "if_load_ohm = 0", "if_load_ohm must be positive"),
+        ("bias-sweep", "source_impedance_ohm = 0",
+         "source_impedance_ohm must be positive"),
         ("array-factor", "nx = 0", "shape (N, 2)"),
         ("array-factor", "GEOMETRY\n", "elements 0 and 1 coincide"),
         # the element pattern and its cut
@@ -194,7 +208,8 @@ class TestConfigHandling:
                     "theta_step_deg = 1", "at least 3 samples"),
         # link parameters, and the default efficiency table's frequencies
         ("link-budget", "distance_m = 0", "distance_m must be positive"),
-        ("link-budget", "eta1_db = 1", "total_efficiency_db must be <= 0"),
+        ("link-budget", "eta1_db = 1", "eta1_db must be <= 0"),
+        ("link-budget", "eta2_db = 0.5", "eta2_db must be <= 0"),
         ("link-budget", "f1_hz = 35e9", "no default total efficiency"),
         # named by the config key that would supply it
         ("link-budget", "f1_hz = 34.5e9",
@@ -342,12 +357,18 @@ class TestConfigHandling:
                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == 3
         assert "computation error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "lna_gain_db = 7000\npower_start_dbm = -40\npower_stop_dbm = -40",
-        "power_start_dbm = 4000\npower_stop_dbm = 4000",
-    ])
-    def test_db_overflow_exits_3(self, tmp_path, capsys, text):
-        # finite dB values whose linear amplitude overflows a float
+    # each case is named by its config text
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(text, message, id=text) for text, message in [
+            ("lna_gain_db = 7000\npower_start_dbm = -40\npower_stop_dbm = -40",
+             "a gain of 7000.0 dB"),
+            ("power_start_dbm = 4000\npower_stop_dbm = 4000", "4000.0 dBm"),
+            ("weaker_tone_offset_db = 5000\npower_start_dbm = -40\n"
+             "power_stop_dbm = -40", "4960.0 dBm"),
+        ]])
+    def test_db_overflow_exits_3(self, tmp_path, capsys, text, message):
+        # finite dB values whose linear amplitude overflows a float; the
+        # message names the value
         cfg = tmp_path / "loud.cfg"
         cfg.write_text("bias_start_v = 0.6\nbias_stop_v = 0.6\n" + text
                        + "\n")
@@ -355,8 +376,24 @@ class TestConfigHandling:
         assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
                     "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert "computation error" in err
+        assert err.startswith(f"computation error: {message} overflows "
+                              "the float range")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power", ["-40", "-5000"])
+    def test_bias_grid_overflow_exits_3(self, tmp_path, capsys, power):
+        # driven cells solve bias plus waveform, silent (-5000 dBm) cells
+        # the bias alone: both overflow the loop current at 1e300 V
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("bias_start_v = 1e300\nbias_stop_v = 1e300\n"
+                       f"power_start_dbm = {power}\npower_stop_dbm = {power}\n")
+        out = tmp_path / "x.csv"
+        assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("computation error: terminal current overflows for "
+                       "these diode parameters\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -366,10 +403,15 @@ class TestConfigHandling:
          "received power overflows"),
         ("lna_gain_db = 1e308\nconversion_gain_db = 0",
          "IF output power overflows"),
+        # the calibration chain's gain as an amplitude ratio
+        ("lna_gain_db = 7000",
+         "a gain of 7000.0 dB overflows the float range as an amplitude "
+         "ratio"),
     ])
     def test_link_budget_overflow_exits_3(self, tmp_path, capsys, text,
                                           message):
-        # finite dB terms whose sum leaves the float range: no inf columns
+        # finite dB terms, or their sum, that leave the float range: no inf
+        # columns
         cfg = tmp_path / "loud.cfg"
         cfg.write_text(text + "\n")
         out = tmp_path / "x.csv"
@@ -409,8 +451,8 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_solver_overflow_in_sweep_exits_3(self, tmp_path, capsys):
-        # the bias point solves; the 120 dBm cell swings the loop past the
-        # overflow guard inside the mixing kernel
+        # the loop solves at the 0.65 V bias; the 120 dBm cell swings it
+        # past the overflow guard inside the mixing kernel
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("saturation_current_a = 1e-300\n"
                        "series_resistance_ohm = 1e-10\n"

@@ -128,7 +128,6 @@ SWEEP_KEYS = dict(
     series_resistance_ohm=st.floats(0.0, 100.0),
     thermal_voltage_v=st.floats(0.02, 0.03),
     lna_gain_db=st.floats(0.0, 40.0),
-    bias_v=st.floats(0.0, 0.8),
     if_load_ohm=st.floats(1.0, 100.0),
     source_impedance_ohm=st.floats(1.0, 100.0),
     f1_hz=TONES, f2_hz=TONES, weaker_tone_offset_db=LEVELS,

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from selfmix import diode, validation
 from selfmix.diode import (
     OMEGA_STEPS,
-    BiasPoint,
     ConversionResult,
     DiodeModel,
     MixingChain,
@@ -113,7 +113,7 @@ class TestTerminalCurrent:
         tones = [ToneSpec(t.frequency, gain * t.amplitude)
                  for t in two_tone(0.0, -5.0)]
         rate, duration = plan_sampling([37.5e9, 38.5e9, 1e9], oversample=24.0)
-        v = chain.bias.terminal_voltage + synthesize_waveform(
+        v = chain.bias_voltage + synthesize_waveform(
             tones, rate, duration).samples
         assert v.size == 2048
         loop = chain.loop_model()
@@ -225,7 +225,8 @@ class TestSimulateMixing:
         result = simulate_mixing(chain, [ToneSpec(37.5e9, 0.0),
                                          ToneSpec(38.5e9, 0.0)], 1e9)
         assert result.if_power_dbm == DB_FLOOR
-        assert result.dc_current == chain.bias.bias_current
+        assert result.dc_current == terminal_current(chain.loop_model(),
+                                                     chain.bias_voltage)
 
     def test_doubling_amplitudes_gives_12_db(self):
         chain = default_chain()
@@ -248,8 +249,7 @@ class TestSimulateMixing:
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
         a1 = gain * dbm_to_amplitude(p)
         a2 = gain * dbm_to_amplitude(p - 5.0)
-        g2 = iv_derivatives(chain.loop_model(),
-                            chain.bias.terminal_voltage).d2i_dv2
+        g2 = iv_derivatives(chain.loop_model(), chain.bias_voltage).d2i_dv2
         predicted = watts_to_dbm((0.5 * g2 * a1 * a2) ** 2
                                  * chain.if_load_ohms / 2.0)
         sim = simulate_mixing(chain, two_tone(p, p - 5.0), 1e9)
@@ -276,30 +276,26 @@ class TestSimulateMixing:
 
 
 class TestMixingChain:
-    def test_inconsistent_bias_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("field", ["if_load_ohms",
+                                       "source_impedance_ohms"])
+    def test_non_positive_impedance_rejected(self, field):
+        with pytest.raises(ValueError, match="must be positive"):
             MixingChain(lna_gain_db=25.0, diode=default_diode(),
-                        bias=BiasPoint(0.65, 1.0))
-
-    def test_at_bias_voltage_consistent(self):
-        chain = default_chain().at_bias_voltage(0.6)
-        loop = chain.loop_model()
-        assert chain.bias.bias_current == pytest.approx(
-            terminal_current(loop, 0.6), rel=1e-9)
+                        **{field: 0.0})
 
 
 class TestBiasPowerSweep:
     def test_single_cell_equals_direct_call(self):
         chain = default_chain()
         sweep = bias_power_sweep(chain, [0.65], [-40.0], (37.5e9, 38.5e9))
-        direct = simulate_mixing(chain.at_bias_voltage(0.65),
+        direct = simulate_mixing(replace(chain, bias_voltage=0.65),
                                  two_tone(-40.0, -45.0), 1e9)
         assert sweep.cells[0][0] == direct
 
     def test_single_cell_at_another_tone_pair_equals_direct_call(self):
         chain = default_chain()
         sweep = bias_power_sweep(chain, [0.65], [-40.0], (34e9, 35e9))
-        direct = simulate_mixing(chain.at_bias_voltage(0.65),
+        direct = simulate_mixing(replace(chain, bias_voltage=0.65),
                                  two_tone(-40.0, -45.0, 34e9, 35e9), 1e9)
         assert sweep.cells[0][0] == direct
 
@@ -364,22 +360,21 @@ def per_cell_route(chain, tones, if_frequency):
     rate, duration = plan_sampling([t.frequency for t in tones]
                                    + [if_frequency], oversample=24.0)
     if all(t.amplitude == 0.0 for t in amplified):
-        return ConversionResult(if_frequency, DB_FLOOR,
-                                chain.bias.bias_current)
+        return ConversionResult(
+            DB_FLOOR, terminal_current(chain.loop_model(), chain.bias_voltage))
     rf = synthesize_waveform(amplified, rate, duration)
     current = terminal_current(chain.loop_model(),
-                               chain.bias.terminal_voltage + rf.samples)
+                               chain.bias_voltage + rf.samples)
     spectrum = dft_spectrum(SampledWaveform(sample_rate=rate, samples=current))
     i_if = abs(spectrum.amplitude_at(if_frequency))
     return ConversionResult(
-        if_frequency=if_frequency,
         if_power_dbm=watts_to_dbm(i_if * i_if * chain.if_load_ohms / 2.0),
         dc_current=float(spectrum.complex_amplitudes[0].real))
 
 
 def bits(cell):
     """A result as exact bit patterns (float.hex tells -0.0 from 0.0)."""
-    return (cell.if_frequency, cell.if_power_dbm.hex(), cell.dc_current.hex())
+    return cell.if_power_dbm.hex(), cell.dc_current.hex()
 
 
 class TestMixingKernel:
@@ -415,7 +410,7 @@ class TestMixingKernel:
         monkeypatch.undo()
         for bias, row in zip(self.BIASES, sweep.cells):
             for p, cell in zip(self.POWERS, row):
-                expected = per_cell_route(chain.at_bias_voltage(bias),
+                expected = per_cell_route(replace(chain, bias_voltage=bias),
                                           two_tone(p, p - 5.0), 1e9)
                 assert bits(cell) == bits(expected), (bias, p)
                 # the strong-drive cells solve to finite values
@@ -425,7 +420,7 @@ class TestMixingKernel:
     def test_one_cell_call_equals_per_cell_route(self):
         # three tones with phases: simulate_mixing is the kernel's one-cell
         # call and keeps the phase of each tone
-        chain = default_chain(bias_voltage=0.6)
+        chain = replace(default_chain(), bias_voltage=0.6)
         tones = [ToneSpec(37.5e9, dbm_to_amplitude(-20.0), 0.4),
                  ToneSpec(38.5e9, dbm_to_amplitude(-26.0), -2.0),
                  ToneSpec(39.0e9, dbm_to_amplitude(-30.0), 3.0)]
@@ -433,19 +428,22 @@ class TestMixingKernel:
             per_cell_route(chain, tones, 1e9))
 
     def test_silent_cell_reads_floor_and_bias_current(self):
-        # -5000 dBm is an amplitude of exactly 0: that cell is not solved,
-        # the driven cell beside it is
+        # -5000 dBm is an amplitude of exactly 0: those cells are not
+        # sampled, the driven cells beside them are; the silent cells'
+        # currents, solved as one vector, are the scalar solves bit for bit
         chain = default_chain()
-        sweep = bias_power_sweep(chain, [0.65], [-5000.0, -40.0],
+        loop = chain.loop_model()
+        sweep = bias_power_sweep(chain, self.BIASES, [-5000.0, -40.0],
                                  (37.5e9, 38.5e9))
-        silent, driven = sweep.cells[0]
-        assert silent.if_power_dbm == DB_FLOOR
-        assert silent.dc_current == chain.bias.bias_current
-        biased = chain.at_bias_voltage(0.65)
-        assert bits(silent) == bits(per_cell_route(
-            biased, two_tone(-5000.0, -5005.0), 1e9))
-        assert bits(driven) == bits(per_cell_route(
-            biased, two_tone(-40.0, -45.0), 1e9))
+        for bias, (silent, driven) in zip(self.BIASES, sweep.cells):
+            assert silent.if_power_dbm == DB_FLOOR
+            assert silent.dc_current.hex() == terminal_current(
+                loop, bias).hex()
+            biased = replace(chain, bias_voltage=bias)
+            assert bits(silent) == bits(per_cell_route(
+                biased, two_tone(-5000.0, -5005.0), 1e9))
+            assert bits(driven) == bits(per_cell_route(
+                biased, two_tone(-40.0, -45.0), 1e9))
 
     def test_unsampleable_pair_raises_before_solving(self, monkeypatch):
         # the pair's 1 Hz common grid is past the sample budget: the sweep
@@ -483,12 +481,12 @@ class TestMixingKernel:
     def test_amplitudes_checked(self):
         chain = default_chain()
         with pytest.raises(ValueError, match="shape"):
-            mix_cells(chain, [chain.bias], [[0.1]], [37.5e9, 38.5e9], 1e9)
+            mix_cells(chain, [chain.bias_voltage], [[0.1]], [37.5e9, 38.5e9], 1e9)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            mix_cells(chain, [chain.bias], [[0.1, -0.1]], [37.5e9, 38.5e9],
+            mix_cells(chain, [chain.bias_voltage], [[0.1, -0.1]], [37.5e9, 38.5e9],
                       1e9)
         with pytest.raises(ValueError, match="positive"):
-            mix_cells(chain, [chain.bias], [[0.1, 0.1]], [-1e9, 1e9], 2e9)
+            mix_cells(chain, [chain.bias_voltage], [[0.1, 0.1]], [-1e9, 1e9], 2e9)
         with pytest.raises(ValueError, match="one phase per tone"):
-            mix_cells(chain, [chain.bias], [[0.1, 0.1]], [37.5e9, 38.5e9],
+            mix_cells(chain, [chain.bias_voltage], [[0.1, 0.1]], [37.5e9, 38.5e9],
                       1e9, [0.0])

@@ -7,14 +7,12 @@ from selfmix.errors import (
     CutoffAboveNyquist,
     DegenerateEqualFrequencies,
     EmptyToneList,
-    NonUniformBins,
     NyquistViolation,
     TooFewSamples,
 )
 from selfmix.signals import (
     FilterSpec,
     SampledWaveform,
-    Spectrum,
     ToneSpec,
     analytic_two_tone_products,
     apply_filter,
@@ -228,9 +226,18 @@ class TestSelfConvolution:
             # nothing beyond the direct range either
             assert np.all(np.abs(conv.complex_amplitudes[m:]) < 1e-9 * scale)
 
-    def test_non_uniform_bins_rejected(self):
-        with pytest.raises(NonUniformBins):
-            Spectrum(np.array([0.0, 1.0, 2.5]), np.zeros(3, complex), 1.0)
+    def test_bins_are_multiples_of_the_resolution(self):
+        # DC first, then one resolution per bin, bit for bit
+        w = two_tone_waveform()
+        direct = dft_spectrum(w)
+        conv = spectrum_self_convolution(direct)
+        assert direct.resolution == w.sample_rate / w.size
+        assert direct.complex_amplitudes.size == w.size // 2 + 1
+        assert conv.complex_amplitudes.size == w.size + 1
+        for s in (direct, conv):
+            n = s.complex_amplitudes.size
+            assert s.bin_frequencies.tobytes() == (
+                np.arange(n) * s.resolution).tobytes()
 
 
 class TestTwoToneProducts:
