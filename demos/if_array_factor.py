@@ -46,8 +46,8 @@ print(f"effective IF spacing at 2.5 GHz: "
 af_if = if_array_factor_cut(geometry, F1, F2, theta, phi_e_plane)
 af_rf = rf_array_factor_cut(geometry, RF, theta, phi_e_plane)
 
-bw_if = beamwidth_3db(PatternGrid(theta, phi_e_plane, af_if, abs(F2 - F1)))
-bw_rf = beamwidth_3db(PatternGrid(theta, phi_e_plane, af_rf, RF))
+bw_if = beamwidth_3db(PatternGrid(theta, af_if))
+bw_rf = beamwidth_3db(PatternGrid(theta, af_rf))
 if bw_if.no_crossing:
     print("\nIF array factor never drops 3 dB anywhere in the cut "
           f"(minimum {af_if.min():.3f})")
@@ -55,7 +55,7 @@ print(f"RF array factor 3 dB width: {math.degrees(bw_rf.width):.2f} deg")
 print(f"width ratio IF/RF: {bw_if.width / bw_rf.width:.1f}")
 
 floor = 1.0 / math.sqrt(2.0)
-lobes = find_lobes(PatternGrid(theta, phi_e_plane, af_rf, RF), floor)
+lobes = find_lobes(PatternGrid(theta, af_rf), floor)
 print(f"\nRF grating lobes above -3 dB: "
       + ", ".join(f"{math.degrees(t):+.1f} deg" for t in lobes))
 

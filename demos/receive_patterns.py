@@ -20,13 +20,7 @@ from selfmix.arrays import (
     rf_array_factor_cut,
     simulate_array_timedomain,
 )
-from selfmix.patterns import (
-    AnalyticPattern,
-    beamwidth_3db,
-    sample_pattern,
-    self_mix_pattern,
-    total_pattern,
-)
+from selfmix.patterns import PatternGrid, beamwidth_3db, cos_q, self_mix_pattern
 
 F1, F2 = 37.5e9, 38.5e9
 theta = np.radians(np.arange(-90.0, 90.01, 0.25))
@@ -36,22 +30,21 @@ print("SELF-MIXING RECEIVE PATTERNS")
 print("=" * 70)
 
 # element patterns at the two tones: slightly different beamwidths
-c1 = sample_pattern(AnalyticPattern.cos_q(1.0, F1), theta)
-c2 = sample_pattern(AnalyticPattern.cos_q(1.3, F2), theta)
+c1 = cos_q(theta, 1.0)
+c2 = cos_q(theta, 1.3)
 sm = self_mix_pattern(c1, c2)
-print(f"\nelement pattern product is tagged at the difference frequency: "
-      f"{sm.frequency / 1e9:.1f} GHz")
+print()
 for grid, name in ((c1, "element at 37.5 GHz"), (c2, "element at 38.5 GHz"),
                    (sm, "self-mixed product")):
     bw = beamwidth_3db(grid)
     print(f"  {name:22s} 3 dB width {math.degrees(bw.width):6.1f} deg")
 
-# multiply in the array factor of the sparse 4x2 layout
+# multiply in the array factor of the sparse 4x2 layout, cut at phi = 0
 geometry = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
-total_if = total_pattern(
-    sm, if_array_factor_cut(geometry, F1, F2, sm.theta_samples, sm.phi_cut))
-total_rf = total_pattern(
-    sm, rf_array_factor_cut(geometry, 38.5e9, sm.theta_samples, sm.phi_cut))
+total_if = PatternGrid(theta, sm.gains * if_array_factor_cut(
+    geometry, F1, F2, theta, 0.0))
+total_rf = PatternGrid(theta, sm.gains * rf_array_factor_cut(
+    geometry, 38.5e9, theta, 0.0))
 bw_if = beamwidth_3db(total_if)
 bw_rf = beamwidth_3db(total_rf)
 print(f"\ntotal pattern 3 dB width, IF combining: "

@@ -420,14 +420,10 @@ def cmd_pattern(cfg: dict) -> Table:
     # fewer than 3 directions, a malformed pattern file) is bad config
     with _invariants_are_config_errors():
         if cfg["pattern_file_1"]:
-            c1 = patterns.read_pattern_csv(cfg["pattern_file_1"],
-                                           cfg["f1_hz"], phi)
-            c2 = patterns.read_pattern_csv(cfg["pattern_file_2"],
-                                           cfg["f2_hz"], phi)
-        else:
-            element = _element_pattern(cfg)
-            c1 = patterns.sample_pattern(element(cfg["f1_hz"]), theta, phi)
-            c2 = patterns.sample_pattern(element(cfg["f2_hz"]), theta, phi)
+            c1 = patterns.read_pattern_csv(cfg["pattern_file_1"])
+            c2 = patterns.read_pattern_csv(cfg["pattern_file_2"])
+        else:  # an analytic element has one pattern at both tones
+            c1 = c2 = _element_pattern(cfg, theta)
         sm = patterns.self_mix_pattern(c1, c2).normalized()
     af_if, af_rf = _factor_cuts(geometry, cfg, sm.theta_samples, phi)
     db = amplitude_ratio_to_db
@@ -438,16 +434,15 @@ def cmd_pattern(cfg: dict) -> Table:
                      db(sm.gains * af_if), db(sm.gains * af_rf)]).tolist())
 
 
-def _element_pattern(cfg: dict) -> Callable[[float], patterns.AnalyticPattern]:
+def _element_pattern(cfg: dict, theta: np.ndarray) -> patterns.PatternGrid:
     kind = cfg["element_kind"]
     if kind == "isotropic":
-        return patterns.AnalyticPattern.isotropic
+        return patterns.cos_q(theta, 0.0)
     if kind == "cos_q":
-        return lambda f: patterns.AnalyticPattern.cos_q(cfg["cos_exponent"], f)
+        return patterns.cos_q(theta, cfg["cos_exponent"])
     if kind == "two_beam":
-        return lambda f: patterns.AnalyticPattern.two_beam(
-            math.radians(cfg["beam_tilt_deg"]),
-            math.radians(cfg["beam_width_deg"]), f)
+        return patterns.two_beam(theta, math.radians(cfg["beam_tilt_deg"]),
+                                 math.radians(cfg["beam_width_deg"]))
     raise ConfigError(f"unknown element_kind {kind!r} "
                       "(isotropic, cos_q, two_beam)")
 

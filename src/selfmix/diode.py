@@ -216,12 +216,18 @@ def iv_derivatives(model: DiodeModel, v_terminal) -> IvDerivatives:
 
     With the junction conductance ``g = (i + I_s) / nV_T``,
     ``di/dv = g / (1 + g R_s)`` and ``d2i/dv2 = (g / nV_T) / (1 + g R_s)**3``.
+    A denominator past the float range gives its limit 0; a derivative
+    that is then undefined (``inf / inf``) raises ``ValueError``.
     """
     i = np.asarray(terminal_current(model, v_terminal))
-    g = (i + model.saturation_current) / model.emission_voltage
-    loaded = 1.0 + g * model.series_resistance
-    di_dv = g / loaded
-    d2i_dv2 = g / model.emission_voltage / loaded ** 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (i + model.saturation_current) / model.emission_voltage
+        loaded = 1.0 + g * model.series_resistance
+        di_dv = g / loaded
+        d2i_dv2 = g / model.emission_voltage / loaded ** 3
+    if np.isnan(di_dv).any() or np.isnan(d2i_dv2).any():
+        raise ValueError(f"the I-V derivatives of {model} overflow the "
+                         "float range")
     if np.isscalar(v_terminal) or np.ndim(v_terminal) == 0:
         return IvDerivatives(di_dv=float(di_dv), d2i_dv2=float(d2i_dv2))
     return IvDerivatives(di_dv=di_dv, d2i_dv2=d2i_dv2)
@@ -232,7 +238,7 @@ def optimal_bias_static(model: DiodeModel,
     """Bias point maximising the I-V second derivative (static analysis).
 
     ``g / (1 + g R_s)**3`` peaks at ``g R_s = 1/2``: exactly at
-    ``i + I_s = nV_T / (2 R_s)``, ``v = nV_T log1p(i / I_s) + i R_s``.
+    ``i + I_s = nV_T / (2 R_s)``, ``v = nV_T log(nV_T / (2 R_s I_s)) + i R_s``.
     Raises :class:`NoInteriorMaximum` when the model has no series
     resistance (the second derivative is then monotone) or when the optimum
     lies outside the open ``v_range``.
@@ -246,8 +252,13 @@ def optimal_bias_static(model: DiodeModel,
         raise ValueError("v_range must satisfy hi > lo")
     nvt = model.emission_voltage
     i_s = model.saturation_current
-    i = nvt / (2.0 * model.series_resistance) - i_s
-    v = nvt * math.log1p(i / i_s) + i * model.series_resistance
+    r_s = model.series_resistance
+    i = nvt / (2.0 * r_s) - i_s
+    try:
+        v = nvt * math.log(nvt / (2.0 * r_s * i_s)) + i * r_s
+    except (ZeroDivisionError, ValueError):  # 2 R_s I_s is 0 or inf
+        raise NoInteriorMaximum("second-derivative maximum lies past the "
+                                "float range") from None
     if not lo < v < hi:
         raise NoInteriorMaximum(
             f"second-derivative maximum at {v:.6g} V lies outside the range")

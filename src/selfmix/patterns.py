@@ -1,10 +1,10 @@
 """Antenna pattern cuts, self-mixing pattern multiplication and beam metrics.
 
 Pattern values are linear *field amplitudes* (dimensionless, >= 0) tabulated
-over a theta cut at fixed phi; a square-law receiver observing a two-tone
-signal sees the product of the element's amplitude patterns at the two tone
+over a theta cut; a square-law receiver observing a two-tone signal sees
+the product of the element's amplitude patterns at the two tone
 frequencies, so the self-mixed receive pattern is the point-wise product of
-the two cuts. dB columns written by the I/O helpers are power dB of the
+the two cuts. The ``gain_db`` column of a pattern file is power dB of the
 field quantity, i.e. ``20*log10(amplitude)``.
 """
 
@@ -20,20 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridMismatch, InvalidGrid
-from .tables import Table
-from .units import DB_FLOOR, amplitude_ratio_to_db
 
 _HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
 class PatternGrid:
-    """Linear-amplitude gain cut over a uniform theta grid at fixed phi."""
+    """Linear-amplitude gain cut over a uniform theta grid."""
 
     theta_samples: np.ndarray
-    phi_cut: float
     gains: np.ndarray
-    frequency: float
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta_samples, dtype=float)
@@ -64,107 +60,41 @@ class PatternGrid:
         peak = self.gains.max()
         if peak <= 0.0:
             raise ValueError("cannot normalize an all-zero pattern")
-        return PatternGrid(self.theta_samples, self.phi_cut,
-                           self.gains / peak, self.frequency)
-
-    def gains_db(self, floor: float = DB_FLOOR) -> np.ndarray:
-        return amplitude_ratio_to_db(self.gains, floor)
+        return PatternGrid(self.theta_samples, self.gains / peak)
 
 
-@dataclass(frozen=True)
-class AnalyticPattern:
-    """Closed-form element pattern stand-ins.
-
-    * ``isotropic`` -- unity everywhere.
-    * ``cos_q`` -- ``max(cos(theta), 0) ** q``; ``q`` steers the beamwidth.
-    * ``two_beam`` -- normalized sum of two Gaussian beams tilted to
-      ``+/-tilt`` with 1-sigma ``width`` (models a radiator whose broadside
-      interferes destructively, leaving two off-axis main beams).
-    """
-
-    kind: str
-    frequency: float
-    q: float | None = None
-    tilt: float | None = None
-    width: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "isotropic":
-            pass
-        elif self.kind == "cos_q":
-            if self.q is None or self.q < 0.0:
-                raise ValueError("cos_q pattern needs q >= 0")
-        elif self.kind == "two_beam":
-            if self.tilt is None or not 0.0 < self.tilt < _HALF_PI:
-                raise ValueError("two_beam pattern needs 0 < tilt < pi/2")
-            if self.width is None or self.width <= 0.0:
-                raise ValueError("two_beam pattern needs width > 0")
-        else:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-
-    @classmethod
-    def isotropic(cls, frequency: float) -> "AnalyticPattern":
-        return cls(kind="isotropic", frequency=frequency)
-
-    @classmethod
-    def cos_q(cls, q: float, frequency: float) -> "AnalyticPattern":
-        return cls(kind="cos_q", frequency=frequency, q=q)
-
-    @classmethod
-    def two_beam(cls, tilt: float, width: float,
-                 frequency: float) -> "AnalyticPattern":
-        return cls(kind="two_beam", frequency=frequency, tilt=tilt, width=width)
+def cos_q(theta: np.ndarray | Sequence[float], q: float) -> PatternGrid:
+    """``max(cos(theta), 0) ** q`` on a theta grid; ``q`` steers the
+    beamwidth, and ``q = 0`` is the isotropic element."""
+    if not q >= 0.0:
+        raise ValueError("cos_q pattern needs q >= 0")
+    theta = np.asarray(theta, dtype=float)
+    return PatternGrid(theta, np.clip(np.cos(theta), 0.0, None) ** q)
 
 
-def sample_pattern(pattern: AnalyticPattern,
-                   theta_grid: np.ndarray | Sequence[float],
-                   phi_cut: float = 0.0) -> PatternGrid:
-    """Evaluate an analytic pattern on a theta grid (peak-normalized for
-    ``two_beam``)."""
-    theta = np.asarray(theta_grid, dtype=float)
-    if pattern.kind == "isotropic":
-        gains = np.ones_like(theta)
-    elif pattern.kind == "cos_q":
-        gains = np.clip(np.cos(theta), 0.0, None) ** pattern.q
-    else:
-        gains = (np.exp(-((theta - pattern.tilt) ** 2) / (2.0 * pattern.width ** 2))
-                 + np.exp(-((theta + pattern.tilt) ** 2) / (2.0 * pattern.width ** 2)))
-        gains = gains / gains.max()
-    return PatternGrid(theta_samples=theta, phi_cut=phi_cut, gains=gains,
-                       frequency=pattern.frequency)
-
-
-def _check_same_grid(a: PatternGrid, b: PatternGrid) -> None:
-    if a.theta_samples.shape != b.theta_samples.shape or not np.array_equal(
-            a.theta_samples, b.theta_samples):
-        raise GridMismatch("pattern grids have different theta samples")
-    if a.phi_cut != b.phi_cut:
-        raise GridMismatch("pattern grids have different phi cuts")
+def two_beam(theta: np.ndarray | Sequence[float], tilt: float,
+             width: float) -> PatternGrid:
+    """Sum of two Gaussian beams tilted to ``+/-tilt`` with 1-sigma
+    ``width``, divided by its peak on the grid (a radiator whose broadside
+    interferes destructively, leaving two off-axis main beams)."""
+    if not 0.0 < tilt < _HALF_PI:
+        raise ValueError("two_beam pattern needs 0 < tilt < pi/2")
+    if not (width > 0.0 and width ** 2 > 0.0):
+        raise ValueError("two_beam pattern needs width > 0")
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(over="ignore"):  # far from a narrow beam: exp(-inf) = 0
+        gains = (np.exp(-((theta - tilt) ** 2) / (2.0 * width ** 2))
+                 + np.exp(-((theta + tilt) ** 2) / (2.0 * width ** 2)))
+    return PatternGrid(theta, gains).normalized()
 
 
 def self_mix_pattern(c1: PatternGrid, c2: PatternGrid) -> PatternGrid:
     """Receive pattern of one self-mixing element: point-wise product of the
-    element's amplitude patterns at the two tone frequencies. The result is
-    tagged with the difference frequency."""
-    _check_same_grid(c1, c2)
-    return PatternGrid(theta_samples=c1.theta_samples, phi_cut=c1.phi_cut,
-                       gains=c1.gains * c2.gains,
-                       frequency=abs(c1.frequency - c2.frequency))
-
-
-def total_pattern(sm: PatternGrid,
-                  array_factor: np.ndarray | Sequence[float]) -> PatternGrid:
-    """Total array receive pattern: array factor times the element
-    self-mixing pattern. ``array_factor`` holds the factor at each of
-    ``sm.theta_samples``, e.g. from ``selfmix.arrays.if_array_factor_cut``."""
-    af = np.asarray(array_factor, dtype=float)
-    if af.shape != sm.theta_samples.shape:
-        raise ValueError(f"array factor has shape {af.shape}, the cut has "
-                         f"{sm.theta_samples.shape}")
-    if np.any(af < 0.0) or not np.all(np.isfinite(af)):
-        raise ValueError("array factor must be finite and >= 0")
-    return PatternGrid(theta_samples=sm.theta_samples, phi_cut=sm.phi_cut,
-                       gains=af * sm.gains, frequency=sm.frequency)
+    element's amplitude patterns at the two tone frequencies."""
+    if c1.theta_samples.shape != c2.theta_samples.shape or not np.array_equal(
+            c1.theta_samples, c2.theta_samples):
+        raise GridMismatch("pattern grids have different theta samples")
+    return PatternGrid(c1.theta_samples, c1.gains * c2.gains)
 
 
 @dataclass(frozen=True)
@@ -222,10 +152,11 @@ def find_lobes(p: PatternGrid, min_amplitude: float) -> list[float]:
     return lobes
 
 
-def read_pattern_csv(source: str | Path, frequency: float,
-                     phi_cut: float = 0.0) -> PatternGrid:
+def read_pattern_csv(source: str | Path) -> PatternGrid:
     """Load a measured cut from CSV with header ``theta_deg,gain_db``;
-    gain_db is converted to linear amplitude via ``10**(db/20)``."""
+    gain_db is converted to linear amplitude via ``10**(db/20)``. A row
+    that is not two numbers raises ``ValueError`` naming its file and
+    line."""
     text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -236,14 +167,15 @@ def read_pattern_csv(source: str | Path, frequency: float,
     for row in reader:
         if not row or not row[0].strip():
             continue
-        theta.append(math.radians(float(row[0])))
-        gains.append(10.0 ** (float(row[1]) / 20.0))
-    return PatternGrid(theta_samples=np.asarray(theta), phi_cut=phi_cut,
-                       gains=np.asarray(gains), frequency=frequency)
-
-
-def write_pattern_csv(p: PatternGrid, target: str | Path) -> None:
-    """Write a cut as CSV with header ``theta_deg,gain_db``."""
-    Table(columns=["theta_deg", "gain_db"],
-          rows=np.column_stack([np.degrees(p.theta_samples),
-                                p.gains_db()]).tolist()).write(target)
+        where = f"{source}:{reader.line_num}"
+        if len(row) < 2:
+            raise ValueError(f"{where}: expected theta_deg,gain_db, got {row!r}")
+        try:
+            theta.append(math.radians(float(row[0])))
+            gains.append(10.0 ** (float(row[1]) / 20.0))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        except OverflowError:
+            raise ValueError(f"{where}: gain_db {row[1].strip()} is past the "
+                             "float range") from None
+    return PatternGrid(np.asarray(theta), np.asarray(gains))

@@ -104,11 +104,11 @@ def check_if_vs_rf_beamwidth() -> CheckResult:
     phi_cut = math.pi / 2.0  # E-plane: x = 0 plane
     af_if = arrays.if_array_factor_cut(g, 38.5e9, 37.5e9, theta, phi_cut)
     af_rf = arrays.rf_array_factor_cut(g, 38.5e9, theta, phi_cut)
-    if_grid = patterns.PatternGrid(theta, phi_cut, af_if, 1.0e9)
-    rf_grid = patterns.PatternGrid(theta, phi_cut, af_rf, 38.5e9)
+    if_grid = patterns.PatternGrid(theta, af_if)
+    rf_grid = patterns.PatternGrid(theta, af_rf)
     in_60 = np.abs(theta) <= math.radians(60.0)
-    rf_60 = patterns.PatternGrid(theta[in_60], phi_cut, af_rf[in_60], 38.5e9)
-    if_60 = patterns.PatternGrid(theta[in_60], phi_cut, af_if[in_60], 1.0e9)
+    rf_60 = patterns.PatternGrid(theta[in_60], af_rf[in_60])
+    if_60 = patterns.PatternGrid(theta[in_60], af_if[in_60])
     floor = 1.0 / math.sqrt(2.0)
     rf_lobes = patterns.find_lobes(rf_60, floor)
     if_lobes = [t for t in patterns.find_lobes(if_60, floor) if abs(t) > 1e-9]

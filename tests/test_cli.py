@@ -203,9 +203,23 @@ class TestConfigHandling:
          "needs 0 < tilt < pi/2"),
         ("pattern", "element_kind = two_beam\nbeam_width_deg = 0",
          "needs width > 0"),
+        ("pattern", "element_kind = two_beam\nbeam_width_deg = 1e-200",
+         "needs width > 0"),  # its square underflows to 0
+        ("pattern", "element_kind = two_beam\nbeam_width_deg = 0.001\n"
+                    "beam_tilt_deg = 30.1",
+         "cannot normalize an all-zero pattern"),
+        ("pattern", "element_kind = pencil",
+         "unknown element_kind 'pencil' (isotropic, cos_q, two_beam)"),
         ("pattern", "theta_start_deg = -100", "within [-pi/2, pi/2]"),
         ("pattern", "theta_start_deg = 0\ntheta_stop_deg = 1\n"
                     "theta_step_deg = 1", "at least 3 samples"),
+        # malformed pattern files, named by file and line
+        ("pattern", "pattern_file_1 = TMP/one_cell.csv\n"
+                    "pattern_file_2 = TMP/one_cell.csv",
+         "one_cell.csv:2: expected theta_deg,gain_db, got ['-10']"),
+        ("pattern", "pattern_file_1 = TMP/huge_gain.csv\n"
+                    "pattern_file_2 = TMP/huge_gain.csv",
+         "huge_gain.csv:2: gain_db 1e6 is past the float range"),
         # link parameters, and the default efficiency table's frequencies
         ("link-budget", "distance_m = 0", "distance_m must be positive"),
         ("link-budget", "eta1_db = 1", "eta1_db must be <= 0"),
@@ -221,12 +235,16 @@ class TestConfigHandling:
                                          text, message):
         geo = tmp_path / "layout.txt"
         geo.write_text("0.01 0.02\n0.01 0.02 180\n")
+        (tmp_path / "one_cell.csv").write_text("theta_deg,gain_db\n-10\n")
+        (tmp_path / "huge_gain.csv").write_text("theta_deg,gain_db\n-10,1e6\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text.replace("GEOMETRY", f"geometry_file = {geo}")
-                       + "\n")
+                       .replace("TMP", str(tmp_path)) + "\n")
         out = tmp_path / "x.csv"
-        assert run([command, "--config", str(cfg), "--out", str(out),
-                    "--quiet"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([command, "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert message in err
@@ -585,7 +603,8 @@ class TestScripts:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("demo", ["receive_patterns.py",
-                                      "if_array_factor.py"])
+                                      "if_array_factor.py", "link_budget.py",
+                                      "selfmixed_spectrum.py"])
     def test_array_demo_runs(self, tmp_path, demo):
         result = run_module([str(ROOT / "demos" / demo)], cwd=tmp_path)
         assert result.returncode == 0, result.stderr

@@ -1,6 +1,6 @@
-"""Bounded fuzz of the array-factor, pattern, bias-sweep and link-budget
-configs: every config exits 0, 2 or 3 without a traceback, no grid over the
-caps is computed, and an output holds only finite numbers."""
+"""Bounded fuzz of the array-factor, pattern, diode-iv, bias-sweep and
+link-budget configs: every config exits 0, 2 or 3 without a traceback, no
+grid over the caps is computed, and an output holds only finite numbers."""
 
 import contextlib
 import csv
@@ -46,7 +46,7 @@ def _theta_count(cfg):
     return (stop - start) / step + 1.0
 
 
-def _run(command, cfg):
+def _run(command, cfg, quiet=True):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
@@ -54,8 +54,8 @@ def _run(command, cfg):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
-            code = cli.main([command, "--config", str(path),
-                             "--out", str(out), "--quiet"])
+            code = cli.main([command, "--config", str(path), "--out",
+                             str(out)] + (["--quiet"] if quiet else []))
         rows = None
         if out.exists():
             with out.open(newline="") as handle:
@@ -136,10 +136,11 @@ BIAS_AXIS = _axis("bias", "v", st.floats(-1.0, 1.0), st.floats(0.01, 0.5))
 POWER_AXIS = _axis("power", "dbm", LEVELS, st.floats(1.0, 20.0))
 
 
-def _one_key_anywhere(data, cfg, keys):
-    """Sometimes set one of ``keys`` to any number, in range or not."""
+def _one_key_anywhere(data, cfg, keys, values=NUMBERS):
+    """Sometimes set one of ``keys`` to any of ``values``, in range or
+    not."""
     if data.draw(st.booleans()):
-        cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(NUMBERS)
+        cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(values)
     return cfg
 
 
@@ -160,6 +161,34 @@ def test_sweep_configs_exit_cleanly(data):
     # and DC current
     cells = _axis_count(cfg, "bias", "v") * _axis_count(cfg, "power", "dbm")
     assert len(rows) == cells <= 64
+    assert _all_finite(rows)
+
+
+DIODE_KEYS = {k: SWEEP_KEYS[k] for k in (
+    "saturation_current_a", "ideality", "series_resistance_ohm",
+    "thermal_voltage_v")}
+# magnitudes at which g = (i + I_s) / nV_T or (1 + g R_s)**3 overflow
+DIODE_EXTREMES = st.one_of(NUMBERS,
+                           st.sampled_from([1e-300, 1e-200, 1e200, 1e300]))
+VOLTAGE_AXIS = _axis("v", "v", st.one_of(st.floats(-1.0, 1.0), NUMBERS),
+                     st.floats(0.01, 0.5))
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
+@given(data=st.data())
+def test_diode_iv_configs_exit_cleanly(data):
+    cfg = data.draw(st.fixed_dictionaries({}, optional=DIODE_KEYS))
+    cfg = _one_key_anywhere(data, cfg, DIODE_KEYS, DIODE_EXTREMES)
+    cfg.update(data.draw(VOLTAGE_AXIS))
+    code, err, rows = _run("diode-iv", cfg)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    # the static optimum printed without --quiet changes no exit status
+    assert _run("diode-iv", cfg, quiet=False)[0] == code
+    if code != 0:
+        assert rows is None
+        return
+    assert len(rows) == _axis_count(cfg, "v", "v") <= 8
     assert _all_finite(rows)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from selfmix import cli, patterns
-from selfmix.patterns import PatternGrid, write_pattern_csv
 from selfmix.tables import Table, format_value
 from selfmix.units import DB_FLOOR, amplitude_ratio_to_db
 
@@ -66,19 +65,6 @@ class TestCsvBytes:
             '  "rows": [\n    [\n      0.123456789,\n      "PASS"\n    ],\n'
             '    [\n      -0.0,\n      "error"\n    ],\n'
             '    [\n      3,\n      true\n    ]\n  ]\n}\n')
-
-    def test_pattern_csv_bytes(self, tmp_path):
-        theta = np.linspace(-math.pi / 2, math.pi / 2, 721)
-        gains = np.clip(np.cos(theta), 0.0, None) ** 1.3
-        p = PatternGrid(theta, 0.0, gains, 36e9)
-        path = tmp_path / "cut.csv"
-        write_pattern_csv(p, path)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["theta_deg", "gain_db"])
-        for t, db in zip(p.theta_samples, p.gains_db()):
-            writer.writerow([f"{math.degrees(t):.9g}", f"{db:.9g}"])
-        assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("odd_row", [
         (0.5, np.float64(0.25), 0.125),
@@ -154,11 +140,8 @@ class TestCommandTables:
 
     def test_pattern(self, tmp_path):
         cfg, theta_deg, phi = self.cuts(cli.PATTERN_SCHEMA)
-        element = cli._element_pattern(cfg)
-        sm = patterns.self_mix_pattern(
-            *(patterns.sample_pattern(element(cfg[f]), np.radians(theta_deg),
-                                      phi) for f in ("f1_hz", "f2_hz"))
-        ).normalized()
+        element = cli._element_pattern(cfg, np.radians(theta_deg))
+        sm = patterns.self_mix_pattern(element, element).normalized()
         af_if, af_rf = cli._factor_cuts(cli._geometry_from_config(cfg), cfg,
                                         sm.theta_samples, phi)
         rows = [(math.degrees(t), scalar_db(float(g)), float(i), float(r),
