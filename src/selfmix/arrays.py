@@ -35,15 +35,7 @@ from .errors import (
     InvalidGrid,
     NonPositiveInput,
 )
-from .signals import (
-    FilterSpec,
-    ToneSpec,
-    apply_filter,
-    dft_spectrum,
-    plan_sampling,
-    square_law_mix,
-    synthesize_waveform,
-)
+from .signals import MAX_SAMPLES, plan_sampling
 from .units import DB_FLOOR, SPEED_OF_LIGHT
 
 _TWO_PI = 2.0 * math.pi
@@ -447,10 +439,13 @@ def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
 def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,
                               element_gains: np.ndarray | Sequence | None = None
                               ) -> ArrayIfResult:
-    """Brute-force array oracle: per element, synthesize the delayed and
-    feed-shifted two-tone waveform, square it, band-pass around the IF,
-    coherently sum with ``1/sqrt(N)`` combiner normalization and read the IF
-    tone from the DFT.
+    """Brute-force array oracle: one time-domain pass over an (N+1)-row
+    array, one row per element and a last row for a single isotropic element
+    at the origin. Along its row each waveform goes through the steps of
+    ``signals.synthesize_waveform`` (the delayed and feed-shifted two-tone
+    sum), ``square_law_mix``, ``apply_filter`` (a band-pass around the IF)
+    and ``dft_spectrum`` (the IF tone); the element tones are summed
+    coherently with ``1/sqrt(N)`` combiner normalization.
 
     ``element_gains`` may be one amplitude gain per element or an (N, 2)
     array with separate gains at the two tones. The result is the IF power
@@ -459,8 +454,8 @@ def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,
     """
     n = g.element_count
     a1, a2 = ill.amplitudes
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("illumination amplitudes must be positive")
+    if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
+        raise ValueError("illumination amplitudes must be positive and finite")
     if element_gains is None:
         gains = np.ones((n, 2))
     else:
@@ -469,32 +464,47 @@ def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,
             gains = np.column_stack([gains, gains])
         if gains.shape != (n, 2):
             raise ValueError(f"element_gains must have shape ({n},) or ({n}, 2)")
-    if np.any(gains < 0.0):
-        raise ValueError("element gains must be >= 0")
+    with np.errstate(over="ignore"):  # an overflowing amplitude is rejected
+        amps = np.vstack([gains * (a1, a2), (a1, a2)])
+    if not np.all((amps >= 0.0) & (amps < math.inf)):  # NaN fails both
+        raise ValueError("element gains must be >= 0 and give finite tone "
+                         "amplitudes")
 
+    # the planned rate exceeds 4 * max(f1, f2) >= 4 * IF, so the squared
+    # waveform and the band edge 1.5 * IF lie below Nyquist, and the record
+    # spans a whole period of every tone
     if_freq = ill.if_frequency
     rate, duration = plan_sampling([ill.f1, ill.f2, if_freq])
-    band = FilterSpec.band_pass(0.5 * if_freq, 1.5 * if_freq)
+    samples = int(round(duration * rate))
+    t = np.arange(samples) / rate
+    phases = np.zeros((n + 1, 2))
+    for col, f in enumerate((ill.f1, ill.f2)):
+        phases[:n, col] = (element_phases(g, ill.direction, f)
+                           + g.rf_phase_offsets)
+    phases = (phases + math.pi) % _TWO_PI - math.pi  # wrapped as ToneSpec does
+    freqs = np.arange(samples // 2 + 1) * rate / samples
+    drop = ~((freqs >= 0.5 * if_freq) & (freqs <= 1.5 * if_freq))
+    k = round(if_freq / (rate / samples))
 
-    phases1 = element_phases(g, ill.direction, ill.f1) + g.rf_phase_offsets
-    phases2 = element_phases(g, ill.direction, ill.f2) + g.rf_phase_offsets
+    # rows go through in blocks of at most MAX_SAMPLES samples, the memory
+    # of one element's longest record
+    tones = np.empty(n + 1, dtype=complex)
+    rows = max(1, MAX_SAMPLES // samples)
+    for lo in range(0, n + 1, rows):
+        block = slice(lo, lo + rows)
+        w = np.zeros((len(amps[block]), samples))
+        for col, f in enumerate((ill.f1, ill.f2)):
+            w += amps[block, col, None] * np.sin(_TWO_PI * f * t
+                                                 + phases[block, col, None])
+        w *= w  # square-law mix
+        bins = np.fft.rfft(w, axis=1)
+        bins[:, drop] = 0.0
+        mixed = np.fft.irfft(bins, n=samples, axis=1)
+        tones[block] = np.fft.rfft(mixed, axis=1)[:, k] / samples * 2.0
+    tones[:n][np.any(amps[:n] == 0.0, axis=1)] = 0.0  # a dead element
 
-    def element_if_tone(k: int | None) -> complex:
-        if k is None:  # single-element isotropic reference at the origin
-            tones = [ToneSpec(ill.f1, a1), ToneSpec(ill.f2, a2)]
-        else:
-            g1 = gains[k, 0] * a1
-            g2 = gains[k, 1] * a2
-            if g1 == 0.0 or g2 == 0.0:
-                return 0.0 + 0.0j
-            tones = [ToneSpec(ill.f1, g1, phases1[k]),
-                     ToneSpec(ill.f2, g2, phases2[k])]
-        w = synthesize_waveform(tones, rate, duration)
-        mixed = apply_filter(square_law_mix(w), band)
-        return dft_spectrum(mixed).amplitude_at(if_freq)
-
-    total = sum(element_if_tone(k) for k in range(n)) / math.sqrt(n)
-    reference = element_if_tone(None)
+    total = sum(tones[:n].tolist()) / math.sqrt(n)
+    reference = complex(tones[n])
     ratio = abs(total) / abs(reference)
     if ratio <= 0.0:
         return ArrayIfResult(if_power_rel_db=DB_FLOOR, if_phase=0.0)

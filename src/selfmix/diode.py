@@ -162,18 +162,19 @@ def terminal_current(model: DiodeModel, v_terminal):
     Lett. 36(4), 2000). :data:`OMEGA_STEPS` Newton steps in ``u`` from
     omega's asymptotic form evaluate it; the equation is convex in ``u``
     with slope >= 1, so they converge from any start. For ``R_s = 0`` this
-    reduces exactly to :func:`junction_current`.
+    reduces exactly to :func:`junction_current`, and so it does where ``c``
+    underflows to 0: the series drop is then below float resolution.
     """
-    if model.series_resistance == 0.0:
+    nvt = model.emission_voltage
+    i_s = model.saturation_current
+    c = i_s * model.series_resistance / nvt
+    if c == 0.0:
         return junction_current(model, v_terminal)
     scalar = np.isscalar(v_terminal) or np.ndim(v_terminal) == 0
     v = np.atleast_1d(np.asarray(v_terminal, dtype=float))
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal voltage must be finite")
 
-    nvt = model.emission_voltage
-    i_s = model.saturation_current
-    c = i_s * model.series_resistance / nvt
     # omega(z) ~ exp(z) for z <= 1 and ~ z - ln z above; each line keeps
     # the operation order of z = ln c + c + x, u = where(z > 1, ln(z_hi -
     # ln z_hi) - ln c, x) and, with e = c expm1(u), u -= (u + e - x) /

@@ -79,12 +79,16 @@ def two_beam(theta: np.ndarray | Sequence[float], tilt: float,
     interferes destructively, leaving two off-axis main beams)."""
     if not 0.0 < tilt < _HALF_PI:
         raise ValueError("two_beam pattern needs 0 < tilt < pi/2")
-    if not (width > 0.0 and width ** 2 > 0.0):
+    try:
+        spread = 2.0 * width ** 2
+    except OverflowError:  # an infinitely wide beam: the flat pattern
+        spread = math.inf
+    if not (width > 0.0 and spread > 0.0):  # nor may the square underflow
         raise ValueError("two_beam pattern needs width > 0")
     theta = np.asarray(theta, dtype=float)
     with np.errstate(over="ignore"):  # far from a narrow beam: exp(-inf) = 0
-        gains = (np.exp(-((theta - tilt) ** 2) / (2.0 * width ** 2))
-                 + np.exp(-((theta + tilt) ** 2) / (2.0 * width ** 2)))
+        gains = (np.exp(-((theta - tilt) ** 2) / spread)
+                 + np.exp(-((theta + tilt) ** 2) / spread))
     return PatternGrid(theta, gains).normalized()
 
 

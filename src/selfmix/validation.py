@@ -323,15 +323,20 @@ def check_bias_optimum() -> list[CheckResult]:
 
 def _bisection_terminal_current(model: diode.DiodeModel,
                                 v: np.ndarray) -> np.ndarray:
-    """Terminal current by 200 halvings of the junction-voltage bracket
-    [min(v, 0), max(v, 0)]."""
+    """Terminal current by up to 200 halvings of the junction-voltage
+    bracket [min(v, 0), max(v, 0)]. A halving that moves neither end leaves
+    every later one the same, so the loop stops there with the bits of the
+    full 200."""
     lo, hi = np.minimum(v, 0.0), np.maximum(v, 0.0)
     scale = model.series_resistance * model.saturation_current
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         above = mid + scale * np.expm1(
             np.minimum(mid / model.emission_voltage, 700.0)) > v
-        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        new_lo, new_hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return model.saturation_current * np.expm1(
         0.5 * (lo + hi) / model.emission_voltage)
 

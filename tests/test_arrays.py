@@ -20,6 +20,15 @@ from selfmix.arrays import (
     simulate_array_timedomain,
 )
 from selfmix.errors import EmptyInput, NonPositiveInput
+from selfmix.signals import (
+    FilterSpec,
+    ToneSpec,
+    apply_filter,
+    dft_spectrum,
+    plan_sampling,
+    square_law_mix,
+    synthesize_waveform,
+)
 from selfmix.units import DB_FLOOR, SPEED_OF_LIGHT
 from selfmix.validation import direct_array_factor
 
@@ -420,7 +429,79 @@ class TestCombineElements:
             assert perturbed <= best + 1e-12
 
 
+def per_element_oracle(g, ill, gains):
+    """The time-domain array oracle one element at a time, through the
+    ``signals`` functions: synthesis, squaring, band-pass and DFT."""
+    if_freq = ill.if_frequency
+    rate, duration = plan_sampling([ill.f1, ill.f2, if_freq])
+    band = FilterSpec.band_pass(0.5 * if_freq, 1.5 * if_freq)
+    a1, a2 = ill.amplitudes
+    phases1 = arrays.element_phases(g, ill.direction, ill.f1) + g.rf_phase_offsets
+    phases2 = arrays.element_phases(g, ill.direction, ill.f2) + g.rf_phase_offsets
+
+    def if_tone(tones):
+        w = synthesize_waveform(tones, rate, duration)
+        mixed = apply_filter(square_law_mix(w), band)
+        return dft_spectrum(mixed).amplitude_at(if_freq)
+
+    total = 0.0 + 0.0j
+    for k in range(g.element_count):
+        g1, g2 = gains[k, 0] * a1, gains[k, 1] * a2
+        if g1 != 0.0 and g2 != 0.0:
+            total += if_tone([ToneSpec(ill.f1, g1, phases1[k]),
+                              ToneSpec(ill.f2, g2, phases2[k])])
+    total /= math.sqrt(g.element_count)
+    reference = if_tone([ToneSpec(ill.f1, a1), ToneSpec(ill.f2, a2)])
+    relative = total / reference
+    return (max(DB_FLOOR, 20.0 * math.log10(abs(total) / abs(reference))),
+            math.atan2(relative.imag, relative.real))
+
+
 class TestTimeDomainArray:
+    @pytest.mark.parametrize("case", ["random", "grid"])
+    def test_equals_per_element_route_bit_for_bit(self, case):
+        rng = np.random.default_rng(5)
+        if case == "random":
+            # RF feed offsets and per-tone gains, one of them 0
+            g = ArrayGeometry(rng.uniform(-0.05, 0.05, size=(7, 2)),
+                              rng.uniform(-math.pi, math.pi, 7))
+            gains = rng.uniform(0.2, 2.0, size=(7, 2))
+            gains[3, 1] = 0.0
+            directions = [Direction(float(rng.uniform(0.0, math.pi / 2)),
+                                    float(rng.uniform(-math.pi, math.pi)))
+                          for _ in range(3)]
+        else:
+            g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
+            gains = np.ones((8, 2))
+            directions = [Direction(0.0), Direction(0.3, 0.0),
+                          cut_direction(-1.2, math.pi / 2)]
+        for d in directions:
+            ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), d)
+            r = simulate_array_timedomain(g, ill, gains)
+            power, phase = per_element_oracle(g, ill, gains)
+            assert r.if_power_rel_db.hex() == power.hex()
+            assert r.if_phase.hex() == phase.hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_bad_gain_rejected(self, bad):
+        g = ArrayGeometry.linear(3, 0.032)
+        ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), Direction(0.2))
+        gains = np.ones((3, 2))
+        gains[1, 0] = bad
+        with pytest.raises(ValueError, match="element gains"):
+            simulate_array_timedomain(g, ill, gains)
+
+    def test_independent_of_array_factor_kernel(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the oracle called the fast path")
+
+        monkeypatch.setattr(arrays, "_array_factor", fail)
+        monkeypatch.setattr(arrays, "_phasor_mean", fail)
+        g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
+        ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), Direction(0.0))
+        r = simulate_array_timedomain(g, ill)
+        assert r.if_power_rel_db == pytest.approx(10 * math.log10(8), abs=1e-9)
+
     def test_broadside_gain_is_element_count(self):
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
         ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5), Direction(0.0))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfmix import cli
+from selfmix import cli, diode
 from selfmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -365,6 +365,37 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "computation error: array factor is not finite" in err
         assert not out.exists()
+
+    def test_negligible_series_drop_solves_as_junction(self, tmp_path):
+        # I_s R_s / nV_T underflows to 0: the series drop is below float
+        # resolution, and the diode is its junction
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("saturation_current_a = 1e-300\n"
+                       "series_resistance_ohm = 1e-300\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["diode-iv", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 0
+        header, rows = read_csv(out)
+        assert header[:2] == ["voltage_v", "current_a"]
+        model = diode.DiodeModel(1e-300, 1.2, 0.0)
+        for row in rows:
+            assert float(row[1]) == pytest.approx(
+                diode.junction_current(model, float(row[0])), rel=1e-8)
+
+    def test_infinitely_wide_beam_is_flat(self, tmp_path):
+        # the square of the width overflows: the pattern is flat
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("element_kind = two_beam\nbeam_width_deg = 1e300\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["pattern", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]) == 0
+        header, rows = read_csv(out)
+        gains = [float(row[header.index("gain_db")]) for row in rows]
+        assert rows and all(gain == 0.0 for gain in gains)
 
     def test_solver_overflow_stays_exit_3(self, tmp_path, capsys):
         # valid parameters whose terminal current overflows at 30 V

@@ -96,6 +96,31 @@ class TestTerminalCurrent:
                 assert terminal_current(model, float(v)) == pytest.approx(
                     expected, rel=1e-9, abs=1e-18)
 
+    def test_bisection_stop_keeps_the_bits_of_200_halvings(self):
+        # the grids of check_diode_solver, and +/-1e4 V on the models above
+        def full_bisection(model, v):
+            lo, hi = np.minimum(v, 0.0), np.maximum(v, 0.0)
+            scale = model.series_resistance * model.saturation_current
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                above = mid + scale * np.expm1(
+                    np.minimum(mid / model.emission_voltage, 700.0)) > v
+                lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+            return model.saturation_current * np.expm1(
+                0.5 * (lo + hi) / model.emission_voltage)
+
+        chain = default_chain()
+        peak = db_to_amplitude_ratio(chain.lna_gain_db) * (
+            dbm_to_amplitude(5.0) + dbm_to_amplitude(0.0))
+        wide = np.linspace(-1e4, 1e4, 4001)
+        cases = [(default_diode(), 0.002 * np.arange(451)),
+                 (chain.loop_model(), np.linspace(-peak, 0.8 + peak, 4001))]
+        cases += [(DiodeModel(1e-13, 1.2, r), wide) for r in (4.0, 6.2, 56.2)]
+        for model, v in cases:
+            fast = validation._bisection_terminal_current(model, v)
+            assert [x.hex() for x in fast.tolist()] == [
+                x.hex() for x in full_bisection(model, v).tolist()]
+
     def test_residual_tolerance(self):
         # voltage form: the current form cannot reach 1e-12 in double
         # precision once the junction is a small part of v
