@@ -219,10 +219,15 @@ class ArrayIfResult:
 def element_phases(g: ArrayGeometry, d: Direction, frequency: float) -> np.ndarray:
     """Plane-wave phase of every element relative to element 0 at the given
     frequency: ``2*pi * (r_k . u) * f / c0`` (the time-domain oracle's own
-    route, independent of the array-factor kernel)."""
+    route, independent of the array-factor kernel). Phases that overflow
+    raise :class:`ValueError`."""
     u = d.in_plane_unit()
-    rel = g.element_positions - g.element_positions[0]
-    return _TWO_PI * (rel @ u) * frequency / SPEED_OF_LIGHT
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rel = g.element_positions - g.element_positions[0]
+        phases = _TWO_PI * (rel @ u) * frequency / SPEED_OF_LIGHT
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("element phases overflow")
+    return phases
 
 
 def if_array_factor_cut(g: ArrayGeometry, f1: float, f2: float,

@@ -281,7 +281,7 @@ def cmd_spectrum(cfg: dict) -> Table:
                           "mixed_amplitude_v"],
                  rows=np.column_stack([mixed.bin_frequencies,
                                        original.magnitudes,
-                                       mixed.magnitudes]).tolist())
+                                       mixed.magnitudes]))
 
 
 DIODE_IV_SCHEMA = Schema(
@@ -304,7 +304,7 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     table = Table(columns=["voltage_v", "current_a", "di_dv_s",
                            "d2i_dv2_s_per_v"],
                   rows=np.column_stack([grid, current, deriv.di_dv,
-                                        deriv.d2i_dv2]).tolist())
+                                        deriv.d2i_dv2]))
     if not quiet:
         try:
             opt = diode.optimal_bias_static(
@@ -388,7 +388,7 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
                  rows=np.column_stack([
                      theta_deg, np.full(theta_deg.size, cfg["phi_cut_deg"]),
                      af_if, af_rf, amplitude_ratio_to_db(af_if),
-                     amplitude_ratio_to_db(af_rf)]).tolist())
+                     amplitude_ratio_to_db(af_rf)]))
 
 
 PATTERN_SCHEMA = Schema(
@@ -431,7 +431,7 @@ def cmd_pattern(cfg: dict) -> Table:
                           "total_if_db", "total_rf_db"],
                  rows=np.column_stack([
                      np.degrees(sm.theta_samples), db(sm.gains), af_if, af_rf,
-                     db(sm.gains * af_if), db(sm.gains * af_rf)]).tolist())
+                     db(sm.gains * af_if), db(sm.gains * af_rf)]))
 
 
 def _element_pattern(cfg: dict, theta: np.ndarray) -> patterns.PatternGrid:
@@ -499,8 +499,9 @@ def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
     if_out = linkbudget.chain_output_power((rx[0], rx[1]), chain)
     return Table(columns=["frequency_hz", "tx_power_dbm", "eta_tot_db",
                           "rx_power_dbm", "if_output_dbm"],
-                 rows=[(p.frequency_hz, p.tx_power_dbm, p.total_efficiency_db,
-                        p_rx, if_out) for p, p_rx in zip(links, rx)])
+                 rows=np.array([(p.frequency_hz, p.tx_power_dbm,
+                                 p.total_efficiency_db, p_rx, if_out)
+                                for p, p_rx in zip(links, rx)]))
 
 
 def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:

@@ -491,6 +491,18 @@ class TestTimeDomainArray:
         with pytest.raises(ValueError, match="element gains"):
             simulate_array_timedomain(g, ill, gains)
 
+    @pytest.mark.parametrize("positions", [
+        [[0.0, 0.0], [1e300, 0.0]],  # the phase product overflows
+        [[-1e308, 0.0], [1e308, 0.0]],  # so does the relative position
+    ])
+    def test_overflowing_phases_rejected(self, positions):
+        g = ArrayGeometry(positions)
+        ill = TwoToneIllumination(37.5e9, 38.5e9, (1.0, 0.5),
+                                  cut_direction(0.3, 0.0))
+        with np.errstate(all="raise"):  # and nothing warns on the way
+            with pytest.raises(ValueError, match="element phases overflow"):
+                simulate_array_timedomain(g, ill)
+
     def test_independent_of_array_factor_kernel(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the oracle called the fast path")

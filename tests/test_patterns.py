@@ -181,7 +181,7 @@ class TestPatternCsv:
         path = tmp_path / "cut.csv"
         Table(["theta_deg", "gain_db"], np.column_stack([
             np.degrees(p.theta_samples),
-            amplitude_ratio_to_db(p.gains)]).tolist()).write(path)
+            amplitude_ratio_to_db(p.gains)])).write(path)
         back = read_pattern_csv(path)
         assert np.allclose(back.theta_samples, p.theta_samples, atol=1e-9)
         mask = p.gains > 1e-9  # the -200 dB floor clips true zeros

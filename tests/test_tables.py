@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selfmix import cli, patterns
-from selfmix.tables import Table, format_value
+from selfmix.tables import FORMAT_BLOCK, Table, format_floats, format_value
 from selfmix.units import DB_FLOOR, amplitude_ratio_to_db
 
 
@@ -25,6 +25,22 @@ def scalar_db(ratio, floor=DB_FLOOR):
     return floor if ratio <= 0.0 else max(floor, 20.0 * math.log10(ratio))
 
 
+def random_bits(seed, size=3000):
+    """Random bit patterns: every exponent, subnormals, nan payloads."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 63, size=size, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+    return (bits | signs).view(np.float64)
+
+
+def steps(values, ulps):
+    """Each value moved by ``ulps`` units in the last place."""
+    target = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        values = np.nextafter(values, target)
+    return values
+
+
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
                   -2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
                   123456789.0, 1234567891.0, -97.16966834, 1e16, 2.5e-13]
@@ -36,15 +52,11 @@ OTHER_CELLS = [np.float64(0.1), np.float64(-0.0), np.float64(math.nan),
 
 class TestCsvBytes:
     def test_float_rows(self):
-        rng = np.random.default_rng(3)
-        # random bit patterns: every exponent, subnormals, nan payloads
-        bits = rng.integers(0, 2 ** 63, size=3000, dtype=np.uint64)
-        signs = rng.integers(0, 2, size=3000, dtype=np.uint64) << np.uint64(63)
-        values = (bits | signs).view(np.float64).tolist() + SPECIAL_FLOATS
-        values += [0.0] * (-len(values) % 3)
-        table = Table(["a", "b", "c"], [tuple(values[i:i + 3])
-                                        for i in range(0, len(values), 3)])
-        assert table.to_csv() == per_cell_csv(table)
+        values = np.append(random_bits(3), SPECIAL_FLOATS)
+        values = np.append(values, np.zeros(-values.size % 3)).reshape(-1, 3)
+        table = Table(["a", "b", "c"], values)
+        assert table.to_csv() == per_cell_csv(Table(table.columns,
+                                                    values.tolist()))
 
     def test_mixed_rows(self):
         rows = [(1.5, cell, -0.0) for cell in OTHER_CELLS]
@@ -73,12 +85,85 @@ class TestCsvBytes:
         None,  # no rows at all
     ])
     def test_one_odd_row_falls_back(self, odd_row):
-        # a float table with one row the float route cannot take writes
-        # every row through format_value, with the same bytes
+        # a table of Python rows, floats or not, is written cell by cell
+        # through format_value
         rows = [] if odd_row is None else [
             (0.1, -0.0, 1e-300), odd_row, (math.inf, 2.5e-13, 123456789.0)]
         table = Table(["a", "b", "c"], rows)
         assert table.to_csv() == per_cell_csv(table)
+
+
+def near_ties():
+    """(m + 1/2) 10^k for 9-digit m: exact ties (k = 0), doubles within a
+    few ulp of a tie (k from -28 to 27), and 1-2 ulp either side of each."""
+    rng = np.random.default_rng(5)
+    m = rng.integers(10 ** 8, 10 ** 9, size=4000) + 0.5
+    scales = 10.0 ** rng.integers(-28, 28, m.size).astype(float)
+    ties = np.concatenate([m, m * scales])
+    return np.concatenate([steps(ties, k) for k in (-2, -1, 0, 1, 2)])
+
+
+def decades():
+    """10^k and 9.999999995 10^k for k = -20..35 and their neighbours:
+    where log10 may miss the exponent, and where rounding carries into
+    the next decade."""
+    powers = np.array([float(f"1e{k}") for k in range(-20, 36)])
+    edges = np.concatenate([powers, powers * 9.999999995])
+    return np.concatenate([edges, steps(edges, -1), steps(edges, 1),
+                           -edges])
+
+
+KERNEL_VALUES = {
+    "random bits": lambda: np.append(random_bits(13, 20_000),
+                                     SPECIAL_FLOATS),
+    "log-uniform, exponents -20..35": lambda: (
+        np.random.default_rng(7).choice([-1.0, 1.0], 50_000)
+        * 10.0 ** np.random.default_rng(8).uniform(-20.0, 35.0, 50_000)),
+    "edges of the exponent range [-14, 30]": lambda: 10.0 ** np.concatenate([
+        np.random.default_rng(10).uniform(-16.0, -13.0, 20_000),
+        np.random.default_rng(11).uniform(29.0, 32.0, 20_000)]),
+    "near ties": near_ties,
+    "decades": decades,
+    "subnormals, zeros and the dB floor": lambda: np.concatenate([
+        np.random.default_rng(9).integers(1, 2 ** 52, 1000).view(np.float64),
+        [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, DB_FLOOR,
+         -DB_FLOOR, math.nan, -math.nan, math.inf, -math.inf]]),
+    "theta grids": lambda: np.concatenate([
+        -90.0 + 0.01 * np.arange(18_001), -90.0 + 0.05 * np.arange(3601)]),
+}
+
+
+class TestFloatKernel:
+    """format_floats against CPython's "%.9g" % v, cell by cell, and float
+    tables against the per-cell csv.writer route."""
+
+    @pytest.mark.parametrize("name", KERNEL_VALUES)
+    def test_cells_match_percent_format(self, name):
+        values = KERNEL_VALUES[name]()
+        cells = format_floats(values[:, None]).split("\n")
+        assert cells[:-1] == ["%.9g" % v for v in values.tolist()]
+        assert cells[-1] == ""
+
+    @pytest.mark.parametrize("rows, columns", [
+        (0, 3), (1, 6), (500, 1),
+        # one row short of a block, a block, and a block and a row
+        (FORMAT_BLOCK // 6 - 1, 6), (FORMAT_BLOCK // 6, 6),
+        (FORMAT_BLOCK // 6 + 1, 6), (2 * FORMAT_BLOCK + 1, 1),
+    ])
+    def test_table_shapes(self, rows, columns):
+        rng = np.random.default_rng(rows)
+        values = rng.choice(np.concatenate([
+            10.0 ** rng.uniform(-16.0, 33.0, 400), near_ties()[:400],
+            -90.0 + 0.01 * np.arange(400), SPECIAL_FLOATS]),
+            size=(rows, columns))
+        table = Table([f"c{k}" for k in range(columns)], values)
+        listed = Table(table.columns, values.tolist())
+        assert table.to_csv() == per_cell_csv(listed)
+        assert table.to_json() == listed.to_json()
+
+    def test_rows_must_match_columns(self):
+        with pytest.raises(ValueError, match="expected"):
+            Table(["a", "b"], np.zeros((3, 3)))
 
 
 class TestDbKernel:
