@@ -37,11 +37,11 @@ lam = SPEED_OF_LIGHT / 36e9
 print(f"\nphysical pitch: 32 mm x 36 mm = {0.032 / lam:.1f} x "
       f"{0.036 / lam:.1f} wavelengths at 36 GHz")
 print(f"effective IF spacing at 1.0 GHz: "
-      f"{effective_spacing(0.032, 1e9, 36e9):.4f} / "
-      f"{effective_spacing(0.036, 1e9, 36e9):.4f} wavelengths")
+      f"{effective_spacing(0.032, 1e9):.4f} / "
+      f"{effective_spacing(0.036, 1e9):.4f} wavelengths")
 print(f"effective IF spacing at 2.5 GHz: "
-      f"{effective_spacing(0.032, 2.5e9, 36e9):.4f} / "
-      f"{effective_spacing(0.036, 2.5e9, 36e9):.4f} wavelengths")
+      f"{effective_spacing(0.032, 2.5e9):.4f} / "
+      f"{effective_spacing(0.036, 2.5e9):.4f} wavelengths")
 
 af_if = if_array_factor_cut(geometry, F1, F2, theta, phi_e_plane)
 af_rf = rf_array_factor_cut(geometry, RF, theta, phi_e_plane)

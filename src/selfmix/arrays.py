@@ -29,12 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateEqualFrequencies,
-    EmptyInput,
-    InvalidGrid,
-    NonPositiveInput,
-)
+from .errors import EmptyInput, InvalidGrid, NonPositiveInput
 from .signals import MAX_SAMPLES, plan_sampling
 from .units import DB_FLOOR, SPEED_OF_LIGHT
 
@@ -53,34 +48,9 @@ FACTOR_ORDER = 19
 _GEMM_ROWS = 16
 _ORDERS = np.arange(1.0, FACTOR_ORDER + 1)
 _POWERS_OF_J = np.array([1j ** m for m in range(FACTOR_ORDER + 1)])
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Arrival direction: ``theta`` polar from the +z broadside normal,
-    ``phi`` azimuth from +x, both in radians."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi",
-                           (self.phi + math.pi) % _TWO_PI - math.pi)
-
-    def in_plane_unit(self) -> np.ndarray:
-        """Projection of the arrival unit vector onto the array plane."""
-        s = math.sin(self.theta)
-        return np.array([s * math.cos(self.phi), s * math.sin(self.phi)])
-
-
-def cut_direction(theta_signed: float, phi_cut: float) -> Direction:
-    """Direction for a signed-theta pattern cut: negative theta maps to the
-    opposite azimuth half-plane."""
-    if theta_signed >= 0.0:
-        return Direction(theta=theta_signed, phi=phi_cut)
-    return Direction(theta=-theta_signed, phi=phi_cut + math.pi)
+# tone amplitudes (at f1, at f2) of the time-domain array oracle; they cancel
+# against its isotropic reference element
+_TONE_AMPLITUDES = (1.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -183,60 +153,12 @@ def parse_geometry(text: str, max_elements: int | None = None) -> ArrayGeometry:
     return ArrayGeometry(np.asarray(positions), np.asarray(offsets))
 
 
-@dataclass(frozen=True)
-class TwoToneIllumination:
-    """Plane-wave two-tone illumination of the array."""
-
-    f1: float
-    f2: float
-    amplitudes: tuple[float, float]
-    direction: Direction
-
-    def __post_init__(self) -> None:
-        if self.f1 <= 0.0 or self.f2 <= 0.0:
-            raise ValueError("tone frequencies must be positive")
-        if self.f1 == self.f2:
-            raise DegenerateEqualFrequencies(
-                "two-tone illumination needs distinct frequencies")
-        a1, a2 = self.amplitudes
-        if a1 < 0.0 or a2 < 0.0:
-            raise ValueError("amplitudes must be >= 0")
-        object.__setattr__(self, "amplitudes", (float(a1), float(a2)))
-
-    @property
-    def if_frequency(self) -> float:
-        return abs(self.f1 - self.f2)
-
-
-@dataclass(frozen=True)
-class ArrayIfResult:
-    """IF output of the combined array relative to one isotropic element."""
-
-    if_power_rel_db: float
-    if_phase: float
-
-
-def element_phases(g: ArrayGeometry, d: Direction, frequency: float) -> np.ndarray:
-    """Plane-wave phase of every element relative to element 0 at the given
-    frequency: ``2*pi * (r_k . u) * f / c0`` (the time-domain oracle's own
-    route, independent of the array-factor kernel). Phases that overflow
-    raise :class:`ValueError`."""
-    u = d.in_plane_unit()
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rel = g.element_positions - g.element_positions[0]
-        phases = _TWO_PI * (rel @ u) * frequency / SPEED_OF_LIGHT
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("element phases overflow")
-    return phases
-
-
 def if_array_factor_cut(g: ArrayGeometry, f1: float, f2: float,
                         theta_signed: np.ndarray | Sequence[float],
                         phi_cut: float) -> np.ndarray:
     """Normalized IF array factor ``|sum_k exp(j*dphi_k)| / N`` along a
     signed-theta cut; ``dphi_k`` is set by ``f1 - f2`` only, and static RF
-    feed offsets cancel. A :class:`Direction` ``d`` is the one-element cut
-    ``theta_signed = [d.theta]`` at ``phi_cut = d.phi``."""
+    feed offsets cancel."""
     return _array_factor(g, f1 - f2, np.asarray(theta_signed, dtype=float),
                          phi_cut, offsets=None)
 
@@ -396,18 +318,14 @@ def _taylor_terms(b: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     return terms if weights is None else terms * weights[:, None]
 
 
-def effective_spacing(d_element: float, delta_f: float, f_ref: float) -> float:
+def effective_spacing(d_element: float, delta_f: float) -> float:
     """Electrical element spacing governing the IF array factor:
-    ``d * delta_f / c0`` (dimensionless).
-
-    ``f_ref`` is the RF used for comparison reporting (``d * f_ref / c0`` is
-    the conventional electrical spacing); it must be positive but does not
-    enter this value. ``delta_f = 0`` is allowed and gives 0.
+    ``d * delta_f / c0`` (dimensionless; at an RF ``f`` the conventional
+    electrical spacing is ``d * f / c0``). ``delta_f = 0`` is allowed and
+    gives 0.
     """
     if d_element <= 0.0:
         raise NonPositiveInput("d_element must be positive")
-    if f_ref <= 0.0:
-        raise NonPositiveInput("f_ref must be positive")
     if delta_f < 0.0:
         raise NonPositiveInput("delta_f must be >= 0")
     return d_element * delta_f / SPEED_OF_LIGHT
@@ -441,64 +359,82 @@ def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
     return max(DB_FLOOR, 20.0 * math.log10(ratio) - combiner_loss_db)
 
 
-def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,
+def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
+                              theta_signed: np.ndarray | Sequence[float],
+                              phi_cut: float,
                               element_gains: np.ndarray | Sequence | None = None
-                              ) -> ArrayIfResult:
-    """Brute-force array oracle: one time-domain pass over an (N+1)-row
-    array, one row per element and a last row for a single isotropic element
-    at the origin. Along its row each waveform goes through the steps of
-    ``signals.synthesize_waveform`` (the delayed and feed-shifted two-tone
-    sum), ``square_law_mix``, ``apply_filter`` (a band-pass around the IF)
-    and ``dft_spectrum`` (the IF tone); the element tones are summed
-    coherently with ``1/sqrt(N)`` combiner normalization.
+                              ) -> np.ndarray:
+    """Brute-force array oracle along a signed-theta cut: for each direction,
+    the IF power of the combined array in dB relative to a single isotropic
+    element under the same two-tone plane wave, so broadside with unit gains
+    gives ``10*log10(N)``.
 
-    ``element_gains`` may be one amplitude gain per element or an (N, 2)
-    array with separate gains at the two tones. The result is the IF power
-    in dB relative to a single isotropic element under the same
-    illumination, so broadside with unit gains gives ``10*log10(N)``.
+    One time-domain pass over D*N + 1 rows: one row per direction and
+    element, and a last row for a single isotropic element at the origin.
+    Along its row each waveform goes through the steps of
+    ``signals.synthesize_waveform`` (the delayed and feed-shifted two-tone
+    sum, tone amplitudes :data:`_TONE_AMPLITUDES`), ``square_law_mix``,
+    ``apply_filter`` (a band-pass around the IF) and ``dft_spectrum`` (the
+    IF tone); each direction's element tones are summed coherently with
+    ``1/sqrt(N)`` combiner normalization.
+
+    ``element_gains`` holds one amplitude-gain pair (at f1, at f2) per
+    direction, shared by every element; None means unit gains.
     """
-    n = g.element_count
-    a1, a2 = ill.amplitudes
-    if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
-        raise ValueError("illumination amplitudes must be positive and finite")
-    if element_gains is None:
-        gains = np.ones((n, 2))
-    else:
-        gains = np.asarray(element_gains, dtype=float)
-        if gains.shape == (n,):
-            gains = np.column_stack([gains, gains])
-        if gains.shape != (n, 2):
-            raise ValueError(f"element_gains must have shape ({n},) or ({n}, 2)")
-    with np.errstate(over="ignore"):  # an overflowing amplitude is rejected
-        amps = np.vstack([gains * (a1, a2), (a1, a2)])
-    if not np.all((amps >= 0.0) & (amps < math.inf)):  # NaN fails both
-        raise ValueError("element gains must be >= 0 and give finite tone "
-                         "amplitudes")
+    if not (0.0 < f1 < math.inf and 0.0 < f2 < math.inf and f1 != f2):
+        raise ValueError("the two tones need positive, finite, distinct "
+                         f"frequencies, got {f1!r} and {f2!r} Hz")
+    theta = np.asarray(theta_signed, dtype=float)
+    if theta.ndim != 1 or not np.all(np.abs(theta) <= math.pi):
+        raise ValueError("theta_signed must be a 1-D cut within [-pi, pi]")
+    n, d = g.element_count, theta.size
+    gains = (np.ones((d, 2)) if element_gains is None
+             else np.asarray(element_gains, dtype=float))
+    if gains.shape != (d, 2):
+        raise ValueError(f"element_gains must have shape ({d}, 2)")
+    if not np.all((gains >= 0.0) & (gains < math.inf)):  # NaN fails both
+        raise ValueError("element gains must be >= 0 and finite")
+    amps = np.vstack([np.repeat(gains * _TONE_AMPLITUDES, n, axis=0),
+                      _TONE_AMPLITUDES])
+
+    # plane-wave phase of every element relative to element 0, per
+    # direction: 2*pi * (r_k . u) * f / c0 plus the feed offset, with u the
+    # in-plane arrival vector of |theta| at phi_cut, or at phi_cut + pi for
+    # negative theta, the azimuth wrapped into [-pi, pi)
+    phases = np.zeros((d * n + 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rel = g.element_positions - g.element_positions[0]
+        for i, t in enumerate(theta.tolist()):
+            polar, az = (t, phi_cut) if t >= 0.0 else (-t, phi_cut + math.pi)
+            az = (az + math.pi) % _TWO_PI - math.pi
+            s = math.sin(polar)
+            path = rel @ np.array([s * math.cos(az), s * math.sin(az)])
+            for col, f in enumerate((f1, f2)):
+                phases[i * n:(i + 1) * n, col] = (
+                    _TWO_PI * path * f / SPEED_OF_LIGHT + g.rf_phase_offsets)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("element phases overflow")
+    phases = (phases + math.pi) % _TWO_PI - math.pi  # wrapped as ToneSpec does
 
     # the planned rate exceeds 4 * max(f1, f2) >= 4 * IF, so the squared
     # waveform and the band edge 1.5 * IF lie below Nyquist, and the record
     # spans a whole period of every tone
-    if_freq = ill.if_frequency
-    rate, duration = plan_sampling([ill.f1, ill.f2, if_freq])
+    if_freq = abs(f1 - f2)
+    rate, duration = plan_sampling([f1, f2, if_freq])
     samples = int(round(duration * rate))
     t = np.arange(samples) / rate
-    phases = np.zeros((n + 1, 2))
-    for col, f in enumerate((ill.f1, ill.f2)):
-        phases[:n, col] = (element_phases(g, ill.direction, f)
-                           + g.rf_phase_offsets)
-    phases = (phases + math.pi) % _TWO_PI - math.pi  # wrapped as ToneSpec does
     freqs = np.arange(samples // 2 + 1) * rate / samples
     drop = ~((freqs >= 0.5 * if_freq) & (freqs <= 1.5 * if_freq))
     k = round(if_freq / (rate / samples))
 
     # rows go through in blocks of at most MAX_SAMPLES samples, the memory
     # of one element's longest record
-    tones = np.empty(n + 1, dtype=complex)
+    tones = np.empty(d * n + 1, dtype=complex)
     rows = max(1, MAX_SAMPLES // samples)
-    for lo in range(0, n + 1, rows):
+    for lo in range(0, tones.size, rows):
         block = slice(lo, lo + rows)
         w = np.zeros((len(amps[block]), samples))
-        for col, f in enumerate((ill.f1, ill.f2)):
+        for col, f in enumerate((f1, f2)):
             w += amps[block, col, None] * np.sin(_TWO_PI * f * t
                                                  + phases[block, col, None])
         w *= w  # square-law mix
@@ -506,16 +442,15 @@ def simulate_array_timedomain(g: ArrayGeometry, ill: TwoToneIllumination,
         bins[:, drop] = 0.0
         mixed = np.fft.irfft(bins, n=samples, axis=1)
         tones[block] = np.fft.rfft(mixed, axis=1)[:, k] / samples * 2.0
-    tones[:n][np.any(amps[:n] == 0.0, axis=1)] = 0.0  # a dead element
+    tones[:-1][np.any(amps[:-1] == 0.0, axis=1)] = 0.0  # a dead element
 
-    total = sum(tones[:n].tolist()) / math.sqrt(n)
-    reference = complex(tones[n])
-    ratio = abs(total) / abs(reference)
-    if ratio <= 0.0:
-        return ArrayIfResult(if_power_rel_db=DB_FLOOR, if_phase=0.0)
-    phase = math.atan2((total / reference).imag, (total / reference).real)
-    # scalar dB kept apart from units.amplitude_ratio_to_db: the oracle
-    # shares no kernel with the fast path it checks
-    return ArrayIfResult(if_power_rel_db=max(DB_FLOOR,
-                                             20.0 * math.log10(ratio)),
-                         if_phase=phase)
+    reference = abs(complex(tones[-1]))
+    power_db = np.empty(d)
+    for i in range(d):
+        total = sum(tones[i * n:(i + 1) * n].tolist()) / math.sqrt(n)
+        ratio = abs(total) / reference
+        # scalar dB kept apart from units.amplitude_ratio_to_db: the oracle
+        # shares no kernel with the fast path it checks
+        power_db[i] = (max(DB_FLOOR, 20.0 * math.log10(ratio)) if ratio > 0.0
+                       else DB_FLOOR)
+    return power_db

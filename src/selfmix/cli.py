@@ -118,9 +118,11 @@ def _check_grid_size(points: int | float, name: str,
 
 def _grid_count(start: float, stop: float, step: float, name: str) -> int:
     """Points of ``start, start + step, ...`` up to ``stop``, checked
-    against :data:`MAX_GRID_POINTS`."""
-    ratio = (stop - start) / step
-    count = round(ratio) + 1 if math.isfinite(ratio) else math.inf
+    against :data:`MAX_GRID_POINTS`. A point past the stop by no more than
+    1e-9 of the span counts, so that a whole number of steps which rounding
+    leaves just short keeps its last point; no further point does."""
+    ratio = (stop - start) / step * (1.0 + 1e-9)
+    count = math.floor(ratio) + 1 if math.isfinite(ratio) else math.inf
     _check_grid_size(count, name)
     return count
 
@@ -155,6 +157,7 @@ def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
 def _factor_cuts(geometry: arrays.ArrayGeometry, cfg: dict, theta: np.ndarray,
                  phi: float) -> tuple[np.ndarray, np.ndarray]:
     """IF and RF array-factor cuts, checked against :data:`MAX_CUT_PHASES`."""
+    _require_positive(cfg, "f1_hz", "f2_hz", "rf_freq_hz")
     _check_grid_size(arrays.cut_phase_count(geometry, theta.size)
                      + arrays.cut_phase_count(geometry, theta.size,
                                               geometry.rf_phase_offsets),
@@ -202,10 +205,14 @@ def _diode_from_config(cfg: dict) -> diode.DiodeModel:
                                 thermal_voltage=cfg["thermal_voltage_v"])
 
 
-def _chain_from_config(cfg: dict) -> diode.MixingChain:
-    for key in ("if_load_ohm", "source_impedance_ohm"):
+def _require_positive(cfg: dict, *keys: str) -> None:
+    for key in keys:
         if not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+
+
+def _chain_from_config(cfg: dict) -> diode.MixingChain:
+    _require_positive(cfg, "if_load_ohm", "source_impedance_ohm")
     with _invariants_are_config_errors():
         return diode.MixingChain(
             lna_gain_db=cfg["lna_gain_db"], diode=_diode_from_config(cfg),
@@ -375,11 +382,10 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
     af_if, af_rf = _factor_cuts(geometry, cfg, np.radians(theta_deg), phi)
     if not quiet and not cfg["geometry_file"]:
         delta_f = abs(cfg["f1_hz"] - cfg["f2_hz"])
-        for pitch, count, axis in ((cfg["dx_m"], cfg["nx"], "x"),
-                                   (cfg["dy_m"], cfg["ny"], "y")):
+        for pitch, count, axis in ((abs(cfg["dx_m"]), cfg["nx"], "x"),
+                                   (abs(cfg["dy_m"]), cfg["ny"], "y")):
             if count > 1:
-                e_if = arrays.effective_spacing(pitch, delta_f,
-                                                cfg["rf_freq_hz"])
+                e_if = arrays.effective_spacing(pitch, delta_f)
                 e_rf = pitch * cfg["rf_freq_hz"] / SPEED_OF_LIGHT
                 print(f"{axis}-pitch {pitch * 1e3:.1f} mm: effective IF "
                       f"spacing {e_if:.4f} wavelengths vs {e_rf:.3f} at RF")

@@ -25,10 +25,6 @@ class TooFewSamples(SelfmixError, ValueError):
     """Waveform is too short for spectral analysis (fewer than 16 samples)."""
 
 
-class DegenerateEqualFrequencies(SelfmixError, ValueError):
-    """Two-tone operation received two identical frequencies."""
-
-
 class NoInteriorMaximum(SelfmixError, ValueError):
     """Bias optimisation found no interior maximum (e.g. zero series resistance)."""
 

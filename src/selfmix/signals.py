@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     CutoffAboveNyquist,
-    DegenerateEqualFrequencies,
     EmptyToneList,
     NyquistViolation,
     TooFewSamples,
@@ -162,16 +161,6 @@ class FilterSpec:
         return cls("band_pass", cutoff_high=cutoff_high, cutoff_low=cutoff_low)
 
 
-@dataclass(frozen=True)
-class TwoToneProducts:
-    """Closed-form low-frequency products of squaring a two-tone signal."""
-
-    dc: float
-    if_amplitude: float
-    if_frequency: float
-    if_phase: float
-
-
 def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
                         duration: float) -> SampledWaveform:
     """Sum-of-sines synthesis on a uniform time grid.
@@ -290,31 +279,6 @@ def spectrum_self_convolution(s: Spectrum) -> Spectrum:
     out[0] = product[centre]
     out[1:] = 2.0 * product[centre + 1:]
     return Spectrum(complex_amplitudes=out, resolution=s.resolution)
-
-
-def analytic_two_tone_products(t1: ToneSpec, t2: ToneSpec) -> TwoToneProducts:
-    """Low-frequency products of squaring ``t1 + t2``, by trig expansion.
-
-    Exact identity: ``(a1 sin x + a2 sin y)**2`` low-passes to
-    ``(a1**2 + a2**2)/2 + a1*a2*cos(x - y)``, i.e. the difference tone
-    carries the *full* product ``a1*a2`` of the two amplitudes. (A popular
-    shorthand puts a global 1/2 in front of the whole bracket, halving the
-    difference-tone coefficient; the time-domain oracle confirms the
-    expansion used here. Normalized patterns and array factors are
-    insensitive to that overall constant either way.)
-    """
-    if t1.frequency == t2.frequency:
-        raise DegenerateEqualFrequencies(
-            "two-tone products need two distinct frequencies")
-    dc = 0.5 * (t1.amplitude ** 2 + t2.amplitude ** 2)
-    if_amplitude = t1.amplitude * t2.amplitude
-    if_frequency = abs(t1.frequency - t2.frequency)
-    if t1.frequency > t2.frequency:
-        if_phase = _norm_phase(t1.phase - t2.phase)
-    else:
-        if_phase = _norm_phase(t2.phase - t1.phase)
-    return TwoToneProducts(dc=dc, if_amplitude=if_amplitude,
-                           if_frequency=if_frequency, if_phase=if_phase)
 
 
 def plan_sampling(frequencies: Iterable[float],

@@ -35,8 +35,8 @@ def test_02_if_vs_rf_beamwidth():
 
 
 def test_03_effective_spacing():
-    e1 = arrays.effective_spacing(0.032, 1.0e9, 36e9)
-    e2 = arrays.effective_spacing(0.032, 2.5e9, 36e9)
+    e1 = arrays.effective_spacing(0.032, 1.0e9)
+    e2 = arrays.effective_spacing(0.032, 2.5e9)
     assert e1 == pytest.approx(0.1067, abs=1e-4)
     assert e2 == pytest.approx(0.2668, abs=1e-4)
     assert e1 == pytest.approx(0.1, abs=0.02)

@@ -516,6 +516,56 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, first_column", [
+        # 0.8 V / 0.3 V is 2.67 steps: no 0.9 V row past the stop
+        ("bias-sweep", "bias_step_v = 0.3\npower_start_dbm = -40\n"
+                       "power_stop_dbm = -40", [0.0, 0.3, 0.6]),
+        ("array-factor", "theta_step_deg = 100", [-90.0, 10.0]),
+        # 175 / 50 is 3.5 steps; a fifth point, 110 deg, would be refused
+        ("pattern", "theta_stop_deg = 85\ntheta_step_deg = 50",
+         [-90.0, -40.0, 10.0, 60.0]),
+    ])
+    def test_grid_stops_at_its_stop(self, tmp_path, command, text,
+                                    first_column):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == pytest.approx(first_column)
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("array-factor", "dx_m = -0.032", 0),  # a mirrored grid
+        ("array-factor", "dy_m = -0.036\nny = 3", 0),
+        ("array-factor", "rf_freq_hz = -1e9", 2),
+        ("array-factor", "f1_hz = 0", 2),
+        ("array-factor", "f2_hz = -38.5e9", 2),
+        ("pattern", "rf_freq_hz = -1e9", 2),
+        ("pattern", "f1_hz = -37.5e9", 2),
+        ("pattern", "f2_hz = 0", 2),
+    ])
+    def test_exit_status_independent_of_quiet(self, tmp_path, capsys,
+                                              command, text, code):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        for quiet in ([], ["--quiet"]):
+            out = tmp_path / f"x{len(quiet)}.csv"
+            assert run([command, "--config", str(cfg), "--out", str(out),
+                        *quiet]) == code
+            err = capsys.readouterr().err
+            assert (err == "") if code == 0 else err.startswith(
+                "config error:")
+            assert out.exists() == (code == 0)
+
+    def test_mirrored_grid_prints_its_pitch(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("dx_m = -0.032\n")
+        assert run(["array-factor", "--config", str(cfg), "--out",
+                    str(tmp_path / "x.csv")]) == 0
+        assert ("x-pitch 32.0 mm: effective IF spacing 0.1067 wavelengths "
+                "vs 4.110 at RF") in capsys.readouterr().out
+
 
 class TestOtherCommands:
     def test_spectrum_contains_difference_tone(self, tmp_path):

@@ -116,7 +116,7 @@ def _axis_count(cfg, prefix, unit):
     """Points of an axis the CLI accepted, as it counts them."""
     start, stop, step = (cfg[f"{prefix}_{k}_{unit}"]
                          for k in ("start", "stop", "step"))
-    return int(round((stop - start) / step)) + 1
+    return math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
 
 
 TONES = st.integers(1, 80).map(lambda k: k * 0.5e9)

@@ -5,7 +5,6 @@ import pytest
 
 from selfmix.errors import (
     CutoffAboveNyquist,
-    DegenerateEqualFrequencies,
     EmptyToneList,
     NyquistViolation,
     TooFewSamples,
@@ -14,7 +13,6 @@ from selfmix.signals import (
     FilterSpec,
     SampledWaveform,
     ToneSpec,
-    analytic_two_tone_products,
     apply_filter,
     dft_spectrum,
     plan_sampling,
@@ -94,6 +92,15 @@ class TestSquareLawMix:
         # cross term carries the full a1*a2 product
         assert abs(spec.amplitude_at(1e9)) == pytest.approx(0.5, abs=1e-9)
         assert abs(spec.amplitude_at(0.0)) == pytest.approx(0.625, abs=1e-9)
+
+    def test_difference_tone_carries_the_phase_difference(self):
+        # (sin(x + p1) + sin(y + p2))**2 holds cos(x - y + p1 - p2); the
+        # one-sided bin of a cosine tone carries its phase directly
+        w = synthesize_waveform([ToneSpec(10.0, 1.0, 0.7),
+                                 ToneSpec(6.0, 1.0, 0.2)], 128.0, 1.0)
+        amp = dft_spectrum(square_law_mix(w)).amplitude_at(4.0)
+        assert amp == pytest.approx(complex(math.cos(0.5), math.sin(0.5)),
+                                    abs=1e-9)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -238,52 +245,6 @@ class TestSelfConvolution:
             n = s.complex_amplitudes.size
             assert s.bin_frequencies.tobytes() == (
                 np.arange(n) * s.resolution).tobytes()
-
-
-class TestTwoToneProducts:
-    def test_unit_amplitudes_dc(self):
-        p = analytic_two_tone_products(ToneSpec(F1, 1.0), ToneSpec(F2, 1.0))
-        assert p.dc == pytest.approx(1.0)
-
-    def test_single_tone_degenerate_amplitude(self):
-        p = analytic_two_tone_products(ToneSpec(F1, 1.0), ToneSpec(F2, 0.0))
-        assert p.if_amplitude == 0.0
-        assert p.dc == pytest.approx(0.5)
-
-    def test_matches_time_domain(self):
-        p = analytic_two_tone_products(ToneSpec(F1, 1.0), ToneSpec(F2, 0.5))
-        spec = dft_spectrum(square_law_mix(two_tone_waveform(1.0, 0.5)))
-        assert abs(spec.amplitude_at(p.if_frequency)) == pytest.approx(
-            p.if_amplitude, abs=1e-9)
-        assert abs(spec.amplitude_at(0.0)) == pytest.approx(p.dc, abs=1e-9)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            t1 = ToneSpec(float(rng.integers(1, 50)), float(rng.uniform(0, 2)),
-                          float(rng.uniform(-3, 3)))
-            t2 = ToneSpec(float(rng.integers(51, 99)), float(rng.uniform(0, 2)),
-                          float(rng.uniform(-3, 3)))
-            a = analytic_two_tone_products(t1, t2)
-            b = analytic_two_tone_products(t2, t1)
-            assert a.if_amplitude == pytest.approx(b.if_amplitude)
-            assert a.if_frequency == b.if_frequency
-            assert a.if_phase == pytest.approx(b.if_phase)
-
-    def test_equal_frequencies_rejected(self):
-        with pytest.raises(DegenerateEqualFrequencies):
-            analytic_two_tone_products(ToneSpec(F1, 1.0), ToneSpec(F1, 1.0))
-
-    def test_phase_carried_through(self):
-        t1 = ToneSpec(10.0, 1.0, 0.7)
-        t2 = ToneSpec(6.0, 1.0, 0.2)
-        p = analytic_two_tone_products(t1, t2)
-        w = synthesize_waveform([t1, t2], 128.0, 1.0)
-        spec = dft_spectrum(square_law_mix(w))
-        amp = spec.amplitude_at(4.0)
-        # one-sided convention: a cosine tone's bin carries its phase directly
-        assert math.cos(p.if_phase) == pytest.approx(
-            amp.real / abs(amp), abs=1e-9)
 
 
 def test_plan_sampling_covers_square():
