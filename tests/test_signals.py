@@ -115,6 +115,27 @@ class TestSquareLawMix:
             square_law_mix(w)
 
 
+class TestTwoToneProducts:
+    def test_matches_time_domain(self):
+        # (a1 sin(x + p1) + a2 sin(y + p2))**2 holds (a1**2 + a2**2) / 2 at
+        # DC and a1*a2 cos(x - y + p1 - p2) at the difference tone;
+        # f1 - f2 > 2 * f2 keeps that tone off every other product's bin
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            f1 = float(rng.integers(76, 100))
+            f2 = float(rng.integers(1, 25))
+            a1, a2 = rng.uniform(0.0, 2.0, size=2)
+            p1, p2 = rng.uniform(-3.0, 3.0, size=2)
+            w = synthesize_waveform([ToneSpec(f1, a1, p1), ToneSpec(f2, a2, p2)],
+                                    512.0, 1.0)
+            spec = dft_spectrum(square_law_mix(w))
+            assert abs(spec.amplitude_at(0.0)) == pytest.approx(
+                (a1 * a1 + a2 * a2) / 2, abs=1e-9)
+            assert spec.amplitude_at(f1 - f2) == pytest.approx(
+                a1 * a2 * complex(math.cos(p1 - p2), math.sin(p1 - p2)),
+                abs=1e-9)
+
+
 class TestApplyFilter:
     def test_passthrough_above_content(self):
         w = two_tone_waveform()
