@@ -9,9 +9,9 @@ a conventional RF combiner would show grating lobes.
 
 The package provides:
 
-* :mod:`selfmix.signals` -- tone synthesis, square-law mixing, brick-wall
-  filtering, DFT tone extraction and spectrum self-convolution (the
-  brute-force oracle everything else is checked against);
+* :mod:`selfmix.signals` -- tone synthesis, square-law mixing, DFT tone
+  extraction and spectrum self-convolution (the brute-force oracle
+  everything else is checked against);
 * :mod:`selfmix.diode` -- Shockley-plus-series-resistance detector model,
   bias-point analysis and time-domain mixing sweeps;
 * :mod:`selfmix.arrays` -- array geometry, IF / RF array factors, effective

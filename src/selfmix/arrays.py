@@ -331,15 +331,13 @@ def effective_spacing(d_element: float, delta_f: float) -> float:
     return d_element * delta_f / SPEED_OF_LIGHT
 
 
-def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
-                     combiner_loss_db: float = 0.0) -> float:
-    """Power gain in dB of an ideal matched N-to-1 combiner with scalar
-    loss.
+def combine_elements(amplitudes: Sequence[float],
+                     phases: Sequence[float]) -> float:
+    """Power gain in dB of an ideal matched N-to-1 combiner.
 
     Output amplitude is ``sum(phasors) / sqrt(N)``; the power gain is
     referred to the first element's power, so N equal co-phased inputs
-    give ``10*log10(N) - loss``. Full cancellation reports the -200 dB
-    floor.
+    give ``10*log10(N)``. Full cancellation reports the -200 dB floor.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     phases = np.asarray(phases, dtype=float)
@@ -347,8 +345,6 @@ def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
         raise EmptyInput("combiner needs at least one input")
     if amplitudes.shape != phases.shape:
         raise ValueError("amplitudes and phases must have the same length")
-    if combiner_loss_db < 0.0:
-        raise ValueError("combiner_loss_db must be >= 0")
     if amplitudes[0] == 0.0:
         raise ValueError("reference element amplitude must be non-zero")
     n = amplitudes.size
@@ -356,7 +352,7 @@ def combine_elements(amplitudes: Sequence[float], phases: Sequence[float],
     ratio = abs(total) / (math.sqrt(n) * abs(amplitudes[0]))
     if ratio <= 0.0:
         return DB_FLOOR
-    return max(DB_FLOOR, 20.0 * math.log10(ratio) - combiner_loss_db)
+    return max(DB_FLOOR, 20.0 * math.log10(ratio))
 
 
 def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
@@ -373,10 +369,10 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
     element, and a last row for a single isotropic element at the origin.
     Along its row each waveform goes through the steps of
     ``signals.synthesize_waveform`` (the delayed and feed-shifted two-tone
-    sum, tone amplitudes :data:`_TONE_AMPLITUDES`), ``square_law_mix``,
-    ``apply_filter`` (a band-pass around the IF) and ``dft_spectrum`` (the
-    IF tone); each direction's element tones are summed coherently with
-    ``1/sqrt(N)`` combiner normalization.
+    sum, tone amplitudes :data:`_TONE_AMPLITUDES`), ``square_law_mix`` and
+    ``dft_spectrum``, read at the IF bin of the squared record; each
+    direction's element tones are summed coherently with ``1/sqrt(N)``
+    combiner normalization.
 
     ``element_gains`` holds one amplitude-gain pair (at f1, at f2) per
     direction, shared by every element; None means unit gains.
@@ -416,15 +412,13 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
         raise ValueError("element phases overflow")
     phases = (phases + math.pi) % _TWO_PI - math.pi  # wrapped as ToneSpec does
 
-    # the planned rate exceeds 4 * max(f1, f2) >= 4 * IF, so the squared
-    # waveform and the band edge 1.5 * IF lie below Nyquist, and the record
-    # spans a whole period of every tone
+    # the planned rate exceeds 4 * max(f1, f2), so the squared waveform lies
+    # below Nyquist, and the record spans a whole period of every tone: every
+    # mixing product falls on an exact bin, and none leaks into the IF bin k
     if_freq = abs(f1 - f2)
     rate, duration = plan_sampling([f1, f2, if_freq])
     samples = int(round(duration * rate))
     t = np.arange(samples) / rate
-    freqs = np.arange(samples // 2 + 1) * rate / samples
-    drop = ~((freqs >= 0.5 * if_freq) & (freqs <= 1.5 * if_freq))
     k = round(if_freq / (rate / samples))
 
     # rows go through in blocks of at most MAX_SAMPLES samples, the memory
@@ -438,10 +432,7 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
             w += amps[block, col, None] * np.sin(_TWO_PI * f * t
                                                  + phases[block, col, None])
         w *= w  # square-law mix
-        bins = np.fft.rfft(w, axis=1)
-        bins[:, drop] = 0.0
-        mixed = np.fft.irfft(bins, n=samples, axis=1)
-        tones[block] = np.fft.rfft(mixed, axis=1)[:, k] / samples * 2.0
+        tones[block] = np.fft.rfft(w, axis=1)[:, k] / samples * 2.0
     tones[:-1][np.any(amps[:-1] == 0.0, axis=1)] = 0.0  # a dead element
 
     reference = abs(complex(tones[-1]))

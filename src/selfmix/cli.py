@@ -315,7 +315,7 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     if not quiet:
         try:
             opt = diode.optimal_bias_static(
-                model, (float(grid[0]), float(grid[-1])))
+                model, (cfg["v_start_v"], cfg["v_stop_v"]))
             print(f"static optimum: {opt.terminal_voltage:.4f} V, "
                   f"{opt.bias_current * 1e3:.3f} mA")
         except SelfmixError as exc:

@@ -17,10 +17,6 @@ class EmptyToneList(SelfmixError, ValueError):
     """An operation that needs at least one tone received none."""
 
 
-class CutoffAboveNyquist(SelfmixError, ValueError):
-    """Filter cutoff lies above the Nyquist frequency of the waveform."""
-
-
 class TooFewSamples(SelfmixError, ValueError):
     """Waveform is too short for spectral analysis (fewer than 16 samples)."""
 

@@ -2,7 +2,9 @@
 
 This module is the numerical ground truth for the rest of the package: the
 closed-form mixer and array results elsewhere are all checked against
-time-domain squaring plus DFT extraction performed here.
+time-domain squaring plus DFT extraction performed here. No filter stands
+between the two: on a record from :func:`plan_sampling` every mixing product
+falls on an exact bin and leaks into no other, so each is read from its bin.
 
 Spectral convention: one-sided amplitude spectrum, i.e. a sine tone of peak
 amplitude ``a`` shows up in :func:`dft_spectrum` with ``|complex_amplitude|
@@ -21,25 +23,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CutoffAboveNyquist,
-    EmptyToneList,
-    NyquistViolation,
-    TooFewSamples,
-)
+from .errors import EmptyToneList, NyquistViolation, TooFewSamples
 
 _TWO_PI = 2.0 * math.pi
 
 MIN_SAMPLES = 16
-"""Smallest waveform length accepted by the spectral operations."""
+"""Smallest waveform length a :class:`SampledWaveform` accepts."""
 
 MAX_SAMPLES = 1 << 20
 """Longest record :func:`plan_sampling` chooses (and the longest the
 ``spectrum`` subcommand repeats one to)."""
-
-_CONTENT_THRESHOLD = 1e-9
-"""Relative magnitude below which a DFT bin counts as empty when estimating
-occupied bandwidth."""
 
 
 def _norm_phase(phase: float) -> float:
@@ -87,10 +80,6 @@ class SampledWaveform:
     def size(self) -> int:
         return self.samples.size
 
-    @property
-    def nyquist(self) -> float:
-        return self.sample_rate / 2.0
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -132,35 +121,6 @@ class Spectrum:
         return complex(self.complex_amplitudes[self.bin_index(frequency)])
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Ideal brick-wall filter mask applied in the DFT domain.
-
-    ``low_pass`` keeps bins with ``f <= cutoff_high``; ``band_pass`` keeps
-    ``cutoff_low <= f <= cutoff_high`` (bounds inclusive). Brick-wall masking
-    keeps the oracle comparisons exact, which is the whole point of the
-    filters here.
-    """
-
-    kind: str
-    cutoff_high: float
-    cutoff_low: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("low_pass", "band_pass"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if not (self.cutoff_high > self.cutoff_low >= 0.0):
-            raise ValueError("need cutoff_high > cutoff_low >= 0")
-
-    @classmethod
-    def low_pass(cls, cutoff: float) -> "FilterSpec":
-        return cls("low_pass", cutoff_high=cutoff, cutoff_low=0.0)
-
-    @classmethod
-    def band_pass(cls, cutoff_low: float, cutoff_high: float) -> "FilterSpec":
-        return cls("band_pass", cutoff_high=cutoff_high, cutoff_low=cutoff_low)
-
-
 def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
                         duration: float) -> SampledWaveform:
     """Sum-of-sines synthesis on a uniform time grid.
@@ -194,49 +154,15 @@ def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
     return SampledWaveform(sample_rate=sample_rate, samples=samples)
 
 
-def occupied_max_frequency(w: SampledWaveform) -> float:
-    """Highest frequency with non-negligible content (relative 1e-9)."""
-    mags = np.abs(np.fft.rfft(w.samples))
-    peak = mags.max()
-    if peak <= 0.0:
-        return 0.0
-    occupied = np.nonzero(mags > _CONTENT_THRESHOLD * peak)[0]
-    if occupied.size == 0:
-        return 0.0
-    return occupied[-1] * w.sample_rate / w.samples.size
-
-
 def square_law_mix(w: SampledWaveform) -> SampledWaveform:
     """Point-wise squaring, the ideal square-law detector.
 
-    Requires the sample rate to support the squared signal: content up to
-    ``f_max`` produces products up to ``2*f_max``, so ``sample_rate`` must
-    exceed ``4*f_max`` (checked against the occupied bandwidth).
+    Content up to ``f_max`` squares to products up to ``2*f_max``, so the
+    record must be sampled above ``4*f_max`` for no product to alias;
+    :func:`plan_sampling`'s default oversampling guarantees this.
     """
-    f_max = occupied_max_frequency(w)
-    if f_max > 0.0 and w.sample_rate <= 4.0 * f_max:
-        raise NyquistViolation(
-            f"sample rate {w.sample_rate} Hz cannot represent the square of "
-            f"content at {f_max} Hz")
     return SampledWaveform(sample_rate=w.sample_rate,
                            samples=w.samples * w.samples)
-
-
-def apply_filter(w: SampledWaveform, spec: FilterSpec) -> SampledWaveform:
-    """Brick-wall filter: rFFT, zero all bins outside the pass region, irFFT."""
-    if spec.cutoff_high > w.nyquist:
-        raise CutoffAboveNyquist(
-            f"cutoff {spec.cutoff_high} Hz above Nyquist {w.nyquist} Hz")
-    n = w.samples.size
-    bins = np.fft.rfft(w.samples)
-    freqs = np.arange(bins.size) * w.sample_rate / n
-    if spec.kind == "low_pass":
-        keep = freqs <= spec.cutoff_high
-    else:
-        keep = (freqs >= spec.cutoff_low) & (freqs <= spec.cutoff_high)
-    bins[~keep] = 0.0
-    filtered = np.fft.irfft(bins, n=n)
-    return SampledWaveform(sample_rate=w.sample_rate, samples=filtered)
 
 
 def dft_spectrum(w: SampledWaveform) -> Spectrum:
@@ -247,8 +173,6 @@ def dft_spectrum(w: SampledWaveform) -> Spectrum:
     ``resolution = sample_rate / len(samples)``.
     """
     n = w.samples.size
-    if n < MIN_SAMPLES:
-        raise TooFewSamples(f"need >= {MIN_SAMPLES} samples, got {n}")
     amps = np.fft.rfft(w.samples) / n
     amps[1:] *= 2.0
     if n % 2 == 0:

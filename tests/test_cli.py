@@ -544,6 +544,7 @@ class TestConfigHandling:
         ("pattern", "rf_freq_hz = -1e9", 2),
         ("pattern", "f1_hz = -37.5e9", 2),
         ("pattern", "f2_hz = 0", 2),
+        ("diode-iv", "v_step_v = 5", 0),  # a one-point grid
     ])
     def test_exit_status_independent_of_quiet(self, tmp_path, capsys,
                                               command, text, code):

@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from selfmix.errors import (
-    CutoffAboveNyquist,
-    EmptyToneList,
-    NyquistViolation,
-    TooFewSamples,
-)
+from selfmix.errors import EmptyToneList, NyquistViolation, TooFewSamples
 from selfmix.signals import (
-    FilterSpec,
     SampledWaveform,
     ToneSpec,
-    apply_filter,
     dft_spectrum,
     plan_sampling,
     spectrum_self_convolution,
@@ -58,9 +51,7 @@ class TestSynthesize:
         assert w.samples[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tone_squares_to_difference_tone(self):
-        w = two_tone_waveform()
-        low = apply_filter(square_law_mix(w), FilterSpec.low_pass(5e9))
-        spec = dft_spectrum(low)
+        spec = dft_spectrum(square_law_mix(two_tone_waveform()))
         assert abs(spec.amplitude_at(1e9)) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_tone_list(self):
@@ -108,12 +99,6 @@ class TestSquareLawMix:
             w = random_tone_waveform(rng)
             assert np.all(square_law_mix(w).samples >= 0.0)
 
-    def test_rate_too_low_for_square(self):
-        # tone at 3/8 of the rate: representable, but its square is not
-        w = synthesize_waveform([ToneSpec(24.0, 1.0)], 64.0, 1.0)
-        with pytest.raises(NyquistViolation):
-            square_law_mix(w)
-
 
 class TestTwoToneProducts:
     def test_matches_time_domain(self):
@@ -134,52 +119,6 @@ class TestTwoToneProducts:
             assert spec.amplitude_at(f1 - f2) == pytest.approx(
                 a1 * a2 * complex(math.cos(p1 - p2), math.sin(p1 - p2)),
                 abs=1e-9)
-
-
-class TestApplyFilter:
-    def test_passthrough_above_content(self):
-        w = two_tone_waveform()
-        out = apply_filter(w, FilterSpec.low_pass(100e9))
-        rms = math.sqrt(np.mean((out.samples - w.samples) ** 2))
-        assert rms < 1e-12
-
-    def test_low_pass_keeps_dc_and_if(self):
-        low = apply_filter(square_law_mix(two_tone_waveform()),
-                           FilterSpec.low_pass(5e9))
-        spec = dft_spectrum(low)
-        mags = spec.magnitudes
-        keep = np.zeros_like(mags, dtype=bool)
-        keep[spec.bin_index(0.0)] = True
-        keep[spec.bin_index(1e9)] = True
-        assert np.all(mags[~keep] < 1e-12)
-        assert mags[spec.bin_index(1e9)] == pytest.approx(1.0, abs=1e-9)
-
-    def test_band_pass_removes_dc(self):
-        band = apply_filter(square_law_mix(two_tone_waveform()),
-                            FilterSpec.band_pass(0.5e9, 1.5e9))
-        spec = dft_spectrum(band)
-        assert abs(spec.amplitude_at(0.0)) < 1e-12
-        assert abs(spec.amplitude_at(1e9)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        w = random_tone_waveform(rng)
-        spec = FilterSpec.band_pass(10.0, 60.0)
-        once = apply_filter(w, spec)
-        twice = apply_filter(once, spec)
-        rms = math.sqrt(np.mean((twice.samples - once.samples) ** 2))
-        assert rms < 1e-12
-
-    def test_cutoff_above_nyquist(self):
-        w = SampledWaveform(64.0, np.zeros(64))
-        with pytest.raises(CutoffAboveNyquist):
-            apply_filter(w, FilterSpec.low_pass(40.0))
-
-    def test_filter_spec_invariants(self):
-        with pytest.raises(ValueError):
-            FilterSpec.band_pass(5.0, 4.0)
-        with pytest.raises(ValueError):
-            FilterSpec("high_pass", 4.0)
 
 
 class TestDftSpectrum:
