@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidGrid, NonPositiveInput
 from .signals import MAX_SAMPLES, plan_sampling
 from .units import DB_FLOOR, SPEED_OF_LIGHT
 
@@ -129,13 +128,13 @@ def load_geometry(source: str | Path,
 def parse_geometry(text: str, max_elements: int | None = None) -> ArrayGeometry:
     """Parse a geometry table (see :func:`load_geometry`). A table of more
     than ``max_elements`` element lines is rejected with
-    :class:`InvalidGrid` before any line is parsed."""
+    ``ValueError`` before any line is parsed."""
     rows = [(lineno, raw, line)
             for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.split("#", 1)[0].strip())]
     if max_elements is not None and len(rows) > max_elements:
-        raise InvalidGrid(f"element grid would have {len(rows)} points; "
-                          f"the limit is {max_elements}")
+        raise ValueError(f"element grid would have {len(rows)} points; "
+                         f"the limit is {max_elements}")
     positions = []
     offsets = []
     for lineno, raw, line in rows:
@@ -149,7 +148,7 @@ def parse_geometry(text: str, max_elements: int | None = None) -> ArrayGeometry:
         positions.append((x, y))
         offsets.append(math.radians(off_deg))
     if not positions:
-        raise EmptyInput("geometry table contains no elements")
+        raise ValueError("geometry table contains no elements")
     return ArrayGeometry(np.asarray(positions), np.asarray(offsets))
 
 
@@ -325,9 +324,9 @@ def effective_spacing(d_element: float, delta_f: float) -> float:
     gives 0.
     """
     if d_element <= 0.0:
-        raise NonPositiveInput("d_element must be positive")
+        raise ValueError("d_element must be positive")
     if delta_f < 0.0:
-        raise NonPositiveInput("delta_f must be >= 0")
+        raise ValueError("delta_f must be >= 0")
     return d_element * delta_f / SPEED_OF_LIGHT
 
 
@@ -342,7 +341,7 @@ def combine_elements(amplitudes: Sequence[float],
     amplitudes = np.asarray(amplitudes, dtype=float)
     phases = np.asarray(phases, dtype=float)
     if amplitudes.size == 0:
-        raise EmptyInput("combiner needs at least one input")
+        raise ValueError("combiner needs at least one input")
     if amplitudes.shape != phases.shape:
         raise ValueError("amplitudes and phases must have the same length")
     if amplitudes[0] == 0.0:
@@ -414,12 +413,17 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
 
     # the planned rate exceeds 4 * max(f1, f2), so the squared waveform lies
     # below Nyquist, and the record spans a whole period of every tone: every
-    # mixing product falls on an exact bin, and none leaks into the IF bin k
+    # mixing product falls on an exact bin and leaks into no other. Of the
+    # square's products (DC, f1 - f2, 2 f1, 2 f2, f1 + f2), 2 min(f1, f2)
+    # shares the IF bin k when one tone is three times the other
     if_freq = abs(f1 - f2)
     rate, duration = plan_sampling([f1, f2, if_freq])
     samples = int(round(duration * rate))
     t = np.arange(samples) / rate
     k = round(if_freq / (rate / samples))
+    if round(2.0 * min(f1, f2) / (rate / samples)) == k:
+        raise ValueError(f"the 2 x {min(f1, f2)} Hz square term shares the IF "
+                         f"bin of {f1} and {f2} Hz")
 
     # rows go through in blocks of at most MAX_SAMPLES samples, the memory
     # of one element's longest record

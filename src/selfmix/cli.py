@@ -22,9 +22,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .errors import ConfigError, InvalidParams, NyquistViolation, SelfmixError
+from .errors import ConfigError, InvalidParams, SelfmixError
 from .tables import Table
-from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db
+from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db, dbm_to_amplitude
 
 # Largest grid (directions, voltages, sweep cells, array elements), checked
 # before anything is allocated; far above the 18 001 directions of the
@@ -270,7 +270,7 @@ def cmd_spectrum(cfg: dict) -> Table:
     while samples / rate * min(t.frequency for t in tones) < 4.0:
         samples *= 2
         if samples > signals.MAX_SAMPLES:
-            raise NyquistViolation(
+            raise ValueError(
                 "frequencies share no common grid coarse enough to sample "
                 f"with <= {signals.MAX_SAMPLES} points")
     # the record's peak is at most the amplitude sum, and a DFT bin of its
@@ -314,10 +314,9 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
                                         deriv.d2i_dv2]))
     if not quiet:
         try:
-            opt = diode.optimal_bias_static(
+            v, i = diode.optimal_bias_static(
                 model, (cfg["v_start_v"], cfg["v_stop_v"]))
-            print(f"static optimum: {opt.terminal_voltage:.4f} V, "
-                  f"{opt.bias_current * 1e3:.3f} mA")
+            print(f"static optimum: {v:.4f} V, {i * 1e3:.3f} mA")
         except SelfmixError as exc:
             print(f"static optimum: none ({exc})")
     return table
@@ -353,10 +352,20 @@ def cmd_bias_sweep(cfg: dict) -> Table:
     power = _grid(cfg["power_start_dbm"], cfg["power_stop_dbm"],
                   cfg["power_step_dbm"], "power")
     _check_grid_size(len(bias) * len(power), "bias x power")
-    sweep = diode.bias_power_sweep(chain, bias, power,
-                                   (cfg["f1_hz"], cfg["f2_hz"]),
-                                   cfg["weaker_tone_offset_db"])
-    return sweep.to_table()
+    # cells in bias-major order; the second tone is driven
+    # weaker_tone_offset_db relative to the first
+    z = chain.source_impedance_ohms
+    drive = [(dbm_to_amplitude(p, z),
+              dbm_to_amplitude(p + cfg["weaker_tone_offset_db"], z))
+             for p in power]
+    bias_v = np.repeat(bias, len(power))
+    if_power_dbm, dc_current = diode.mix_cells(
+        chain, bias_v, drive * len(bias), (cfg["f1_hz"], cfg["f2_hz"]),
+        abs(cfg["f2_hz"] - cfg["f1_hz"]))
+    return Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
+                          "dc_current_a"],
+                 rows=np.column_stack([bias_v, np.tile(power, len(bias)),
+                                       if_power_dbm, dc_current]))
 
 
 def _grid(start: float, stop: float, step: float, name: str) -> list[float]:

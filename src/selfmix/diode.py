@@ -29,10 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyToneList, NoInteriorMaximum
+from .errors import NoInteriorMaximum
 from .signals import ToneSpec, plan_sampling
-from .tables import Table
-from .units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
+from .units import DB_FLOOR, db_to_amplitude_ratio, watts_to_dbm
 
 EXP_CLAMP = 60.0
 """Exponent arguments of the Shockley law are clamped at this value to avoid
@@ -87,12 +86,6 @@ def default_diode() -> DiodeModel:
 
 
 @dataclass(frozen=True)
-class BiasPoint:
-    terminal_voltage: float
-    bias_current: float
-
-
-@dataclass(frozen=True)
 class MixingChain:
     """Receive chain collapsed to flat LNA gain + biased diode + IF load.
 
@@ -130,12 +123,6 @@ def default_chain(lna_gain_db: float = 25.0,
     source and IF load, biased at the chain's default voltage."""
     diode = diode if diode is not None else default_diode()
     return MixingChain(lna_gain_db=lna_gain_db, diode=diode)
-
-
-@dataclass(frozen=True)
-class ConversionResult:
-    if_power_dbm: float
-    dc_current: float
 
 
 @dataclass(frozen=True)
@@ -237,8 +224,9 @@ def iv_derivatives(model: DiodeModel, v_terminal) -> IvDerivatives:
 
 
 def optimal_bias_static(model: DiodeModel,
-                        v_range: tuple[float, float]) -> BiasPoint:
-    """Bias point maximising the I-V second derivative (static analysis).
+                        v_range: tuple[float, float]) -> tuple[float, float]:
+    """Bias point ``(voltage, current)`` maximising the I-V second
+    derivative (static analysis).
 
     ``g / (1 + g R_s)**3`` peaks at ``g R_s = 1/2``: exactly at
     ``i + I_s = nV_T / (2 R_s)``, ``v = nV_T log(nV_T / (2 R_s I_s)) + i R_s``.
@@ -265,7 +253,7 @@ def optimal_bias_static(model: DiodeModel,
     if not lo < v < hi:
         raise NoInteriorMaximum(
             f"second-derivative maximum at {v:.6g} V lies outside the range")
-    return BiasPoint(terminal_voltage=v, bias_current=i)
+    return v, i
 
 
 MIXING_BLOCK = 1 << 14
@@ -278,7 +266,8 @@ common period of its tones)."""
 def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
               amplitudes: np.ndarray | Sequence[Sequence[float]],
               frequencies: Sequence[float], if_frequency: float,
-              phases: Sequence[float] | None = None) -> list[ConversionResult]:
+              phases: Sequence[float] | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Time-domain mixing of one tone set at many bias voltages and drive
     levels: cell ``k`` is biased at ``bias_voltages[k]`` and driven by the
     tones ``frequencies`` with peak amplitudes ``amplitudes[k]`` (before the
@@ -288,10 +277,11 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     amplified waveform are superimposed and drive the diode through the
     chain's source impedance; the loop current is solved per sample and the
     component at ``if_frequency`` is extracted from its DFT.
-    ``if_power_dbm`` is the one-sided IF current tone dissipated in
-    ``if_load_ohms`` (floored at -200 dBm); ``dc_current`` is the DC bin of
-    the current. A cell whose amplified tones are all zero is not sampled:
-    it reads the floor and the loop current at its bias voltage.
+    Returns ``(if_power_dbm, dc_current)``, one value per cell each: the
+    one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
+    -200 dBm) and the DC bin of the current. A cell whose amplified tones
+    are all zero is not sampled: it reads the floor and the loop current at
+    its bias voltage.
 
     One sampling plan and one set of unit sines serve every cell, and the
     cells are solved :data:`MIXING_BLOCK` samples at a time; each cell's
@@ -300,7 +290,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     """
     freqs = [float(f) for f in frequencies]
     if not freqs:
-        raise EmptyToneList("need at least one tone")
+        raise ValueError("need at least one tone")
     if not all(f > 0.0 and math.isfinite(f) for f in freqs):
         raise ValueError(f"tone frequencies must be positive, got {freqs}")
     if if_frequency <= 0.0:
@@ -331,10 +321,9 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     if_bin = int(round(if_frequency / (rate / n)))
     loop = chain.loop_model()
     silent = ~amplified.any(axis=1)
-    results: list[ConversionResult] = [None] * bias.size
-    for k, dc in zip(np.flatnonzero(silent).tolist(),
-                     terminal_current(loop, bias[silent]).tolist()):
-        results[k] = ConversionResult(if_power_dbm=DB_FLOOR, dc_current=dc)
+    if_power_dbm = np.full(bias.size, DB_FLOOR)
+    dc_current = np.empty(bias.size)
+    dc_current[silent] = terminal_current(loop, bias[silent])
     driven = np.flatnonzero(~silent)
     per_block = max(1, MIXING_BLOCK // n)
     for start in range(0, driven.size, per_block):
@@ -347,88 +336,19 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
         # the DC and IF bins as dft_spectrum scales them
         bins = np.fft.rfft(terminal_current(loop, v))[:, [0, if_bin]] / n
         bins[:, 1] *= 2.0
-        for k, (dc, tone) in zip(cells.tolist(), bins.tolist()):
-            i_if = abs(tone)
-            if_power_w = i_if * i_if * chain.if_load_ohms / 2.0
-            results[k] = ConversionResult(
-                if_power_dbm=watts_to_dbm(if_power_w), dc_current=dc.real)
-    return results
+        dc_current[cells] = bins[:, 0].real
+        if_power_dbm[cells] = [watts_to_dbm(i * i * chain.if_load_ohms / 2.0)
+                               for i in np.abs(bins[:, 1]).tolist()]
+    return if_power_dbm, dc_current
 
 
 def simulate_mixing(chain: MixingChain, tones: Sequence[ToneSpec],
-                    if_frequency: float) -> ConversionResult:
+                    if_frequency: float) -> tuple[float, float]:
     """Time-domain mixing of a tone set through the chain at its bias
-    voltage: the one-cell call of :func:`mix_cells`."""
+    voltage: the one-cell call of :func:`mix_cells`, returning
+    ``(if_power_dbm, dc_current)``."""
     tones = list(tones)
-    return mix_cells(chain, [chain.bias_voltage],
-                     [[t.amplitude for t in tones]],
-                     [t.frequency for t in tones], if_frequency,
-                     [t.phase for t in tones])[0]
-
-
-def _check_grid(values: Sequence[float], name: str) -> list[float]:
-    values = [float(x) for x in values]
-    if not values:
-        raise ValueError(f"{name} must be non-empty")
-    if len(values) > 1:
-        steps = np.diff(values)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValueError(f"{name} must be monotone")
-    return values
-
-
-@dataclass(frozen=True)
-class GridSweep:
-    """IF power over a grid of bias voltages (rows) and input powers
-    (columns)."""
-
-    bias_voltages: tuple[float, ...]
-    input_powers_dbm: tuple[float, ...]
-    cells: tuple[tuple[ConversionResult, ...], ...]
-
-    def to_table(self) -> Table:
-        cells = [cell for row in self.cells for cell in row]
-        return Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
-                              "dc_current_a"],
-                     rows=np.column_stack([
-                         np.repeat(self.bias_voltages,
-                                   len(self.input_powers_dbm)),
-                         np.tile(self.input_powers_dbm,
-                                 len(self.bias_voltages)),
-                         [c.if_power_dbm for c in cells],
-                         [c.dc_current for c in cells]]))
-
-
-def bias_power_sweep(chain_template: MixingChain,
-                     bias_grid: Sequence[float],
-                     power_grid_dbm: Sequence[float],
-                     tone_pair: tuple[float, float],
-                     weaker_tone_offset_db: float = -5.0) -> GridSweep:
-    """:func:`simulate_mixing` over a bias x input power grid, as one
-    :func:`mix_cells` call.
-
-    The second tone is driven ``weaker_tone_offset_db`` relative to the
-    first (default -5 dB). Cells are in row-major (bias-major) order; a
-    tone pair that cannot be sampled raises :class:`NyquistViolation`.
-
-    The chain is memoryless and frequency-flat, so the sweep over a band of
-    tone pairs at fixed powers is one call per pair, each at a single power
-    (``power_grid_dbm = [p1]``, ``weaker_tone_offset_db = p2 - p1``).
-    """
-    bias_values = _check_grid(bias_grid, "bias_grid")
-    power_values = _check_grid(power_grid_dbm, "power_grid_dbm")
-    f1, f2 = tone_pair
-    z = chain_template.source_impedance_ohms
-    drive = [(dbm_to_amplitude(p, z),
-              dbm_to_amplitude(p + weaker_tone_offset_db, z))
-             for p in power_values]
-    cells = mix_cells(chain_template,
-                      np.repeat(bias_values, len(power_values)),
-                      drive * len(bias_values), (f1, f2), abs(f2 - f1))
-    width = len(power_values)
-    return GridSweep(
-        bias_voltages=tuple(bias_values),
-        input_powers_dbm=tuple(power_values),
-        cells=tuple(tuple(cells[k:k + width])
-                    for k in range(0, len(cells), width)),
-    )
+    if_power_dbm, dc_current = mix_cells(
+        chain, [chain.bias_voltage], [[t.amplitude for t in tones]],
+        [t.frequency for t in tones], if_frequency, [t.phase for t in tones])
+    return float(if_power_dbm[0]), float(dc_current[0])

@@ -1,7 +1,11 @@
 """Exception types raised across the package.
 
-Everything derives from :class:`SelfmixError` so callers can catch the whole
-family at once (the CLI maps them to exit status 3).
+The CLI tells two kinds of failure apart: :class:`ConfigError` (bad input,
+exit status 2) and any other ``ValueError`` (a model or solver failure,
+exit status 3; so is an ``OverflowError`` past the float range). Besides
+:class:`ConfigError`, only :class:`InvalidParams` and
+:class:`NoInteriorMaximum` have a class of their own, because a caller
+catches each by name; every other failure raises plain ``ValueError``.
 """
 
 
@@ -9,36 +13,8 @@ class SelfmixError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NyquistViolation(SelfmixError, ValueError):
-    """Sample rate too low for the requested signal content."""
-
-
-class EmptyToneList(SelfmixError, ValueError):
-    """An operation that needs at least one tone received none."""
-
-
-class TooFewSamples(SelfmixError, ValueError):
-    """Waveform is too short for spectral analysis (fewer than 16 samples)."""
-
-
 class NoInteriorMaximum(SelfmixError, ValueError):
     """Bias optimisation found no interior maximum (e.g. zero series resistance)."""
-
-
-class NonPositiveInput(SelfmixError, ValueError):
-    """An argument that must be positive was zero or negative."""
-
-
-class EmptyInput(SelfmixError, ValueError):
-    """A collection argument that must be non-empty was empty."""
-
-
-class InvalidGrid(SelfmixError, ValueError):
-    """Angular grid is malformed (not increasing, not uniform, out of range)."""
-
-
-class GridMismatch(SelfmixError, ValueError):
-    """Two pattern grids that must be identical differ."""
 
 
 class InvalidParams(SelfmixError, ValueError):

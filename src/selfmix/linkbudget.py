@@ -125,8 +125,8 @@ def calibrate_conversion_gain(chain: MixingChain,
     p1, p2 = powers_dbm
     tones = [ToneSpec(f1, dbm_to_amplitude(p1, chain.source_impedance_ohms)),
              ToneSpec(f2, dbm_to_amplitude(p2, chain.source_impedance_ohms))]
-    sim = simulate_mixing(chain, tones, abs(f2 - f1))
-    return (sim.if_power_dbm - (p1 + chain.lna_gain_db)
+    if_power_dbm, _ = simulate_mixing(chain, tones, abs(f2 - f1))
+    return (if_power_dbm - (p1 + chain.lna_gain_db)
             - (p2 + chain.lna_gain_db))
 
 

@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid
-
 _HALF_PI = math.pi / 2.0
 
 
@@ -35,20 +33,20 @@ class PatternGrid:
         theta = np.asarray(self.theta_samples, dtype=float)
         gains = np.asarray(self.gains, dtype=float)
         if theta.ndim != 1 or gains.ndim != 1 or theta.size != gains.size:
-            raise InvalidGrid("theta_samples and gains must be 1-D arrays of "
-                              "equal length")
+            raise ValueError("theta_samples and gains must be 1-D arrays of "
+                             "equal length")
         if theta.size < 3:
-            raise InvalidGrid("pattern cut needs at least 3 samples")
+            raise ValueError("pattern cut needs at least 3 samples")
         steps = np.diff(theta)
         if not np.all(steps > 0.0):
-            raise InvalidGrid("theta grid must be strictly increasing")
+            raise ValueError("theta grid must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
-            raise InvalidGrid("theta grid must be uniform")
+            raise ValueError("theta grid must be uniform")
         tol = 1e-9
         if theta[0] < -_HALF_PI - tol or theta[-1] > _HALF_PI + tol:
-            raise InvalidGrid("theta grid must lie within [-pi/2, pi/2]")
+            raise ValueError("theta grid must lie within [-pi/2, pi/2]")
         if not np.all(np.isfinite(gains)) or np.any(gains < 0.0):
-            raise InvalidGrid("gains must be finite and >= 0")
+            raise ValueError("gains must be finite and >= 0")
         theta = theta.copy()
         gains = gains.copy()
         theta.flags.writeable = False
@@ -97,7 +95,7 @@ def self_mix_pattern(c1: PatternGrid, c2: PatternGrid) -> PatternGrid:
     element's amplitude patterns at the two tone frequencies."""
     if c1.theta_samples.shape != c2.theta_samples.shape or not np.array_equal(
             c1.theta_samples, c2.theta_samples):
-        raise GridMismatch("pattern grids have different theta samples")
+        raise ValueError("pattern grids have different theta samples")
     return PatternGrid(c1.theta_samples, c1.gains * c2.gains)
 
 

@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyToneList, NyquistViolation, TooFewSamples
-
 _TWO_PI = 2.0 * math.pi
 
 MIN_SAMPLES = 16
@@ -70,7 +68,7 @@ class SampledWaveform:
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if samples.size < MIN_SAMPLES:
-            raise TooFewSamples(
+            raise ValueError(
                 f"waveform needs >= {MIN_SAMPLES} samples, got {samples.size}")
         samples = samples.copy()
         samples.flags.writeable = False
@@ -128,19 +126,19 @@ def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
     ``samples[i] = sum_k a_k * sin(2*pi*f_k*t_i + phi_k)`` with
     ``t_i = i / sample_rate``.
 
-    Raises :class:`EmptyToneList` when no tones are given and
-    :class:`NyquistViolation` when ``sample_rate <= 2 * max(f_k)``. The
+    Raises ``ValueError`` when no tones are given or when
+    ``sample_rate <= 2 * max(f_k)``. The
     record must span at least one full period of the slowest tone; the
     one-common-period records that :func:`plan_sampling` produces put every
     tone and every mixing product of the tones on an exact bin.
     """
     tones = list(tones)
     if not tones:
-        raise EmptyToneList("need at least one tone")
+        raise ValueError("need at least one tone")
     f_max = max(t.frequency for t in tones)
     f_min = min(t.frequency for t in tones)
     if sample_rate <= 2.0 * f_max:
-        raise NyquistViolation(
+        raise ValueError(
             f"sample rate {sample_rate} Hz cannot represent a {f_max} Hz tone")
     if duration * f_min < 1.0 - 1e-12:
         raise ValueError(
@@ -222,17 +220,17 @@ def plan_sampling(frequencies: Iterable[float],
     waveform over these frequencies, and any memoryless function of one,
     repeats after that period, so a longer record only repeats the samples
     and leaves every bin of the grid unchanged. Raises
-    :class:`NyquistViolation` if ``n`` would exceed :data:`MAX_SAMPLES`
+    ``ValueError`` if ``n`` would exceed :data:`MAX_SAMPLES`
     (wildly incommensurate frequencies).
     """
     freqs = [float(f) for f in frequencies if f > 0.0]
     if not freqs:
-        raise EmptyToneList("need at least one positive frequency")
+        raise ValueError("need at least one positive frequency")
     as_int = []
     for f in freqs:
         k = round(f)
         if abs(f - k) > 1e-9 * max(f, 1.0):
-            raise NyquistViolation(
+            raise ValueError(
                 f"frequency {f} Hz is not an integer number of hertz; "
                 "no exact common sampling grid exists")
         as_int.append(int(k))
@@ -242,7 +240,7 @@ def plan_sampling(frequencies: Iterable[float],
     while n * resolution <= oversample * f_max:
         n *= 2
         if n > MAX_SAMPLES:
-            raise NyquistViolation(
+            raise ValueError(
                 "frequencies share no common grid coarse enough to sample "
                 f"with <= {MAX_SAMPLES} points")
     return float(n * resolution), 1.0 / resolution

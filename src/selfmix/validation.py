@@ -272,7 +272,7 @@ def check_square_law_slope() -> CheckResult:
     for p in powers:
         tones = [signals.ToneSpec(37.5e9, dbm_to_amplitude(p)),
                  signals.ToneSpec(38.5e9, dbm_to_amplitude(p - 5.0))]
-        out.append(diode.simulate_mixing(chain, tones, 1.0e9).if_power_dbm)
+        out.append(diode.simulate_mixing(chain, tones, 1.0e9)[0])
     slope = float(np.polyfit(powers, out, 1)[0])
     return CheckResult(
         name="square-law regime slope (default chain, -60..-45 dBm)",
@@ -284,14 +284,14 @@ def check_square_law_slope() -> CheckResult:
 def check_bias_optimum() -> list[CheckResult]:
     results = []
     trio = diode.DiodeModel(1e-13, 1.2, 4.0)
-    opt = diode.optimal_bias_static(trio, (0.3, 1.0))
+    opt_v, _ = diode.optimal_bias_static(trio, (0.3, 1.0))
     grid = np.arange(0.3, 1.0, 10e-6)
     # second differences of the solved current, independent of the closed
     # form behind iv_derivatives and optimal_bias_static
     current = diode.terminal_current(trio, grid)
     second = current[2:] - 2.0 * current[1:-1] + current[:-2]
     dense = grid[1 + int(np.argmax(second))]
-    ok = abs(opt.terminal_voltage - dense) < 1e-3
+    ok = abs(opt_v - dense) < 1e-3
     try:
         diode.optimal_bias_static(diode.DiodeModel(1e-13, 1.2, 0.0), (0.3, 1.0))
         r0_ok = False
@@ -300,16 +300,15 @@ def check_bias_optimum() -> list[CheckResult]:
     results.append(CheckResult(
         name="static bias optimum vs 10 uV dense-grid scan (R_s = 4 ohm)",
         passed=ok and r0_ok,
-        detail=f"closed form {opt.terminal_voltage:.6f} V vs dense grid "
+        detail=f"closed form {opt_v:.6f} V vs dense grid "
                f"{dense:.6f} V (within 1 mV); R_s = 0 raises "
                "NoInteriorMaximum"))
     d = diode.default_diode()
-    opt_default = diode.optimal_bias_static(d, (0.3, 1.0))
+    v, i = diode.optimal_bias_static(d, (0.3, 1.0))
     results.append(CheckResult(
         name="default device static optimum (fitted calibration)",
-        passed=abs(opt_default.terminal_voltage - 0.73) <= 0.02,
-        detail=f"optimum at {opt_default.terminal_voltage:.4f} V / "
-               f"{opt_default.bias_current * 1e3:.3f} mA; device parameters "
+        passed=abs(v - 0.73) <= 0.02,
+        detail=f"optimum at {v:.4f} V / {i * 1e3:.3f} mA; device parameters "
                "are fitted to place it at 0.73 V / 2.5 mA (vendor values "
                "unpublished)"))
     return results
@@ -395,8 +394,8 @@ def check_bias_insensitivity() -> CheckResult:
     bias = np.round(np.arange(0.0, 0.8001, 0.05), 10)
     spreads = {}
     for p in (-50.0, -20.0):
-        sweep = diode.bias_power_sweep(chain, bias, [p], (37.5e9, 38.5e9))
-        vals = np.array([row[0].if_power_dbm for row in sweep.cells])
+        drive = [(dbm_to_amplitude(p), dbm_to_amplitude(p - 5.0))] * bias.size
+        vals, _ = diode.mix_cells(chain, bias, drive, (37.5e9, 38.5e9), 1.0e9)
         spreads[p] = float(vals.max() - vals.min())
     ok = spreads[-20.0] < 3.0 and spreads[-50.0] > 10.0
     return CheckResult(

@@ -628,7 +628,9 @@ class TestOtherCommands:
         header, rows = read_csv(out)
         assert header == ["bias_v", "input_power_dbm", "if_power_dbm",
                           "dc_current_a"]
-        assert len(rows) == 3 * 2
+        # bias-major: the power axis runs fastest
+        assert [row[:2] for row in rows] == [
+            [v, p] for v in ("0.6", "0.65", "0.7") for p in ("-45", "-40")]
 
     def test_bias_sweep_at_one_power_is_a_frequency_column(self, tmp_path):
         # the chain is frequency-flat: at fixed tone powers, the tone pairs

@@ -69,11 +69,13 @@ def _all_finite(rows):
 
 @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
 @given(command=st.sampled_from(["array-factor", "pattern"]),
-       cfg=st.fixed_dictionaries({}, optional={**KEYS, **PATTERN_KEYS}))
-def test_cut_configs_exit_cleanly(command, cfg):
+       cfg=st.fixed_dictionaries({}, optional={**KEYS, **PATTERN_KEYS}),
+       quiet=st.booleans())
+def test_cut_configs_exit_cleanly(command, cfg, quiet):
+    # without --quiet, array-factor prints the effective spacings too
     if command == "array-factor":
         cfg = {k: v for k, v in cfg.items() if k not in PATTERN_KEYS}
-    code, err, rows = _run(command, cfg)
+    code, err, rows = _run(command, cfg, quiet)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     elements = cfg.get("nx", 4) * cfg.get("ny", 2)
@@ -208,9 +210,11 @@ LINK_KEYS = dict(
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
-@given(cfg=st.fixed_dictionaries({}, optional=LINK_KEYS))
-def test_link_budget_configs_exit_cleanly(cfg):
-    code, err, rows = _run("link-budget", cfg)
+@given(cfg=st.fixed_dictionaries({}, optional=LINK_KEYS),
+       quiet=st.booleans())
+def test_link_budget_configs_exit_cleanly(cfg, quiet):
+    # without --quiet, a calibrated conversion constant is printed too
+    code, err, rows = _run("link-budget", cfg, quiet)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     if code == 0:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from selfmix.errors import EmptyToneList, NyquistViolation, TooFewSamples
 from selfmix.signals import (
     SampledWaveform,
     ToneSpec,
@@ -55,11 +54,11 @@ class TestSynthesize:
         assert abs(spec.amplitude_at(1e9)) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_tone_list(self):
-        with pytest.raises(EmptyToneList):
+        with pytest.raises(ValueError, match="need at least one tone"):
             synthesize_waveform([], 16.0, 1.0)
 
     def test_nyquist_violation(self):
-        with pytest.raises(NyquistViolation):
+        with pytest.raises(ValueError, match="cannot represent"):
             synthesize_waveform([ToneSpec(10.0, 1.0)], 20.0, 10.0)
 
     def test_record_below_one_period(self):
@@ -142,7 +141,7 @@ class TestDftSpectrum:
         assert abs(spec.amplitude_at(7.0)) == pytest.approx(0.7, abs=1e-10)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="needs >= 16 samples"):
             SampledWaveform(64.0, np.zeros(8))
 
     def test_parseval(self):
@@ -257,5 +256,5 @@ def test_one_period_bins_equal_two_period_bins():
 
 
 def test_plan_sampling_rejects_fractional_hz():
-    with pytest.raises(NyquistViolation):
+    with pytest.raises(ValueError, match="not an integer number of hertz"):
         plan_sampling([10.0, 10.5])
