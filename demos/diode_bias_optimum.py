@@ -42,7 +42,7 @@ print(f"\nstatic optimum (bare diode):   {v_opt:.3f} V, "
       f"{i_opt * 1e3:.2f} mA")
 
 grid = np.arange(0.55, 0.85, 0.01)
-d2 = np.asarray(iv_derivatives(diode, grid).d2i_dv2)
+_, d2 = iv_derivatives(diode, grid)
 print("\n  bias   d2i/dv2")
 for v, c in zip(grid[::3], d2[::3]):
     bar = "#" * int(30 * c / d2.max())

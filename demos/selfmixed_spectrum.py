@@ -12,11 +12,9 @@ frequency-domain self-convolution against brute-force time-domain squaring.
 import numpy as np
 
 from selfmix.signals import (
-    ToneSpec,
     dft_spectrum,
     plan_sampling,
     spectrum_self_convolution,
-    square_law_mix,
     synthesize_waveform,
 )
 
@@ -27,38 +25,35 @@ print("=" * 70)
 print("SELF-MIXED SPECTRUM: carrier at 37.5 GHz, band at 38.1-38.5 GHz")
 print("=" * 70)
 
-tones = [ToneSpec(CARRIER_HZ, 1.0)]
-tones += [ToneSpec(f, 0.25) for f in BAND_HZ]
-rate, duration = plan_sampling([t.frequency for t in tones])
+frequencies = [CARRIER_HZ] + BAND_HZ
+amplitudes = [1.0] + [0.25] * len(BAND_HZ)
+rate, duration = plan_sampling(frequencies)
+samples = round(rate * duration)
 print(f"\nsampling: {rate / 1e9:.0f} GHz rate, {duration * 1e9:.1f} ns record "
       f"({int(rate * duration)} samples)")
 
-waveform = synthesize_waveform(tones, rate, duration)
-mixed = square_law_mix(waveform)
-spectrum = dft_spectrum(mixed)
+# a record of one common period: bin k holds k / duration Hz
+waveform = synthesize_waveform(amplitudes, frequencies, 0.0, rate, samples)
+spectrum = dft_spectrum(waveform * waveform)
+if_bins = [round((f - CARRIER_HZ) * duration) for f in BAND_HZ]
 
 print("\ndown-converted products (difference tones carrier x band):")
 print(f"  {'frequency':>12} {'amplitude':>10}")
-for f in BAND_HZ:
-    if_freq = f - CARRIER_HZ
-    amp = abs(spectrum.amplitude_at(if_freq))
-    print(f"  {if_freq / 1e9:9.1f} GHz {amp:10.4f}")
-dc = abs(spectrum.amplitude_at(0.0))
-print(f"  {'DC':>12} {dc:10.4f}   (sum of squared amplitudes / 2)")
+for k in if_bins:
+    print(f"  {k / duration / 1e9:9.1f} GHz {abs(spectrum[k]):10.4f}")
+print(f"  {'DC':>12} {abs(spectrum[0]):10.4f}   (sum of squared amplitudes / 2)")
 
 # the share of the energy in the 0.3-1.2 GHz bins of the squared spectrum
 # that the carrier x band difference tones hold
-freqs = spectrum.bin_frequencies
+freqs = np.arange(spectrum.size) * (rate / samples)
 in_band = (freqs >= 0.3e9) & (freqs <= 1.2e9)
-total_power = np.sum(spectrum.magnitudes[in_band] ** 2)
-band_power = sum(abs(spectrum.amplitude_at(f - CARRIER_HZ)) ** 2
-                 for f in BAND_HZ)
+total_power = np.sum(np.abs(spectrum[in_band]) ** 2)
+band_power = sum(abs(spectrum[k]) ** 2 for k in if_bins)
 print(f"\nband-pass 0.3-1.2 GHz keeps {band_power / total_power:.6f} of the "
       "remaining energy in the five difference tones")
 
 # sanity: the closed-form self-convolution agrees with squaring bin by bin
 conv = spectrum_self_convolution(dft_spectrum(waveform))
-m = spectrum.complex_amplitudes.size
-err = np.max(np.abs(conv.complex_amplitudes[:m] - spectrum.complex_amplitudes))
+err = np.max(np.abs(conv[:spectrum.size] - spectrum))
 print(f"\nself-convolution vs time-domain squaring: max bin error {err:.2e} V")
 print("done.")

@@ -9,8 +9,8 @@ a conventional RF combiner would show grating lobes.
 
 The package provides:
 
-* :mod:`selfmix.signals` -- tone synthesis, square-law mixing, DFT tone
-  extraction and spectrum self-convolution (the brute-force oracle
+* :mod:`selfmix.signals` -- batched tone synthesis and DFT bin reads on
+  plain arrays, and spectrum self-convolution (the brute-force oracle
   everything else is checked against);
 * :mod:`selfmix.diode` -- Shockley-plus-series-resistance detector model,
   bias-point analysis and time-domain mixing sweeps;

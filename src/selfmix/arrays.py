@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import MAX_SAMPLES, plan_sampling
+from .signals import (MAX_SAMPLES, dft_spectrum, plan_sampling,
+                      synthesize_waveform)
 from .units import DB_FLOOR, SPEED_OF_LIGHT
 
 _TWO_PI = 2.0 * math.pi
@@ -366,12 +367,12 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
 
     One time-domain pass over D*N + 1 rows: one row per direction and
     element, and a last row for a single isotropic element at the origin.
-    Along its row each waveform goes through the steps of
-    ``signals.synthesize_waveform`` (the delayed and feed-shifted two-tone
-    sum, tone amplitudes :data:`_TONE_AMPLITUDES`), ``square_law_mix`` and
-    ``dft_spectrum``, read at the IF bin of the squared record; each
+    Each row is a ``signals.synthesize_waveform`` record of the delayed and
+    feed-shifted two-tone sum (tone amplitudes :data:`_TONE_AMPLITUDES`),
+    squared and read by ``signals.dft_spectrum`` at the IF bin; each
     direction's element tones are summed coherently with ``1/sqrt(N)``
-    combiner normalization.
+    combiner normalization. The oracle shares those two functions with the
+    ``spectrum`` subcommand and nothing with the array-factor kernel.
 
     ``element_gains`` holds one amplitude-gain pair (at f1, at f2) per
     direction, shared by every element; None means unit gains.
@@ -409,7 +410,6 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
                     _TWO_PI * path * f / SPEED_OF_LIGHT + g.rf_phase_offsets)
     if not np.all(np.isfinite(phases)):
         raise ValueError("element phases overflow")
-    phases = (phases + math.pi) % _TWO_PI - math.pi  # wrapped as ToneSpec does
 
     # the planned rate exceeds 4 * max(f1, f2), so the squared waveform lies
     # below Nyquist, and the record spans a whole period of every tone: every
@@ -419,7 +419,6 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
     if_freq = abs(f1 - f2)
     rate, duration = plan_sampling([f1, f2, if_freq])
     samples = int(round(duration * rate))
-    t = np.arange(samples) / rate
     k = round(if_freq / (rate / samples))
     if round(2.0 * min(f1, f2) / (rate / samples)) == k:
         raise ValueError(f"the 2 x {min(f1, f2)} Hz square term shares the IF "
@@ -431,12 +430,10 @@ def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
     rows = max(1, MAX_SAMPLES // samples)
     for lo in range(0, tones.size, rows):
         block = slice(lo, lo + rows)
-        w = np.zeros((len(amps[block]), samples))
-        for col, f in enumerate((f1, f2)):
-            w += amps[block, col, None] * np.sin(_TWO_PI * f * t
-                                                 + phases[block, col, None])
+        w = synthesize_waveform(amps[block], (f1, f2), phases[block], rate,
+                                samples)
         w *= w  # square-law mix
-        tones[block] = np.fft.rfft(w, axis=1)[:, k] / samples * 2.0
+        tones[block] = dft_spectrum(w, [k])[:, 0]
     tones[:-1][np.any(amps[:-1] == 0.0, axis=1)] = 0.0  # a dead element
 
     reference = abs(complex(tones[-1]))

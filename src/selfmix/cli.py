@@ -260,14 +260,15 @@ def cmd_spectrum(cfg: dict) -> Table:
                                           return_counts=True)
     order = np.argsort(first)  # the band's order, in which tones are summed
     with _invariants_are_config_errors():  # say a tone that snaps to 0 Hz
-        tones = [signals.ToneSpec(float(snapped[0]), cfg["carrier_amp_v"])]
-        tones += [signals.ToneSpec(float(f), float(k) * cfg["band_amp_v"])
-                  for f, k in zip(band[order], multiplicity[order])]
-    rate, duration = signals.plan_sampling([t.frequency for t in tones])
+        amplitudes, frequencies, _ = signals.check_tones(
+            np.append(cfg["carrier_amp_v"],
+                      multiplicity[order] * cfg["band_amp_v"]),
+            np.append(snapped[0], band[order]))
+    rate, duration = signals.plan_sampling(frequencies)
     # a printed spectrum resolves the slowest tone over at least four
     # periods: repeat the common period, which keeps every bin exact
     samples = int(round(duration * rate))
-    while samples / rate * min(t.frequency for t in tones) < 4.0:
+    while samples / rate * frequencies.min() < 4.0:
         samples *= 2
         if samples > signals.MAX_SAMPLES:
             raise ValueError(
@@ -276,19 +277,19 @@ def cmd_spectrum(cfg: dict) -> Table:
     # the record's peak is at most the amplitude sum, and a DFT bin of its
     # square sums `samples` terms of at most peak**2; the factor 4 leaves
     # room for the FFT's partial sums and the one-sided doubling
-    peak = sum(t.amplitude for t in tones)
+    peak = sum(amplitudes.tolist())
     if not math.isfinite(4.0 * samples * peak * peak):
         raise OverflowError(
             f"the squared record of amplitudes summing to {peak} V over "
             f"{samples} samples overflows the float range")
-    w = signals.synthesize_waveform(tones, rate, samples / rate)
-    original = signals.dft_spectrum(w)
-    mixed = signals.dft_spectrum(signals.square_law_mix(w))
+    w = signals.synthesize_waveform(amplitudes, frequencies, 0.0, rate,
+                                    samples)
     return Table(columns=["frequency_hz", "original_amplitude_v",
                           "mixed_amplitude_v"],
-                 rows=np.column_stack([mixed.bin_frequencies,
-                                       original.magnitudes,
-                                       mixed.magnitudes]))
+                 rows=np.column_stack([
+                     np.arange(samples // 2 + 1) * (rate / samples),
+                     np.abs(signals.dft_spectrum(w)),
+                     np.abs(signals.dft_spectrum(w * w))]))
 
 
 DIODE_IV_SCHEMA = Schema(
@@ -307,11 +308,10 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
                         "voltage")
     grid = cfg["v_start_v"] + cfg["v_step_v"] * np.arange(count)
     current = np.asarray(diode.terminal_current(model, grid))
-    deriv = diode.iv_derivatives(model, grid)
+    di_dv, d2i_dv2 = diode.iv_derivatives(model, grid)
     table = Table(columns=["voltage_v", "current_a", "di_dv_s",
                            "d2i_dv2_s_per_v"],
-                  rows=np.column_stack([grid, current, deriv.di_dv,
-                                        deriv.d2i_dv2]))
+                  rows=np.column_stack([grid, current, di_dv, d2i_dv2]))
     if not quiet:
         try:
             v, i = diode.optimal_bias_static(

@@ -12,7 +12,9 @@ derivative grows monotonically.
 Mixing is simulated with a memoryless voltage drive: the amplified receive
 tones plus the bias voltage form a source that drives the diode through the
 chain's source impedance, the loop current is solved sample by sample, and
-the IF component is read from its DFT. Amplifier and filters are collapsed
+the DC and IF components are read from its DFT; the drive records come from
+:func:`selfmix.signals.synthesize_waveform` and the bins from
+:func:`selfmix.signals.dft_spectrum`. Amplifier and filters are collapsed
 into a flat gain and an ideal IF load; there is no junction capacitance and
 hence no frequency dependence. This keeps every qualitative behaviour of the
 real chain at desk scale: the square-law slope, a whole-chain bias optimum
@@ -30,13 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoInteriorMaximum
-from .signals import ToneSpec, plan_sampling
+from .signals import (check_tones, dft_spectrum, plan_sampling,
+                      synthesize_waveform)
 from .units import DB_FLOOR, db_to_amplitude_ratio, watts_to_dbm
-
-EXP_CLAMP = 60.0
-"""Exponent arguments of the Shockley law are clamped at this value to avoid
-overflow; the clamp only engages for junction voltages far outside any
-operating point (about 1.9 V for typical parameters)."""
 
 OMEGA_STEPS = 6
 """Newton steps of the terminal-current solve: from the asymptotic start,
@@ -125,40 +123,24 @@ def default_chain(lna_gain_db: float = 25.0,
     return MixingChain(lna_gain_db=lna_gain_db, diode=diode)
 
 
-@dataclass(frozen=True)
-class IvDerivatives:
-    di_dv: np.ndarray | float
-    d2i_dv2: np.ndarray | float
-
-
-def junction_current(model: DiodeModel, v_junction):
-    """Shockley current for a given junction voltage (array-capable)."""
-    exponent = np.minimum(np.asarray(v_junction, dtype=float) / model.emission_voltage,
-                          EXP_CLAMP)
-    i = model.saturation_current * np.expm1(exponent)
-    if np.isscalar(v_junction) or np.ndim(v_junction) == 0:
-        return float(i)
-    return i
-
-
 def terminal_current(model: DiodeModel, v_terminal):
     """Current through the series combination of R_s and the junction.
 
-    Exact solution of ``i = junction_current(v - i * R_s)`` (array-capable).
+    Exact solution of ``i = I_s * expm1((v - i * R_s) / nV_T)``
+    (array-capable).
     With ``c = I_s R_s / nV_T``, the junction voltage ``u = v_j / nV_T``
     solves ``u + c * expm1(u) = v / nV_T``, so ``c * exp(u)`` is the Wright
     omega function of ``ln c + c + v / nV_T`` (Banwell & Jayakumar, Electron.
     Lett. 36(4), 2000). :data:`OMEGA_STEPS` Newton steps in ``u`` from
     omega's asymptotic form evaluate it; the equation is convex in ``u``
-    with slope >= 1, so they converge from any start. For ``R_s = 0`` this
-    reduces exactly to :func:`junction_current`, and so it does where ``c``
-    underflows to 0: the series drop is then below float resolution.
+    with slope >= 1, so they converge from any start. For ``R_s = 0`` the
+    current is the junction's own, ``I_s * expm1(v / nV_T)``, and so it is
+    where ``c`` underflows to 0: the series drop is then below float
+    resolution. Raises ``ValueError`` on a non-finite voltage or current.
     """
     nvt = model.emission_voltage
     i_s = model.saturation_current
     c = i_s * model.series_resistance / nvt
-    if c == 0.0:
-        return junction_current(model, v_terminal)
     scalar = np.isscalar(v_terminal) or np.ndim(v_terminal) == 0
     v = np.atleast_1d(np.asarray(v_terminal, dtype=float))
     if not np.all(np.isfinite(v)):
@@ -174,35 +156,40 @@ def terminal_current(model: DiodeModel, v_terminal):
     # I_s R_s above 1e14 V) and a voltage near -I_s R_s.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = v / nvt
-        u = x + (math.log(c) + c)
-        above = u > 1.0
-        step = np.maximum(u, 1.0)
-        slope = np.log(step)
-        step -= slope
-        np.log(step, out=step)
-        step -= math.log(c)
-        np.copyto(u, x)
-        np.copyto(u, step, where=above)
-        for _ in range(OMEGA_STEPS):
-            np.expm1(u, out=step)
-            step *= c
-            np.add(step, 1.0 + c, out=slope)
-            step += u
-            step -= x
-            step /= slope
-            u -= step
-        i = np.expm1(u, out=step)
-        i *= i_s
+        if c == 0.0:  # the bare junction
+            i = i_s * np.expm1(x)
+        else:
+            u = x + (math.log(c) + c)
+            above = u > 1.0
+            step = np.maximum(u, 1.0)
+            slope = np.log(step)
+            step -= slope
+            np.log(step, out=step)
+            step -= math.log(c)
+            np.copyto(u, x)
+            np.copyto(u, step, where=above)
+            for _ in range(OMEGA_STEPS):
+                np.expm1(u, out=step)
+                step *= c
+                np.add(step, 1.0 + c, out=slope)
+                step += u
+                step -= x
+                step /= slope
+                u -= step
+            i = np.expm1(u, out=step)
+            i *= i_s
     if not np.all(np.isfinite(i)):
-        # exp(u) overflows past u = 709, i.e. for c < 1e-307 * omega(z)
+        # exp(u) overflows past u = 709: at R_s = 0 past v = 709 nV_T,
+        # otherwise for c < 1e-307 * omega(z)
         raise ValueError("terminal current overflows for these diode parameters")
     if scalar:
         return float(i[0])
     return i
 
 
-def iv_derivatives(model: DiodeModel, v_terminal) -> IvDerivatives:
-    """First and second derivative of the terminal I-V curve, exactly.
+def iv_derivatives(model: DiodeModel, v_terminal):
+    """First and second derivative of the terminal I-V curve, exactly, as
+    the pair ``(di_dv, d2i_dv2)`` (floats for a scalar voltage).
 
     With the junction conductance ``g = (i + I_s) / nV_T``,
     ``di/dv = g / (1 + g R_s)`` and ``d2i/dv2 = (g / nV_T) / (1 + g R_s)**3``.
@@ -219,8 +206,8 @@ def iv_derivatives(model: DiodeModel, v_terminal) -> IvDerivatives:
         raise ValueError(f"the I-V derivatives of {model} overflow the "
                          "float range")
     if np.isscalar(v_terminal) or np.ndim(v_terminal) == 0:
-        return IvDerivatives(di_dv=float(di_dv), d2i_dv2=float(d2i_dv2))
-    return IvDerivatives(di_dv=di_dv, d2i_dv2=d2i_dv2)
+        return float(di_dv), float(d2i_dv2)
+    return di_dv, d2i_dv2
 
 
 def optimal_bias_static(model: DiodeModel,
@@ -271,7 +258,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     """Time-domain mixing of one tone set at many bias voltages and drive
     levels: cell ``k`` is biased at ``bias_voltages[k]`` and driven by the
     tones ``frequencies`` with peak amplitudes ``amplitudes[k]`` (before the
-    LNA) and ``phases`` (default 0).
+    LNA) and ``phases`` (one per tone, shared by every cell, default 0).
 
     The LNA power gain scales the amplitudes; the bias voltage and the
     amplified waveform are superimposed and drive the diode through the
@@ -283,41 +270,37 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     are all zero is not sampled: it reads the floor and the loop current at
     its bias voltage.
 
-    One sampling plan and one set of unit sines serve every cell, and the
-    cells are solved :data:`MIXING_BLOCK` samples at a time; each cell's
-    samples and results are bit for bit those of synthesising, solving and
-    transforming it alone.
+    One sampling plan and one set of unit sines (one ``synthesize_waveform``
+    call) serve every cell, and the cells are solved :data:`MIXING_BLOCK`
+    samples at a time, each block read at its DC and IF bins by one
+    ``dft_spectrum`` call; each cell's samples and results are bit for bit
+    those of synthesising, solving and transforming it alone.
     """
-    freqs = [float(f) for f in frequencies]
-    if not freqs:
-        raise ValueError("need at least one tone")
-    if not all(f > 0.0 and math.isfinite(f) for f in freqs):
-        raise ValueError(f"tone frequencies must be positive, got {freqs}")
+    if phases is None:
+        phases = [0.0] * len(frequencies)
+    if np.shape(phases) != (len(frequencies),):
+        raise ValueError("need one phase per tone frequency")
+    bias = np.asarray(bias_voltages, dtype=float)
+    amplified, freqs, _ = check_tones(db_to_amplitude_ratio(
+        chain.lna_gain_db) * np.asarray(amplitudes, dtype=float), frequencies)
+    freqs = freqs.tolist()
     if if_frequency <= 0.0:
         raise ValueError("if_frequency must be positive")
     diffs = {abs(a - b) for a in freqs for b in freqs if a != b}
     if not any(math.isclose(if_frequency, d, rel_tol=1e-9) for d in diffs):
         raise ValueError(
             f"{if_frequency} Hz is not a difference frequency of the tone set")
-    bias = np.asarray(bias_voltages, dtype=float)
-    amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
-        amplitudes, dtype=float)
     if bias.ndim != 1 or amplified.shape != (bias.size, len(freqs)):
         raise ValueError(f"amplitudes must have shape ({bias.size}, "
                          f"{len(freqs)}), got {amplified.shape}")
-    if not np.all(np.isfinite(amplified) & (amplified >= 0.0)):
-        raise ValueError("amplified tone amplitudes must be finite and >= 0")
 
     # generous oversampling: the exponential diode produces products of all
     # orders, and only very high orders may alias onto the IF bin this way
     rate, duration = plan_sampling(freqs + [if_frequency], oversample=24.0)
     n = int(round(duration * rate))
-    t = np.arange(n) / rate
-    phases = [0.0] * len(freqs) if phases is None else list(phases)
-    if len(phases) != len(freqs):
-        raise ValueError("need one phase per tone frequency")
-    sines = [np.sin(2.0 * math.pi * f * t + phase)
-             for f, phase in zip(freqs, phases)]
+    # one unit sine per tone; a cell's waveform is their sum weighted by its
+    # amplitudes, in the order and with the bits of synthesising it alone
+    sines = synthesize_waveform(np.eye(len(freqs)), freqs, phases, rate, n)
     if_bin = int(round(if_frequency / (rate / n)))
     loop = chain.loop_model()
     silent = ~amplified.any(axis=1)
@@ -328,27 +311,13 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     per_block = max(1, MIXING_BLOCK // n)
     for start in range(0, driven.size, per_block):
         cells = driven[start:start + per_block]
-        # the operations of synthesize_waveform, then bias + waveform
         v = np.zeros((cells.size, n))
         for a, sine in zip(amplified[cells].T, sines):
             v += a[:, None] * sine
         v += bias[cells][:, None]
-        # the DC and IF bins as dft_spectrum scales them
-        bins = np.fft.rfft(terminal_current(loop, v))[:, [0, if_bin]] / n
-        bins[:, 1] *= 2.0
-        dc_current[cells] = bins[:, 0].real
+        dc, i_if = dft_spectrum(terminal_current(loop, v), [0, if_bin]).T
+        dc_current[cells] = dc.real
         if_power_dbm[cells] = [watts_to_dbm(i * i * chain.if_load_ohms / 2.0)
-                               for i in np.abs(bins[:, 1]).tolist()]
+                               for i in np.abs(i_if).tolist()]
     return if_power_dbm, dc_current
 
-
-def simulate_mixing(chain: MixingChain, tones: Sequence[ToneSpec],
-                    if_frequency: float) -> tuple[float, float]:
-    """Time-domain mixing of a tone set through the chain at its bias
-    voltage: the one-cell call of :func:`mix_cells`, returning
-    ``(if_power_dbm, dc_current)``."""
-    tones = list(tones)
-    if_power_dbm, dc_current = mix_cells(
-        chain, [chain.bias_voltage], [[t.amplitude for t in tones]],
-        [t.frequency for t in tones], if_frequency, [t.phase for t in tones])
-    return float(if_power_dbm[0]), float(dc_current[0])

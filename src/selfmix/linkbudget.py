@@ -6,7 +6,8 @@ IF amplifier and cable. The square-law conversion stage obeys the product
 rule: IF output power moves dB-for-dB with *each* tone, i.e. raising both
 tones by x dB raises the IF by 2x dB. Its absolute level is an affine
 constant that depends on the diode operating point, so it is calibrated once
-against :func:`selfmix.diode.simulate_mixing` rather than hard-coded.
+against one cell of the time-domain mixer :func:`selfmix.diode.mix_cells`
+at the chain's bias voltage rather than hard-coded.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diode import MixingChain, simulate_mixing
+from .diode import MixingChain, mix_cells
 from .errors import InvalidParams
-from .signals import ToneSpec
 from .units import DB_FLOOR, SPEED_OF_LIGHT, dbm_to_amplitude
 
 DEFAULT_TOTAL_EFFICIENCY_DB: dict[float, float] = {
@@ -114,7 +114,8 @@ def calibrate_conversion_gain(chain: MixingChain,
                               powers_dbm: tuple[float, float] = (-55.0, -60.0)
                               ) -> float:
     """Conversion constant K of :func:`chain_output_power`, measured once
-    against the time-domain mixer simulation in its square-law regime:
+    against one :func:`mix_cells` cell at the chain's bias voltage in its
+    square-law regime:
 
     ``K = P_if_sim - (P1 + G_lna) - (P2 + G_lna)``
 
@@ -123,9 +124,9 @@ def calibrate_conversion_gain(chain: MixingChain,
     """
     f1, f2 = tone_pair
     p1, p2 = powers_dbm
-    tones = [ToneSpec(f1, dbm_to_amplitude(p1, chain.source_impedance_ohms)),
-             ToneSpec(f2, dbm_to_amplitude(p2, chain.source_impedance_ohms))]
-    if_power_dbm, _ = simulate_mixing(chain, tones, abs(f2 - f1))
+    drive = [dbm_to_amplitude(p, chain.source_impedance_ohms) for p in (p1, p2)]
+    if_power_dbm = float(mix_cells(chain, [chain.bias_voltage], [drive],
+                                   tone_pair, abs(f2 - f1))[0][0])
     return (if_power_dbm - (p1 + chain.lna_gain_db)
             - (p2 + chain.lna_gain_db))
 

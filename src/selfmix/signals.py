@@ -1,10 +1,16 @@
-"""Multi-tone waveforms, square-law mixing and DFT tone extraction.
+"""Multi-tone records and their one-sided DFT bins.
 
 This module is the numerical ground truth for the rest of the package: the
 closed-form mixer and array results elsewhere are all checked against
-time-domain squaring plus DFT extraction performed here. No filter stands
-between the two: on a record from :func:`plan_sampling` every mixing product
-falls on an exact bin and leaks into no other, so each is read from its bin.
+time-domain squaring (``w * w``) or the diode solve of a record that
+:func:`synthesize_waveform` makes, read at its bins by :func:`dft_spectrum`.
+No other module transforms a record. No filter stands between squaring and
+reading: on a record from :func:`plan_sampling` every mixing product falls
+on an exact bin and leaks into no other, so each is read from its bin.
+
+Records are plain float arrays whose last axis is time; a batch of records
+is an array of any leading shape. Bin ``k`` of an ``n``-sample record at
+``sample_rate`` holds ``k * sample_rate / n`` Hz, starting at DC.
 
 Spectral convention: one-sided amplitude spectrum, i.e. a sine tone of peak
 amplitude ``a`` shows up in :func:`dft_spectrum` with ``|complex_amplitude|
@@ -18,7 +24,6 @@ code accepts any frequency, but exact results are only guaranteed on-bin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,168 +31,122 @@ import numpy as np
 _TWO_PI = 2.0 * math.pi
 
 MIN_SAMPLES = 16
-"""Smallest waveform length a :class:`SampledWaveform` accepts."""
+"""Shortest record :func:`synthesize_waveform` makes and :func:`dft_spectrum`
+reads."""
 
 MAX_SAMPLES = 1 << 20
 """Longest record :func:`plan_sampling` chooses (and the longest the
 ``spectrum`` subcommand repeats one to)."""
 
 
-def _norm_phase(phase: float) -> float:
-    """Wrap a phase into [-pi, pi)."""
-    return (phase + math.pi) % _TWO_PI - math.pi
-
-
-@dataclass(frozen=True)
-class ToneSpec:
-    """A single sine tone: ``amplitude * sin(2*pi*frequency*t + phase)``."""
-
-    frequency: float
-    amplitude: float
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.frequency > 0.0 and math.isfinite(self.frequency)):
-            raise ValueError(f"tone frequency must be positive, got {self.frequency}")
-        if not (self.amplitude >= 0.0 and math.isfinite(self.amplitude)):
-            raise ValueError(f"tone amplitude must be >= 0, got {self.amplitude}")
-        object.__setattr__(self, "phase", _norm_phase(self.phase))
-
-
-@dataclass(frozen=True)
-class SampledWaveform:
-    """Uniformly sampled real voltage waveform."""
-
-    sample_rate: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if samples.size < MIN_SAMPLES:
-            raise ValueError(
-                f"waveform needs >= {MIN_SAMPLES} samples, got {samples.size}")
-        samples = samples.copy()
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided amplitude spectrum: bin ``k`` holds ``k * resolution``
-    Hz, starting at DC."""
-
-    complex_amplitudes: np.ndarray
-    resolution: float
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.complex_amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise ValueError("complex_amplitudes must be a 1-D array")
-        if amps.size < 2:
-            raise ValueError("spectrum needs at least two bins")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "complex_amplitudes", amps)
-
-    @property
-    def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.complex_amplitudes.size) * self.resolution
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.complex_amplitudes)
-
-    def bin_index(self, frequency: float) -> int:
-        """Index of the bin holding ``frequency`` (must be on-grid)."""
-        idx = frequency / self.resolution
-        k = int(round(idx))
-        if abs(idx - k) > 1e-6 or not (0 <= k < self.complex_amplitudes.size):
-            raise ValueError(
-                f"{frequency} Hz is not a bin of this spectrum "
-                f"(resolution {self.resolution} Hz)")
-        return k
-
-    def amplitude_at(self, frequency: float) -> complex:
-        return complex(self.complex_amplitudes[self.bin_index(frequency)])
-
-
-def synthesize_waveform(tones: Sequence[ToneSpec], sample_rate: float,
-                        duration: float) -> SampledWaveform:
-    """Sum-of-sines synthesis on a uniform time grid.
-
-    ``samples[i] = sum_k a_k * sin(2*pi*f_k*t_i + phi_k)`` with
-    ``t_i = i / sample_rate``.
-
-    Raises ``ValueError`` when no tones are given or when
-    ``sample_rate <= 2 * max(f_k)``. The
-    record must span at least one full period of the slowest tone; the
-    one-common-period records that :func:`plan_sampling` produces put every
-    tone and every mixing product of the tones on an exact bin.
-    """
-    tones = list(tones)
-    if not tones:
+def check_tones(amplitudes, frequencies: Sequence[float], phases=0.0
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tone set ``(amplitudes, frequencies, phases)`` as float arrays,
+    checked: at least one tone, every frequency positive and finite, every
+    amplitude finite and >= 0, ``amplitudes`` of shape ``(..., tones)`` and
+    ``phases`` either one value or one per tone, broadcast against the
+    amplitudes and wrapped into [-pi, pi). Raises ``ValueError``
+    otherwise."""
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 1 or freqs.size == 0:
         raise ValueError("need at least one tone")
-    f_max = max(t.frequency for t in tones)
-    f_min = min(t.frequency for t in tones)
-    if sample_rate <= 2.0 * f_max:
+    bad = freqs[~((freqs > 0.0) & (freqs < math.inf))]
+    if bad.size:
+        raise ValueError(f"tone frequency must be positive, got {bad[0]}")
+    amps = np.asarray(amplitudes, dtype=float)
+    if amps.shape[-1:] != freqs.shape:
+        raise ValueError(f"tone amplitudes must have shape (..., "
+                         f"{freqs.size}), got {amps.shape}")
+    bad = amps[~((amps >= 0.0) & (amps < math.inf))]
+    if bad.size:
+        raise ValueError(
+            f"tone amplitudes must be finite and >= 0, got {bad[0]}")
+    if np.shape(phases)[-1:] not in ((), freqs.shape):
+        raise ValueError("need one phase per tone frequency")
+    with np.errstate(invalid="ignore"):  # a non-finite phase, checked below
+        wrapped = (np.broadcast_to(phases, amps.shape) + math.pi) % _TWO_PI
+    wrapped -= math.pi
+    if not np.all(np.isfinite(wrapped)):
+        raise ValueError("tone phases must be finite")
+    return amps, freqs, wrapped
+
+
+def synthesize_waveform(amplitudes, frequencies: Sequence[float], phases,
+                        sample_rate: float, samples: int) -> np.ndarray:
+    """Sum-of-sines records on a uniform time grid, one per row of
+    ``amplitudes`` (shape ``(..., tones)``; the result has shape
+    ``(..., samples)``).
+
+    ``w[..., i] = sum_k a[..., k] * sin(2*pi*f_k*t_i + phi[..., k])`` with
+    ``t_i = i / sample_rate``, the tones summed in order and the phases
+    broadcast and wrapped by :func:`check_tones`. Each row holds the bits of
+    the one-row call.
+
+    Raises ``ValueError`` on a tone set :func:`check_tones` refuses, when
+    ``sample_rate <= 2 * max(f_k)``, on fewer than :data:`MIN_SAMPLES`
+    samples, or when the record does not span one full period of the
+    slowest tone; the one-common-period records that :func:`plan_sampling`
+    produces put every tone and every mixing product of the tones on an
+    exact bin.
+    """
+    amps, freqs, phases = check_tones(amplitudes, frequencies, phases)
+    f_max, f_min = float(freqs.max()), float(freqs.min())
+    if not sample_rate > 2.0 * f_max:
         raise ValueError(
             f"sample rate {sample_rate} Hz cannot represent a {f_max} Hz tone")
-    if duration * f_min < 1.0 - 1e-12:
+    if samples < MIN_SAMPLES:
         raise ValueError(
-            f"duration {duration} s does not cover one period of the "
-            f"{f_min} Hz tone")
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
-    samples = np.zeros(n)
-    for tone in tones:
-        samples += tone.amplitude * np.sin(_TWO_PI * tone.frequency * t + tone.phase)
-    return SampledWaveform(sample_rate=sample_rate, samples=samples)
+            f"waveform needs >= {MIN_SAMPLES} samples, got {samples}")
+    if samples / sample_rate * f_min < 1.0 - 1e-12:
+        raise ValueError(
+            f"{samples} samples at {sample_rate} Hz do not cover one period "
+            f"of the {f_min} Hz tone")
+    t = np.arange(samples) / sample_rate
+    w = np.zeros(amps.shape[:-1] + (samples,))
+    for k, f in enumerate(freqs.tolist()):
+        w += amps[..., k, None] * np.sin(_TWO_PI * f * t + phases[..., k, None])
+    return w
 
 
-def square_law_mix(w: SampledWaveform) -> SampledWaveform:
-    """Point-wise squaring, the ideal square-law detector.
+def dft_spectrum(records, bins: Sequence[int] | None = None) -> np.ndarray:
+    """One-sided complex amplitudes of a batch of records (last axis time)
+    at ``bins``, or at every bin ``0 .. n // 2`` of an ``n``-sample record
+    when ``bins`` is None; the result has shape ``(..., len(bins))``.
 
-    Content up to ``f_max`` squares to products up to ``2*f_max``, so the
-    record must be sampled above ``4*f_max`` for no product to alias;
-    :func:`plan_sampling`'s default oversampling guarantees this.
+    Scaled so that an on-bin tone of amplitude ``a`` reads a magnitude of
+    exactly ``a`` and a DC level ``c`` reads ``c``: every bin is divided by
+    ``n`` and doubled but DC and, for even ``n``, the Nyquist bin, which
+    are not mirrored. The chosen bins are picked before they are scaled, so
+    each equals its bin of the all-bins read bit for bit.
     """
-    return SampledWaveform(sample_rate=w.sample_rate,
-                           samples=w.samples * w.samples)
+    records = np.asarray(records, dtype=float)
+    n = records.shape[-1]
+    if n < MIN_SAMPLES:
+        raise ValueError(f"waveform needs >= {MIN_SAMPLES} samples, got {n}")
+    amps = np.fft.rfft(records)
+    if bins is None:
+        k = np.arange(n // 2 + 1)
+    else:
+        k = np.asarray(bins, dtype=int)
+        if k.ndim != 1 or not np.all((k >= 0) & (k <= n // 2)):
+            raise ValueError(f"bins must lie in 0..{n // 2}, got {bins}")
+        amps = amps[..., k]
+    amps /= n
+    amps *= np.where((k > 0) & (2 * k != n), 2.0, 1.0)
+    return amps
 
 
-def dft_spectrum(w: SampledWaveform) -> Spectrum:
-    """One-sided amplitude spectrum of a waveform.
-
-    Scaled so that an on-bin tone of amplitude ``a`` gives a bin magnitude of
-    exactly ``a`` and a DC level ``c`` gives DC-bin magnitude ``c``;
-    ``resolution = sample_rate / len(samples)``.
-    """
-    n = w.samples.size
-    amps = np.fft.rfft(w.samples) / n
-    amps[1:] *= 2.0
-    if n % 2 == 0:
-        amps[-1] /= 2.0  # Nyquist bin is not mirrored
-    return Spectrum(complex_amplitudes=amps, resolution=w.sample_rate / n)
-
-
-def spectrum_self_convolution(s: Spectrum) -> Spectrum:
-    """Spectrum of the squared signal, computed without leaving the
-    frequency domain.
+def spectrum_self_convolution(amplitudes: np.ndarray) -> np.ndarray:
+    """One-sided amplitudes of the squared signal, computed without leaving
+    the frequency domain.
 
     Squaring in time is convolution of the two-sided voltage spectrum with
-    itself; the one-sided input is expanded to its conjugate-symmetric
-    two-sided form, convolved, and folded back. The output keeps the input
-    resolution and doubles the bin range.
+    itself; the one-sided input (the all-bins :func:`dft_spectrum` of one
+    record) is expanded to its conjugate-symmetric two-sided form, convolved,
+    and folded back. The output keeps the input resolution and doubles the
+    bin range.
     """
-    one_sided = s.complex_amplitudes
+    one_sided = np.asarray(amplitudes, dtype=complex)
     m = one_sided.size - 1
     # two-sided line spectrum: index m is DC, a tone of amplitude a
     # contributes a/2 at +f and conj(a)/2 at -f
@@ -200,7 +159,7 @@ def spectrum_self_convolution(s: Spectrum) -> Spectrum:
     out = np.empty(2 * m + 1, dtype=complex)
     out[0] = product[centre]
     out[1:] = 2.0 * product[centre + 1:]
-    return Spectrum(complex_amplitudes=out, resolution=s.resolution)
+    return out
 
 
 def plan_sampling(frequencies: Iterable[float],

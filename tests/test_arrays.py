@@ -16,13 +16,7 @@ from selfmix.arrays import (
     rf_array_factor_cut,
     simulate_array_timedomain,
 )
-from selfmix.signals import (
-    ToneSpec,
-    dft_spectrum,
-    plan_sampling,
-    square_law_mix,
-    synthesize_waveform,
-)
+from selfmix.signals import dft_spectrum, plan_sampling, synthesize_waveform
 from selfmix.units import DB_FLOOR, SPEED_OF_LIGHT
 from selfmix.validation import direct_array_factor
 
@@ -408,11 +402,12 @@ def per_element_oracle(g, f1, f2, theta, phi, gains):
     rate, duration = plan_sampling([f1, f2, if_freq])
     rel = g.element_positions - g.element_positions[0]
 
-    def if_tone(tones):
-        w = synthesize_waveform(tones, rate, duration)
-        return dft_spectrum(square_law_mix(w)).amplitude_at(if_freq)
+    def if_tone(amplitudes, phases):
+        w = synthesize_waveform(amplitudes, [f1, f2], phases, rate,
+                                round(rate * duration))
+        return complex(dft_spectrum(w * w, [round(if_freq * duration)])[0])
 
-    reference = if_tone([ToneSpec(f1, 1.0), ToneSpec(f2, 0.5)])
+    reference = if_tone([1.0, 0.5], 0.0)
     power_db = []
     for t, (c1, c2) in zip(theta.tolist(), gains):
         polar, az = (t, phi) if t >= 0.0 else (-t, phi + math.pi)
@@ -422,10 +417,9 @@ def per_element_oracle(g, f1, f2, theta, phi, gains):
         total = 0.0 + 0.0j
         if c1 != 0.0 and c2 != 0.0:
             for k in range(g.element_count):
-                total += if_tone([
-                    ToneSpec(f, a, 2 * math.pi * path[k] * f / C0
-                             + g.rf_phase_offsets[k])
-                    for f, a in ((f1, c1 * 1.0), (f2, c2 * 0.5))])
+                total += if_tone([c1 * 1.0, c2 * 0.5], [
+                    2 * math.pi * path[k] * f / C0 + g.rf_phase_offsets[k]
+                    for f in (f1, f2)])
         ratio = abs(total / math.sqrt(g.element_count)) / abs(reference)
         power_db.append(max(DB_FLOOR, 20.0 * math.log10(ratio))
                         if ratio > 0.0 else DB_FLOOR)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,10 +380,41 @@ class TestConfigHandling:
                         "--quiet"]) == 0
         header, rows = read_csv(out)
         assert header[:2] == ["voltage_v", "current_a"]
-        model = diode.DiodeModel(1e-300, 1.2, 0.0)
+        nvt = diode.DiodeModel(1e-300, 1.2, 0.0).emission_voltage
         for row in rows:
             assert float(row[1]) == pytest.approx(
-                diode.junction_current(model, float(row[0])), rel=1e-8)
+                1e-300 * math.expm1(float(row[0]) / nvt), rel=1e-8)
+
+    def test_zero_series_resistance_is_the_bare_junction(self, tmp_path,
+                                                         capsys):
+        # past 60 nV_T (about 1.86 V) the current keeps growing as
+        # I_s expm1(v / nV_T): no clamp flattens the curve
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("series_resistance_ohm = 0\nv_start_v = 1.7\n"
+                       "v_stop_v = 2.2\nv_step_v = 0.1\n")
+        out = tmp_path / "x.csv"
+        assert run(["diode-iv", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        _, rows = read_csv(out)
+        model = diode.DiodeModel(2.5e-13, 1.2, 0.0)
+        assert len(rows) == 6
+        for row in rows:
+            v = float(row[0])
+            expected = model.saturation_current * math.expm1(
+                v / model.emission_voltage)
+            assert float(row[1]) == pytest.approx(expected, rel=1e-8)
+            assert float(row[2]) == pytest.approx(
+                (expected + model.saturation_current)
+                / model.emission_voltage, rel=1e-8)
+        # 100 V is 3200 nV_T: I_s e^3200 is past the float range, a
+        # computation error
+        cfg.write_text("series_resistance_ohm = 0\nv_start_v = 99.9\n"
+                       "v_stop_v = 100\nv_step_v = 0.1\n")
+        capsys.readouterr()
+        assert run(["diode-iv", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "computation error: terminal current overflows")
 
     def test_infinitely_wide_beam_is_flat(self, tmp_path):
         # the square of the width overflows: the pattern is flat

@@ -13,20 +13,12 @@ from selfmix.diode import (
     default_chain,
     default_diode,
     iv_derivatives,
-    junction_current,
     mix_cells,
     optimal_bias_static,
-    simulate_mixing,
     terminal_current,
 )
 from selfmix.errors import NoInteriorMaximum
-from selfmix.signals import (
-    SampledWaveform,
-    ToneSpec,
-    dft_spectrum,
-    plan_sampling,
-    synthesize_waveform,
-)
+from selfmix.signals import dft_spectrum, plan_sampling, synthesize_waveform
 from selfmix.units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
 
 # explicit trio used for the solver-facing tests (separate from the fitted
@@ -35,8 +27,22 @@ TRIO = DiodeModel(saturation_current=1e-13, ideality=1.2, series_resistance=4.0)
 
 
 def two_tone(p1_dbm, p2_dbm, f1=37.5e9, f2=38.5e9):
-    return [ToneSpec(f1, dbm_to_amplitude(p1_dbm)),
-            ToneSpec(f2, dbm_to_amplitude(p2_dbm))]
+    """(amplitudes, frequencies) of a two-tone drive."""
+    return [dbm_to_amplitude(p1_dbm), dbm_to_amplitude(p2_dbm)], [f1, f2]
+
+
+def one_cell(chain, amplitudes, frequencies, if_frequency, phases=None):
+    """The one-cell mix_cells call at the chain's bias voltage, as the pair
+    (if_power_dbm, dc_current) of floats."""
+    if_power_dbm, dc_current = mix_cells(chain, [chain.bias_voltage],
+                                         [amplitudes], frequencies,
+                                         if_frequency, phases)
+    return float(if_power_dbm[0]), float(dc_current[0])
+
+
+def junction(model, v):
+    """The bare junction's current: the terminal current at R_s = 0."""
+    return terminal_current(replace(model, series_resistance=0.0), v)
 
 
 def sweep(chain, biases, powers, pair=(37.5e9, 38.5e9)):
@@ -64,35 +70,49 @@ class TestDiodeModel:
 
 
 class TestJunctionCurrent:
+    """terminal_current at R_s = 0: the Shockley junction alone."""
+
     def test_zero_voltage(self):
-        assert junction_current(TRIO, 0.0) == 0.0
+        assert junction(TRIO, 0.0) == 0.0
 
     def test_reverse_saturation(self):
-        assert junction_current(TRIO, -5.0) == pytest.approx(-1e-13, rel=1e-9)
+        assert junction(TRIO, -5.0) == pytest.approx(-1e-13, rel=1e-9)
 
     def test_forward_anchor(self):
         # direct evaluation at 0.73 V: about 1.7 mA for this trio
         expected = 1e-13 * (math.exp(0.73 / (1.2 * 0.02585)) - 1.0)
-        i = junction_current(DiodeModel(1e-13, 1.2, 0.0), 0.73)
+        i = terminal_current(DiodeModel(1e-13, 1.2, 0.0), 0.73)
         assert i == pytest.approx(expected, rel=1e-12)
         assert 1.5e-3 < i < 1.9e-3
 
-    def test_exponent_clamp(self):
-        # absurd forward voltage stays finite thanks to the clamp
-        assert math.isfinite(junction_current(TRIO, 100.0))
+    def test_no_clamp_past_sixty_emission_voltages(self):
+        # 60 nV_T is 1.86 V: the current keeps its exponential growth there,
+        # and past the float range it is an error, not a plateau
+        model = DiodeModel(2.5e-13, 1.2, 0.0)
+        v = np.array([1.7, 1.9, 2.0, 2.1, 2.2])
+        expected = model.saturation_current * np.expm1(
+            v / model.emission_voltage)
+        assert terminal_current(model, v).tobytes() == expected.tobytes()
+        assert np.all(np.diff(terminal_current(model, v)) > 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            terminal_current(model, 100.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            terminal_current(model, math.nan)
 
 
 class TestTerminalCurrent:
     def test_zero_series_resistance_is_exact(self):
         model = DiodeModel(1e-13, 1.2, 0.0)
         for v in (-1.0, 0.0, 0.3, 0.7):
-            assert terminal_current(model, v) == junction_current(model, v)
+            assert terminal_current(model, v) == float(
+                model.saturation_current
+                * np.expm1(np.float64(v) / model.emission_voltage))
 
     def test_zero_voltage_any_resistance(self):
         assert terminal_current(TRIO, 0.0) == 0.0
 
     def test_less_than_junction_in_forward_bias(self):
-        assert terminal_current(TRIO, 0.75) < junction_current(TRIO, 0.75)
+        assert terminal_current(TRIO, 0.75) < junction(TRIO, 0.75)
 
     def test_against_bisection_oracle(self):
         # 14.33 V on the default chain's loop is within the swing of a
@@ -145,11 +165,11 @@ class TestTerminalCurrent:
         # every sample of the 0 dBm / -5 dBm cell, solved as one vector
         chain = default_chain()
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
-        tones = [ToneSpec(t.frequency, gain * t.amplitude)
-                 for t in two_tone(0.0, -5.0)]
+        amplitudes, frequencies = two_tone(0.0, -5.0)
         rate, duration = plan_sampling([37.5e9, 38.5e9, 1e9], oversample=24.0)
         v = chain.bias_voltage + synthesize_waveform(
-            tones, rate, duration).samples
+            gain * np.array(amplitudes), frequencies, 0.0, rate,
+            round(rate * duration))
         assert v.size == 2048
         loop = chain.loop_model()
         vector = terminal_current(loop, v)
@@ -201,30 +221,28 @@ class TestTerminalCurrent:
 
     def test_bounded_by_junction_current(self):
         grid = np.linspace(0.01, 1.0, 100)
-        assert np.all(terminal_current(TRIO, grid)
-                      <= junction_current(TRIO, grid))
+        assert np.all(terminal_current(TRIO, grid) <= junction(TRIO, grid))
 
 
 class TestIvDerivatives:
     def test_deep_reverse_bias(self):
-        d = iv_derivatives(TRIO, -2.0)
-        assert abs(d.di_dv) < 1e-9
-        assert abs(d.d2i_dv2) < 1e-9
+        di_dv, d2i_dv2 = iv_derivatives(TRIO, -2.0)
+        assert abs(di_dv) < 1e-9
+        assert abs(d2i_dv2) < 1e-9
 
     def test_pure_exponential_monotone_second_derivative(self):
         model = DiodeModel(1e-13, 1.2, 0.0)
         grid = np.linspace(0.3, 0.7, 200)
-        d2 = np.asarray(iv_derivatives(model, grid).d2i_dv2)
+        _, d2 = iv_derivatives(model, grid)
         assert np.all(np.diff(d2) > 0.0)
         # analytic second derivative of the exponential as oracle
         a = 1.0 / model.emission_voltage
         analytic = model.saturation_current * a * a * np.exp(a * grid)
-        assert np.allclose(np.asarray(iv_derivatives(model, grid).d2i_dv2),
-                           analytic, rtol=1e-6)
+        assert np.allclose(d2, analytic, rtol=1e-6)
 
     def test_series_resistance_creates_interior_maximum(self):
         grid = np.linspace(0.3, 1.0, 2000)
-        d2 = np.asarray(iv_derivatives(TRIO, grid).d2i_dv2)
+        _, d2 = iv_derivatives(TRIO, grid)
         k = int(np.argmax(d2))
         assert 0 < k < grid.size - 1
 
@@ -255,27 +273,29 @@ class TestOptimalBiasStatic:
 
 
 class TestSimulateMixing:
+    """One mix_cells cell at the chain's bias voltage."""
+
     def test_zero_amplitude_tones(self):
         chain = default_chain()
-        if_power_dbm, dc_current = simulate_mixing(
-            chain, [ToneSpec(37.5e9, 0.0), ToneSpec(38.5e9, 0.0)], 1e9)
+        if_power_dbm, dc_current = one_cell(chain, [0.0, 0.0],
+                                            [37.5e9, 38.5e9], 1e9)
         assert if_power_dbm == DB_FLOOR
         assert dc_current == terminal_current(chain.loop_model(),
                                               chain.bias_voltage)
 
     def test_doubling_amplitudes_gives_12_db(self):
         chain = default_chain()
-        t1 = two_tone(-70.0, -75.0)
-        t2 = [ToneSpec(t.frequency, 2.0 * t.amplitude) for t in t1]
-        low, _ = simulate_mixing(chain, t1, 1e9)
-        high, _ = simulate_mixing(chain, t2, 1e9)
+        amplitudes, frequencies = two_tone(-70.0, -75.0)
+        low, _ = one_cell(chain, amplitudes, frequencies, 1e9)
+        high, _ = one_cell(chain, [2.0 * a for a in amplitudes], frequencies,
+                           1e9)
         assert high - low == pytest.approx(12.0, abs=0.5)
 
     def test_conversion_loss_canceled_at_moderate_drive(self):
         # -40/-45 dBm two-tone with the 25 dB amplifier: IF comes back out
         # within a few dB of the input level
         chain = default_chain()
-        if_power_dbm, _ = simulate_mixing(chain, two_tone(-40.0, -45.0), 1e9)
+        if_power_dbm, _ = one_cell(chain, *two_tone(-40.0, -45.0), 1e9)
         assert if_power_dbm == pytest.approx(-40.0, abs=6.0)
 
     def test_small_signal_matches_taylor_coefficient(self):
@@ -284,30 +304,29 @@ class TestSimulateMixing:
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
         a1 = gain * dbm_to_amplitude(p)
         a2 = gain * dbm_to_amplitude(p - 5.0)
-        g2 = iv_derivatives(chain.loop_model(), chain.bias_voltage).d2i_dv2
+        _, g2 = iv_derivatives(chain.loop_model(), chain.bias_voltage)
         predicted = watts_to_dbm((0.5 * g2 * a1 * a2) ** 2
                                  * chain.if_load_ohms / 2.0)
-        if_power_dbm, _ = simulate_mixing(chain, two_tone(p, p - 5.0), 1e9)
+        if_power_dbm, _ = one_cell(chain, *two_tone(p, p - 5.0), 1e9)
         assert if_power_dbm == pytest.approx(predicted, abs=1.0)
 
     def test_deterministic(self):
         chain = default_chain()
         tones = two_tone(-42.0, -47.0)
-        assert simulate_mixing(chain, tones, 1e9) == simulate_mixing(
-            chain, tones, 1e9)
+        assert one_cell(chain, *tones, 1e9) == one_cell(chain, *tones, 1e9)
 
     def test_dc_current_nonnegative_forward(self):
         chain = default_chain()
-        _, dc_current = simulate_mixing(chain, two_tone(-30.0, -35.0), 1e9)
+        _, dc_current = one_cell(chain, *two_tone(-30.0, -35.0), 1e9)
         assert dc_current >= 0.0
 
     def test_if_must_be_a_difference_frequency(self):
         with pytest.raises(ValueError):
-            simulate_mixing(default_chain(), two_tone(-40.0, -45.0), 2e9)
+            one_cell(default_chain(), *two_tone(-40.0, -45.0), 2e9)
 
     def test_empty_tone_list(self):
         with pytest.raises(ValueError, match="need at least one tone"):
-            simulate_mixing(default_chain(), [], 1e9)
+            one_cell(default_chain(), [], [], 1e9)
 
 
 class TestMixingChain:
@@ -325,15 +344,15 @@ class TestBiasPowerSweep:
     def test_single_cell_equals_direct_call(self):
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, [0.65], [-40.0])
-        direct = simulate_mixing(replace(chain, bias_voltage=0.65),
-                                 two_tone(-40.0, -45.0), 1e9)
+        direct = one_cell(replace(chain, bias_voltage=0.65),
+                          *two_tone(-40.0, -45.0), 1e9)
         assert (if_power_dbm[0, 0], dc_current[0, 0]) == direct
 
     def test_single_cell_at_another_tone_pair_equals_direct_call(self):
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, [0.65], [-40.0], (34e9, 35e9))
-        direct = simulate_mixing(replace(chain, bias_voltage=0.65),
-                                 two_tone(-40.0, -45.0, 34e9, 35e9), 1e9)
+        direct = one_cell(replace(chain, bias_voltage=0.65),
+                          *two_tone(-40.0, -45.0, 34e9, 35e9), 1e9)
         assert (if_power_dbm[0, 0], dc_current[0, 0]) == direct
 
     def test_spread_shrinks_with_power(self):
@@ -367,23 +386,21 @@ class TestBiasPowerSweep:
         assert np.all(powers.max(axis=0) - powers.min(axis=0) < 1e-9)
 
 
-def per_cell_route(chain, tones, if_frequency):
+def per_cell_route(chain, amplitudes, frequencies, if_frequency, phases=0.0):
     """Oracle: one cell synthesised, solved and transformed on its own, the
     route of the per-cell sweep loop that the mixing kernel replaced."""
-    gain = db_to_amplitude_ratio(chain.lna_gain_db)
-    amplified = [ToneSpec(t.frequency, gain * t.amplitude, t.phase)
-                 for t in tones]
-    rate, duration = plan_sampling([t.frequency for t in tones]
-                                   + [if_frequency], oversample=24.0)
-    if all(t.amplitude == 0.0 for t in amplified):
+    amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
+        amplitudes)
+    rate, duration = plan_sampling(list(frequencies) + [if_frequency],
+                                   oversample=24.0)
+    if not amplified.any():
         return DB_FLOOR, terminal_current(chain.loop_model(), chain.bias_voltage)
-    rf = synthesize_waveform(amplified, rate, duration)
-    current = terminal_current(chain.loop_model(),
-                               chain.bias_voltage + rf.samples)
-    spectrum = dft_spectrum(SampledWaveform(sample_rate=rate, samples=current))
-    i_if = abs(spectrum.amplitude_at(if_frequency))
-    return (watts_to_dbm(i_if * i_if * chain.if_load_ohms / 2.0),
-            float(spectrum.complex_amplitudes[0].real))
+    rf = synthesize_waveform(amplified, frequencies, phases, rate,
+                             round(rate * duration))
+    current = terminal_current(chain.loop_model(), chain.bias_voltage + rf)
+    dc, i_if = dft_spectrum(current, [0, round(if_frequency * duration)])
+    return (watts_to_dbm(abs(i_if) * abs(i_if) * chain.if_load_ohms / 2.0),
+            float(dc.real))
 
 
 def bits(if_power_dbm, dc_current):
@@ -428,19 +445,20 @@ class TestMixingKernel:
         for i, bias in enumerate(self.BIASES):
             for j, p in enumerate(self.POWERS):
                 expected = per_cell_route(replace(chain, bias_voltage=bias),
-                                          two_tone(p, p - 5.0), 1e9)
+                                          *two_tone(p, p - 5.0), 1e9)
                 assert bits(if_power_dbm[i, j], dc_current[i, j]) == bits(
                     *expected), (bias, p)
 
     def test_one_cell_call_equals_per_cell_route(self):
-        # three tones with phases: simulate_mixing is the kernel's one-cell
-        # call and keeps the phase of each tone
+        # three tones with phases: the kernel's one-cell call keeps the
+        # phase of each tone, wrapped as the synthesizer wraps it
         chain = replace(default_chain(), bias_voltage=0.6)
-        tones = [ToneSpec(37.5e9, dbm_to_amplitude(-20.0), 0.4),
-                 ToneSpec(38.5e9, dbm_to_amplitude(-26.0), -2.0),
-                 ToneSpec(39.0e9, dbm_to_amplitude(-30.0), 3.0)]
-        assert bits(*simulate_mixing(chain, tones, 1e9)) == bits(
-            *per_cell_route(chain, tones, 1e9))
+        amplitudes = [dbm_to_amplitude(p) for p in (-20.0, -26.0, -30.0)]
+        frequencies = [37.5e9, 38.5e9, 39.0e9]
+        for phases in ([0.4, -2.0, 3.0], [0.4, -2.0 - 4 * math.pi, 3.0]):
+            assert bits(*one_cell(chain, amplitudes, frequencies, 1e9,
+                                  phases)) == bits(
+                *per_cell_route(chain, amplitudes, frequencies, 1e9, phases))
 
     def test_silent_cell_reads_floor_and_bias_current(self):
         # -5000 dBm is an amplitude of exactly 0: those cells are not
@@ -454,9 +472,9 @@ class TestMixingKernel:
             assert dc_current[i, 0].hex() == terminal_current(loop, bias).hex()
             biased = replace(chain, bias_voltage=bias)
             assert bits(if_power_dbm[i, 0], dc_current[i, 0]) == bits(
-                *per_cell_route(biased, two_tone(-5000.0, -5005.0), 1e9))
+                *per_cell_route(biased, *two_tone(-5000.0, -5005.0), 1e9))
             assert bits(if_power_dbm[i, 1], dc_current[i, 1]) == bits(
-                *per_cell_route(biased, two_tone(-40.0, -45.0), 1e9))
+                *per_cell_route(biased, *two_tone(-40.0, -45.0), 1e9))
 
     def test_unsampleable_pair_raises_before_solving(self, monkeypatch):
         # the pair's 1 Hz common grid is past the sample budget: the sweep
@@ -485,9 +503,9 @@ class TestMixingKernel:
         rate, duration = plan_sampling([37.5e9, 37.501e9, 1e6],
                                        oversample=24.0)
         assert round(rate * duration) == 1 << 20
-        close, _ = simulate_mixing(chain, two_tone(-30.0, -35.0, 37.5e9,
-                                                   37.501e9), 1e6)
-        wide, _ = simulate_mixing(chain, two_tone(-30.0, -35.0), 1e9)
+        close, _ = one_cell(chain, *two_tone(-30.0, -35.0, 37.5e9, 37.501e9),
+                            1e6)
+        wide, _ = one_cell(chain, *two_tone(-30.0, -35.0), 1e9)
         assert close == pytest.approx(wide, abs=1e-6)
 
     def test_amplitudes_checked(self):

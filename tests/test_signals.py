@@ -1,15 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfmix
 from selfmix.signals import (
-    SampledWaveform,
-    ToneSpec,
+    check_tones,
     dft_spectrum,
     plan_sampling,
     spectrum_self_convolution,
-    square_law_mix,
     synthesize_waveform,
 )
 
@@ -17,86 +18,107 @@ F1 = 37.5e9
 F2 = 38.5e9
 
 
-def two_tone_waveform(a1=1.0, a2=1.0):
+def two_tone_record(a1=1.0, a2=1.0):
+    """The F1 / F2 pair on its planned record, and the record's bin of the
+    difference tone (bin k of a one-period record holds k / duration Hz)."""
     rate, duration = plan_sampling([F1, F2, F2 - F1])
-    return synthesize_waveform([ToneSpec(F1, a1), ToneSpec(F2, a2)],
-                               rate, duration)
+    w = synthesize_waveform([a1, a2], [F1, F2], 0.0, rate,
+                            round(rate * duration))
+    return w, round((F2 - F1) * duration)
 
 
-def random_tone_waveform(rng, max_tones=5, n=1024):
+def random_tone_record(rng, max_tones=5, n=1024):
     count = int(rng.integers(1, max_tones + 1))
     bins = rng.choice(np.arange(4, n // 8), size=count, replace=False)
-    tones = [ToneSpec(float(b), float(rng.uniform(0.1, 1.0)),
-                      float(rng.uniform(-math.pi, math.pi))) for b in bins]
-    return synthesize_waveform(tones, float(n), 1.0)
+    amplitudes, phases = np.array([
+        (rng.uniform(0.1, 1.0), rng.uniform(-math.pi, math.pi))
+        for _ in bins]).T
+    return synthesize_waveform(amplitudes, bins, phases, float(n), n)
 
 
 class TestToneSpec:
+    """The tone checks of synthesize_waveform (check_tones)."""
+
     def test_phase_normalized(self):
-        assert ToneSpec(1.0, 1.0, 3 * math.pi).phase == pytest.approx(math.pi - 2 * math.pi)
-        assert -math.pi <= ToneSpec(1.0, 1.0, -7.0).phase < math.pi
+        assert check_tones([1.0], [1.0], 3 * math.pi)[2][0] == pytest.approx(
+            math.pi - 2 * math.pi)
+        assert -math.pi <= check_tones([1.0], [1.0], -7.0)[2][0] < math.pi
+        # the record holds the sines of the wrapped phases
+        wrapped = check_tones([1.0], [1.0], -7.0)[2]
+        assert synthesize_waveform([1.0], [1.0], -7.0, 16.0, 16).tobytes() == (
+            synthesize_waveform([1.0], [1.0], wrapped, 16.0, 16).tobytes())
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            ToneSpec(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ToneSpec(1.0, -0.1)
+        for amplitudes, frequencies, phases, message in [
+                ([1.0], [0.0], 0.0, "frequency must be positive"),
+                ([1.0], [math.inf], 0.0, "frequency must be positive"),
+                ([-0.1], [1.0], 0.0, "finite and >= 0"),
+                ([math.nan], [1.0], 0.0, "finite and >= 0"),
+                ([1.0], [1.0], math.inf, "phases must be finite"),
+                ([1.0, 1.0], [1.0, 2.0], [0.0, 0.0, 0.0], "one phase per tone"),
+                ([[1.0]], [1.0, 2.0], 0.0, r"shape \(\.\.\., 2\)")]:
+            with pytest.raises(ValueError, match=message):
+                synthesize_waveform(amplitudes, frequencies, phases, 16.0, 16)
 
 
 class TestSynthesize:
     def test_quarter_period_of_unit_sine(self):
-        w = synthesize_waveform([ToneSpec(1.0, 1.0)], 16.0, 1.0)
+        w = synthesize_waveform([1.0], [1.0], 0.0, 16.0, 16)
         # sample 4 sits a quarter period into the record
-        assert w.samples[4] == pytest.approx(1.0, abs=1e-12)
+        assert w[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tone_squares_to_difference_tone(self):
-        spec = dft_spectrum(square_law_mix(two_tone_waveform()))
-        assert abs(spec.amplitude_at(1e9)) == pytest.approx(1.0, abs=1e-9)
+        w, k = two_tone_record()
+        assert abs(dft_spectrum(w * w, [k])[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_tone_list(self):
         with pytest.raises(ValueError, match="need at least one tone"):
-            synthesize_waveform([], 16.0, 1.0)
+            synthesize_waveform([], [], 0.0, 16.0, 16)
 
     def test_nyquist_violation(self):
         with pytest.raises(ValueError, match="cannot represent"):
-            synthesize_waveform([ToneSpec(10.0, 1.0)], 20.0, 10.0)
+            synthesize_waveform([1.0], [10.0], 0.0, 20.0, 200)
 
     def test_record_below_one_period(self):
-        with pytest.raises(ValueError):
-            synthesize_waveform([ToneSpec(1.0, 1.0)], 64.0, 1.0 / 2.0)
+        with pytest.raises(ValueError, match="do not cover one period"):
+            synthesize_waveform([1.0], [1.0], 0.0, 64.0, 32)
 
 
 class TestSquareLawMix:
+    """Square-law mixing is the square of the record, ``w * w``."""
+
     def test_zero_waveform(self):
-        w = SampledWaveform(64.0, np.zeros(64))
-        assert np.all(square_law_mix(w).samples == 0.0)
+        w = synthesize_waveform([0.0, 0.0], [4.0, 8.0], 0.0, 64.0, 64)
+        assert not w.any()
+        assert not dft_spectrum(w * w).any()
 
     def test_sine_squared_identity(self):
-        w = synthesize_waveform([ToneSpec(4.0, 1.0)], 64.0, 1.0)
-        spec = dft_spectrum(square_law_mix(w))
-        assert abs(spec.amplitude_at(0.0)) == pytest.approx(0.5, abs=1e-12)
-        assert abs(spec.amplitude_at(8.0)) == pytest.approx(0.5, abs=1e-12)
+        w = synthesize_waveform([1.0], [4.0], 0.0, 64.0, 64)
+        dc, double = np.abs(dft_spectrum(w * w, [0, 8]))
+        assert dc == pytest.approx(0.5, abs=1e-12)
+        assert double == pytest.approx(0.5, abs=1e-12)
 
     def test_two_tone_products(self):
-        spec = dft_spectrum(square_law_mix(two_tone_waveform(1.0, 0.5)))
+        w, k = two_tone_record(1.0, 0.5)
+        dc, difference = np.abs(dft_spectrum(w * w, [0, k]))
         # cross term carries the full a1*a2 product
-        assert abs(spec.amplitude_at(1e9)) == pytest.approx(0.5, abs=1e-9)
-        assert abs(spec.amplitude_at(0.0)) == pytest.approx(0.625, abs=1e-9)
+        assert difference == pytest.approx(0.5, abs=1e-9)
+        assert dc == pytest.approx(0.625, abs=1e-9)
 
     def test_difference_tone_carries_the_phase_difference(self):
         # (sin(x + p1) + sin(y + p2))**2 holds cos(x - y + p1 - p2); the
         # one-sided bin of a cosine tone carries its phase directly
-        w = synthesize_waveform([ToneSpec(10.0, 1.0, 0.7),
-                                 ToneSpec(6.0, 1.0, 0.2)], 128.0, 1.0)
-        amp = dft_spectrum(square_law_mix(w)).amplitude_at(4.0)
+        w = synthesize_waveform([1.0, 1.0], [10.0, 6.0], [0.7, 0.2], 128.0,
+                                128)
+        amp = dft_spectrum(w * w, [4])[0]
         assert amp == pytest.approx(complex(math.cos(0.5), math.sin(0.5)),
                                     abs=1e-9)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            w = random_tone_waveform(rng)
-            assert np.all(square_law_mix(w).samples >= 0.0)
+            w = random_tone_record(rng)
+            assert np.all(w * w >= 0.0)
 
 
 class TestTwoToneProducts:
@@ -110,100 +132,124 @@ class TestTwoToneProducts:
             f2 = float(rng.integers(1, 25))
             a1, a2 = rng.uniform(0.0, 2.0, size=2)
             p1, p2 = rng.uniform(-3.0, 3.0, size=2)
-            w = synthesize_waveform([ToneSpec(f1, a1, p1), ToneSpec(f2, a2, p2)],
-                                    512.0, 1.0)
-            spec = dft_spectrum(square_law_mix(w))
-            assert abs(spec.amplitude_at(0.0)) == pytest.approx(
-                (a1 * a1 + a2 * a2) / 2, abs=1e-9)
-            assert spec.amplitude_at(f1 - f2) == pytest.approx(
+            w = synthesize_waveform([a1, a2], [f1, f2], [p1, p2], 512.0, 512)
+            dc, difference = dft_spectrum(w * w, [0, round(f1 - f2)])
+            assert abs(dc) == pytest.approx((a1 * a1 + a2 * a2) / 2, abs=1e-9)
+            assert difference == pytest.approx(
                 a1 * a2 * complex(math.cos(p1 - p2), math.sin(p1 - p2)),
                 abs=1e-9)
 
 
 class TestDftSpectrum:
     def test_unit_tone_exact_bin(self):
-        w = synthesize_waveform([ToneSpec(5.0, 1.0)], 64.0, 1.0)
-        spec = dft_spectrum(w)
-        mags = spec.magnitudes
-        k = spec.bin_index(5.0)
-        assert mags[k] == pytest.approx(1.0, abs=1e-10)
-        assert np.all(np.delete(mags, k) < 1e-10)
+        w = synthesize_waveform([1.0], [5.0], 0.0, 64.0, 64)
+        mags = np.abs(dft_spectrum(w))
+        assert mags[5] == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.delete(mags, 5) < 1e-10)
 
     def test_dc_only(self):
-        spec = dft_spectrum(SampledWaveform(64.0, np.full(64, 0.37)))
-        assert abs(spec.amplitude_at(0.0)) == pytest.approx(0.37, abs=1e-12)
+        dc = dft_spectrum(np.full(64, 0.37), [0])[0]
+        assert abs(dc) == pytest.approx(0.37, abs=1e-12)
 
     def test_two_tone_linearity(self):
-        w = synthesize_waveform([ToneSpec(3.0, 0.3), ToneSpec(7.0, 0.7)],
-                                64.0, 1.0)
-        spec = dft_spectrum(w)
-        assert abs(spec.amplitude_at(3.0)) == pytest.approx(0.3, abs=1e-10)
-        assert abs(spec.amplitude_at(7.0)) == pytest.approx(0.7, abs=1e-10)
+        w = synthesize_waveform([0.3, 0.7], [3.0, 7.0], 0.0, 64.0, 64)
+        low, high = np.abs(dft_spectrum(w, [3, 7]))
+        assert low == pytest.approx(0.3, abs=1e-10)
+        assert high == pytest.approx(0.7, abs=1e-10)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="needs >= 16 samples"):
-            SampledWaveform(64.0, np.zeros(8))
+            synthesize_waveform([1.0], [1.0], 0.0, 8.0, 8)
+        with pytest.raises(ValueError, match="needs >= 16 samples"):
+            dft_spectrum(np.zeros(8))
+
+    @pytest.mark.parametrize("bins", [[-1], [33], [[1, 2]]])
+    def test_bins_outside_the_record_refused(self, bins):
+        # a 64-sample record has bins 0..32; numpy would wrap -1
+        with pytest.raises(ValueError, match="bins must lie in 0..32"):
+            dft_spectrum(np.zeros(64), bins)
+
+    def test_nyquist_bin_is_not_doubled(self):
+        # (-1)**i is a cosine at the Nyquist rate, read with its amplitude;
+        # the two-bin read scales each bin as the all-bins read does
+        w = np.cos(math.pi * np.arange(64))
+        full = dft_spectrum(w)
+        assert full[32] == pytest.approx(1.0, abs=1e-12)
+        assert dft_spectrum(w, [32, 0]).tobytes() == full[[32, 0]].tobytes()
 
     def test_parseval(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            w = random_tone_waveform(rng)
-            spec = dft_spectrum(w)
-            mags = spec.magnitudes
+            w = random_tone_record(rng)
+            mags = np.abs(dft_spectrum(w))
             spectral = (mags[0] ** 2 + 0.5 * np.sum(mags[1:-1] ** 2)
                         + mags[-1] ** 2)
-            time = np.mean(w.samples ** 2)
+            time = np.mean(w ** 2)
             assert spectral == pytest.approx(time, rel=1e-9)
 
 
 class TestSelfConvolution:
     def test_single_tone(self):
-        w = synthesize_waveform([ToneSpec(5.0, 1.0)], 64.0, 1.0)
-        out = spectrum_self_convolution(dft_spectrum(w))
-        assert abs(out.amplitude_at(0.0)) == pytest.approx(0.5, abs=1e-12)
-        assert abs(out.amplitude_at(10.0)) == pytest.approx(0.5, abs=1e-12)
-        mags = out.magnitudes
-        others = np.delete(mags, [out.bin_index(0.0), out.bin_index(10.0)])
-        assert np.all(others < 1e-12)
+        w = synthesize_waveform([1.0], [5.0], 0.0, 64.0, 64)
+        mags = np.abs(spectrum_self_convolution(dft_spectrum(w)))
+        assert mags[0] == pytest.approx(0.5, abs=1e-12)
+        assert mags[10] == pytest.approx(0.5, abs=1e-12)
+        assert np.all(np.delete(mags, [0, 10]) < 1e-12)
 
     def test_carrier_plus_band_downconversion(self):
         # carrier at f1, information band in [(f1+f2)/2, f2]: the mixed
-        # spectrum carries the band into [(f2-f1)/2, f2-f1]
+        # spectrum carries the band into [(f2-f1)/2, f2-f1]; on a 1 s
+        # record bin k holds k Hz
         f1, f2 = 40.0, 60.0
         band = [51.0, 54.0, 57.0, 59.0]
-        tones = [ToneSpec(f1, 1.0)] + [ToneSpec(f, 0.2) for f in band]
-        w = synthesize_waveform(tones, 256.0, 1.0)
+        w = synthesize_waveform([1.0] + [0.2] * len(band), [f1] + band, 0.0,
+                                256.0, 256)
         out = spectrum_self_convolution(dft_spectrum(w))
         for f in band:
             assert (f2 - f1) / 2 <= f - f1 <= f2 - f1
-            assert abs(out.amplitude_at(f - f1)) == pytest.approx(0.2, abs=1e-9)
+            assert abs(out[round(f - f1)]) == pytest.approx(0.2, abs=1e-9)
 
     def test_matches_time_domain_squaring(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            w = random_tone_waveform(rng, max_tones=3)
-            direct = dft_spectrum(square_law_mix(w))
+            w = random_tone_record(rng, max_tones=3)
+            direct = dft_spectrum(w * w)
             conv = spectrum_self_convolution(dft_spectrum(w))
-            m = direct.complex_amplitudes.size
-            scale = np.abs(direct.complex_amplitudes).max()
-            assert np.allclose(conv.complex_amplitudes[:m],
-                               direct.complex_amplitudes,
-                               rtol=0.0, atol=1e-9 * scale)
+            m = direct.size
+            scale = np.abs(direct).max()
+            assert np.allclose(conv[:m], direct, rtol=0.0, atol=1e-9 * scale)
             # nothing beyond the direct range either
-            assert np.all(np.abs(conv.complex_amplitudes[m:]) < 1e-9 * scale)
+            assert np.all(np.abs(conv[m:]) < 1e-9 * scale)
 
     def test_bins_are_multiples_of_the_resolution(self):
-        # DC first, then one resolution per bin, bit for bit
-        w = two_tone_waveform()
+        # an n-sample record reads n // 2 + 1 bins from DC, its
+        # self-convolution twice the range at the same resolution: F1 sits
+        # at bin F1 * duration of both, its square term at twice that
+        rate, duration = plan_sampling([F1, F2, F2 - F1])
+        w, _ = two_tone_record()
         direct = dft_spectrum(w)
         conv = spectrum_self_convolution(direct)
-        assert direct.resolution == w.sample_rate / w.size
-        assert direct.complex_amplitudes.size == w.size // 2 + 1
-        assert conv.complex_amplitudes.size == w.size + 1
-        for s in (direct, conv):
-            n = s.complex_amplitudes.size
-            assert s.bin_frequencies.tobytes() == (
-                np.arange(n) * s.resolution).tobytes()
+        assert direct.size == w.size // 2 + 1
+        assert conv.size == w.size + 1
+        k = round(F1 * duration)
+        assert abs(direct[k]) == pytest.approx(1.0, abs=1e-9)
+        assert abs(conv[2 * k]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_only_signals_transforms_records():
+    # the one-sided bin convention lives in signals.dft_spectrum: no other
+    # module of the package calls numpy's FFT
+    users = []
+    for path in sorted(Path(selfmix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if ((isinstance(node, ast.Attribute) and node.attr == "fft")
+                    or any(n.split(".")[-1] == "fft" for n in names)):
+                users.append(path.name)
+    assert set(users) == {"signals.py"}
 
 
 def test_plan_sampling_covers_square():
@@ -239,18 +285,20 @@ def test_one_period_bins_equal_two_period_bins():
     for _ in range(40):
         freqs = rng.choice(np.arange(1, 600), size=int(rng.integers(2, 4)),
                            replace=False).astype(float)
-        tones = [ToneSpec(f, float(rng.uniform(0.1, 1.0)),
-                          float(rng.uniform(-math.pi, math.pi)))
-                 for f in freqs]
+        amplitudes, phases = np.array([
+            (rng.uniform(0.1, 1.0), rng.uniform(-math.pi, math.pi))
+            for _ in freqs]).T
         if_frequency = abs(freqs[1] - freqs[0])
         rate, duration = plan_sampling(list(freqs) + [if_frequency],
                                        oversample=24.0)
         for detector in (lambda x: x * x, np.expm1):
             bins = []
             for periods in (1, 2):
-                w = synthesize_waveform(tones, rate, periods * duration)
-                s = dft_spectrum(SampledWaveform(rate, detector(w.samples)))
-                bins.append([s.amplitude_at(0.0), s.amplitude_at(if_frequency)])
+                samples = round(periods * duration * rate)
+                w = synthesize_waveform(amplitudes, freqs, phases, rate,
+                                        samples)
+                bins.append(dft_spectrum(detector(w), [
+                    0, round(if_frequency * periods * duration)]))
             for one, two in zip(*bins):
                 assert abs(one - two) <= 1e-12 * abs(two)
 
