@@ -183,6 +183,14 @@ def cut_phase_count(g: ArrayGeometry, directions: int,
     return directions * sum(p.shape[0] for p, _ in _cut_layouts(g, offsets))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as ``np.unique`` gives them,
+    by sort and adjacent compare; ``np.unique`` with no ``return_*`` flag
+    would import ``numpy.ma``."""
+    s = np.sort(values)
+    return s[np.append(True, s[1:] != s[:-1])]
+
+
 def _cut_layouts(g: ArrayGeometry, offsets: np.ndarray | None
                  ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Sub-layouts and their offsets whose phasor means multiply to the cut.
@@ -195,7 +203,7 @@ def _cut_layouts(g: ArrayGeometry, offsets: np.ndarray | None
     pos = g.element_positions
     if offsets is not None and np.all(offsets == offsets[0]):
         offsets = None
-    xs, ys = np.unique(pos[:, 0]), np.unique(pos[:, 1])
+    xs, ys = _distinct(pos[:, 0]), _distinct(pos[:, 1])
     if xs.size * ys.size == pos.shape[0] and offsets is None:
         return [(np.column_stack([xs, np.zeros(xs.size)]), None),
                 (np.column_stack([np.zeros(ys.size), ys]), None)]

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-One subcommand per capability, each driven by an optional flat key-value
-config file (``key = value`` per line, ``#`` comments) plus ``--out`` /
-``--format`` flags. All physical config keys carry unit suffixes (``_hz``,
-``_m``, ``_dbm``, ``_v``, ...); unknown keys are rejected. Outputs are
-deterministic: identical configs yield byte-identical files.
+One flat parser and one table of commands, :data:`COMMANDS`, which gives
+each its help line and config :class:`Schema`. A config file is flat
+key-value text (``key = value`` per line, ``#`` comments); every physical
+key carries a unit suffix (``_hz``, ``_m``, ``_dbm``, ``_v``, ...) and
+unknown keys are rejected. Each ``cmd_*`` but :func:`cmd_validate` takes
+``(cfg, quiet)`` and returns the :class:`Table` that :func:`main` writes to
+``--out``. Identical configs yield byte-identical files.
 
 Exit status: 0 on success, 2 for configuration errors, 3 for computation
 errors.
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -36,7 +40,7 @@ MAX_GRID_POINTS = 1_000_000
 # layout at 0.01 deg.
 MAX_CUT_PHASES = 200_000_000
 
-_EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value, "
+_EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value,\n"
            "unreadable file), 3 computation error (solver or model failure)")
 
 
@@ -95,15 +99,6 @@ def _load_config(path: str | None, schema: Schema) -> dict:
         raise ConfigError(f"config file not found: {path}")
     return schema.resolve(_parse_config_text(p.read_text(encoding="utf-8"),
                                              str(path)))
-
-
-def _write_output(table: Table, out: str | None, fmt: str,
-                  quiet: bool) -> None:
-    if out is None:
-        raise ConfigError("--out is required for this subcommand")
-    table.write(out, fmt)
-    if not quiet:
-        print(f"wrote {len(table.rows)} rows to {out}")
 
 
 def _check_grid_size(points: int | float, name: str,
@@ -235,7 +230,7 @@ SPECTRUM_SCHEMA = Schema(
 )
 
 
-def cmd_spectrum(cfg: dict) -> Table:
+def cmd_spectrum(cfg: dict, quiet: bool) -> Table:
     """Carrier-plus-band self-mixing demo: original and squared spectra.
 
     Every tone snaps to the nearest multiple of ``frequency_grid_hz``; band
@@ -344,7 +339,7 @@ def _check_tone_pair(f1: float, f2: float) -> None:
                           f"frequencies, got {f1!r} and {f2!r} Hz")
 
 
-def cmd_bias_sweep(cfg: dict) -> Table:
+def cmd_bias_sweep(cfg: dict, quiet: bool) -> Table:
     _check_tone_pair(cfg["f1_hz"], cfg["f2_hz"])
     chain = _chain_from_config(cfg)
     bias = _grid(cfg["bias_start_v"], cfg["bias_stop_v"], cfg["bias_step_v"],
@@ -420,7 +415,7 @@ PATTERN_SCHEMA = Schema(
 )
 
 
-def cmd_pattern(cfg: dict) -> Table:
+def cmd_pattern(cfg: dict, quiet: bool) -> Table:
     geometry = _geometry_from_config(cfg)
     theta_deg = _theta_grid_deg(cfg["theta_start_deg"], cfg["theta_stop_deg"],
                                 cfg["theta_step_deg"])
@@ -520,6 +515,8 @@ def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
 
 
 def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:
+    """Run the self-checks; write their ``status,name,detail`` report to
+    ``out`` if given. Returns the exit status."""
     results = validation.run_all()
     for r in results:
         if not quiet or r.status == "FAIL":
@@ -527,10 +524,14 @@ def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:
             print(f"     {r.detail}")
     failures = [r for r in results if not r.note and not r.passed]
     if out is not None:
-        table = Table(columns=["status", "name", "detail"])
-        for r in results:
-            table.append([r.status, r.name, r.detail])
-        table.write(out, fmt)
+        rows = [["status", "name", "detail"],
+                *([r.status, r.name, r.detail] for r in results)]
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "csv":
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            else:
+                fh.write(json.dumps({"columns": rows[0], "rows": rows[1:]},
+                                    indent=2) + "\n")
     if not quiet:
         notes = sum(1 for r in results if r.note)
         print(f"{len(results) - len(failures) - notes} passed, "
@@ -538,63 +539,62 @@ def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:
     return 3 if failures else 0
 
 
-# --------------------------------------------------------------------------
+# command -> (help line, config schema); validate takes no config file.
+# main looks each cmd_* up in the module namespace when it runs, so that a
+# wrapper set on the module attribute is the one called.
+COMMANDS: dict[str, tuple[str, Schema | None]] = {
+    "spectrum": ("two-tone / carrier-plus-band self-mixed spectrum demo",
+                 SPECTRUM_SCHEMA),
+    "diode-iv": ("diode I-V curve with first and second derivatives",
+                 DIODE_IV_SCHEMA),
+    "bias-sweep": ("IF power over (bias voltage, input power) grid",
+                   BIAS_SWEEP_SCHEMA),
+    "array-factor": ("IF and RF array factor cuts for a layout",
+                     ARRAY_FACTOR_SCHEMA),
+    "pattern": ("element pattern products and total receive patterns",
+                PATTERN_SCHEMA),
+    "link-budget": ("Friis receive powers and chain IF output",
+                    LINK_BUDGET_SCHEMA),
+    "validate": ("run the oracle-equivalence and anchor self-checks", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"  {name:14s}{help_text}\n"
+                       for name, (help_text, _) in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="selfmix",
         description="Self-mixing receive-array simulations: spectra, diode "
-                    "bias, array factors, patterns and link budgets.",
-        epilog=_EPILOG)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    subcommands = [
-        ("spectrum", "two-tone / carrier-plus-band self-mixed spectrum demo"),
-        ("diode-iv", "diode I-V curve with first and second derivatives"),
-        ("bias-sweep", "IF power over (bias voltage, input power) grid"),
-        ("array-factor", "IF and RF array factor cuts for a layout"),
-        ("pattern", "element pattern products and total receive patterns"),
-        ("link-budget", "Friis receive powers and chain IF output"),
-        ("validate", "run the oracle-equivalence and anchor self-checks"),
-    ]
-    for name, help_text in subcommands:
-        p = sub.add_parser(name, help=help_text, epilog=_EPILOG)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress informational prints")
+                    "bias, array factors,\npatterns and link budgets.",
+        epilog=f"commands:\n{commands}\n{_EPILOG}",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", help="flat key = value config file "
+                                         "(not for validate)")
+    parser.add_argument("--out", help="output file path (optional for "
+                                      "validate)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress informational prints")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    schema = COMMANDS[args.command][1]
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if args.command == "validate":
+        if schema is None:
             if args.config is not None:
                 raise ConfigError("validate takes no config file")
-            return cmd_validate(args.out, args.format, args.quiet)
-        if args.command == "spectrum":
-            table = cmd_spectrum(_load_config(args.config, SPECTRUM_SCHEMA))
-        elif args.command == "diode-iv":
-            table = cmd_diode_iv(_load_config(args.config, DIODE_IV_SCHEMA),
-                                 args.quiet)
-        elif args.command == "bias-sweep":
-            table = cmd_bias_sweep(_load_config(args.config, BIAS_SWEEP_SCHEMA))
-        elif args.command == "array-factor":
-            table = cmd_array_factor(_load_config(args.config,
-                                                  ARRAY_FACTOR_SCHEMA),
-                                     args.quiet)
-        elif args.command == "pattern":
-            table = cmd_pattern(_load_config(args.config, PATTERN_SCHEMA))
-        elif args.command == "link-budget":
-            table = cmd_link_budget(_load_config(args.config,
-                                                 LINK_BUDGET_SCHEMA),
-                                    args.quiet)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command}")
-        _write_output(table, args.out, args.format, args.quiet)
+            return command(args.out, args.format, args.quiet)
+        if args.out is None:
+            raise ConfigError("--out is required for this subcommand")
+        table = command(_load_config(args.config, schema), args.quiet)
+        table.write(args.out, args.format)
+        if not args.quiet:
+            print(f"wrote {len(table.rows)} rows to {args.out}")
         return 0
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

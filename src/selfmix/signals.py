@@ -179,12 +179,16 @@ def plan_sampling(frequencies: Iterable[float],
     waveform over these frequencies, and any memoryless function of one,
     repeats after that period, so a longer record only repeats the samples
     and leaves every bin of the grid unchanged. Raises
-    ``ValueError`` if ``n`` would exceed :data:`MAX_SAMPLES`
-    (wildly incommensurate frequencies).
+    ``ValueError`` on no frequency, on one that is not positive and finite
+    (named), or if ``n`` would exceed :data:`MAX_SAMPLES` (wildly
+    incommensurate frequencies).
     """
-    freqs = [float(f) for f in frequencies if f > 0.0]
+    freqs = [float(f) for f in frequencies]
     if not freqs:
         raise ValueError("need at least one positive frequency")
+    for f in freqs:
+        if not 0.0 < f < math.inf:
+            raise ValueError(f"frequency {f} Hz is not positive and finite")
     as_int = []
     for f in freqs:
         k = round(f)

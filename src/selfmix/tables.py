@@ -1,11 +1,11 @@
-"""Deterministic tabular output (CSV / JSON) shared by sweeps and the CLI.
+"""Deterministic tables of floats (CSV / JSON) for the CLI.
 
 Floats are formatted to 9 significant digits, exactly as ``"%.9g" % v``;
 identical inputs therefore produce byte-identical files. CSV is RFC-4180
 with LF line endings and a header row whose column names carry the units
 (``theta_deg``, ``if_power_dbm`` and so on).
 
-A table of floats holds its rows as one 2-D ``ndarray``, and
+A table holds its rows as one 2-D float ``ndarray``, and
 :func:`format_floats` writes it as whole arrays, in blocks of
 :data:`FORMAT_BLOCK` cells. A cell's decimal exponent ``e`` is
 ``floor(log10(|v|))`` and its 9-digit mantissa ``rint(|v| * 10^(8 - e))``,
@@ -20,37 +20,16 @@ drops trailing zeros, and one ``bytes.translate`` compacts the records. A
 cell the kernel cannot prove exact (+-0, NaN, +-inf, ``e`` outside
 [-14, 30], a scaled mantissa within 1e-6 of a rounding tie or outside
 [1e8, 1e9), as where ``log10`` misses by one next to a power of ten) is
-formatted by CPython's own ``"%.9g" % v``. A table with cells of other
-types (``validate``'s status rows) holds a list of rows of Python values
-and goes through ``csv.writer`` and :func:`format_value`.
+formatted by CPython's own ``"%.9g" % v``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
 
 import numpy as np
-
-
-def format_value(value: Any) -> str:
-    """Render one cell: floats at 9 significant digits, the rest via str()."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _json_value(value: Any):
-    if isinstance(value, float):
-        # round-trip through the 9-digit form so JSON and CSV agree
-        return float(f"{value:.9g}")
-    return value
 
 
 # Cells per block of format_floats. Its temporaries take 8 bytes a cell
@@ -152,9 +131,13 @@ def _format_block(values: np.ndarray, separators: np.ndarray) -> bytes:
     # fallback
     exact = (usable & (scaled >= 1e8) & (mantissa < 1e9)
              & (np.abs(scaled - mantissa) <= 0.5 - 1e-6))
-    first, rest = np.divmod(np.where(exact, mantissa, 1e8).astype(np.int64),
-                            100_000_000)
-    high, low = np.divmod(rest, 10_000)
+    # 9 digits fit in int32, whose floor division is much faster than
+    # int64 divmod
+    digits = np.where(exact, mantissa, 1e8).astype(np.int32)
+    first = digits // 100_000_000
+    rest = digits - first * 100_000_000
+    high = rest // 10_000
+    low = rest - high * 10_000
     words = np.empty((v.size, 4), dtype=np.uint64)
     words[:, 0] = _LEAD.take(row * 20 + (v < 0.0) * 10 + first)
     words[:, 1] = (_KEEP[0].take(row)
@@ -188,41 +171,28 @@ def format_floats(rows: np.ndarray) -> str:
 
 @dataclass
 class Table:
-    """Columns and rows: one 2-D float ``ndarray``, or a list of rows of
-    Python values for a table with non-float cells."""
+    """Named columns over one 2-D float ``ndarray``, one row per line.
+    Column names are plain identifiers, written as they are."""
 
     columns: list[str]
-    rows: np.ndarray | list[Sequence[Any]] = field(default_factory=list)
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if (isinstance(self.rows, np.ndarray)
-                and self.rows.shape[1:] != (len(self.columns),)):
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise ValueError(f"rows of shape {self.rows.shape}, expected "
                              f"(rows, {len(self.columns)})")
 
-    def append(self, row: Sequence[Any]) -> None:
-        if len(row) != len(self.columns):
-            raise ValueError(
-                f"row has {len(row)} cells, expected {len(self.columns)}")
-        self.rows.append(tuple(row))
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        if isinstance(self.rows, np.ndarray):
-            buf.write(format_floats(self.rows))
-        else:
-            for row in self.rows:
-                writer.writerow([format_value(v) for v in row])
-        return buf.getvalue()
+        return ",".join(self.columns) + "\n" + format_floats(self.rows)
 
     def to_json(self) -> str:
-        rows = (self.rows.tolist() if isinstance(self.rows, np.ndarray)
-                else self.rows)
+        # every cell round-trips through its 9-digit form, so that JSON and
+        # CSV agree
         payload = {
             "columns": list(self.columns),
-            "rows": [[_json_value(v) for v in row] for row in rows],
+            "rows": [[float(f"{v:.9g}") for v in row]
+                     for row in self.rows.tolist()],
         }
         return json.dumps(payload, indent=2) + "\n"
 

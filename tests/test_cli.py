@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfmix import cli, diode
+from selfmix import cli, diode, validation
 from selfmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -705,7 +706,87 @@ class TestOtherCommands:
         assert "known deviation" in stdout.lower()
 
 
+class TestCommandTable:
+    def test_missing_out_refused_before_computing(self, monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("mix_cells called without --out")
+        monkeypatch.setattr(diode, "mix_cells", solve)
+        assert run(["bias-sweep"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --out is required for this subcommand\n")
+
+    def test_command_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # a wrapper set on the module attribute (a tracer's) is the one
+        # main calls
+        calls = []
+        original = cli.cmd_spectrum
+
+        def wrapped(cfg, quiet):
+            calls.append(quiet)
+            return original(cfg, quiet)
+        monkeypatch.setattr(cli, "cmd_spectrum", wrapped)
+        assert run(["spectrum", "--out", str(tmp_path / "s.csv"),
+                    "--quiet"]) == 0
+        assert calls == [True]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_validate_report_bytes(self, tmp_path, monkeypatch, capsys, fmt):
+        results = [
+            validation.CheckResult("IF vs RF beamwidth, 4x2 layout", True,
+                                   'RF lobes: 2, "IF" 0'),
+            validation.CheckResult("known deviation", False, "a,b\nc",
+                                   note=True),
+        ]
+        monkeypatch.setattr(validation, "run_all", lambda: results)
+        out = tmp_path / f"v.{fmt}"
+        assert run(["validate", "--quiet", "--format", fmt,
+                    "--out", str(out)]) == 0
+        rows = [[r.status, r.name, r.detail] for r in results]
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                [["status", "name", "detail"], *rows])
+            expected = buf.getvalue()
+        else:
+            expected = json.dumps({"columns": ["status", "name", "detail"],
+                                   "rows": rows}, indent=2) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert capsys.readouterr().out == ""
+
+    def test_validate_takes_no_config(self, tmp_path, capsys):
+        assert run(["validate", "--config", str(tmp_path / "x.cfg")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: validate takes no config file\n")
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["frequency-sweep", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frequency-sweep'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["array-factor", "pattern"])
+    def test_cuts_do_not_import_numpy_ma(self, tmp_path, command):
+        code = ("import sys\n"
+                "from selfmix.cli import main\n"
+                f"assert main([{command!r}, '--quiet', '--out', "
+                f"{str(tmp_path / 'x.csv')!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        result = run_module(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+
 class TestScripts:
+    def test_help_lists_commands_and_options(self):
+        result = run_module(["-m", "selfmix", "--help"])
+        assert result.returncode == 0
+        for name, (help_text, _) in cli.COMMANDS.items():
+            assert f"  {name:14s}{help_text}\n" in result.stdout
+        assert len(cli.COMMANDS) == 7
+        for option in ("--config CONFIG", "--out OUT",
+                       "--format {csv,json}", "--quiet"):
+            assert option in result.stdout
+
     def test_module_run_prints_usage(self):
         result = run_module(["-m", "selfmix.cli"])
         assert result.returncode == 2

@@ -306,3 +306,12 @@ def test_one_period_bins_equal_two_period_bins():
 def test_plan_sampling_rejects_fractional_hz():
     with pytest.raises(ValueError, match="not an integer number of hertz"):
         plan_sampling([10.0, 10.5])
+
+
+@pytest.mark.parametrize("bad", [-3.0, 0.0, math.nan, math.inf])
+def test_plan_sampling_names_a_bad_frequency(bad):
+    # a tone that is not positive and finite is refused, not dropped, and
+    # the first one is named
+    with pytest.raises(ValueError,
+                       match=f"frequency {bad} Hz is not positive and finite"):
+        plan_sampling([5.0, bad, -1.0])

@@ -1,23 +1,31 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from selfmix import cli, patterns
-from selfmix.tables import FORMAT_BLOCK, Table, format_floats, format_value
+from selfmix.tables import FORMAT_BLOCK, Table, format_floats
 from selfmix.units import DB_FLOOR, amplitude_ratio_to_db
 
 
-def per_cell_csv(table):
-    """The reference route: every cell through format_value and csv.writer."""
+def per_cell_csv(columns, rows):
+    """The reference route: every cell through "%.9g" % v and csv.writer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([format_value(v) for v in row])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["%.9g" % v for v in row])
     return buf.getvalue()
+
+
+def per_cell_json(columns, rows):
+    """The reference JSON: every cell round-tripped through "%.9g" % v."""
+    return json.dumps({"columns": list(columns),
+                       "rows": [[float("%.9g" % v) for v in row]
+                                for row in rows]}, indent=2) + "\n"
 
 
 def scalar_db(ratio, floor=DB_FLOOR):
@@ -44,10 +52,6 @@ def steps(values, ulps):
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
                   -2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
                   123456789.0, 1234567891.0, -97.16966834, 1e16, 2.5e-13]
-OTHER_CELLS = [np.float64(0.1), np.float64(-0.0), np.float64(math.nan),
-               np.float32(0.1), 1_000_000_007, 2 ** 70, -5, np.int64(3),
-               True, False, "error", "a,b", 'say "hi"', "two\nlines",
-               "carriage\rreturn", "", None]
 
 
 class TestCsvBytes:
@@ -55,42 +59,32 @@ class TestCsvBytes:
         values = np.append(random_bits(3), SPECIAL_FLOATS)
         values = np.append(values, np.zeros(-values.size % 3)).reshape(-1, 3)
         table = Table(["a", "b", "c"], values)
-        assert table.to_csv() == per_cell_csv(Table(table.columns,
-                                                    values.tolist()))
-
-    def test_mixed_rows(self):
-        rows = [(1.5, cell, -0.0) for cell in OTHER_CELLS]
-        rows += [(float(v), "x", v) for v in SPECIAL_FLOATS]
-        rows += [[0.25, 0.5, 0.75]]  # a list row, as Table(rows=...) allows
-        # a bias-sweep row with failed cells and a validate detail row
-        rows += [(0.65, -10.0, "error"),
-                 ("PASS", "IF vs RF beamwidth, 4x2 layout (32 mm x 36 mm)",
-                  "RF lobes above -3 dB in |theta|<=60 deg: 2, \"IF\" 0")]
-        table = Table(["first", "second, quoted", "third"], rows)
-        assert table.to_csv() == per_cell_csv(table)
+        assert table.to_csv() == per_cell_csv(table.columns, values.tolist())
 
     def test_json_unchanged(self):
-        table = Table(["x", "status"], [(0.1234567891234, "PASS"),
-                                         (-0.0, "error"), (3, True)])
+        table = Table(["x", "y"], np.array([[0.1234567891234, -0.0],
+                                            [3.0, 1e300]]))
         assert table.to_json() == (
-            '{\n  "columns": [\n    "x",\n    "status"\n  ],\n'
-            '  "rows": [\n    [\n      0.123456789,\n      "PASS"\n    ],\n'
-            '    [\n      -0.0,\n      "error"\n    ],\n'
-            '    [\n      3,\n      true\n    ]\n  ]\n}\n')
+            '{\n  "columns": [\n    "x",\n    "y"\n  ],\n'
+            '  "rows": [\n    [\n      0.123456789,\n      -0.0\n    ],\n'
+            '    [\n      3.0,\n      1e+300\n    ]\n  ]\n}\n')
 
-    @pytest.mark.parametrize("odd_row", [
-        (0.5, np.float64(0.25), 0.125),
-        (0.5, 1_000_000_007, 0.125),  # "%.9g" would round the int
-        (0.5, 0.25),
-        None,  # no rows at all
+    def test_rows_are_one_float_array(self):
+        # Python rows become one 2-D float64 array, and an int is written
+        # as the float it becomes, to 9 digits
+        table = Table(["a", "b"], [(0.5, 1_000_000_007), (True, -3)])
+        assert table.rows.dtype == np.float64 and table.rows.shape == (2, 2)
+        assert table.to_csv() == "a,b\n0.5,1.00000001e+09\n1,-3\n"
+
+    @pytest.mark.parametrize("rows", [
+        [],  # no rows at all is not a 2-D array
+        [0.5, 0.25],
+        [(0.5, 0.25), (0.5,)],  # a short row
+        [(0.5, "PASS")],
     ])
-    def test_one_odd_row_falls_back(self, odd_row):
-        # a table of Python rows, floats or not, is written cell by cell
-        # through format_value
-        rows = [] if odd_row is None else [
-            (0.1, -0.0, 1e-300), odd_row, (math.inf, 2.5e-13, 123456789.0)]
-        table = Table(["a", "b", "c"], rows)
-        assert table.to_csv() == per_cell_csv(table)
+    def test_non_float_rows_are_refused(self, rows):
+        with pytest.raises(ValueError):
+            Table(["a", "b"], rows)
 
 
 def near_ties():
@@ -135,7 +129,7 @@ KERNEL_VALUES = {
 
 class TestFloatKernel:
     """format_floats against CPython's "%.9g" % v, cell by cell, and float
-    tables against the per-cell csv.writer route."""
+    tables against the per-cell csv.writer and json.dumps routes."""
 
     @pytest.mark.parametrize("name", KERNEL_VALUES)
     def test_cells_match_percent_format(self, name):
@@ -157,9 +151,9 @@ class TestFloatKernel:
             -90.0 + 0.01 * np.arange(400), SPECIAL_FLOATS]),
             size=(rows, columns))
         table = Table([f"c{k}" for k in range(columns)], values)
-        listed = Table(table.columns, values.tolist())
-        assert table.to_csv() == per_cell_csv(listed)
-        assert table.to_json() == listed.to_json()
+        assert table.to_csv() == per_cell_csv(table.columns, values.tolist())
+        assert table.to_json() == per_cell_json(table.columns,
+                                                values.tolist())
 
     def test_rows_must_match_columns(self):
         with pytest.raises(ValueError, match="expected"):
@@ -195,14 +189,6 @@ class TestCommandTables:
     """Default array-factor and pattern CSVs against a per-cell rebuild
     from the same cut arrays."""
 
-    def rebuild(self, columns, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
-        return buf.getvalue()
-
     def cuts(self, schema):
         cfg = schema.resolve({})
         theta_deg = cli._theta_grid_deg(cfg["theta_start_deg"],
@@ -219,7 +205,7 @@ class TestCommandTables:
                 for t, i, r in zip(theta_deg, af_if, af_rf)]
         out = tmp_path / "af.csv"
         assert cli.main(["array-factor", "--out", str(out), "--quiet"]) == 0
-        assert out.read_text() == self.rebuild(
+        assert out.read_text() == per_cell_csv(
             ["theta_deg", "phi_deg", "af_if", "af_rf", "af_if_db",
              "af_rf_db"], rows)
 
@@ -235,6 +221,6 @@ class TestCommandTables:
                                       af_rf)]
         out = tmp_path / "pattern.csv"
         assert cli.main(["pattern", "--out", str(out), "--quiet"]) == 0
-        assert out.read_text() == self.rebuild(
+        assert out.read_text() == per_cell_csv(
             ["theta_deg", "gain_db", "af_if", "af_rf", "total_if_db",
              "total_rf_db"], rows)
