@@ -10,8 +10,6 @@ what a network analyzer would display.
 
 from selfmix.diode import default_chain
 from selfmix.linkbudget import (
-    ChainSpec,
-    LinkBudgetParams,
     calibrate_conversion_gain,
     chain_output_power,
     default_total_efficiency_db,
@@ -30,9 +28,8 @@ rx = {}
 print(f"\n{'':8} {'freq':>9} {'P_tx':>7} {'eta_tot':>8} {'P_rx':>9}")
 for name, f, ptx in scenarios:
     eta = default_total_efficiency_db(f)
-    p = friis_rx_power(LinkBudgetParams(
-        tx_power_dbm=ptx, tx_gain_db=25.0, distance_m=1.5, frequency_hz=f,
-        total_efficiency_db=eta))
+    p = friis_rx_power(tx_power_dbm=ptx, tx_gain_db=25.0, distance_m=1.5,
+                       frequency_hz=f, total_efficiency_db=eta)
     rx[name] = p
     print(f"{name:8} {f / 1e9:6.1f} GHz {ptx:+5.1f} dBm {eta:+6.2f} dB "
           f"{p:+7.1f} dBm")
@@ -44,18 +41,19 @@ k = calibrate_conversion_gain(chain)
 print(f"\nconversion constant calibrated against the mixer simulation: "
       f"K = {k:+.2f} dB")
 
-single = ChainSpec(lna_gain_db=25.0, conversion_gain_db=k)
-if_single = chain_output_power((rx["tone 1"], rx["tone 2"]), single)
+if_single = chain_output_power(rx["tone 1"], rx["tone 2"], lna_gain_db=25.0,
+                               conversion_gain_db=k)
 print(f"single-element IF estimate (LNA + diode only): {if_single:+.1f} dBm")
 
-full = ChainSpec(lna_gain_db=25.0, conversion_gain_db=k,
-                 combiner_gain_db=9.03 - 0.9,  # 8 elements, 0.9 dB loss
-                 if_amp_gain_db=20.0, cable_loss_db=10.0)
-if_full = chain_output_power((rx["tone 1"], rx["tone 2"]), full)
+# 8 elements combined with 0.9 dB loss
+if_full = chain_output_power(rx["tone 1"], rx["tone 2"], lna_gain_db=25.0,
+                             conversion_gain_db=k, combiner_gain_db=9.03 - 0.9,
+                             if_amp_gain_db=20.0, cable_loss_db=10.0)
 print(f"8-element array + 20 dB IF amplifier - 10 dB cable: "
       f"{if_full:+.1f} dBm at the analyzer")
 
-up3 = chain_output_power((rx["tone 1"] + 3.0, rx["tone 2"] + 3.0), single)
+up3 = chain_output_power(rx["tone 1"] + 3.0, rx["tone 2"] + 3.0,
+                         lna_gain_db=25.0, conversion_gain_db=k)
 print(f"\nsquare-law check: +3 dB on both tones moves the IF by "
       f"{up3 - if_single:+.1f} dB")
 print("done.")

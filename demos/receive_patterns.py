@@ -34,8 +34,8 @@ sm = self_mix_pattern(c1, c2)
 print()
 for grid, name in ((c1, "element at 37.5 GHz"), (c2, "element at 38.5 GHz"),
                    (sm, "self-mixed product")):
-    bw = beamwidth_3db(grid)
-    print(f"  {name:22s} 3 dB width {math.degrees(bw.width):6.1f} deg")
+    width, _ = beamwidth_3db(grid)
+    print(f"  {name:22s} 3 dB width {math.degrees(width):6.1f} deg")
 
 # multiply in the array factor of the sparse 4x2 layout, cut at phi = 0
 geometry = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
@@ -43,12 +43,12 @@ total_if = PatternGrid(theta, sm.gains * if_array_factor_cut(
     geometry, F1, F2, theta, 0.0))
 total_rf = PatternGrid(theta, sm.gains * rf_array_factor_cut(
     geometry, 38.5e9, theta, 0.0))
-bw_if = beamwidth_3db(total_if)
-bw_rf = beamwidth_3db(total_rf)
+width_if, _ = beamwidth_3db(total_if)
+width_rf, _ = beamwidth_3db(total_rf)
 print(f"\ntotal pattern 3 dB width, IF combining: "
-      f"{math.degrees(bw_if.width):6.1f} deg")
+      f"{math.degrees(width_if):6.1f} deg")
 print(f"total pattern 3 dB width, RF combining: "
-      f"{math.degrees(bw_rf.width):6.1f} deg")
+      f"{math.degrees(width_rf):6.1f} deg")
 print("the element pattern is what limits the IF-combined array, not the "
       "array factor")
 

@@ -1,6 +1,8 @@
 """``python -m selfmix``: the ``selfmix`` command-line tool."""
 
-from .cli import entry_point
+import sys
+
+from .cli import main
 
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

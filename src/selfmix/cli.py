@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .errors import ConfigError, InvalidParams, SelfmixError
+from .errors import ConfigError, NoInteriorMaximum
 from .tables import Table
 from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db, dbm_to_amplitude
 
@@ -312,7 +312,7 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
             v, i = diode.optimal_bias_static(
                 model, (cfg["v_start_v"], cfg["v_stop_v"]))
             print(f"static optimum: {v:.4f} V, {i * 1e3:.3f} mA")
-        except SelfmixError as exc:
+        except NoInteriorMaximum as exc:
             print(f"static optimum: none ({exc})")
     return table
 
@@ -476,7 +476,7 @@ LINK_BUDGET_SCHEMA = Schema(
 
 
 def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
-    links = []
+    links = []  # friis_rx_power's arguments per tone, both checked first
     with _invariants_are_config_errors():
         for n in ("1", "2"):
             eta = cfg[f"eta{n}_db"]
@@ -486,32 +486,27 @@ def cmd_link_budget(cfg: dict, quiet: bool) -> Table:
                 try:
                     eta = linkbudget.default_total_efficiency_db(
                         cfg[f"f{n}_hz"])
-                except InvalidParams as exc:
+                except ValueError as exc:
                     raise ConfigError(f"{exc}; set eta{n}_db") from exc
-            links.append(linkbudget.LinkBudgetParams(
-                tx_power_dbm=cfg[f"tx_power{n}_dbm"],
-                tx_gain_db=cfg["tx_gain_db"], distance_m=cfg["distance_m"],
-                frequency_hz=cfg[f"f{n}_hz"],
-                rx_directivity_db=cfg["rx_directivity_db"],
-                total_efficiency_db=eta))
-    rx = [linkbudget.friis_rx_power(params) for params in links]
+            links.append((cfg[f"tx_power{n}_dbm"], cfg["tx_gain_db"],
+                          cfg["distance_m"], cfg[f"f{n}_hz"],
+                          cfg["rx_directivity_db"], eta))
+            linkbudget.check_link(*links[-1])
+    rx = [linkbudget.friis_rx_power(*link) for link in links]
     conversion = cfg["conversion_gain_db"]
     if math.isnan(conversion):
         conversion = linkbudget.calibrate_conversion_gain(
             diode.default_chain(lna_gain_db=cfg["lna_gain_db"]))
         if not quiet:
             print(f"calibrated conversion constant: {conversion:.3f} dB")
-    chain = linkbudget.ChainSpec(
-        lna_gain_db=cfg["lna_gain_db"], conversion_gain_db=conversion,
-        combiner_gain_db=cfg["combiner_gain_db"],
-        if_amp_gain_db=cfg["if_amp_gain_db"],
-        cable_loss_db=cfg["cable_loss_db"])
-    if_out = linkbudget.chain_output_power((rx[0], rx[1]), chain)
+    if_out = linkbudget.chain_output_power(
+        rx[0], rx[1], cfg["lna_gain_db"], conversion, cfg["combiner_gain_db"],
+        cfg["if_amp_gain_db"], cfg["cable_loss_db"])
     return Table(columns=["frequency_hz", "tx_power_dbm", "eta_tot_db",
                           "rx_power_dbm", "if_output_dbm"],
-                 rows=np.array([(p.frequency_hz, p.tx_power_dbm,
-                                 p.total_efficiency_db, p_rx, if_out)
-                                for p, p_rx in zip(links, rx)]))
+                 rows=np.array([(f, p_tx, eta, p_rx, if_out)
+                                for (p_tx, _, _, f, _, eta), p_rx
+                                in zip(links, rx)]))
 
 
 def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:
@@ -585,12 +580,17 @@ def main(argv: list[str] | None = None) -> int:
     schema = COMMANDS[args.command][1]
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if schema is None:
-            if args.config is not None:
-                raise ConfigError("validate takes no config file")
-            return command(args.out, args.format, args.quiet)
-        if args.out is None:
+        if schema is None and args.config is not None:
+            raise ConfigError("validate takes no config file")
+        if schema is not None and args.out is None:
             raise ConfigError("--out is required for this subcommand")
+        # refused before any work: a file that could not be written
+        if args.out is not None and (Path(args.out).is_dir()
+                                     or not Path(args.out).parent.is_dir()):
+            raise ConfigError(f"--out {args.out} is not a file in an "
+                              "existing directory")
+        if schema is None:
+            return command(args.out, args.format, args.quiet)
         table = command(_load_config(args.config, schema), args.quiet)
         table.write(args.out, args.format)
         if not args.quiet:
@@ -599,15 +599,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SelfmixError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         # OverflowError: a dB value past float range, e.g. a 7000 dB gain
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
 
 
-def entry_point() -> None:  # console script wrapper
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

@@ -115,12 +115,10 @@ class MixingChain:
             self.diode.series_resistance + self.source_impedance_ohms))
 
 
-def default_chain(lna_gain_db: float = 25.0,
-                  diode: DiodeModel | None = None) -> MixingChain:
+def default_chain(lna_gain_db: float = 25.0) -> MixingChain:
     """Reference receive chain: 25 dB flat LNA, default diode, 50 ohm
     source and IF load, biased at the chain's default voltage."""
-    diode = diode if diode is not None else default_diode()
-    return MixingChain(lna_gain_db=lna_gain_db, diode=diode)
+    return MixingChain(lna_gain_db=lna_gain_db, diode=default_diode())
 
 
 def terminal_current(model: DiodeModel, v_terminal):

@@ -99,19 +99,14 @@ def self_mix_pattern(c1: PatternGrid, c2: PatternGrid) -> PatternGrid:
     return PatternGrid(c1.theta_samples, c1.gains * c2.gains)
 
 
-@dataclass(frozen=True)
-class BeamwidthResult:
-    width: float
-    no_crossing: bool
-
-
-def beamwidth_3db(p: PatternGrid) -> BeamwidthResult:
-    """Width between the first crossings of ``peak / sqrt(2)`` on either
-    side of the peak (amplitude convention, linear interpolation).
+def beamwidth_3db(p: PatternGrid) -> tuple[float, bool]:
+    """``(width, no_crossing)``: the width between the first crossings of
+    ``peak / sqrt(2)`` on either side of the peak (amplitude convention,
+    linear interpolation).
 
     Ties for the peak are broken toward theta = 0. If the pattern never
     drops 3 dB on both sides within the cut the full cut width is returned
-    with ``no_crossing`` set.
+    with ``no_crossing`` true.
     """
     gains = p.gains
     theta = p.theta_samples
@@ -135,9 +130,8 @@ def beamwidth_3db(p: PatternGrid) -> BeamwidthResult:
     left = cross(range(k - 1, -1, -1))
     right = cross(range(k + 1, theta.size))
     if left is None or right is None:
-        return BeamwidthResult(width=float(theta[-1] - theta[0]),
-                               no_crossing=True)
-    return BeamwidthResult(width=right - left, no_crossing=False)
+        return float(theta[-1] - theta[0]), True
+    return right - left, False
 
 
 def find_lobes(p: PatternGrid, min_amplitude: float) -> list[float]:

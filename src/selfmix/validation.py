@@ -111,11 +111,11 @@ def check_if_vs_rf_beamwidth() -> CheckResult:
     floor = 1.0 / math.sqrt(2.0)
     rf_lobes = patterns.find_lobes(rf_60, floor)
     if_lobes = [t for t in patterns.find_lobes(if_60, floor) if abs(t) > 1e-9]
-    bw_if = patterns.beamwidth_3db(if_grid)
-    bw_rf = patterns.beamwidth_3db(rf_grid)
-    ratio = bw_if.width / bw_rf.width
+    width_if, _ = patterns.beamwidth_3db(if_grid)
+    width_rf, rf_no_crossing = patterns.beamwidth_3db(rf_grid)
+    ratio = width_if / width_rf
     ok = (len(rf_lobes) >= 2 and len(if_lobes) == 0
-          and not bw_rf.no_crossing and ratio > 10.0)
+          and not rf_no_crossing and ratio > 10.0)
     return CheckResult(
         name="IF vs RF beamwidth, 4x2 layout (32 mm x 36 mm), E-plane",
         passed=ok,
@@ -365,17 +365,12 @@ def check_diode_solver() -> CheckResult:
 
 
 def check_friis_anchors() -> CheckResult:
-    p34 = linkbudget.LinkBudgetParams(
-        tx_power_dbm=0.0, tx_gain_db=25.0, distance_m=1.5, frequency_hz=34e9,
-        total_efficiency_db=linkbudget.default_total_efficiency_db(34e9))
-    p385 = linkbudget.LinkBudgetParams(
-        tx_power_dbm=5.0, tx_gain_db=25.0, distance_m=1.5, frequency_hz=38.5e9,
-        total_efficiency_db=linkbudget.default_total_efficiency_db(38.5e9))
-    p34_ideal = linkbudget.LinkBudgetParams(
-        tx_power_dbm=0.0, tx_gain_db=25.0, distance_m=1.5, frequency_hz=34e9)
-    v34 = linkbudget.friis_rx_power(p34)
-    v385 = linkbudget.friis_rx_power(p385)
-    v34i = linkbudget.friis_rx_power(p34_ideal)
+    eta = linkbudget.default_total_efficiency_db
+    v34 = linkbudget.friis_rx_power(0.0, 25.0, 1.5, 34e9,
+                                    total_efficiency_db=eta(34e9))
+    v385 = linkbudget.friis_rx_power(5.0, 25.0, 1.5, 38.5e9,
+                                     total_efficiency_db=eta(38.5e9))
+    v34i = linkbudget.friis_rx_power(0.0, 25.0, 1.5, 34e9)
     ok = (abs(v34 - (-43.4)) < 0.1 and abs(v385 - (-39.5)) < 0.1
           and abs(v34i - (-41.6)) < 0.05)
     return CheckResult(

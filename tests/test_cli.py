@@ -504,6 +504,20 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_link_budget_checks_both_tones_before_either_power(
+            self, tmp_path, capsys):
+        # tone 1's received power would overflow (exit 3), but tone 2's
+        # frequency is bad config, which is refused first
+        cfg = tmp_path / "order.cfg"
+        cfg.write_text("f2_hz = -1e9\neta2_db = -1\ntx_power1_dbm = 1e308\n"
+                       "tx_gain_db = 1e308\n")
+        out = tmp_path / "x.csv"
+        assert run(["link-budget", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: frequency_hz must be positive\n")
+        assert not out.exists()
+
     def test_spectrum_amplitude_overflow_exits_3(self, tmp_path, capsys):
         # amplitudes whose sum and square leave the float range: one
         # message, no file of nan/inf rows and no numpy warning on the way
@@ -714,6 +728,25 @@ class TestCommandTable:
         assert run(["bias-sweep"]) == 2
         assert capsys.readouterr().err == (
             "config error: --out is required for this subcommand\n")
+
+    @pytest.mark.parametrize("command, module, name", [
+        (["bias-sweep"], diode, "mix_cells"),
+        (["validate", "--quiet"], validation, "run_all"),
+    ])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_refused_before_computing(
+            self, tmp_path, monkeypatch, capsys, command, module, name,
+            target):
+        # a parent that is not a directory, or an --out that is one
+        def compute(*args, **kwargs):
+            raise AssertionError(f"{name} called for an unwritable --out")
+        monkeypatch.setattr(module, name, compute)
+        out = tmp_path / target
+        assert run([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out {out} is not a file in an existing "
+            "directory\n")
+        assert list(tmp_path.iterdir()) == []  # no file, no directory
 
     def test_command_looked_up_at_call_time(self, tmp_path, monkeypatch):
         # a wrapper set on the module attribute (a tracer's) is the one

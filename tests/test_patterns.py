@@ -148,30 +148,31 @@ class TestTotalPattern:
 
 class TestBeamwidth:
     def test_isotropic_never_crosses(self):
-        bw = beamwidth_3db(cos_q_grid(0.0))
-        assert bw.no_crossing
-        assert bw.width == pytest.approx(THETA[-1] - THETA[0])
+        width, no_crossing = beamwidth_3db(cos_q_grid(0.0))
+        assert no_crossing is True
+        assert width == pytest.approx(THETA[-1] - THETA[0])
 
     def test_cos_squared_closed_form(self):
-        bw = beamwidth_3db(cos_q_grid(2.0))
+        width, no_crossing = beamwidth_3db(cos_q_grid(2.0))
         expected = 2.0 * math.acos(2.0 ** -0.25)
         assert math.degrees(expected) == pytest.approx(65.53, abs=0.01)
-        assert bw.width == pytest.approx(expected, abs=1e-4)
-        assert not bw.no_crossing
+        assert width == pytest.approx(expected, abs=1e-4)
+        assert no_crossing is False
 
     def test_invariant_under_scaling(self):
         p = cos_q_grid(2.0)
         scaled = PatternGrid(p.theta_samples, 7.3 * p.gains)
-        assert beamwidth_3db(scaled).width == pytest.approx(
-            beamwidth_3db(p).width, abs=1e-12)
+        width, _ = beamwidth_3db(scaled)
+        assert width == pytest.approx(beamwidth_3db(p)[0], abs=1e-12)
 
     def test_if_vs_rf_array_factor_width_ratio(self):
         g = ArrayGeometry.linear(4, 0.032)
         af_if = if_array_factor_cut(g, 38.5e9, 37.5e9, THETA, 0.0)
         af_rf = rf_array_factor_cut(g, 38.5e9, THETA, 0.0)
-        bw_if = beamwidth_3db(PatternGrid(THETA, af_if))
-        bw_rf = beamwidth_3db(PatternGrid(THETA, af_rf))
-        assert bw_if.width / bw_rf.width > 10.0
+        width_if, _ = beamwidth_3db(PatternGrid(THETA, af_if))
+        width_rf, rf_no_crossing = beamwidth_3db(PatternGrid(THETA, af_rf))
+        assert not rf_no_crossing
+        assert width_if / width_rf > 10.0
 
 
 class TestPatternCsv:
