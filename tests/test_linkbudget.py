@@ -45,21 +45,22 @@ class TestFriis:
         values = [rx(f, 0.0) for f in (30e9, 34e9, 38e9, 42e9)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("args, kwargs, message", [
-        ((0.0, 25.0, 0.0, 34e9), {}, "distance_m must be positive"),
-        ((0.0, 25.0, 1.5, -34e9), {}, "frequency_hz must be positive"),
-        ((0.0, 25.0, 1.5, 34e9), {"total_efficiency_db": 0.5},
-         "total_efficiency_db must be <= 0"),
-        ((math.inf, 25.0, 1.5, 34e9), {}, "tx_power_dbm must be finite"),
-        ((0.0, math.nan, 1.5, 34e9), {}, "tx_gain_db must be finite"),
-        ((0.0, 25.0, 1.5, 34e9), {"rx_directivity_db": -math.inf},
-         "rx_directivity_db must be finite"),
-    ])
-    def test_invalid_params(self, args, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            friis_rx_power(*args, **kwargs)
-        with pytest.raises(ValueError, match=message):
-            check_link(*args, **kwargs)
+    def test_invalid_params(self):
+        cases = [
+            ((0.0, 25.0, 0.0, 34e9), {}, "distance_m must be positive"),
+            ((0.0, 25.0, 1.5, -34e9), {}, "frequency_hz must be positive"),
+            ((0.0, 25.0, 1.5, 34e9), {"total_efficiency_db": 0.5},
+             "total_efficiency_db must be <= 0"),
+            ((math.inf, 25.0, 1.5, 34e9), {}, "tx_power_dbm must be finite"),
+            ((0.0, math.nan, 1.5, 34e9), {}, "tx_gain_db must be finite"),
+            ((0.0, 25.0, 1.5, 34e9), {"rx_directivity_db": -math.inf},
+             "rx_directivity_db must be finite"),
+        ]
+        for args, kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                friis_rx_power(*args, **kwargs)
+            with pytest.raises(ValueError, match=message):
+                check_link(*args, **kwargs)
 
     def test_unknown_default_efficiency(self):
         with pytest.raises(ValueError, match="no default total efficiency "
