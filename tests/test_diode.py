@@ -1,9 +1,11 @@
 import math
 import warnings
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfmix import diode, validation
 from selfmix.diode import (
@@ -386,20 +388,33 @@ class TestBiasPowerSweep:
         assert np.all(powers.max(axis=0) - powers.min(axis=0) < 1e-9)
 
 
-def per_cell_route(chain, amplitudes, frequencies, if_frequency, phases=0.0):
-    """Oracle: one cell synthesised, solved and transformed on its own, the
-    route of the per-cell sweep loop that the mixing kernel replaced."""
+def full_record_current(chain, amplitudes, frequencies, if_frequency,
+                        phases=0.0):
+    """One driven cell's loop current over its whole record, synthesised and
+    solved on its own, and the record's IF bin."""
     amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
         amplitudes)
     rate, duration = plan_sampling(list(frequencies) + [if_frequency],
                                    oversample=24.0)
-    if not amplified.any():
-        return DB_FLOOR, terminal_current(chain.loop_model(), chain.bias_voltage)
     rf = synthesize_waveform(amplified, frequencies, phases, rate,
                              round(rate * duration))
-    current = terminal_current(chain.loop_model(), chain.bias_voltage + rf)
-    dc, i_if = dft_spectrum(current, [0, round(if_frequency * duration)])
-    return (watts_to_dbm(abs(i_if) * abs(i_if) * chain.if_load_ohms / 2.0),
+    return (terminal_current(chain.loop_model(), chain.bias_voltage + rf),
+            round(if_frequency * duration))
+
+
+def per_cell_route(chain, amplitudes, frequencies, if_frequency, phases=0.0):
+    """Oracle: one cell synthesised, solved and transformed on its own over
+    its whole record, the route of the per-cell sweep loop that the mixing
+    kernel replaced."""
+    if not np.any(amplitudes):
+        return DB_FLOOR, terminal_current(chain.loop_model(), chain.bias_voltage)
+    current, if_bin = full_record_current(chain, amplitudes, frequencies,
+                                          if_frequency, phases)
+    dc, i_if = dft_spectrum(current, [0, if_bin])
+    # the ufunc np.abs, as the kernel takes it: Python's abs of a complex
+    # scalar (hypot) can differ from it in the last bit
+    magnitude = float(np.abs(i_if))
+    return (watts_to_dbm(magnitude * magnitude * chain.if_load_ohms / 2.0),
             float(dc.real))
 
 
@@ -409,30 +424,100 @@ def bits(if_power_dbm, dc_current):
     return float(if_power_dbm).hex(), float(dc_current).hex()
 
 
+# how far a cell solved on half its record may read from the full record:
+# the mirrored samples' drive differs from their own in the last bits only
+IF_DB_BOUND = 1e-10
+DC_REL_BOUND = 1e-12
+
+
+def near_full_record(if_power_dbm, dc_current, expected):
+    """Whether a cell is within the half-record bound of ``expected``, the
+    per-cell route's (if_power_dbm, dc_current)."""
+    return (abs(if_power_dbm - expected[0]) <= IF_DB_BOUND
+            and abs(dc_current - expected[1]) <= DC_REL_BOUND * abs(
+                expected[1]))
+
+
+def halved(frequencies, if_frequency, phases):
+    """Whether mix_cells solves the tones on half their record: every tone
+    on an odd bin of the common grid and every phase 0."""
+    _, duration = plan_sampling(list(frequencies) + [if_frequency],
+                                oversample=24.0)
+    return (all(round(f * duration) % 2 == 1 for f in frequencies)
+            and not any(phases))
+
+
+def if_amplitude(chain, if_power_dbm):
+    """Peak IF current that dissipates ``if_power_dbm`` in the IF load."""
+    return math.sqrt(2.0e-3 * 10.0 ** (if_power_dbm / 10.0)
+                     / chain.if_load_ohms)
+
+
+@st.composite
+def mixing_cases(draw):
+    """(frequencies, if_frequency, phases, biases, drive): two or three
+    tones on a 0.5 or 1 GHz grid in 30-40 GHz, half the time all at odd
+    multiples of it (and so on odd bins of their common grid), the IF their
+    first two tones' difference, zero or drawn phases, and one to three
+    cells of bias 0-0.8 V and per-tone drive -60 to +5 dBm."""
+    grid = draw(st.sampled_from([0.5e9, 1e9]))
+    odd = draw(st.booleans())
+    steps = draw(st.lists(
+        st.integers(round(30e9 / grid), round(40e9 / grid)).filter(
+            lambda k: k % 2 or not odd),
+        min_size=2, max_size=3, unique=True))
+    frequencies = [k * grid for k in steps]
+    tones = len(frequencies)
+    phases = draw(st.one_of(
+        st.just([0.0] * tones),
+        st.lists(st.floats(-math.pi, math.pi), min_size=tones,
+                 max_size=tones)))
+    cells = draw(st.integers(1, 3))
+    biases = draw(st.lists(st.floats(0.0, 0.8), min_size=cells,
+                           max_size=cells))
+    drive = draw(st.lists(st.lists(st.floats(-60.0, 5.0), min_size=tones,
+                                   max_size=tones),
+                          min_size=cells, max_size=cells))
+    return (frequencies, abs(frequencies[1] - frequencies[0]), phases,
+            biases, drive)
+
+
+def recording_solves(mp):
+    """Patch diode.terminal_current to record the shape of every 2-D solve
+    it is given; returns the list the shapes go to."""
+    solved = []
+
+    def recording_solve(model, v):
+        if np.ndim(v) == 2:
+            solved.append(v.shape)
+        return terminal_current(model, v)
+
+    mp.setattr(diode, "terminal_current", recording_solve)
+    return solved
+
+
 class TestMixingKernel:
     BIASES = [0.3, 0.65, 0.8]
     POWERS = [-60.0, -30.0, -10.0, 0.0, 5.0]
 
     @pytest.mark.parametrize("block, shapes", [
-        # 8 cells of 2048 samples per block: 15 cells end in a partial block
-        (4 * 4096 + 100, [(8, 2048), (7, 2048)]),
-        (1, [(1, 2048)] * 15),
+        # the 37.5/38.5 GHz pair sits on the odd bins 75 and 77 of a
+        # 2048-sample record, so each cell solves 1025 representative
+        # samples: 16 cells a block hold all 15 cells, one a block takes 15
+        # blocks, and at 8 cells a block the 15 end in a partial block
+        (4 * 4096 + 100, [(15, 1025)]),
+        (1, [(1, 1025)] * 15),
+        (8 * 1025 + 100, [(8, 1025), (7, 1025)]),
     ])
     def test_sweep_equals_per_cell_route(self, monkeypatch, block, shapes):
-        solved = []
         plans = []
-
-        def recording_solve(model, v):
-            if np.ndim(v) == 2:
-                solved.append(v.shape)
-            return terminal_current(model, v)
 
         def recording_plan(*args, **kwargs):
             plans.append(args)
             return plan_sampling(*args, **kwargs)
 
         monkeypatch.setattr(diode, "MIXING_BLOCK", block)
-        monkeypatch.setattr(diode, "terminal_current", recording_solve)
+        solved = recording_solves(monkeypatch)
         monkeypatch.setattr(diode, "plan_sampling", recording_plan)
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, self.BIASES, self.POWERS)
@@ -444,10 +529,72 @@ class TestMixingKernel:
         assert np.all(np.isfinite(dc_current))
         for i, bias in enumerate(self.BIASES):
             for j, p in enumerate(self.POWERS):
-                expected = per_cell_route(replace(chain, bias_voltage=bias),
-                                          *two_tone(p, p - 5.0), 1e9)
+                biased = replace(chain, bias_voltage=bias)
+                tones = two_tone(p, p - 5.0)
                 assert bits(if_power_dbm[i, j], dc_current[i, j]) == bits(
-                    *expected), (bias, p)
+                    *one_cell(biased, *tones, 1e9)), (bias, p)
+                assert near_full_record(
+                    if_power_dbm[i, j], dc_current[i, j],
+                    per_cell_route(biased, *tones, 1e9)), (bias, p)
+
+    def test_mixed_parity_sweep_keeps_the_full_record(self, monkeypatch):
+        # 34/35 GHz sit on the bins 68 and 70 of a 1 GHz grid, 34.5/35 GHz
+        # on 69 and 70 of a 0.5 GHz grid: no sample mirrors another, and
+        # every cell is the per-cell route bit for bit
+        chain = default_chain()
+        for pair, n in [((34e9, 35e9), 1024), ((34.5e9, 35e9), 2048)]:
+            with monkeypatch.context() as mp:
+                solved = recording_solves(mp)
+                if_power_dbm, dc_current = sweep(chain, self.BIASES,
+                                                 self.POWERS, pair)
+            assert [shape[1] for shape in solved] == [n] * len(solved)
+            for i, bias in enumerate(self.BIASES):
+                for j, p in enumerate(self.POWERS):
+                    expected = per_cell_route(
+                        replace(chain, bias_voltage=bias),
+                        *two_tone(p, p - 5.0, *pair), abs(pair[1] - pair[0]))
+                    assert bits(if_power_dbm[i, j],
+                                dc_current[i, j]) == bits(*expected)
+
+    @settings(max_examples=60, deadline=timedelta(seconds=20),
+              derandomize=True)
+    @given(case=mixing_cases())
+    def test_half_record_exactly_for_odd_bins_at_zero_phase(self, case):
+        # the kernel solves n/2 + 1 samples a cell exactly when every tone
+        # sits on an odd bin and every phase is 0, and n otherwise; a cell
+        # solved on its whole record is the per-cell route bit for bit, one
+        # solved on half of it lies within rounding of it: the dB bound for
+        # a tone pair, and for any set an IF current within 1e-13 of the
+        # record's peak current (a strong third tone can hold the IF product
+        # 60 dB below the record, and the IF bin's rounding with it)
+        frequencies, if_frequency, phases, biases, drive = case
+        chain = default_chain()
+        amplitudes = [[dbm_to_amplitude(p) for p in row] for row in drive]
+        with pytest.MonkeyPatch.context() as mp:
+            solved = recording_solves(mp)
+            if_power_dbm, dc_current = mix_cells(
+                chain, biases, amplitudes, frequencies, if_frequency, phases)
+        rate, duration = plan_sampling(frequencies + [if_frequency],
+                                       oversample=24.0)
+        n = round(rate * duration)
+        half = halved(frequencies, if_frequency, phases)
+        assert solved and all(shape[1] == (n // 2 + 1 if half else n)
+                              for shape in solved)
+        for k, bias in enumerate(biases):
+            biased = replace(chain, bias_voltage=bias)
+            expected = per_cell_route(biased, amplitudes[k], frequencies,
+                                      if_frequency, phases)
+            if not half:
+                assert bits(if_power_dbm[k], dc_current[k]) == bits(*expected)
+                continue
+            assert abs(dc_current[k] - expected[1]) <= DC_REL_BOUND * abs(
+                expected[1])
+            if len(frequencies) == 2:
+                assert abs(if_power_dbm[k] - expected[0]) <= IF_DB_BOUND
+            current, _ = full_record_current(biased, amplitudes[k],
+                                             frequencies, if_frequency, phases)
+            assert abs(if_amplitude(chain, if_power_dbm[k]) - if_amplitude(
+                chain, expected[0])) <= 1e-13 * np.max(np.abs(current))
 
     def test_one_cell_call_equals_per_cell_route(self):
         # three tones with phases: the kernel's one-cell call keeps the
@@ -473,20 +620,14 @@ class TestMixingKernel:
             biased = replace(chain, bias_voltage=bias)
             assert bits(if_power_dbm[i, 0], dc_current[i, 0]) == bits(
                 *per_cell_route(biased, *two_tone(-5000.0, -5005.0), 1e9))
-            assert bits(if_power_dbm[i, 1], dc_current[i, 1]) == bits(
-                *per_cell_route(biased, *two_tone(-40.0, -45.0), 1e9))
+            assert near_full_record(
+                if_power_dbm[i, 1], dc_current[i, 1],
+                per_cell_route(biased, *two_tone(-40.0, -45.0), 1e9))
 
     def test_unsampleable_pair_raises_before_solving(self, monkeypatch):
         # the pair's 1 Hz common grid is past the sample budget: the sweep
         # raises plan_sampling's error and solves no cell
-        solved = []
-
-        def recording_solve(model, v):
-            if np.ndim(v) == 2:
-                solved.append(v.shape)
-            return terminal_current(model, v)
-
-        monkeypatch.setattr(diode, "terminal_current", recording_solve)
+        solved = recording_solves(monkeypatch)
         with pytest.raises(ValueError, match="share no common grid") as expected:
             plan_sampling([34e9 + 1.0, 35e9 + 1.0, 1e9], oversample=24.0)
         with pytest.raises(ValueError, match="share no common grid") as raised:
