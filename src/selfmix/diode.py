@@ -14,9 +14,10 @@ tones plus the bias voltage form a source that drives the diode through the
 chain's source impedance, the loop current is solved sample by sample, and
 the DC and IF components are read from its DFT; the drive records come from
 :func:`selfmix.signals.synthesize_waveform` and the bins from
-:func:`selfmix.signals.dft_spectrum`. When every tone sits on an odd bin of
-the record and every phase is 0, samples ``j`` and ``n/2 - j`` see the same
-drive, so only half the record is solved and the currents are mirrored.
+:func:`selfmix.signals.dft_spectrum`. When every tone is a whole number of
+hertz on an odd bin of the record and every phase is 0, samples ``j`` and
+``n/2 - j`` see the same drive, so only half the record is solved and the
+currents are mirrored.
 Amplifier and filters are collapsed into a flat gain and an ideal IF load;
 there is no junction capacitance and hence no frequency dependence. This
 keeps every qualitative behaviour of the real chain at desk scale: the
@@ -248,8 +249,8 @@ MIXING_BLOCK = 1 << 14
 ``max(1, MIXING_BLOCK // m)`` cells of ``m`` solved samples, so the
 solver's working arrays stay near 1 MB. A cell's record is ``n`` samples,
 one common period of its tones (2048 for a default sweep cell); ``m`` is
-``n/2 + 1`` when every tone sits on an odd bin and every phase is 0, and
-``n`` otherwise."""
+``n/2 + 1`` when every tone is a whole number of hertz on an odd bin and
+every phase is 0, and ``n`` otherwise."""
 
 
 def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
@@ -273,9 +274,9 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     its bias voltage.
 
     One sampling plan of ``n`` samples and one set of unit sines (one
-    ``synthesize_waveform`` call) serve every cell. When every tone sits on
-    an odd bin ``k`` of the plan and every phase is 0,
-    ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
+    ``synthesize_waveform`` call) serve every cell. When every tone is a
+    whole number of hertz on an odd bin ``k`` of the plan and every phase is
+    0, ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
     ``(n/2 - j) mod n`` carry the same drive and hence the same current, so
     only the ``n/2 + 1`` samples with ``j <= (n/2 - j) mod n`` are solved
     and their currents are mirrored back into the whole record; otherwise
@@ -311,9 +312,11 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     # odd-bin, zero-phase tones drive sample j and sample (n/2 - j) mod n
     # alike, so only the representatives j <= (n/2 - j) mod n are solved and
     # mirror[j] picks sample j's current among them; otherwise every sample
-    # is its own representative and the mirror is the identity
+    # is its own representative and the mirror is the identity. plan_sampling
+    # accepts a tone a fraction of a hertz off a whole number, but it is
+    # synthesised off its bin, so only whole-hertz tones count as on one.
     j = np.arange(n)
-    odd = all(round(f * duration) % 2 for f in freqs)
+    odd = all(f == round(f) and round(f * duration) % 2 for f in freqs)
     partner = (n // 2 - j) % n if odd and not np.any(phases) else j
     solved = j <= partner
     mirror = (np.cumsum(solved) - 1)[np.minimum(j, partner)]

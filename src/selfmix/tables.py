@@ -20,8 +20,7 @@ drops trailing zeros, and one ``bytes.translate`` compacts the records. A
 cell the kernel cannot prove exact (+-0, NaN, +-inf, ``e`` outside
 [-14, 30], a scaled mantissa within 1e-6 of a rounding tie or outside
 [1e8, 1e9), as where ``log10`` misses by one next to a power of ten) is
-formatted by CPython's own ``"%.9g" % v``. :meth:`Table.to_json` takes
-its cells from the same kernel.
+formatted by CPython's own ``"%.9g" % v``.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ FORMAT_BLOCK = 1 << 13
 # Decimal exponents the kernel formats: 10^(8 - e) is an exact double.
 _E_MIN, _E_MAX = -14, 30
 _EXPONENTS = np.arange(_E_MIN, _E_MAX + 1)
-
-# The smallest normal double: below it a float holds fewer than 9 digits.
-_TINY = 2.2250738585072014e-308
 
 # A cell's record is four 8-byte words; a 0 byte is dropped when compacting.
 #   word 0: sign, "0.", the three zeros after "0.", (unused), digit 0
@@ -191,36 +187,14 @@ class Table:
         return ",".join(self.columns) + "\n" + format_floats(self.rows)
 
     def to_json(self) -> str:
-        """``json.dumps(indent=2)`` of the columns and of every cell read
-        back from its 9-digit form, so that JSON and CSV agree.
-
-        A float's ``repr`` is its shortest round-tripping form, and a 9-digit
-        decimal round-trips to a normal float, so ``repr(float("%.9g" % v))``
-        has the digits of :func:`format_floats` and differs only in layout:
-        a whole number gains ``.0``, one from 1e9 to below 1e16 is written
-        positionally, and a non-finite one is ``NaN`` or ``[-]Infinity``.
-        Those cells, all within 1e-8 of a whole number or not finite, and
-        the subnormal ones, whose fewer digits may shorten, are encoded by
-        ``json.dumps`` one by one; the others are taken as they are.
-        """
-        payload = {"columns": list(self.columns), "rows": []}
-        if not self.rows.size:
-            payload["rows"] = self.rows.tolist()
-            return json.dumps(payload, indent=2) + "\n"
-        v = self.rows.ravel()
-        cells = format_floats(v[:, None]).split("\n")
-        a = np.abs(v)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            other = ~(np.abs(v - np.rint(v)) > 1e-8 * a) | (a < _TINY)
-        for k in np.flatnonzero(other).tolist():
-            cells[k] = json.dumps(float(cells[k]))
-        width = self.rows.shape[1]
-        rows = [",\n      ".join(cells[k:k + width])
-                for k in range(0, v.size, width)]
-        # the empty list closing the payload opens the rows
-        return (json.dumps(payload, indent=2)[:-len("[]\n}")]
-                + "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows)
-                + "\n    ]\n  ]\n}\n")
+        # every cell round-trips through its 9-digit form, so that JSON and
+        # CSV agree
+        payload = {
+            "columns": list(self.columns),
+            "rows": [[float(f"{v:.9g}") for v in row]
+                     for row in self.rows.tolist()],
+        }
+        return json.dumps(payload, indent=2) + "\n"
 
     def write(self, path: str | Path, fmt: str = "csv") -> None:
         text = self.to_csv() if fmt == "csv" else self.to_json()

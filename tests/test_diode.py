@@ -411,17 +411,36 @@ def per_cell_route(chain, amplitudes, frequencies, if_frequency, phases=0.0):
     current, if_bin = full_record_current(chain, amplitudes, frequencies,
                                           if_frequency, phases)
     dc, i_if = dft_spectrum(current, [0, if_bin])
-    # the ufunc np.abs, as the kernel takes it: Python's abs of a complex
-    # scalar (hypot) can differ from it in the last bit
-    magnitude = float(np.abs(i_if))
-    return (watts_to_dbm(magnitude * magnitude * chain.if_load_ohms / 2.0),
-            float(dc.real))
+    return if_power(chain, abs(i_if)), float(dc.real)
+
+
+def if_power(chain, magnitude):
+    """IF power in dBm of a one-sided IF current amplitude in the IF load."""
+    return watts_to_dbm(magnitude * magnitude * chain.if_load_ohms / 2.0)
 
 
 def bits(if_power_dbm, dc_current):
     """A cell's (if_power_dbm, dc_current) as exact bit patterns (float.hex
     tells -0.0 from 0.0)."""
     return float(if_power_dbm).hex(), float(dc_current).hex()
+
+
+def is_per_cell_route(chain, if_power_dbm, dc_current, amplitudes,
+                      frequencies, if_frequency, phases=0.0):
+    """Whether a driven cell is the per-cell route's: its DC bit for bit,
+    and its IF power that of the route's IF magnitude or of a magnitude one
+    ulp either side. The kernel takes the magnitudes of a block with the
+    ufunc np.abs, the route of one complex scalar with abs (hypot), and the
+    two may round apart in the last bit."""
+    current, if_bin = full_record_current(chain, amplitudes, frequencies,
+                                          if_frequency, phases)
+    dc, i_if = dft_spectrum(current, [0, if_bin])
+    magnitude = abs(i_if)
+    powers = [if_power(chain, m).hex() for m in (
+        np.nextafter(magnitude, 0.0), magnitude,
+        np.nextafter(magnitude, np.inf))]
+    return (float(dc_current).hex() == float(dc.real).hex()
+            and float(if_power_dbm).hex() in powers)
 
 
 # how far a cell solved on half its record may read from the full record:
@@ -440,10 +459,12 @@ def near_full_record(if_power_dbm, dc_current, expected):
 
 def halved(frequencies, if_frequency, phases):
     """Whether mix_cells solves the tones on half their record: every tone
-    on an odd bin of the common grid and every phase 0."""
+    a whole number of hertz on an odd bin of the common grid and every
+    phase 0."""
     _, duration = plan_sampling(list(frequencies) + [if_frequency],
                                 oversample=24.0)
-    return (all(round(f * duration) % 2 == 1 for f in frequencies)
+    return (all(f == round(f) and round(f * duration) % 2 == 1
+                for f in frequencies)
             and not any(phases))
 
 
@@ -539,10 +560,13 @@ class TestMixingKernel:
 
     def test_mixed_parity_sweep_keeps_the_full_record(self, monkeypatch):
         # 34/35 GHz sit on the bins 68 and 70 of a 1 GHz grid, 34.5/35 GHz
-        # on 69 and 70 of a 0.5 GHz grid: no sample mirrors another, and
-        # every cell is the per-cell route bit for bit
+        # on 69 and 70 of a 0.5 GHz grid, and 37.5 GHz + 0.4 Hz, which
+        # plan_sampling puts on the odd bin 75 beside 38.5 GHz on 77, is
+        # synthesised 0.4 Hz off it: no sample mirrors another, and every
+        # cell is the per-cell route
         chain = default_chain()
-        for pair, n in [((34e9, 35e9), 1024), ((34.5e9, 35e9), 2048)]:
+        for pair, n in [((34e9, 35e9), 1024), ((34.5e9, 35e9), 2048),
+                        ((37.5e9 + 0.4, 38.5e9), 2048)]:
             with monkeypatch.context() as mp:
                 solved = recording_solves(mp)
                 if_power_dbm, dc_current = sweep(chain, self.BIASES,
@@ -550,11 +574,10 @@ class TestMixingKernel:
             assert [shape[1] for shape in solved] == [n] * len(solved)
             for i, bias in enumerate(self.BIASES):
                 for j, p in enumerate(self.POWERS):
-                    expected = per_cell_route(
-                        replace(chain, bias_voltage=bias),
-                        *two_tone(p, p - 5.0, *pair), abs(pair[1] - pair[0]))
-                    assert bits(if_power_dbm[i, j],
-                                dc_current[i, j]) == bits(*expected)
+                    assert is_per_cell_route(
+                        replace(chain, bias_voltage=bias), if_power_dbm[i, j],
+                        dc_current[i, j], *two_tone(p, p - 5.0, *pair),
+                        abs(pair[1] - pair[0])), (pair, bias, p)
 
     @settings(max_examples=60, deadline=timedelta(seconds=20),
               derandomize=True)
@@ -562,8 +585,9 @@ class TestMixingKernel:
     def test_half_record_exactly_for_odd_bins_at_zero_phase(self, case):
         # the kernel solves n/2 + 1 samples a cell exactly when every tone
         # sits on an odd bin and every phase is 0, and n otherwise; a cell
-        # solved on its whole record is the per-cell route bit for bit, one
-        # solved on half of it lies within rounding of it: the dB bound for
+        # solved on its whole record is the per-cell route (DC bit for bit,
+        # IF magnitude to one ulp), one solved on half of it lies within
+        # rounding of it: the dB bound for
         # a tone pair, and for any set an IF current within 1e-13 of the
         # record's peak current (a strong third tone can hold the IF product
         # 60 dB below the record, and the IF bin's rounding with it)
@@ -582,11 +606,13 @@ class TestMixingKernel:
                               for shape in solved)
         for k, bias in enumerate(biases):
             biased = replace(chain, bias_voltage=bias)
+            if not half:
+                assert is_per_cell_route(biased, if_power_dbm[k],
+                                         dc_current[k], amplitudes[k],
+                                         frequencies, if_frequency, phases)
+                continue
             expected = per_cell_route(biased, amplitudes[k], frequencies,
                                       if_frequency, phases)
-            if not half:
-                assert bits(if_power_dbm[k], dc_current[k]) == bits(*expected)
-                continue
             assert abs(dc_current[k] - expected[1]) <= DC_REL_BOUND * abs(
                 expected[1])
             if len(frequencies) == 2:

@@ -155,31 +155,6 @@ class TestFloatKernel:
         assert table.to_json() == per_cell_json(table.columns,
                                                 values.tolist())
 
-    @pytest.mark.parametrize("name", [*KERNEL_VALUES, "json layouts"])
-    def test_json_matches_json_dumps(self, name):
-        # the cells whose JSON is not their "%.9g" form: whole numbers
-        # (".0"), 1e9 to 1e16 (positional), -0.0, the dB floor, non-finite
-        # and subnormal values, beside near-ties and tiny values that keep it
-        if name == "json layouts":
-            rng = np.random.default_rng(12)
-            whole = np.arange(-1000.0, 1001.0)
-            powers = 10.0 ** np.arange(-8, 18)
-            values = np.concatenate([
-                whole, whole + 1e-7, whole - 2e-9, powers,
-                steps(powers, -1), steps(powers, 1), powers * 9.9999999995,
-                10.0 ** rng.uniform(9.0, 16.0, 2000),
-                np.round(10.0 ** rng.uniform(8.0, 17.0, 2000)),
-                [-0.0, 0.0, DB_FLOOR, -DB_FLOOR, 1e-300, -2.5e-310, 5e-324],
-                near_ties()[:2000]])
-        else:
-            values = KERNEL_VALUES[name]()
-        for width in (1, 3):
-            rows = np.append(values, np.zeros(-values.size % width))
-            table = Table([f"c{k}" for k in range(width)],
-                          rows.reshape(-1, width))
-            assert table.to_json() == per_cell_json(table.columns,
-                                                    table.rows.tolist())
-
     def test_rows_must_match_columns(self):
         with pytest.raises(ValueError, match="expected"):
             Table(["a", "b"], np.zeros((3, 3)))
