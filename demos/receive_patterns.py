@@ -12,13 +12,9 @@ import math
 
 import numpy as np
 
-from selfmix.arrays import (
-    ArrayGeometry,
-    if_array_factor_cut,
-    rf_array_factor_cut,
-    simulate_array_timedomain,
-)
+from selfmix.arrays import ArrayGeometry, if_array_factor_cut, rf_array_factor_cut
 from selfmix.patterns import PatternGrid, beamwidth_3db, cos_q, self_mix_pattern
+from selfmix.validation import simulate_array_timedomain
 
 F1, F2 = 37.5e9, 38.5e9
 theta = np.radians(np.arange(-90.0, 90.01, 0.25))

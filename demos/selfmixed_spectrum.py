@@ -11,12 +11,8 @@ frequency-domain self-convolution against brute-force time-domain squaring.
 
 import numpy as np
 
-from selfmix.signals import (
-    dft_spectrum,
-    plan_sampling,
-    spectrum_self_convolution,
-    synthesize_waveform,
-)
+from selfmix.signals import dft_spectrum, plan_sampling, synthesize_waveform
+from selfmix.validation import spectrum_self_convolution
 
 CARRIER_HZ = 37.5e9
 BAND_HZ = [38.1e9, 38.2e9, 38.3e9, 38.4e9, 38.5e9]

@@ -9,13 +9,12 @@ a conventional RF combiner would show grating lobes.
 
 The package provides:
 
-* :mod:`selfmix.signals` -- batched tone synthesis and DFT bin reads on
-  plain arrays, and spectrum self-convolution (the brute-force oracle
-  everything else is checked against);
+* :mod:`selfmix.signals` -- batched tone synthesis, DFT bin reads and
+  sampling plans on plain arrays;
 * :mod:`selfmix.diode` -- Shockley-plus-series-resistance detector model,
   bias-point analysis and time-domain mixing sweeps;
 * :mod:`selfmix.arrays` -- array geometry, IF / RF array factors, effective
-  element spacing, ideal combiner and a full time-domain array oracle;
+  element spacing and an ideal combiner;
 * :mod:`selfmix.patterns` -- pattern cuts, the ``cos_q`` and ``two_beam``
   element patterns, self-mixing pattern products, beamwidth and lobe
   metrics;
@@ -23,7 +22,7 @@ The package provides:
   accounting;
 * :mod:`selfmix.cli` -- the ``selfmix`` command-line front end;
 * :mod:`selfmix.validation` -- the self-check battery behind
-  ``selfmix validate``.
+  ``selfmix validate`` and the brute-force routes its checks run.
 """
 
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ factor-N power gain over the whole angular range.
 A per-element RF phase offset (e.g. a 180-degree feed rotation of one
 antenna row) enters both tones identically and cancels in the self-mixed
 IF signal; the same offset applied to an RF-combined array nulls the
-broadside response. :func:`simulate_array_timedomain` demonstrates both
-effects with brute-force waveform synthesis rather than phasor algebra.
+broadside response. :mod:`selfmix.validation` checks both.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import (MAX_SAMPLES, dft_spectrum, plan_sampling,
-                      synthesize_waveform)
 from .units import DB_FLOOR, SPEED_OF_LIGHT
 
 _TWO_PI = 2.0 * math.pi
@@ -48,9 +45,6 @@ FACTOR_ORDER = 19
 _GEMM_ROWS = 16
 _ORDERS = np.arange(1.0, FACTOR_ORDER + 1)
 _POWERS_OF_J = np.array([1j ** m for m in range(FACTOR_ORDER + 1)])
-# tone amplitudes (at f1, at f2) of the time-domain array oracle; they cancel
-# against its isotropic reference element
-_TONE_AMPLITUDES = (1.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -361,96 +355,3 @@ def combine_elements(amplitudes: Sequence[float],
     if ratio <= 0.0:
         return DB_FLOOR
     return max(DB_FLOOR, 20.0 * math.log10(ratio))
-
-
-def simulate_array_timedomain(g: ArrayGeometry, f1: float, f2: float,
-                              theta_signed: np.ndarray | Sequence[float],
-                              phi_cut: float,
-                              element_gains: np.ndarray | Sequence | None = None
-                              ) -> np.ndarray:
-    """Brute-force array oracle along a signed-theta cut: for each direction,
-    the IF power of the combined array in dB relative to a single isotropic
-    element under the same two-tone plane wave, so broadside with unit gains
-    gives ``10*log10(N)``.
-
-    One time-domain pass over D*N + 1 rows: one row per direction and
-    element, and a last row for a single isotropic element at the origin.
-    Each row is a ``signals.synthesize_waveform`` record of the delayed and
-    feed-shifted two-tone sum (tone amplitudes :data:`_TONE_AMPLITUDES`),
-    squared and read by ``signals.dft_spectrum`` at the IF bin; each
-    direction's element tones are summed coherently with ``1/sqrt(N)``
-    combiner normalization. The oracle shares those two functions with the
-    ``spectrum`` subcommand and nothing with the array-factor kernel.
-
-    ``element_gains`` holds one amplitude-gain pair (at f1, at f2) per
-    direction, shared by every element; None means unit gains.
-    """
-    if not (0.0 < f1 < math.inf and 0.0 < f2 < math.inf and f1 != f2):
-        raise ValueError("the two tones need positive, finite, distinct "
-                         f"frequencies, got {f1!r} and {f2!r} Hz")
-    theta = np.asarray(theta_signed, dtype=float)
-    if theta.ndim != 1 or not np.all(np.abs(theta) <= math.pi):
-        raise ValueError("theta_signed must be a 1-D cut within [-pi, pi]")
-    n, d = g.element_count, theta.size
-    gains = (np.ones((d, 2)) if element_gains is None
-             else np.asarray(element_gains, dtype=float))
-    if gains.shape != (d, 2):
-        raise ValueError(f"element_gains must have shape ({d}, 2)")
-    if not np.all((gains >= 0.0) & (gains < math.inf)):  # NaN fails both
-        raise ValueError("element gains must be >= 0 and finite")
-    amps = np.vstack([np.repeat(gains * _TONE_AMPLITUDES, n, axis=0),
-                      _TONE_AMPLITUDES])
-
-    # plane-wave phase of every element relative to element 0, per
-    # direction: 2*pi * (r_k . u) * f / c0 plus the feed offset, with u the
-    # in-plane arrival vector of |theta| at phi_cut, or at phi_cut + pi for
-    # negative theta, the azimuth wrapped into [-pi, pi)
-    phases = np.zeros((d * n + 1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rel = g.element_positions - g.element_positions[0]
-        for i, t in enumerate(theta.tolist()):
-            polar, az = (t, phi_cut) if t >= 0.0 else (-t, phi_cut + math.pi)
-            az = (az + math.pi) % _TWO_PI - math.pi
-            s = math.sin(polar)
-            path = rel @ np.array([s * math.cos(az), s * math.sin(az)])
-            for col, f in enumerate((f1, f2)):
-                phases[i * n:(i + 1) * n, col] = (
-                    _TWO_PI * path * f / SPEED_OF_LIGHT + g.rf_phase_offsets)
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("element phases overflow")
-
-    # the planned rate exceeds 4 * max(f1, f2), so the squared waveform lies
-    # below Nyquist, and the record spans a whole period of every tone: every
-    # mixing product falls on an exact bin and leaks into no other. Of the
-    # square's products (DC, f1 - f2, 2 f1, 2 f2, f1 + f2), 2 min(f1, f2)
-    # shares the IF bin k when one tone is three times the other
-    if_freq = abs(f1 - f2)
-    rate, duration = plan_sampling([f1, f2, if_freq])
-    samples = int(round(duration * rate))
-    k = round(if_freq / (rate / samples))
-    if round(2.0 * min(f1, f2) / (rate / samples)) == k:
-        raise ValueError(f"the 2 x {min(f1, f2)} Hz square term shares the IF "
-                         f"bin of {f1} and {f2} Hz")
-
-    # rows go through in blocks of at most MAX_SAMPLES samples, the memory
-    # of one element's longest record
-    tones = np.empty(d * n + 1, dtype=complex)
-    rows = max(1, MAX_SAMPLES // samples)
-    for lo in range(0, tones.size, rows):
-        block = slice(lo, lo + rows)
-        w = synthesize_waveform(amps[block], (f1, f2), phases[block], rate,
-                                samples)
-        w *= w  # square-law mix
-        tones[block] = dft_spectrum(w, [k])[:, 0]
-    tones[:-1][np.any(amps[:-1] == 0.0, axis=1)] = 0.0  # a dead element
-
-    reference = abs(complex(tones[-1]))
-    power_db = np.empty(d)
-    for i in range(d):
-        total = sum(tones[i * n:(i + 1) * n].tolist()) / math.sqrt(n)
-        ratio = abs(total) / reference
-        # scalar dB kept apart from units.amplitude_ratio_to_db: the oracle
-        # shares no kernel with the fast path it checks
-        power_db[i] = (max(DB_FLOOR, 20.0 * math.log10(ratio)) if ratio > 0.0
-                       else DB_FLOOR)
-    return power_db

@@ -1,7 +1,7 @@
-"""Multi-tone records and their one-sided DFT bins.
+"""Multi-tone records, their one-sided DFT bins and sampling plans.
 
 This module is the numerical ground truth for the rest of the package: the
-closed-form mixer and array results elsewhere are all checked against
+checks of :mod:`selfmix.validation` test the closed forms elsewhere against
 time-domain squaring (``w * w``) or the diode solve of a record that
 :func:`synthesize_waveform` makes, read at its bins by :func:`dft_spectrum`.
 No other module transforms a record. No filter stands between squaring and
@@ -134,32 +134,6 @@ def dft_spectrum(records, bins: Sequence[int] | None = None) -> np.ndarray:
     amps /= n
     amps *= np.where((k > 0) & (2 * k != n), 2.0, 1.0)
     return amps
-
-
-def spectrum_self_convolution(amplitudes: np.ndarray) -> np.ndarray:
-    """One-sided amplitudes of the squared signal, computed without leaving
-    the frequency domain.
-
-    Squaring in time is convolution of the two-sided voltage spectrum with
-    itself; the one-sided input (the all-bins :func:`dft_spectrum` of one
-    record) is expanded to its conjugate-symmetric two-sided form, convolved,
-    and folded back. The output keeps the input resolution and doubles the
-    bin range.
-    """
-    one_sided = np.asarray(amplitudes, dtype=complex)
-    m = one_sided.size - 1
-    # two-sided line spectrum: index m is DC, a tone of amplitude a
-    # contributes a/2 at +f and conj(a)/2 at -f
-    lines = np.empty(2 * m + 1, dtype=complex)
-    lines[m] = one_sided[0]
-    lines[m + 1:] = one_sided[1:] / 2.0
-    lines[:m] = np.conj(one_sided[1:])[::-1] / 2.0
-    product = np.convolve(lines, lines)
-    centre = 2 * m  # DC index of the full convolution
-    out = np.empty(2 * m + 1, dtype=complex)
-    out[0] = product[centre]
-    out[1:] = 2.0 * product[centre + 1:]
-    return out
 
 
 def plan_sampling(frequencies: Iterable[float],

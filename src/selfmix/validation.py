@@ -1,21 +1,26 @@
 """Self-checks behind the ``selfmix validate`` subcommand.
 
 Each check compares a closed-form result against an independent brute-force
-route (time-domain squaring, dense grids, hand formulas) and returns a
-:class:`CheckResult`. Known model-vs-reference discrepancies are reported as
-notes, not failures. Everything is deterministic (fixed seeds).
+route kept here (time-domain squaring, dense grids, hand formulas) and returns
+a :class:`CheckResult`; only ``cli`` imports this module. Known deviations are
+reported as notes, not failures. Everything is deterministic (fixed seeds).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from . import arrays, diode, linkbudget, patterns, signals
+from . import arrays, diode, linkbudget, patterns, signals, units
 from .errors import NoInteriorMaximum
 from .units import SPEED_OF_LIGHT, db_to_amplitude_ratio, dbm_to_amplitude
+
+# tone amplitudes (at f1, at f2) of the time-domain array oracle; they cancel
+# against its isotropic reference element
+_TONE_AMPLITUDES = (1.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,32 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
+def spectrum_self_convolution(amplitudes: np.ndarray) -> np.ndarray:
+    """One-sided amplitudes of the squared signal, computed without leaving
+    the frequency domain.
+
+    Squaring in time is convolution of the two-sided voltage spectrum with
+    itself; the one-sided input (the all-bins ``signals.dft_spectrum`` of
+    one record) is expanded to its conjugate-symmetric two-sided form,
+    convolved, and folded back. The output keeps the input resolution and
+    doubles the bin range.
+    """
+    one_sided = np.asarray(amplitudes, dtype=complex)
+    m = one_sided.size - 1
+    # two-sided line spectrum: index m is DC, a tone of amplitude a
+    # contributes a/2 at +f and conj(a)/2 at -f
+    lines = np.empty(2 * m + 1, dtype=complex)
+    lines[m] = one_sided[0]
+    lines[m + 1:] = one_sided[1:] / 2.0
+    lines[:m] = np.conj(one_sided[1:])[::-1] / 2.0
+    product = np.convolve(lines, lines)
+    centre = 2 * m  # DC index of the full convolution
+    out = np.empty(2 * m + 1, dtype=complex)
+    out[0] = product[centre]
+    out[1:] = 2.0 * product[centre + 1:]
+    return out
+
+
 def check_signal_oracle_equivalence(count: int = 20) -> CheckResult:
     """spectrum_self_convolution(dft_spectrum(w)) == dft_spectrum(w * w)
     bin by bin."""
@@ -48,7 +79,7 @@ def check_signal_oracle_equivalence(count: int = 20) -> CheckResult:
             for _ in bins]).T
         w = signals.synthesize_waveform(amplitudes, bins, phases, rate, n)
         direct = signals.dft_spectrum(w * w)
-        conv = signals.spectrum_self_convolution(signals.dft_spectrum(w))
+        conv = spectrum_self_convolution(signals.dft_spectrum(w))
         scale = np.abs(direct).max()
         err = np.abs(conv[:direct.size] - direct) / scale
         worst = max(worst, float(err.max()))
@@ -146,6 +177,101 @@ def check_effective_spacing() -> list[CheckResult]:
     return results
 
 
+def simulate_array_timedomain(g: arrays.ArrayGeometry, f1: float, f2: float,
+                              theta_signed: np.ndarray | Sequence[float],
+                              phi_cut: float,
+                              element_gains: np.ndarray | Sequence | None = None
+                              ) -> np.ndarray:
+    """Brute-force array oracle along a signed-theta cut: for each direction,
+    the IF power of the combined array in dB relative to a single isotropic
+    element under the same two-tone plane wave, so broadside with unit gains
+    gives ``10*log10(N)``.
+
+    One time-domain pass over D*N + 1 rows: one row per direction and
+    element, and a last row for a single isotropic element at the origin.
+    Each row is a ``signals.synthesize_waveform`` record of the delayed and
+    feed-shifted two-tone sum (tone amplitudes :data:`_TONE_AMPLITUDES`),
+    squared and read by ``signals.dft_spectrum`` at the IF bin; each
+    direction's element tones are summed coherently with ``1/sqrt(N)``
+    combiner normalization. The oracle shares those two functions with the
+    ``spectrum`` subcommand and nothing with the array-factor kernel.
+
+    ``element_gains`` holds one amplitude-gain pair (at f1, at f2) per
+    direction, shared by every element; None means unit gains.
+    """
+    if not (0.0 < f1 < math.inf and 0.0 < f2 < math.inf and f1 != f2):
+        raise ValueError("the two tones need positive, finite, distinct "
+                         f"frequencies, got {f1!r} and {f2!r} Hz")
+    theta = np.asarray(theta_signed, dtype=float)
+    if theta.ndim != 1 or not np.all(np.abs(theta) <= math.pi):
+        raise ValueError("theta_signed must be a 1-D cut within [-pi, pi]")
+    n, d = g.element_count, theta.size
+    gains = (np.ones((d, 2)) if element_gains is None
+             else np.asarray(element_gains, dtype=float))
+    if gains.shape != (d, 2):
+        raise ValueError(f"element_gains must have shape ({d}, 2)")
+    if not np.all((gains >= 0.0) & (gains < math.inf)):  # NaN fails both
+        raise ValueError("element gains must be >= 0 and finite")
+    amps = np.vstack([np.repeat(gains * _TONE_AMPLITUDES, n, axis=0),
+                      _TONE_AMPLITUDES])
+
+    # plane-wave phase of every element relative to element 0, per
+    # direction: 2*pi * (r_k . u) * f / c0 plus the feed offset, with u the
+    # in-plane arrival vector of |theta| at phi_cut, or at phi_cut + pi for
+    # negative theta, the azimuth wrapped into [-pi, pi)
+    phases = np.zeros((d * n + 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rel = g.element_positions - g.element_positions[0]
+        for i, t in enumerate(theta.tolist()):
+            polar, az = (t, phi_cut) if t >= 0.0 else (-t, phi_cut + math.pi)
+            az = (az + math.pi) % math.tau - math.pi
+            s = math.sin(polar)
+            path = rel @ np.array([s * math.cos(az), s * math.sin(az)])
+            for col, f in enumerate((f1, f2)):
+                phases[i * n:(i + 1) * n, col] = (
+                    math.tau * path * f / SPEED_OF_LIGHT + g.rf_phase_offsets)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("element phases overflow")
+
+    # the planned rate exceeds 4 * max(f1, f2) and the record spans a whole
+    # period of every tone, so each product of the square falls on an exact
+    # bin. Its 2 min(f1, f2) term shares the IF bin k when one tone is three
+    # times the other; it goes as the lower tone's gain squared and twice its
+    # feed phase, not as the IF product c1 c2 exp(j(phi2 - phi1)), so under
+    # per-direction gains or feed offsets the bin misreads the array factor
+    # (by 2 to 326 dB on a 4-element, 50 mm line) and the pair is refused
+    if_freq = abs(f1 - f2)
+    rate, duration = signals.plan_sampling([f1, f2, if_freq])
+    samples = int(round(duration * rate))
+    k = round(if_freq / (rate / samples))
+    if round(2.0 * min(f1, f2) / (rate / samples)) == k:
+        raise ValueError(f"the 2 x {min(f1, f2)} Hz square term shares the IF "
+                         f"bin of {f1} and {f2} Hz")
+
+    # rows go through in blocks of at most MAX_SAMPLES samples, the memory
+    # of one element's longest record
+    tones = np.empty(d * n + 1, dtype=complex)
+    rows = max(1, signals.MAX_SAMPLES // samples)
+    for lo in range(0, tones.size, rows):
+        block = slice(lo, lo + rows)
+        w = signals.synthesize_waveform(amps[block], (f1, f2), phases[block],
+                                        rate, samples)
+        w *= w  # square-law mix
+        tones[block] = signals.dft_spectrum(w, [k])[:, 0]
+    tones[:-1][np.any(amps[:-1] == 0.0, axis=1)] = 0.0  # a dead element
+
+    reference = abs(complex(tones[-1]))
+    power_db = np.empty(d)
+    for i in range(d):
+        total = sum(tones[i * n:(i + 1) * n].tolist()) / math.sqrt(n)
+        ratio = abs(total) / reference
+        # scalar dB kept apart from units.amplitude_ratio_to_db: the oracle
+        # shares no kernel with the fast path it checks
+        power_db[i] = (max(units.DB_FLOOR, 20.0 * math.log10(ratio))
+                       if ratio > 0.0 else units.DB_FLOOR)
+    return power_db
+
+
 def check_array_oracle_equivalence(geometry_count: int = 3) -> CheckResult:
     """Time-domain array simulation vs analytic product of array factor and
     element pattern product, on a 19-point theta grid."""
@@ -164,8 +290,8 @@ def check_array_oracle_equivalence(geometry_count: int = 3) -> CheckResult:
         analytic = np.array([float(af) * c1 * c2 * math.sqrt(n)
                              for af, (c1, c2) in zip(af_cut, gains)])
         kept = analytic >= 1e-6
-        sim = arrays.simulate_array_timedomain(g, 37.5e9, 38.5e9,
-                                               theta[kept], 0.0, gains[kept])
+        sim = simulate_array_timedomain(g, 37.5e9, 38.5e9, theta[kept], 0.0,
+                                        gains[kept])
         for power_db, expected in zip(sim.tolist(), analytic[kept]):
             worst = max(worst, abs(power_db - 20.0 * math.log10(expected)))
         compared += int(kept.sum())
@@ -182,7 +308,7 @@ def check_row_rotation_compensation() -> CheckResult:
     offsets = np.zeros(8)
     offsets[4:] = math.pi
     g_flip = g.with_rf_phase_offsets(offsets)
-    base, flip = (float(arrays.simulate_array_timedomain(
+    base, flip = (float(simulate_array_timedomain(
         layout, 37.5e9, 38.5e9, [0.3], 0.0)[0]) for layout in (g, g_flip))
     delta = abs(flip - base)
     rf_broadside = float(arrays.rf_array_factor_cut(g_flip, 38.5e9, [0.0], 0.0)[0])
@@ -311,8 +437,8 @@ def check_bias_optimum() -> list[CheckResult]:
     return results
 
 
-def _bisection_terminal_current(model: diode.DiodeModel,
-                                v: np.ndarray) -> np.ndarray:
+def bisection_terminal_current(model: diode.DiodeModel,
+                               v: np.ndarray) -> np.ndarray:
     """Terminal current by up to 200 halvings of the junction-voltage
     bracket [min(v, 0), max(v, 0)]. A halving that moves neither end leaves
     every later one the same, so the loop stops there with the bits of the
@@ -346,7 +472,7 @@ def check_diode_solver() -> CheckResult:
     worst_i = worst_d = 0.0
     for model, v in ((device, iv_grid), (chain.loop_model(), sweep_v)):
         i = diode.terminal_current(model, v)
-        ref = _bisection_terminal_current(model, v)
+        ref = bisection_terminal_current(model, v)
         worst_i = max(worst_i, float(np.max(np.abs(i - ref) / np.maximum(
             np.abs(ref), model.saturation_current))))
         di_dv, d2i_dv2 = diode.iv_derivatives(model, v)

@@ -1,6 +1,7 @@
-"""Fuzz of the time-domain array oracle over tone pairs on integer grids:
-it refuses exactly the pairs whose 2 min(f1, f2) square term falls on the
-IF bin, and otherwise measures the closed-form IF array factor."""
+"""Fuzz of the time-domain array oracle over tone pairs on integer grids,
+random feed offsets and per-direction gains: it refuses exactly the pairs
+whose 2 min(f1, f2) square term falls on the IF bin, and otherwise measures
+the closed-form IF array factor times the two gains."""
 
 import math
 from datetime import timedelta
@@ -11,11 +12,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from selfmix.arrays import (  # noqa: E402
-    ArrayGeometry,
-    if_array_factor_cut,
-    simulate_array_timedomain,
-)
+from selfmix.arrays import ArrayGeometry, if_array_factor_cut  # noqa: E402
+from selfmix.validation import simulate_array_timedomain  # noqa: E402
 
 # multiples (a, b) of a common grid, one tone three times the other often
 MULTIPLES = st.integers(1, 30).flatmap(lambda a: st.tuples(
@@ -34,13 +32,15 @@ def test_oracle_refuses_or_matches_closed_form(multiples, grid_hz, swap, seed,
     f1, f2 = float(a * grid_hz), float(b * grid_hz)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
-    g = ArrayGeometry(rng.uniform(-0.05, 0.05, size=(n, 2)))
+    g = ArrayGeometry(rng.uniform(-0.05, 0.05, size=(n, 2)),
+                      rng.uniform(-math.pi, math.pi, n))
+    gains = rng.uniform(0.0, 2.0, size=(THETA.size, 2))
     if 3 * min(a, b) == max(a, b):
         with pytest.raises(ValueError, match="shares the IF bin"):
-            simulate_array_timedomain(g, f1, f2, THETA, phi)
+            simulate_array_timedomain(g, f1, f2, THETA, phi, gains)
         return
-    power = simulate_array_timedomain(g, f1, f2, THETA, phi)
-    factor = if_array_factor_cut(g, f1, f2, THETA, phi)
-    kept = factor >= 1e-6
-    expected = 10.0 * math.log10(n) + 20.0 * np.log10(factor[kept])
+    power = simulate_array_timedomain(g, f1, f2, THETA, phi, gains)
+    product = if_array_factor_cut(g, f1, f2, THETA, phi) * gains.prod(axis=1)
+    kept = product >= 1e-6
+    expected = 10.0 * math.log10(n) + 20.0 * np.log10(product[kept])
     assert np.all(np.abs(power[kept] - expected) <= 1e-9)

@@ -123,7 +123,7 @@ class TestTerminalCurrent:
                              14.33, 100.0, 1e3, 1e4])
         models = [DiodeModel(1e-13, 1.2, r) for r in (4.0, 6.2, 56.2)]
         for model in models + [default_chain().loop_model()]:
-            reference = validation._bisection_terminal_current(model, voltages)
+            reference = validation.bisection_terminal_current(model, voltages)
             for v, expected in zip(voltages, reference):
                 assert terminal_current(model, float(v)) == pytest.approx(
                     expected, rel=1e-9, abs=1e-18)
@@ -149,7 +149,7 @@ class TestTerminalCurrent:
                  (chain.loop_model(), np.linspace(-peak, 0.8 + peak, 4001))]
         cases += [(DiodeModel(1e-13, 1.2, r), wide) for r in (4.0, 6.2, 56.2)]
         for model, v in cases:
-            fast = validation._bisection_terminal_current(model, v)
+            fast = validation.bisection_terminal_current(model, v)
             assert [x.hex() for x in fast.tolist()] == [
                 x.hex() for x in full_bisection(model, v).tolist()]
 

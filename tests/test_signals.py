@@ -10,9 +10,9 @@ from selfmix.signals import (
     check_tones,
     dft_spectrum,
     plan_sampling,
-    spectrum_self_convolution,
     synthesize_waveform,
 )
+from selfmix.validation import spectrum_self_convolution
 
 F1 = 37.5e9
 F2 = 38.5e9
@@ -250,6 +250,23 @@ def test_only_signals_transforms_records():
                     or any(n.split(".")[-1] == "fft" for n in names)):
                 users.append(path.name)
     assert set(users) == {"signals.py"}
+
+
+def test_only_cli_imports_validation():
+    # the reference routes live in validation beside their checks: a fast
+    # path that imported them could end up checked against itself
+    users = []
+    for path in sorted(Path(selfmix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any("validation" in n.split(".") for n in names):
+                users.append(path.name)
+    assert set(users) == {"cli.py"}
 
 
 def test_plan_sampling_covers_square():
