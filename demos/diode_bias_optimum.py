@@ -25,8 +25,7 @@ def if_power_over_bias(chain, bias, p_dbm):
     """IF power (dBm) at each bias voltage under a two-tone drive of
     p_dbm and p_dbm - 5 dB at 37.5 and 38.5 GHz."""
     drive = [(dbm_to_amplitude(p_dbm), dbm_to_amplitude(p_dbm - 5.0))]
-    return mix_cells(chain, bias, drive * len(bias), (37.5e9, 38.5e9),
-                     1.0e9)[0]
+    return mix_cells(chain, bias, drive * len(bias), (37.5e9, 38.5e9))[0]
 
 
 diode = default_diode()

@@ -8,8 +8,12 @@ unknown keys are rejected. Each ``cmd_*`` but :func:`cmd_validate` takes
 ``(cfg, quiet)`` and returns the :class:`Table` that :func:`main` writes to
 ``--out``. Identical configs yield byte-identical files.
 
-Exit status: 0 on success, 2 for configuration errors, 3 for computation
-errors.
+Exit status: 0 on success; 2 for a configuration error, raised as
+:class:`ConfigError`; 3 for a computation error (a model or solver
+failure), raised as any other ``ValueError`` or as an ``OverflowError``
+past the float range. Of those, only :class:`selfmix.diode.NoInteriorMaximum`
+has a class of its own, because ``diode-iv`` and the bias-optimum check
+catch it by name.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .errors import ConfigError, NoInteriorMaximum
 from .tables import Table
 from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db, dbm_to_amplitude
 
@@ -39,6 +42,11 @@ MAX_GRID_POINTS = 1_000_000
 # no cut runs for hours; above the 2 x 18 001 x 4096 of a summed 64 x 64
 # layout at 0.01 deg.
 MAX_CUT_PHASES = 200_000_000
+
+
+class ConfigError(ValueError):
+    """CLI configuration is malformed (unknown key, bad value, missing file)."""
+
 
 _EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value,\n"
            "unreadable file), 3 computation error (solver or model failure)")
@@ -122,11 +130,19 @@ def _grid_count(start: float, stop: float, step: float, name: str) -> int:
     return count
 
 
-def _theta_grid_deg(start: float, stop: float, step: float) -> np.ndarray:
+def _theta_grid_deg(cfg: dict, start_key: str = "theta_start_deg",
+                    stop_key: str = "theta_stop_deg",
+                    step_key: str = "theta_step_deg",
+                    name: str = "theta") -> np.ndarray:
+    """The strict grid ``start, start + step, ...`` up to ``stop`` of three
+    config keys (the theta cut's by default): at least two points, so a
+    stop that is not above the start or a step that is not positive is
+    refused by key name."""
+    start, stop, step = cfg[start_key], cfg[stop_key], cfg[step_key]
     if step <= 0.0 or stop <= start:
-        raise ConfigError("need theta_stop_deg > theta_start_deg and "
-                          "theta_step_deg > 0")
-    return start + step * np.arange(_grid_count(start, stop, step, "theta"))
+        raise ConfigError(f"need {stop_key} > {start_key} and "
+                          f"{step_key} > 0")
+    return start + step * np.arange(_grid_count(start, stop, step, name))
 
 
 @contextlib.contextmanager
@@ -297,11 +313,8 @@ DIODE_IV_SCHEMA = Schema(
 
 def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     model = _diode_from_config(cfg)
-    if cfg["v_step_v"] <= 0 or cfg["v_stop_v"] <= cfg["v_start_v"]:
-        raise ConfigError("need v_stop_v > v_start_v and v_step_v > 0")
-    count = _grid_count(cfg["v_start_v"], cfg["v_stop_v"], cfg["v_step_v"],
-                        "voltage")
-    grid = cfg["v_start_v"] + cfg["v_step_v"] * np.arange(count)
+    grid = _theta_grid_deg(cfg, "v_start_v", "v_stop_v", "v_step_v",
+                           "voltage")
     current = np.asarray(diode.terminal_current(model, grid))
     di_dv, d2i_dv2 = diode.iv_derivatives(model, grid)
     table = Table(columns=["voltage_v", "current_a", "di_dv_s",
@@ -312,7 +325,7 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
             v, i = diode.optimal_bias_static(
                 model, (cfg["v_start_v"], cfg["v_stop_v"]))
             print(f"static optimum: {v:.4f} V, {i * 1e3:.3f} mA")
-        except NoInteriorMaximum as exc:
+        except diode.NoInteriorMaximum as exc:
             print(f"static optimum: none ({exc})")
     return table
 
@@ -355,8 +368,7 @@ def cmd_bias_sweep(cfg: dict, quiet: bool) -> Table:
              for p in power]
     bias_v = np.repeat(bias, len(power))
     if_power_dbm, dc_current = diode.mix_cells(
-        chain, bias_v, drive * len(bias), (cfg["f1_hz"], cfg["f2_hz"]),
-        abs(cfg["f2_hz"] - cfg["f1_hz"]))
+        chain, bias_v, drive * len(bias), (cfg["f1_hz"], cfg["f2_hz"]))
     return Table(columns=["bias_v", "input_power_dbm", "if_power_dbm",
                           "dc_current_a"],
                  rows=np.column_stack([bias_v, np.tile(power, len(bias)),
@@ -380,8 +392,7 @@ ARRAY_FACTOR_SCHEMA = Schema(
 
 def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
     geometry = _geometry_from_config(cfg)
-    theta_deg = _theta_grid_deg(cfg["theta_start_deg"], cfg["theta_stop_deg"],
-                                cfg["theta_step_deg"])
+    theta_deg = _theta_grid_deg(cfg)
     phi = math.radians(cfg["phi_cut_deg"])
     af_if, af_rf = _factor_cuts(geometry, cfg, np.radians(theta_deg), phi)
     if not quiet and not cfg["geometry_file"]:
@@ -417,8 +428,7 @@ PATTERN_SCHEMA = Schema(
 
 def cmd_pattern(cfg: dict, quiet: bool) -> Table:
     geometry = _geometry_from_config(cfg)
-    theta_deg = _theta_grid_deg(cfg["theta_start_deg"], cfg["theta_stop_deg"],
-                                cfg["theta_step_deg"])
+    theta_deg = _theta_grid_deg(cfg)
     theta = np.radians(theta_deg)
     phi = math.radians(cfg["phi_cut_deg"])
     if cfg["pattern_file_1"] or cfg["pattern_file_2"]:

@@ -14,10 +14,12 @@ tones plus the bias voltage form a source that drives the diode through the
 chain's source impedance, the loop current is solved sample by sample, and
 the DC and IF components are read from its DFT; the drive records come from
 :func:`selfmix.signals.synthesize_waveform` and the bins from
-:func:`selfmix.signals.dft_spectrum`. When every tone is a whole number of
-hertz on an odd bin of the record and every phase is 0, samples ``j`` and
-``n/2 - j`` see the same drive, so only half the record is solved and the
-currents are mirrored.
+:func:`selfmix.signals.dft_spectrum`. The drive is a tone pair at zero
+phase: the diode is memoryless, so the tones' phases shift the record in
+time and move neither its DC nor its IF magnitude (Blachman, IEEE T-IT
+17(4), 1971). When both tones are whole numbers of hertz on odd bins of the
+record, samples ``j`` and ``n/2 - j`` see the same drive, so only half the
+record is solved and the currents are mirrored.
 Amplifier and filters are collapsed into a flat gain and an ideal IF load;
 there is no junction capacitance and hence no frequency dependence. This
 keeps every qualitative behaviour of the real chain at desk scale: the
@@ -34,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoInteriorMaximum
 from .signals import (check_tones, dft_spectrum, plan_sampling,
                       synthesize_waveform)
 from .units import DB_FLOOR, db_to_amplitude_ratio, watts_to_dbm
@@ -211,6 +212,11 @@ def iv_derivatives(model: DiodeModel, v_terminal):
     return di_dv, d2i_dv2
 
 
+class NoInteriorMaximum(ValueError):
+    """Bias optimisation found no interior maximum (e.g. zero series
+    resistance); ``diode-iv`` and the bias-optimum check catch it by name."""
+
+
 def optimal_bias_static(model: DiodeModel,
                         v_range: tuple[float, float]) -> tuple[float, float]:
     """Bias point ``(voltage, current)`` maximising the I-V second
@@ -249,34 +255,33 @@ MIXING_BLOCK = 1 << 14
 ``max(1, MIXING_BLOCK // m)`` cells of ``m`` solved samples, so the
 solver's working arrays stay near 1 MB. A cell's record is ``n`` samples,
 one common period of its tones (2048 for a default sweep cell); ``m`` is
-``n/2 + 1`` when every tone is a whole number of hertz on an odd bin and
-every phase is 0, and ``n`` otherwise."""
+``n/2 + 1`` when both tones are whole numbers of hertz on odd bins, and
+``n`` otherwise."""
 
 
 def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
               amplitudes: np.ndarray | Sequence[Sequence[float]],
-              frequencies: Sequence[float], if_frequency: float,
-              phases: Sequence[float] | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Time-domain mixing of one tone set at many bias voltages and drive
+              tone_pair: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Time-domain mixing of one tone pair at many bias voltages and drive
     levels: cell ``k`` is biased at ``bias_voltages[k]`` and driven by the
-    tones ``frequencies`` with peak amplitudes ``amplitudes[k]`` (before the
-    LNA) and ``phases`` (one per tone, shared by every cell, default 0).
+    two tones ``tone_pair = (f1, f2)`` at zero phase with peak amplitudes
+    ``amplitudes[k]`` (shape ``(cells, 2)``, before the LNA).
 
     The LNA power gain scales the amplitudes; the bias voltage and the
     amplified waveform are superimposed and drive the diode through the
     chain's source impedance; the loop current is solved per sample and the
-    component at ``if_frequency`` is extracted from its DFT.
+    component at the IF ``|f2 - f1|`` is extracted from its DFT.
     Returns ``(if_power_dbm, dc_current)``, one value per cell each: the
     one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
     -200 dBm) and the DC bin of the current. A cell whose amplified tones
-    are all zero is not sampled: it reads the floor and the loop current at
-    its bias voltage.
+    are both zero is not sampled: it reads the floor and the loop current at
+    its bias voltage. Anything but two distinct tones raises ``ValueError``
+    before any cell is solved.
 
-    One sampling plan of ``n`` samples and one set of unit sines (one
-    ``synthesize_waveform`` call) serve every cell. When every tone is a
-    whole number of hertz on an odd bin ``k`` of the plan and every phase is
-    0, ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
+    One sampling plan of ``n`` samples and one pair of unit sines (one
+    ``synthesize_waveform`` call) serve every cell. When both tones are
+    whole numbers of hertz on odd bins ``k`` of the plan,
+    ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
     ``(n/2 - j) mod n`` carry the same drive and hence the same current, so
     only the ``n/2 + 1`` samples with ``j <= (n/2 - j) mod n`` are solved
     and their currents are mirrored back into the whole record; otherwise
@@ -284,47 +289,39 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     samples at a time, each block's records read at their DC and IF bins by
     one ``dft_spectrum`` call. Each cell's result is bit for bit that of
     the one-cell call; against solving its whole record it is bit for bit
-    equal without the halving, and within rounding with it (measured on
-    tone pairs: 1e-10 dB in IF power, 1e-12 relative in DC current).
+    equal without the halving, and within rounding with it (1e-10 dB in IF
+    power, 1e-12 relative in DC current).
     """
-    if phases is None:
-        phases = [0.0] * len(frequencies)
-    if np.shape(phases) != (len(frequencies),):
-        raise ValueError("need one phase per tone frequency")
     bias = np.asarray(bias_voltages, dtype=float)
     amplified, freqs, _ = check_tones(db_to_amplitude_ratio(
-        chain.lna_gain_db) * np.asarray(amplitudes, dtype=float), frequencies)
+        chain.lna_gain_db) * np.asarray(amplitudes, dtype=float), tone_pair)
     freqs = freqs.tolist()
-    if if_frequency <= 0.0:
-        raise ValueError("if_frequency must be positive")
-    diffs = {abs(a - b) for a in freqs for b in freqs if a != b}
-    if not any(math.isclose(if_frequency, d, rel_tol=1e-9) for d in diffs):
-        raise ValueError(
-            f"{if_frequency} Hz is not a difference frequency of the tone set")
-    if bias.ndim != 1 or amplified.shape != (bias.size, len(freqs)):
-        raise ValueError(f"amplitudes must have shape ({bias.size}, "
-                         f"{len(freqs)}), got {amplified.shape}")
+    if len(freqs) != 2 or freqs[0] == freqs[1]:
+        raise ValueError(f"need two distinct tone frequencies, got {freqs}")
+    if bias.ndim != 1 or amplified.shape != (bias.size, 2):
+        raise ValueError(f"amplitudes must have shape ({bias.size}, 2), "
+                         f"got {amplified.shape}")
+    if_frequency = abs(freqs[1] - freqs[0])
 
     # generous oversampling: the exponential diode produces products of all
     # orders, and only very high orders may alias onto the IF bin this way
     rate, duration = plan_sampling(freqs + [if_frequency], oversample=24.0)
     n = int(round(duration * rate))
-    # odd-bin, zero-phase tones drive sample j and sample (n/2 - j) mod n
-    # alike, so only the representatives j <= (n/2 - j) mod n are solved and
-    # mirror[j] picks sample j's current among them; otherwise every sample
-    # is its own representative and the mirror is the identity. plan_sampling
-    # accepts a tone a fraction of a hertz off a whole number, but it is
-    # synthesised off its bin, so only whole-hertz tones count as on one.
+    # odd-bin tones drive sample j and sample (n/2 - j) mod n alike, so only
+    # the representatives j <= (n/2 - j) mod n are solved and mirror[j]
+    # picks sample j's current among them; otherwise every sample is its own
+    # representative and the mirror is the identity. plan_sampling accepts a
+    # tone a fraction of a hertz off a whole number, but it is synthesised
+    # off its bin, so only whole-hertz tones count as on one.
     j = np.arange(n)
     odd = all(f == round(f) and round(f * duration) % 2 for f in freqs)
-    partner = (n // 2 - j) % n if odd and not np.any(phases) else j
+    partner = (n // 2 - j) % n if odd else j
     solved = j <= partner
     mirror = (np.cumsum(solved) - 1)[np.minimum(j, partner)]
     # one unit sine per tone, at the solved samples; a cell's waveform is
     # their sum weighted by its amplitudes, in the order and with the bits
     # of synthesising it alone
-    sines = synthesize_waveform(np.eye(len(freqs)), freqs, phases, rate,
-                                n)[:, solved]
+    sines = synthesize_waveform(np.eye(2), freqs, 0.0, rate, n)[:, solved]
     if_bin = int(round(if_frequency / (rate / n)))
     loop = chain.loop_model()
     silent = ~amplified.any(axis=1)

@@ -103,24 +103,18 @@ def _finite_db(value: float, name: str) -> float:
     return value
 
 
-def calibrate_conversion_gain(chain: MixingChain,
-                              tone_pair: tuple[float, float] = (37.5e9, 38.5e9),
-                              powers_dbm: tuple[float, float] = (-55.0, -60.0)
-                              ) -> float:
+def calibrate_conversion_gain(chain: MixingChain) -> float:
     """Conversion constant K of :func:`chain_output_power`, measured once
-    against one :func:`mix_cells` cell at the chain's bias voltage in its
-    square-law regime:
+    against one :func:`mix_cells` cell at the chain's bias voltage, driven
+    at 37.5 GHz / -55 dBm and 38.5 GHz / -60 dBm, low enough that
+    higher-order products are negligible:
 
     ``K = P_if_sim - (P1 + G_lna) - (P2 + G_lna)``
-
-    The reference powers default to a level low enough that higher-order
-    products are negligible.
     """
-    f1, f2 = tone_pair
-    p1, p2 = powers_dbm
+    p1, p2 = -55.0, -60.0
     drive = [dbm_to_amplitude(p, chain.source_impedance_ohms) for p in (p1, p2)]
     if_power_dbm = float(mix_cells(chain, [chain.bias_voltage], [drive],
-                                   tone_pair, abs(f2 - f1))[0][0])
+                                   (37.5e9, 38.5e9))[0][0])
     return (if_power_dbm - (p1 + chain.lna_gain_db)
             - (p2 + chain.lna_gain_db))
 

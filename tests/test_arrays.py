@@ -553,7 +553,7 @@ class TestTimeDomainArray:
         g = ArrayGeometry.linear(2, 0.032)
         af = if_factor(g, 37.5e9, 38.5e9, EDGE_ON)
         assert timedomain_db(g, [EDGE_ON])[0] - 10 * math.log10(2) == (
-            pytest.approx(20 * math.log10(af), abs=0.05))
+            pytest.approx(20 * math.log10(af), abs=1e-9))
 
     def test_feed_rotation_cancels_in_self_mixing(self):
         # a 180 degree RF feed rotation applied at both tones leaves the

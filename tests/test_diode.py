@@ -12,6 +12,7 @@ from selfmix.diode import (
     OMEGA_STEPS,
     DiodeModel,
     MixingChain,
+    NoInteriorMaximum,
     default_chain,
     default_diode,
     iv_derivatives,
@@ -19,7 +20,6 @@ from selfmix.diode import (
     optimal_bias_static,
     terminal_current,
 )
-from selfmix.errors import NoInteriorMaximum
 from selfmix.signals import dft_spectrum, plan_sampling, synthesize_waveform
 from selfmix.units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
 
@@ -33,12 +33,11 @@ def two_tone(p1_dbm, p2_dbm, f1=37.5e9, f2=38.5e9):
     return [dbm_to_amplitude(p1_dbm), dbm_to_amplitude(p2_dbm)], [f1, f2]
 
 
-def one_cell(chain, amplitudes, frequencies, if_frequency, phases=None):
+def one_cell(chain, amplitudes, frequencies):
     """The one-cell mix_cells call at the chain's bias voltage, as the pair
     (if_power_dbm, dc_current) of floats."""
     if_power_dbm, dc_current = mix_cells(chain, [chain.bias_voltage],
-                                         [amplitudes], frequencies,
-                                         if_frequency, phases)
+                                         [amplitudes], frequencies)
     return float(if_power_dbm[0]), float(dc_current[0])
 
 
@@ -53,8 +52,7 @@ def sweep(chain, biases, powers, pair=(37.5e9, 38.5e9)):
     (biases, powers)."""
     drive = [(dbm_to_amplitude(p), dbm_to_amplitude(p - 5.0)) for p in powers]
     if_power_dbm, dc_current = mix_cells(
-        chain, np.repeat(biases, len(powers)), drive * len(biases), pair,
-        abs(pair[1] - pair[0]))
+        chain, np.repeat(biases, len(powers)), drive * len(biases), pair)
     shape = (len(biases), len(powers))
     return if_power_dbm.reshape(shape), dc_current.reshape(shape)
 
@@ -280,7 +278,7 @@ class TestSimulateMixing:
     def test_zero_amplitude_tones(self):
         chain = default_chain()
         if_power_dbm, dc_current = one_cell(chain, [0.0, 0.0],
-                                            [37.5e9, 38.5e9], 1e9)
+                                            [37.5e9, 38.5e9])
         assert if_power_dbm == DB_FLOOR
         assert dc_current == terminal_current(chain.loop_model(),
                                               chain.bias_voltage)
@@ -288,16 +286,15 @@ class TestSimulateMixing:
     def test_doubling_amplitudes_gives_12_db(self):
         chain = default_chain()
         amplitudes, frequencies = two_tone(-70.0, -75.0)
-        low, _ = one_cell(chain, amplitudes, frequencies, 1e9)
-        high, _ = one_cell(chain, [2.0 * a for a in amplitudes], frequencies,
-                           1e9)
+        low, _ = one_cell(chain, amplitudes, frequencies)
+        high, _ = one_cell(chain, [2.0 * a for a in amplitudes], frequencies)
         assert high - low == pytest.approx(12.0, abs=0.5)
 
     def test_conversion_loss_canceled_at_moderate_drive(self):
         # -40/-45 dBm two-tone with the 25 dB amplifier: IF comes back out
         # within a few dB of the input level
         chain = default_chain()
-        if_power_dbm, _ = one_cell(chain, *two_tone(-40.0, -45.0), 1e9)
+        if_power_dbm, _ = one_cell(chain, *two_tone(-40.0, -45.0))
         assert if_power_dbm == pytest.approx(-40.0, abs=6.0)
 
     def test_small_signal_matches_taylor_coefficient(self):
@@ -309,26 +306,22 @@ class TestSimulateMixing:
         _, g2 = iv_derivatives(chain.loop_model(), chain.bias_voltage)
         predicted = watts_to_dbm((0.5 * g2 * a1 * a2) ** 2
                                  * chain.if_load_ohms / 2.0)
-        if_power_dbm, _ = one_cell(chain, *two_tone(p, p - 5.0), 1e9)
+        if_power_dbm, _ = one_cell(chain, *two_tone(p, p - 5.0))
         assert if_power_dbm == pytest.approx(predicted, abs=1.0)
 
     def test_deterministic(self):
         chain = default_chain()
         tones = two_tone(-42.0, -47.0)
-        assert one_cell(chain, *tones, 1e9) == one_cell(chain, *tones, 1e9)
+        assert one_cell(chain, *tones) == one_cell(chain, *tones)
 
     def test_dc_current_nonnegative_forward(self):
         chain = default_chain()
-        _, dc_current = one_cell(chain, *two_tone(-30.0, -35.0), 1e9)
+        _, dc_current = one_cell(chain, *two_tone(-30.0, -35.0))
         assert dc_current >= 0.0
-
-    def test_if_must_be_a_difference_frequency(self):
-        with pytest.raises(ValueError):
-            one_cell(default_chain(), *two_tone(-40.0, -45.0), 2e9)
 
     def test_empty_tone_list(self):
         with pytest.raises(ValueError, match="need at least one tone"):
-            one_cell(default_chain(), [], [], 1e9)
+            one_cell(default_chain(), [], [])
 
 
 class TestMixingChain:
@@ -347,14 +340,14 @@ class TestBiasPowerSweep:
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, [0.65], [-40.0])
         direct = one_cell(replace(chain, bias_voltage=0.65),
-                          *two_tone(-40.0, -45.0), 1e9)
+                          *two_tone(-40.0, -45.0))
         assert (if_power_dbm[0, 0], dc_current[0, 0]) == direct
 
     def test_single_cell_at_another_tone_pair_equals_direct_call(self):
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, [0.65], [-40.0], (34e9, 35e9))
         direct = one_cell(replace(chain, bias_voltage=0.65),
-                          *two_tone(-40.0, -45.0, 34e9, 35e9), 1e9)
+                          *two_tone(-40.0, -45.0, 34e9, 35e9))
         assert (if_power_dbm[0, 0], dc_current[0, 0]) == direct
 
     def test_spread_shrinks_with_power(self):
@@ -388,10 +381,10 @@ class TestBiasPowerSweep:
         assert np.all(powers.max(axis=0) - powers.min(axis=0) < 1e-9)
 
 
-def full_record_current(chain, amplitudes, frequencies, if_frequency,
-                        phases=0.0):
-    """One driven cell's loop current over its whole record, synthesised and
-    solved on its own, and the record's IF bin."""
+def full_record_current(chain, amplitudes, frequencies, phases=0.0):
+    """One driven cell's loop current over the whole record of its tone
+    pair, synthesised and solved on its own, and the record's IF bin."""
+    if_frequency = abs(frequencies[1] - frequencies[0])
     amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
         amplitudes)
     rate, duration = plan_sampling(list(frequencies) + [if_frequency],
@@ -402,14 +395,15 @@ def full_record_current(chain, amplitudes, frequencies, if_frequency,
             round(if_frequency * duration))
 
 
-def per_cell_route(chain, amplitudes, frequencies, if_frequency, phases=0.0):
+def per_cell_route(chain, amplitudes, frequencies, phases=0.0):
     """Oracle: one cell synthesised, solved and transformed on its own over
     its whole record, the route of the per-cell sweep loop that the mixing
-    kernel replaced."""
+    kernel replaced; ``phases`` are the tones' phases, which the kernel
+    takes as 0."""
     if not np.any(amplitudes):
         return DB_FLOOR, terminal_current(chain.loop_model(), chain.bias_voltage)
     current, if_bin = full_record_current(chain, amplitudes, frequencies,
-                                          if_frequency, phases)
+                                          phases)
     dc, i_if = dft_spectrum(current, [0, if_bin])
     return if_power(chain, abs(i_if)), float(dc.real)
 
@@ -426,14 +420,13 @@ def bits(if_power_dbm, dc_current):
 
 
 def is_per_cell_route(chain, if_power_dbm, dc_current, amplitudes,
-                      frequencies, if_frequency, phases=0.0):
+                      frequencies):
     """Whether a driven cell is the per-cell route's: its DC bit for bit,
     and its IF power that of the route's IF magnitude or of a magnitude one
     ulp either side. The kernel takes the magnitudes of a block with the
     ufunc np.abs, the route of one complex scalar with abs (hypot), and the
     two may round apart in the last bit."""
-    current, if_bin = full_record_current(chain, amplitudes, frequencies,
-                                          if_frequency, phases)
+    current, if_bin = full_record_current(chain, amplitudes, frequencies)
     dc, i_if = dft_spectrum(current, [0, if_bin])
     magnitude = abs(i_if)
     powers = [if_power(chain, m).hex() for m in (
@@ -457,50 +450,36 @@ def near_full_record(if_power_dbm, dc_current, expected):
                 expected[1]))
 
 
-def halved(frequencies, if_frequency, phases):
-    """Whether mix_cells solves the tones on half their record: every tone
-    a whole number of hertz on an odd bin of the common grid and every
-    phase 0."""
-    _, duration = plan_sampling(list(frequencies) + [if_frequency],
-                                oversample=24.0)
-    return (all(f == round(f) and round(f * duration) % 2 == 1
-                for f in frequencies)
-            and not any(phases))
-
-
-def if_amplitude(chain, if_power_dbm):
-    """Peak IF current that dissipates ``if_power_dbm`` in the IF load."""
-    return math.sqrt(2.0e-3 * 10.0 ** (if_power_dbm / 10.0)
-                     / chain.if_load_ohms)
+def halved(frequencies):
+    """Whether mix_cells solves the tone pair on half its record: both
+    tones whole numbers of hertz on odd bins of the common grid."""
+    _, duration = plan_sampling(
+        list(frequencies) + [abs(frequencies[1] - frequencies[0])],
+        oversample=24.0)
+    return all(f == round(f) and round(f * duration) % 2 == 1
+               for f in frequencies)
 
 
 @st.composite
 def mixing_cases(draw):
-    """(frequencies, if_frequency, phases, biases, drive): two or three
-    tones on a 0.5 or 1 GHz grid in 30-40 GHz, half the time all at odd
-    multiples of it (and so on odd bins of their common grid), the IF their
-    first two tones' difference, zero or drawn phases, and one to three
-    cells of bias 0-0.8 V and per-tone drive -60 to +5 dBm."""
+    """(frequencies, biases, drive): a tone pair on a 0.5 or 1 GHz grid in
+    30-40 GHz, half the time both at odd multiples of it (and so on odd
+    bins of their common grid) and otherwise of any parity, and one to
+    three cells of bias 0-0.8 V and per-tone drive -60 to +5 dBm."""
     grid = draw(st.sampled_from([0.5e9, 1e9]))
     odd = draw(st.booleans())
     steps = draw(st.lists(
         st.integers(round(30e9 / grid), round(40e9 / grid)).filter(
             lambda k: k % 2 or not odd),
-        min_size=2, max_size=3, unique=True))
+        min_size=2, max_size=2, unique=True))
     frequencies = [k * grid for k in steps]
-    tones = len(frequencies)
-    phases = draw(st.one_of(
-        st.just([0.0] * tones),
-        st.lists(st.floats(-math.pi, math.pi), min_size=tones,
-                 max_size=tones)))
     cells = draw(st.integers(1, 3))
     biases = draw(st.lists(st.floats(0.0, 0.8), min_size=cells,
                            max_size=cells))
-    drive = draw(st.lists(st.lists(st.floats(-60.0, 5.0), min_size=tones,
-                                   max_size=tones),
+    drive = draw(st.lists(st.lists(st.floats(-60.0, 5.0), min_size=2,
+                                   max_size=2),
                           min_size=cells, max_size=cells))
-    return (frequencies, abs(frequencies[1] - frequencies[0]), phases,
-            biases, drive)
+    return frequencies, biases, drive
 
 
 def recording_solves(mp):
@@ -553,10 +532,10 @@ class TestMixingKernel:
                 biased = replace(chain, bias_voltage=bias)
                 tones = two_tone(p, p - 5.0)
                 assert bits(if_power_dbm[i, j], dc_current[i, j]) == bits(
-                    *one_cell(biased, *tones, 1e9)), (bias, p)
+                    *one_cell(biased, *tones)), (bias, p)
                 assert near_full_record(
                     if_power_dbm[i, j], dc_current[i, j],
-                    per_cell_route(biased, *tones, 1e9)), (bias, p)
+                    per_cell_route(biased, *tones)), (bias, p)
 
     def test_mixed_parity_sweep_keeps_the_full_record(self, monkeypatch):
         # 34/35 GHz sit on the bins 68 and 70 of a 1 GHz grid, 34.5/35 GHz
@@ -576,62 +555,69 @@ class TestMixingKernel:
                 for j, p in enumerate(self.POWERS):
                     assert is_per_cell_route(
                         replace(chain, bias_voltage=bias), if_power_dbm[i, j],
-                        dc_current[i, j], *two_tone(p, p - 5.0, *pair),
-                        abs(pair[1] - pair[0])), (pair, bias, p)
+                        dc_current[i, j], *two_tone(p, p - 5.0, *pair)), (
+                        pair, bias, p)
 
     @settings(max_examples=60, deadline=timedelta(seconds=20),
               derandomize=True)
     @given(case=mixing_cases())
     def test_half_record_exactly_for_odd_bins_at_zero_phase(self, case):
-        # the kernel solves n/2 + 1 samples a cell exactly when every tone
-        # sits on an odd bin and every phase is 0, and n otherwise; a cell
-        # solved on its whole record is the per-cell route (DC bit for bit,
-        # IF magnitude to one ulp), one solved on half of it lies within
-        # rounding of it: the dB bound for
-        # a tone pair, and for any set an IF current within 1e-13 of the
-        # record's peak current (a strong third tone can hold the IF product
-        # 60 dB below the record, and the IF bin's rounding with it)
-        frequencies, if_frequency, phases, biases, drive = case
+        # the kernel solves n/2 + 1 samples a cell exactly when both tones
+        # sit on odd bins, and n otherwise; a cell solved on its whole
+        # record is the per-cell route (DC bit for bit, IF magnitude to one
+        # ulp), one solved on half of it lies within rounding of it
+        frequencies, biases, drive = case
         chain = default_chain()
         amplitudes = [[dbm_to_amplitude(p) for p in row] for row in drive]
         with pytest.MonkeyPatch.context() as mp:
             solved = recording_solves(mp)
-            if_power_dbm, dc_current = mix_cells(
-                chain, biases, amplitudes, frequencies, if_frequency, phases)
+            if_power_dbm, dc_current = mix_cells(chain, biases, amplitudes,
+                                                 frequencies)
+        if_frequency = abs(frequencies[1] - frequencies[0])
         rate, duration = plan_sampling(frequencies + [if_frequency],
                                        oversample=24.0)
         n = round(rate * duration)
-        half = halved(frequencies, if_frequency, phases)
+        half = halved(frequencies)
         assert solved and all(shape[1] == (n // 2 + 1 if half else n)
                               for shape in solved)
         for k, bias in enumerate(biases):
             biased = replace(chain, bias_voltage=bias)
-            if not half:
+            if half:
+                assert near_full_record(
+                    if_power_dbm[k], dc_current[k],
+                    per_cell_route(biased, amplitudes[k], frequencies))
+            else:
                 assert is_per_cell_route(biased, if_power_dbm[k],
                                          dc_current[k], amplitudes[k],
-                                         frequencies, if_frequency, phases)
-                continue
-            expected = per_cell_route(biased, amplitudes[k], frequencies,
-                                      if_frequency, phases)
-            assert abs(dc_current[k] - expected[1]) <= DC_REL_BOUND * abs(
-                expected[1])
-            if len(frequencies) == 2:
-                assert abs(if_power_dbm[k] - expected[0]) <= IF_DB_BOUND
-            current, _ = full_record_current(biased, amplitudes[k],
-                                             frequencies, if_frequency, phases)
-            assert abs(if_amplitude(chain, if_power_dbm[k]) - if_amplitude(
-                chain, expected[0])) <= 1e-13 * np.max(np.abs(current))
+                                         frequencies)
 
-    def test_one_cell_call_equals_per_cell_route(self):
-        # three tones with phases: the kernel's one-cell call keeps the
-        # phase of each tone, wrapped as the synthesizer wraps it
+    @pytest.mark.parametrize("pair", [(37.5e9, 38.5e9), (34e9, 35e9)])
+    @pytest.mark.parametrize("power", [-60.0, -40.0])
+    def test_tone_phases_move_neither_dc_nor_if(self, pair, power):
+        # the diode is memoryless, so phased tones only shift the record in
+        # time: the per-cell route with random tone phases reads the
+        # kernel's zero-phase IF power and DC current (mirrored half record
+        # on 37.5/38.5 GHz, whole record on 34/35 GHz) within rounding
         chain = replace(default_chain(), bias_voltage=0.6)
-        amplitudes = [dbm_to_amplitude(p) for p in (-20.0, -26.0, -30.0)]
-        frequencies = [37.5e9, 38.5e9, 39.0e9]
-        for phases in ([0.4, -2.0, 3.0], [0.4, -2.0 - 4 * math.pi, 3.0]):
-            assert bits(*one_cell(chain, amplitudes, frequencies, 1e9,
-                                  phases)) == bits(
-                *per_cell_route(chain, amplitudes, frequencies, 1e9, phases))
+        tones = two_tone(power, power - 5.0, *pair)
+        if_power_dbm, dc_current = one_cell(chain, *tones)
+        rng = np.random.default_rng(11)
+        for phases in rng.uniform(-math.pi, math.pi, size=(10, 2)):
+            phased = per_cell_route(chain, *tones, phases)
+            assert abs(if_power_dbm - phased[0]) <= 1e-9
+            assert abs(dc_current - phased[1]) <= 1e-12 * abs(phased[1])
+
+    @pytest.mark.parametrize("frequencies", [
+        [37.5e9], [37.5e9, 38.5e9, 39e9], [37.5e9, 37.5e9]])
+    def test_only_a_distinct_tone_pair_is_mixed(self, monkeypatch,
+                                                frequencies):
+        # one tone, three tones and two equal tones are refused before any
+        # cell is solved
+        solved = recording_solves(monkeypatch)
+        amplitudes = [[dbm_to_amplitude(-40.0)] * len(frequencies)] * 2
+        with pytest.raises(ValueError, match="two distinct tone"):
+            mix_cells(default_chain(), [0.6, 0.65], amplitudes, frequencies)
+        assert solved == []
 
     def test_silent_cell_reads_floor_and_bias_current(self):
         # -5000 dBm is an amplitude of exactly 0: those cells are not
@@ -645,10 +631,10 @@ class TestMixingKernel:
             assert dc_current[i, 0].hex() == terminal_current(loop, bias).hex()
             biased = replace(chain, bias_voltage=bias)
             assert bits(if_power_dbm[i, 0], dc_current[i, 0]) == bits(
-                *per_cell_route(biased, *two_tone(-5000.0, -5005.0), 1e9))
+                *per_cell_route(biased, *two_tone(-5000.0, -5005.0)))
             assert near_full_record(
                 if_power_dbm[i, 1], dc_current[i, 1],
-                per_cell_route(biased, *two_tone(-40.0, -45.0), 1e9))
+                per_cell_route(biased, *two_tone(-40.0, -45.0)))
 
     def test_unsampleable_pair_raises_before_solving(self, monkeypatch):
         # the pair's 1 Hz common grid is past the sample budget: the sweep
@@ -670,20 +656,16 @@ class TestMixingKernel:
         rate, duration = plan_sampling([37.5e9, 37.501e9, 1e6],
                                        oversample=24.0)
         assert round(rate * duration) == 1 << 20
-        close, _ = one_cell(chain, *two_tone(-30.0, -35.0, 37.5e9, 37.501e9),
-                            1e6)
-        wide, _ = one_cell(chain, *two_tone(-30.0, -35.0), 1e9)
+        close, _ = one_cell(chain, *two_tone(-30.0, -35.0, 37.5e9, 37.501e9))
+        wide, _ = one_cell(chain, *two_tone(-30.0, -35.0))
         assert close == pytest.approx(wide, abs=1e-6)
 
     def test_amplitudes_checked(self):
         chain = default_chain()
         with pytest.raises(ValueError, match="shape"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1]], [37.5e9, 38.5e9], 1e9)
+            mix_cells(chain, [chain.bias_voltage], [[0.1]], [37.5e9, 38.5e9])
         with pytest.raises(ValueError, match="finite and >= 0"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1, -0.1]], [37.5e9, 38.5e9],
-                      1e9)
+            mix_cells(chain, [chain.bias_voltage], [[0.1, -0.1]],
+                      [37.5e9, 38.5e9])
         with pytest.raises(ValueError, match="positive"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1, 0.1]], [-1e9, 1e9], 2e9)
-        with pytest.raises(ValueError, match="one phase per tone"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1, 0.1]], [37.5e9, 38.5e9],
-                      1e9, [0.0])
+            mix_cells(chain, [chain.bias_voltage], [[0.1, 0.1]], [-1e9, 1e9])

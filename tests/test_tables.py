@@ -191,9 +191,7 @@ class TestCommandTables:
 
     def cuts(self, schema):
         cfg = schema.resolve({})
-        theta_deg = cli._theta_grid_deg(cfg["theta_start_deg"],
-                                        cfg["theta_stop_deg"],
-                                        cfg["theta_step_deg"])
+        theta_deg = cli._theta_grid_deg(cfg)
         return cfg, theta_deg, math.radians(cfg["phi_cut_deg"])
 
     def test_array_factor(self, tmp_path):
