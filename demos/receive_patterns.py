@@ -51,7 +51,7 @@ print("the element pattern is what limits the IF-combined array, not the "
 # the rotated-row experiment, done with brute-force waveforms
 offsets = np.zeros(8)
 offsets[4:] = math.pi
-flipped = geometry.with_rf_phase_offsets(offsets)
+flipped = ArrayGeometry(geometry.element_positions, offsets)
 base = simulate_array_timedomain(geometry, F1, F2, [0.3], 0.0)[0]
 flip = simulate_array_timedomain(flipped, F1, F2, [0.3], 0.0)[0]
 print(f"\n180 deg feed flip on the second row:")

@@ -22,8 +22,7 @@ broadside response. :mod:`selfmix.validation` checks both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +57,6 @@ class ArrayGeometry:
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.element_positions, dtype=float)
-        if pos.ndim == 1:
-            pos = pos.reshape(-1, 2) if pos.size == 2 else pos
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("element_positions must have shape (N, 2), "
                              "N >= 1")
@@ -107,27 +104,16 @@ class ArrayGeometry:
             x, y = np.arange(nx) * dx, np.arange(ny) * dy
         return cls(np.column_stack([np.tile(x, ny), np.repeat(y, nx)]))
 
-    def with_rf_phase_offsets(self, offsets: Sequence[float]) -> "ArrayGeometry":
-        return replace(self, rf_phase_offsets=np.asarray(offsets, dtype=float))
 
-
-def load_geometry(source: str | Path,
-                  max_elements: int | None = None) -> ArrayGeometry:
-    """Read a geometry table: one element per line, whitespace- or
+def parse_geometry(text: str, max_elements: int) -> ArrayGeometry:
+    """Parse a geometry table: one element per line, whitespace- or
     comma-separated columns ``x_m  y_m  [rf_phase_offset_deg]``; ``#`` starts
-    a comment."""
-    path = Path(source)
-    return parse_geometry(path.read_text(encoding="utf-8"), max_elements)
-
-
-def parse_geometry(text: str, max_elements: int | None = None) -> ArrayGeometry:
-    """Parse a geometry table (see :func:`load_geometry`). A table of more
-    than ``max_elements`` element lines is rejected with
-    ``ValueError`` before any line is parsed."""
+    a comment. A table of more than ``max_elements`` element lines is
+    rejected with ``ValueError`` before any line is parsed."""
     rows = [(lineno, raw, line)
             for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.split("#", 1)[0].strip())]
-    if max_elements is not None and len(rows) > max_elements:
+    if len(rows) > max_elements:
         raise ValueError(f"element grid would have {len(rows)} points; "
                          f"the limit is {max_elements}")
     positions = []
@@ -166,15 +152,16 @@ def rf_array_factor_cut(g: ArrayGeometry, f_rf: float,
                          phi_cut, offsets=g.rf_phase_offsets)
 
 
-def cut_phase_count(g: ArrayGeometry, directions: int,
-                    offsets: np.ndarray | None = None) -> int:
-    """Nominal work of a cut of ``directions`` directions (``offsets`` as
-    the cut passes them: None for the IF cut, ``g.rf_phase_offsets`` for the
-    RF cut): ``directions * (|X| + |Y|)`` for a factorised product layout,
-    ``directions * N`` otherwise. It bounds the (direction, element) pairs
-    of a direct sum; the kernel itself evaluates one exponential per
+def cut_phase_count(g: ArrayGeometry, directions: int) -> int:
+    """Nominal work of the IF and RF cut pair of ``directions`` directions
+    each: per cut, ``directions * (|X| + |Y|)`` for a factorised product
+    layout, ``directions * N`` otherwise (the IF cut passes no feed offsets,
+    the RF cut ``g.rf_phase_offsets``). It bounds the (direction, element)
+    pairs of a direct sum; the kernel itself evaluates one exponential per
     (direction bin, element) and a Taylor polynomial per direction."""
-    return directions * sum(p.shape[0] for p, _ in _cut_layouts(g, offsets))
+    return directions * sum(p.shape[0]
+                            for offsets in (None, g.rf_phase_offsets)
+                            for p, _ in _cut_layouts(g, offsets))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

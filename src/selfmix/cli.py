@@ -158,8 +158,8 @@ def _invariants_are_config_errors() -> Iterator[None]:
 def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
     with _invariants_are_config_errors():
         if cfg["geometry_file"]:
-            return arrays.load_geometry(cfg["geometry_file"],
-                                        MAX_GRID_POINTS)
+            text = Path(cfg["geometry_file"]).read_text(encoding="utf-8")
+            return arrays.parse_geometry(text, MAX_GRID_POINTS)
         _check_grid_size(cfg["nx"] * cfg["ny"], "element")
         return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
                                                 cfg["dx_m"], cfg["dy_m"])
@@ -169,9 +169,7 @@ def _factor_cuts(geometry: arrays.ArrayGeometry, cfg: dict, theta: np.ndarray,
                  phi: float) -> tuple[np.ndarray, np.ndarray]:
     """IF and RF array-factor cuts, checked against :data:`MAX_CUT_PHASES`."""
     _require_positive(cfg, "f1_hz", "f2_hz", "rf_freq_hz")
-    _check_grid_size(arrays.cut_phase_count(geometry, theta.size)
-                     + arrays.cut_phase_count(geometry, theta.size,
-                                              geometry.rf_phase_offsets),
+    _check_grid_size(arrays.cut_phase_count(geometry, theta.size),
                      "array-factor phase", MAX_CUT_PHASES)
     return (arrays.if_array_factor_cut(geometry, cfg["f1_hz"], cfg["f2_hz"],
                                        theta, phi),

@@ -38,7 +38,15 @@ import numpy as np
 
 from .signals import (check_tones, dft_spectrum, plan_sampling,
                       synthesize_waveform)
-from .units import DB_FLOOR, db_to_amplitude_ratio, watts_to_dbm
+from .units import db_to_amplitude_ratio, watts_to_dbm
+
+BIAS_VOLTAGE = 0.65
+"""Terminal bias voltage of the receive chain's operating point, at which
+:func:`selfmix.linkbudget.calibrate_conversion_gain` measures the chain.
+It sits just below the whole-chain small-signal optimum of the default
+device, ``optimal_bias_static(chain.loop_model(), v_range)``: 0.6614 V at
+0.276 mA. That optimum rises with drive. The *static* diode-only optimum
+sits higher, near 0.73 V."""
 
 OMEGA_STEPS = 6
 """Newton steps of the terminal-current solve: from the asymptotic start,
@@ -100,12 +108,6 @@ class MixingChain:
 
     lna_gain_db: float
     diode: DiodeModel
-    bias_voltage: float = 0.65
-    """Terminal bias voltage. The default, 0.65 V, sits just below the
-    whole-chain small-signal optimum of the default device,
-    ``optimal_bias_static(chain.loop_model(), v_range)``: 0.6614 V at
-    0.276 mA. That optimum rises with drive. The *static* diode-only
-    optimum sits higher, near 0.73 V."""
     if_load_ohms: float = 50.0
     source_impedance_ohms: float = 50.0
 
@@ -121,7 +123,7 @@ class MixingChain:
 
 def default_chain(lna_gain_db: float = 25.0) -> MixingChain:
     """Reference receive chain: 25 dB flat LNA, default diode, 50 ohm
-    source and IF load, biased at the chain's default voltage."""
+    source and IF load; its operating point is :data:`BIAS_VOLTAGE`."""
     return MixingChain(lna_gain_db=lna_gain_db, diode=default_diode())
 
 
@@ -274,9 +276,9 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     Returns ``(if_power_dbm, dc_current)``, one value per cell each: the
     one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
     -200 dBm) and the DC bin of the current. A cell whose amplified tones
-    are both zero is not sampled: it reads the floor and the loop current at
-    its bias voltage. Anything but two distinct tones raises ``ValueError``
-    before any cell is solved.
+    are both zero is solved like the rest: its record is flat, so it reads
+    the floor and the loop current at its bias voltage. Anything but two
+    distinct tones raises ``ValueError`` before any cell is solved.
 
     One sampling plan of ``n`` samples and one pair of unit sines (one
     ``synthesize_waveform`` call) serve every cell. When both tones are
@@ -324,15 +326,12 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     sines = synthesize_waveform(np.eye(2), freqs, 0.0, rate, n)[:, solved]
     if_bin = int(round(if_frequency / (rate / n)))
     loop = chain.loop_model()
-    silent = ~amplified.any(axis=1)
-    if_power_dbm = np.full(bias.size, DB_FLOOR)
+    if_power_dbm = np.empty(bias.size)
     dc_current = np.empty(bias.size)
-    dc_current[silent] = terminal_current(loop, bias[silent])
-    driven = np.flatnonzero(~silent)
     per_block = max(1, MIXING_BLOCK // sines.shape[1])
-    for start in range(0, driven.size, per_block):
-        cells = driven[start:start + per_block]
-        v = np.zeros((cells.size, sines.shape[1]))
+    for start in range(0, bias.size, per_block):
+        cells = slice(start, start + per_block)
+        v = np.zeros((bias[cells].size, sines.shape[1]))
         for a, sine in zip(amplified[cells].T, sines):
             v += a[:, None] * sine
         v += bias[cells][:, None]

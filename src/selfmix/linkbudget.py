@@ -7,7 +7,7 @@ rule: IF output power moves dB-for-dB with *each* tone, i.e. raising both
 tones by x dB raises the IF by 2x dB. Its absolute level is an affine
 constant that depends on the diode operating point, so it is calibrated once
 against one cell of the time-domain mixer :func:`selfmix.diode.mix_cells`
-at the chain's bias voltage rather than hard-coded.
+at :data:`selfmix.diode.BIAS_VOLTAGE` rather than hard-coded.
 
 Every term is a plain float argument in dB (or metres and hertz). A term
 out of its range (a distance or frequency that is not positive, an
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .diode import MixingChain, mix_cells
+from .diode import BIAS_VOLTAGE, MixingChain, mix_cells
 from .units import DB_FLOOR, SPEED_OF_LIGHT, dbm_to_amplitude
 
 DEFAULT_TOTAL_EFFICIENCY_DB: dict[float, float] = {
@@ -105,7 +105,7 @@ def _finite_db(value: float, name: str) -> float:
 
 def calibrate_conversion_gain(chain: MixingChain) -> float:
     """Conversion constant K of :func:`chain_output_power`, measured once
-    against one :func:`mix_cells` cell at the chain's bias voltage, driven
+    against one :func:`mix_cells` cell at :data:`BIAS_VOLTAGE`, driven
     at 37.5 GHz / -55 dBm and 38.5 GHz / -60 dBm, low enough that
     higher-order products are negligible:
 
@@ -113,7 +113,7 @@ def calibrate_conversion_gain(chain: MixingChain) -> float:
     """
     p1, p2 = -55.0, -60.0
     drive = [dbm_to_amplitude(p, chain.source_impedance_ohms) for p in (p1, p2)]
-    if_power_dbm = float(mix_cells(chain, [chain.bias_voltage], [drive],
+    if_power_dbm = float(mix_cells(chain, [BIAS_VOLTAGE], [drive],
                                    (37.5e9, 38.5e9))[0][0])
     return (if_power_dbm - (p1 + chain.lna_gain_db)
             - (p2 + chain.lna_gain_db))

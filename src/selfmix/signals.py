@@ -171,7 +171,7 @@ def plan_sampling(frequencies: Iterable[float],
                 f"frequency {f} Hz is not an integer number of hertz; "
                 "no exact common sampling grid exists")
         as_int.append(int(k))
-    resolution = math.gcd(*as_int) if len(as_int) > 1 else as_int[0]
+    resolution = math.gcd(*as_int)
     f_max = max(freqs)
     n = MIN_SAMPLES
     while n * resolution <= oversample * f_max:

@@ -26,23 +26,20 @@ DB_FLOOR = -200.0
 """Reported floor for quantities whose exact value would be -inf dB."""
 
 
-def dbm_to_watts(p_dbm: float) -> float:
-    try:
-        return 1e-3 * 10.0 ** (p_dbm / 10.0)
-    except OverflowError:
-        raise OverflowError(
-            f"{p_dbm} dBm overflows the float range in watts") from None
-
-
-def watts_to_dbm(p_watts: float, floor: float = DB_FLOOR) -> float:
+def watts_to_dbm(p_watts: float) -> float:
     if p_watts <= 0.0:
-        return floor
-    return max(floor, 10.0 * math.log10(p_watts / 1e-3))
+        return DB_FLOOR
+    return max(DB_FLOOR, 10.0 * math.log10(p_watts / 1e-3))
 
 
 def dbm_to_amplitude(p_dbm: float, impedance: float = 50.0) -> float:
     """Peak voltage of a sine tone carrying ``p_dbm`` into ``impedance``."""
-    return math.sqrt(2.0 * impedance * dbm_to_watts(p_dbm))
+    try:
+        watts = 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError:
+        raise OverflowError(
+            f"{p_dbm} dBm overflows the float range in watts") from None
+    return math.sqrt(2.0 * impedance * watts)
 
 
 def db_to_amplitude_ratio(gain_db: float) -> float:

@@ -63,6 +63,10 @@ class TestGeometry:
     def test_non_finite_rejected_before_coincidence(self):
         with pytest.raises(ValueError, match="finite"):
             ArrayGeometry([[np.nan, 0.0], [np.nan, 0.0]])
+        # a flat [x, y] pair is not read as one element
+        with pytest.raises(ValueError, match=r"element_positions must have "
+                                             r"shape \(N, 2\), N >= 1"):
+            ArrayGeometry([0.1, 0.2])
 
     def test_planar_grid_layout(self):
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
@@ -75,13 +79,13 @@ class TestGeometry:
             # x_m   y_m    rf_phase_offset_deg
             0.0     0.0
             0.032,  0.0,   180
-        """)
+        """, 2)
         assert g.element_count == 2
         assert g.rf_phase_offsets[1] == pytest.approx(math.pi)
 
     def test_parse_empty_rejected(self):
         with pytest.raises(ValueError, match="contains no elements"):
-            parse_geometry("# only a comment\n")
+            parse_geometry("# only a comment\n", 1)
 
 
 class TestPathPhase:
@@ -200,8 +204,8 @@ class TestKernel:
         # non-uniform 64 x 64 product layout with equal feed offsets, whose
         # 64-element sub-layouts are summed
         rng = np.random.default_rng(5)
-        summed = random_geometry(rng, 64).with_rf_phase_offsets(
-            rng.uniform(-math.pi, math.pi, 64))
+        summed = ArrayGeometry(random_geometry(rng, 64).element_positions,
+                               rng.uniform(-math.pi, math.pi, 64))
         xs = np.cumsum(rng.uniform(0.01, 0.03, 64))
         ys = np.cumsum(rng.uniform(0.01, 0.03, 64))
         product = ArrayGeometry(np.column_stack([
@@ -339,15 +343,15 @@ class TestKernel:
 
     def test_phase_count_follows_the_route(self):
         grid = ArrayGeometry.planar_grid(16, 8, 0.032, 0.036)
-        assert cut_phase_count(grid, 721) == 721 * (16 + 8)
+        # the IF and the RF cut of the pair, in that order
+        assert cut_phase_count(grid, 721) == 721 * ((16 + 8) + (16 + 8))
         # equal feed offsets keep the product route, unequal ones do not
-        same = grid.with_rf_phase_offsets(np.full(128, 0.7))
-        assert cut_phase_count(same, 721, same.rf_phase_offsets) == 721 * 24
-        mixed = grid.with_rf_phase_offsets(np.arange(128.0))
-        assert cut_phase_count(mixed, 721) == 721 * 24
-        assert cut_phase_count(mixed, 721, mixed.rf_phase_offsets) == 721 * 128
+        same = ArrayGeometry(grid.element_positions, np.full(128, 0.7))
+        assert cut_phase_count(same, 721) == 721 * (24 + 24)
+        mixed = ArrayGeometry(grid.element_positions, np.arange(128.0))
+        assert cut_phase_count(mixed, 721) == 721 * (24 + 128)
         short = ArrayGeometry(grid.element_positions[:-1])
-        assert cut_phase_count(short, 721) == 721 * 127
+        assert cut_phase_count(short, 721) == 721 * (127 + 127)
 
     def test_empty_cut(self):
         g = ArrayGeometry.linear(3, 0.032)
@@ -508,8 +512,8 @@ class TestTimeDomainArray:
         if case == "gains":
             gains = np.column_stack([np.cos(theta) ** 0.5, np.cos(theta) ** 2])
         elif case == "offsets":
-            g = g.with_rf_phase_offsets(
-                np.random.default_rng(3).uniform(-math.pi, math.pi, 4))
+            offsets = np.random.default_rng(3).uniform(-math.pi, math.pi, 4)
+            g = ArrayGeometry(g.element_positions, offsets)
         with pytest.raises(ValueError, match="shares the IF bin"):
             simulate_array_timedomain(g, f1, f2, theta, 0.0, gains)
         if case != "unit":
@@ -559,7 +563,7 @@ class TestTimeDomainArray:
         # a 180 degree RF feed rotation applied at both tones leaves the
         # IF signal untouched
         g = ArrayGeometry([[0.0, 0.0]])
-        g_flip = g.with_rf_phase_offsets([math.pi])
+        g_flip = ArrayGeometry(g.element_positions, [math.pi])
         assert timedomain_db(g_flip, [0.4]) == pytest.approx(
             timedomain_db(g, [0.4]), abs=1e-9)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfmix import diode, validation
 from selfmix.diode import (
+    BIAS_VOLTAGE,
     OMEGA_STEPS,
     DiodeModel,
     MixingChain,
@@ -33,11 +34,11 @@ def two_tone(p1_dbm, p2_dbm, f1=37.5e9, f2=38.5e9):
     return [dbm_to_amplitude(p1_dbm), dbm_to_amplitude(p2_dbm)], [f1, f2]
 
 
-def one_cell(chain, amplitudes, frequencies):
-    """The one-cell mix_cells call at the chain's bias voltage, as the pair
+def one_cell(chain, bias, amplitudes, frequencies):
+    """The one-cell mix_cells call at bias voltage ``bias``, as the pair
     (if_power_dbm, dc_current) of floats."""
-    if_power_dbm, dc_current = mix_cells(chain, [chain.bias_voltage],
-                                         [amplitudes], frequencies)
+    if_power_dbm, dc_current = mix_cells(chain, [bias], [amplitudes],
+                                         frequencies)
     return float(if_power_dbm[0]), float(dc_current[0])
 
 
@@ -167,7 +168,7 @@ class TestTerminalCurrent:
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
         amplitudes, frequencies = two_tone(0.0, -5.0)
         rate, duration = plan_sampling([37.5e9, 38.5e9, 1e9], oversample=24.0)
-        v = chain.bias_voltage + synthesize_waveform(
+        v = BIAS_VOLTAGE + synthesize_waveform(
             gain * np.array(amplitudes), frequencies, 0.0, rate,
             round(rate * duration))
         assert v.size == 2048
@@ -273,28 +274,30 @@ class TestOptimalBiasStatic:
 
 
 class TestSimulateMixing:
-    """One mix_cells cell at the chain's bias voltage."""
+    """One mix_cells cell at the operating bias voltage."""
 
     def test_zero_amplitude_tones(self):
         chain = default_chain()
-        if_power_dbm, dc_current = one_cell(chain, [0.0, 0.0],
+        if_power_dbm, dc_current = one_cell(chain, BIAS_VOLTAGE, [0.0, 0.0],
                                             [37.5e9, 38.5e9])
         assert if_power_dbm == DB_FLOOR
         assert dc_current == terminal_current(chain.loop_model(),
-                                              chain.bias_voltage)
+                                              BIAS_VOLTAGE)
 
     def test_doubling_amplitudes_gives_12_db(self):
         chain = default_chain()
         amplitudes, frequencies = two_tone(-70.0, -75.0)
-        low, _ = one_cell(chain, amplitudes, frequencies)
-        high, _ = one_cell(chain, [2.0 * a for a in amplitudes], frequencies)
+        low, _ = one_cell(chain, BIAS_VOLTAGE, amplitudes, frequencies)
+        high, _ = one_cell(chain, BIAS_VOLTAGE, [2.0 * a for a in amplitudes],
+                           frequencies)
         assert high - low == pytest.approx(12.0, abs=0.5)
 
     def test_conversion_loss_canceled_at_moderate_drive(self):
         # -40/-45 dBm two-tone with the 25 dB amplifier: IF comes back out
         # within a few dB of the input level
         chain = default_chain()
-        if_power_dbm, _ = one_cell(chain, *two_tone(-40.0, -45.0))
+        if_power_dbm, _ = one_cell(chain, BIAS_VOLTAGE,
+                                   *two_tone(-40.0, -45.0))
         assert if_power_dbm == pytest.approx(-40.0, abs=6.0)
 
     def test_small_signal_matches_taylor_coefficient(self):
@@ -303,25 +306,26 @@ class TestSimulateMixing:
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
         a1 = gain * dbm_to_amplitude(p)
         a2 = gain * dbm_to_amplitude(p - 5.0)
-        _, g2 = iv_derivatives(chain.loop_model(), chain.bias_voltage)
+        _, g2 = iv_derivatives(chain.loop_model(), BIAS_VOLTAGE)
         predicted = watts_to_dbm((0.5 * g2 * a1 * a2) ** 2
                                  * chain.if_load_ohms / 2.0)
-        if_power_dbm, _ = one_cell(chain, *two_tone(p, p - 5.0))
+        if_power_dbm, _ = one_cell(chain, BIAS_VOLTAGE, *two_tone(p, p - 5.0))
         assert if_power_dbm == pytest.approx(predicted, abs=1.0)
 
     def test_deterministic(self):
         chain = default_chain()
         tones = two_tone(-42.0, -47.0)
-        assert one_cell(chain, *tones) == one_cell(chain, *tones)
+        assert (one_cell(chain, BIAS_VOLTAGE, *tones)
+                == one_cell(chain, BIAS_VOLTAGE, *tones))
 
     def test_dc_current_nonnegative_forward(self):
         chain = default_chain()
-        _, dc_current = one_cell(chain, *two_tone(-30.0, -35.0))
+        _, dc_current = one_cell(chain, BIAS_VOLTAGE, *two_tone(-30.0, -35.0))
         assert dc_current >= 0.0
 
     def test_empty_tone_list(self):
         with pytest.raises(ValueError, match="need at least one tone"):
-            one_cell(default_chain(), [], [])
+            one_cell(default_chain(), BIAS_VOLTAGE, [], [])
 
 
 class TestMixingChain:
@@ -339,15 +343,13 @@ class TestBiasPowerSweep:
     def test_single_cell_equals_direct_call(self):
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, [0.65], [-40.0])
-        direct = one_cell(replace(chain, bias_voltage=0.65),
-                          *two_tone(-40.0, -45.0))
+        direct = one_cell(chain, 0.65, *two_tone(-40.0, -45.0))
         assert (if_power_dbm[0, 0], dc_current[0, 0]) == direct
 
     def test_single_cell_at_another_tone_pair_equals_direct_call(self):
         chain = default_chain()
         if_power_dbm, dc_current = sweep(chain, [0.65], [-40.0], (34e9, 35e9))
-        direct = one_cell(replace(chain, bias_voltage=0.65),
-                          *two_tone(-40.0, -45.0, 34e9, 35e9))
+        direct = one_cell(chain, 0.65, *two_tone(-40.0, -45.0, 34e9, 35e9))
         assert (if_power_dbm[0, 0], dc_current[0, 0]) == direct
 
     def test_spread_shrinks_with_power(self):
@@ -381,9 +383,10 @@ class TestBiasPowerSweep:
         assert np.all(powers.max(axis=0) - powers.min(axis=0) < 1e-9)
 
 
-def full_record_current(chain, amplitudes, frequencies, phases=0.0):
-    """One driven cell's loop current over the whole record of its tone
-    pair, synthesised and solved on its own, and the record's IF bin."""
+def full_record_current(chain, bias, amplitudes, frequencies, phases=0.0):
+    """One driven cell's loop current at bias voltage ``bias`` over the
+    whole record of its tone pair, synthesised and solved on its own, and
+    the record's IF bin."""
     if_frequency = abs(frequencies[1] - frequencies[0])
     amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
         amplitudes)
@@ -391,19 +394,19 @@ def full_record_current(chain, amplitudes, frequencies, phases=0.0):
                                    oversample=24.0)
     rf = synthesize_waveform(amplified, frequencies, phases, rate,
                              round(rate * duration))
-    return (terminal_current(chain.loop_model(), chain.bias_voltage + rf),
+    return (terminal_current(chain.loop_model(), bias + rf),
             round(if_frequency * duration))
 
 
-def per_cell_route(chain, amplitudes, frequencies, phases=0.0):
-    """Oracle: one cell synthesised, solved and transformed on its own over
-    its whole record, the route of the per-cell sweep loop that the mixing
-    kernel replaced; ``phases`` are the tones' phases, which the kernel
-    takes as 0."""
+def per_cell_route(chain, bias, amplitudes, frequencies, phases=0.0):
+    """Oracle: one cell at bias voltage ``bias`` synthesised, solved and
+    transformed on its own over its whole record, the route of the per-cell
+    sweep loop that the mixing kernel replaced; ``phases`` are the tones'
+    phases, which the kernel takes as 0."""
     if not np.any(amplitudes):
-        return DB_FLOOR, terminal_current(chain.loop_model(), chain.bias_voltage)
-    current, if_bin = full_record_current(chain, amplitudes, frequencies,
-                                          phases)
+        return DB_FLOOR, terminal_current(chain.loop_model(), bias)
+    current, if_bin = full_record_current(chain, bias, amplitudes,
+                                          frequencies, phases)
     dc, i_if = dft_spectrum(current, [0, if_bin])
     return if_power(chain, abs(i_if)), float(dc.real)
 
@@ -419,14 +422,15 @@ def bits(if_power_dbm, dc_current):
     return float(if_power_dbm).hex(), float(dc_current).hex()
 
 
-def is_per_cell_route(chain, if_power_dbm, dc_current, amplitudes,
+def is_per_cell_route(chain, bias, if_power_dbm, dc_current, amplitudes,
                       frequencies):
-    """Whether a driven cell is the per-cell route's: its DC bit for bit,
-    and its IF power that of the route's IF magnitude or of a magnitude one
-    ulp either side. The kernel takes the magnitudes of a block with the
+    """Whether a driven cell at bias voltage ``bias`` is the per-cell
+    route's: its DC bit for bit, and its IF power that of the route's IF
+    magnitude or of a magnitude one ulp either side. The kernel takes the magnitudes of a block with the
     ufunc np.abs, the route of one complex scalar with abs (hypot), and the
     two may round apart in the last bit."""
-    current, if_bin = full_record_current(chain, amplitudes, frequencies)
+    current, if_bin = full_record_current(chain, bias, amplitudes,
+                                          frequencies)
     dc, i_if = dft_spectrum(current, [0, if_bin])
     magnitude = abs(i_if)
     powers = [if_power(chain, m).hex() for m in (
@@ -529,13 +533,12 @@ class TestMixingKernel:
         assert np.all(np.isfinite(dc_current))
         for i, bias in enumerate(self.BIASES):
             for j, p in enumerate(self.POWERS):
-                biased = replace(chain, bias_voltage=bias)
                 tones = two_tone(p, p - 5.0)
                 assert bits(if_power_dbm[i, j], dc_current[i, j]) == bits(
-                    *one_cell(biased, *tones)), (bias, p)
+                    *one_cell(chain, bias, *tones)), (bias, p)
                 assert near_full_record(
                     if_power_dbm[i, j], dc_current[i, j],
-                    per_cell_route(biased, *tones)), (bias, p)
+                    per_cell_route(chain, bias, *tones)), (bias, p)
 
     def test_mixed_parity_sweep_keeps_the_full_record(self, monkeypatch):
         # 34/35 GHz sit on the bins 68 and 70 of a 1 GHz grid, 34.5/35 GHz
@@ -554,8 +557,8 @@ class TestMixingKernel:
             for i, bias in enumerate(self.BIASES):
                 for j, p in enumerate(self.POWERS):
                     assert is_per_cell_route(
-                        replace(chain, bias_voltage=bias), if_power_dbm[i, j],
-                        dc_current[i, j], *two_tone(p, p - 5.0, *pair)), (
+                        chain, bias, if_power_dbm[i, j], dc_current[i, j],
+                        *two_tone(p, p - 5.0, *pair)), (
                         pair, bias, p)
 
     @settings(max_examples=60, deadline=timedelta(seconds=20),
@@ -581,13 +584,12 @@ class TestMixingKernel:
         assert solved and all(shape[1] == (n // 2 + 1 if half else n)
                               for shape in solved)
         for k, bias in enumerate(biases):
-            biased = replace(chain, bias_voltage=bias)
             if half:
                 assert near_full_record(
                     if_power_dbm[k], dc_current[k],
-                    per_cell_route(biased, amplitudes[k], frequencies))
+                    per_cell_route(chain, bias, amplitudes[k], frequencies))
             else:
-                assert is_per_cell_route(biased, if_power_dbm[k],
+                assert is_per_cell_route(chain, bias, if_power_dbm[k],
                                          dc_current[k], amplitudes[k],
                                          frequencies)
 
@@ -598,12 +600,12 @@ class TestMixingKernel:
         # time: the per-cell route with random tone phases reads the
         # kernel's zero-phase IF power and DC current (mirrored half record
         # on 37.5/38.5 GHz, whole record on 34/35 GHz) within rounding
-        chain = replace(default_chain(), bias_voltage=0.6)
+        chain = default_chain()
         tones = two_tone(power, power - 5.0, *pair)
-        if_power_dbm, dc_current = one_cell(chain, *tones)
+        if_power_dbm, dc_current = one_cell(chain, 0.6, *tones)
         rng = np.random.default_rng(11)
         for phases in rng.uniform(-math.pi, math.pi, size=(10, 2)):
-            phased = per_cell_route(chain, *tones, phases)
+            phased = per_cell_route(chain, 0.6, *tones, phases)
             assert abs(if_power_dbm - phased[0]) <= 1e-9
             assert abs(dc_current - phased[1]) <= 1e-12 * abs(phased[1])
 
@@ -619,22 +621,25 @@ class TestMixingKernel:
             mix_cells(default_chain(), [0.6, 0.65], amplitudes, frequencies)
         assert solved == []
 
-    def test_silent_cell_reads_floor_and_bias_current(self):
-        # -5000 dBm is an amplitude of exactly 0: those cells are not
-        # sampled, the driven cells beside them are; the silent cells'
-        # currents, solved as one vector, are the scalar solves bit for bit
+    def test_silent_cell_reads_floor_and_bias_current(self, monkeypatch):
+        # -5000 dBm is an amplitude of exactly 0: those cells are solved in
+        # the one block with the driven cells beside them; a silent cell's
+        # flat record reads the floor and the scalar solve of its bias bit
+        # for bit
         chain = default_chain()
         loop = chain.loop_model()
+        solved = recording_solves(monkeypatch)
         if_power_dbm, dc_current = sweep(chain, self.BIASES, [-5000.0, -40.0])
+        monkeypatch.undo()
+        assert solved == [(6, 1025)]
         for i, bias in enumerate(self.BIASES):
             assert if_power_dbm[i, 0] == DB_FLOOR
             assert dc_current[i, 0].hex() == terminal_current(loop, bias).hex()
-            biased = replace(chain, bias_voltage=bias)
             assert bits(if_power_dbm[i, 0], dc_current[i, 0]) == bits(
-                *per_cell_route(biased, *two_tone(-5000.0, -5005.0)))
+                *per_cell_route(chain, bias, *two_tone(-5000.0, -5005.0)))
             assert near_full_record(
                 if_power_dbm[i, 1], dc_current[i, 1],
-                per_cell_route(biased, *two_tone(-40.0, -45.0)))
+                per_cell_route(chain, bias, *two_tone(-40.0, -45.0)))
 
     def test_unsampleable_pair_raises_before_solving(self, monkeypatch):
         # the pair's 1 Hz common grid is past the sample budget: the sweep
@@ -656,16 +661,16 @@ class TestMixingKernel:
         rate, duration = plan_sampling([37.5e9, 37.501e9, 1e6],
                                        oversample=24.0)
         assert round(rate * duration) == 1 << 20
-        close, _ = one_cell(chain, *two_tone(-30.0, -35.0, 37.5e9, 37.501e9))
-        wide, _ = one_cell(chain, *two_tone(-30.0, -35.0))
+        close, _ = one_cell(chain, BIAS_VOLTAGE,
+                            *two_tone(-30.0, -35.0, 37.5e9, 37.501e9))
+        wide, _ = one_cell(chain, BIAS_VOLTAGE, *two_tone(-30.0, -35.0))
         assert close == pytest.approx(wide, abs=1e-6)
 
     def test_amplitudes_checked(self):
         chain = default_chain()
         with pytest.raises(ValueError, match="shape"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1]], [37.5e9, 38.5e9])
+            mix_cells(chain, [BIAS_VOLTAGE], [[0.1]], [37.5e9, 38.5e9])
         with pytest.raises(ValueError, match="finite and >= 0"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1, -0.1]],
-                      [37.5e9, 38.5e9])
+            mix_cells(chain, [BIAS_VOLTAGE], [[0.1, -0.1]], [37.5e9, 38.5e9])
         with pytest.raises(ValueError, match="positive"):
-            mix_cells(chain, [chain.bias_voltage], [[0.1, 0.1]], [-1e9, 1e9])
+            mix_cells(chain, [BIAS_VOLTAGE], [[0.1, 0.1]], [-1e9, 1e9])

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from selfmix.diode import default_chain, mix_cells
+from selfmix.diode import BIAS_VOLTAGE, default_chain, mix_cells
 from selfmix.linkbudget import (
     calibrate_conversion_gain,
     chain_output_power,
@@ -114,7 +114,7 @@ class TestChainOutput:
         chain = default_chain()
         p1, p2 = -65.0, -70.0
         drive = [dbm_to_amplitude(p) for p in (p1, p2)]
-        if_power_dbm = float(mix_cells(chain, [chain.bias_voltage], [drive],
+        if_power_dbm = float(mix_cells(chain, [BIAS_VOLTAGE], [drive],
                                        (37.5e9, 38.5e9))[0][0])
         k = if_power_dbm - (p1 + chain.lna_gain_db) - (p2 + chain.lna_gain_db)
         assert calibrate_conversion_gain(chain) == pytest.approx(k, abs=0.1)
