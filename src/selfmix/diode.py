@@ -12,14 +12,14 @@ derivative grows monotonically.
 Mixing is simulated with a memoryless voltage drive: the amplified receive
 tones plus the bias voltage form a source that drives the diode through the
 chain's source impedance, the loop current is solved sample by sample, and
-the DC and IF components are read from its DFT; the drive records come from
-:func:`selfmix.signals.synthesize_waveform` and the bins from
-:func:`selfmix.signals.dft_spectrum`. The drive is a tone pair at zero
-phase: the diode is memoryless, so the tones' phases shift the record in
-time and move neither its DC nor its IF magnitude (Blachman, IEEE T-IT
+its DC and IF bins are read as weighted sums over the solved samples, O(n)
+each, with no FFT; the drive records come from
+:func:`selfmix.signals.synthesize_waveform`. The drive is a tone pair at
+zero phase: the diode is memoryless, so the tones' phases shift the record
+in time and move neither its DC nor its IF magnitude (Blachman, IEEE T-IT
 17(4), 1971). When both tones are whole numbers of hertz on odd bins of the
 record, samples ``j`` and ``n/2 - j`` see the same drive, so only half the
-record is solved and the currents are mirrored.
+record is solved and each solved sample carries the DFT weights of both.
 Amplifier and filters are collapsed into a flat gain and an ideal IF load;
 there is no junction capacitance and hence no frequency dependence. This
 keeps every qualitative behaviour of the real chain at desk scale: the
@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import (check_tones, dft_spectrum, plan_sampling,
-                      synthesize_waveform)
+from .signals import check_tones, plan_sampling, synthesize_waveform
 from .units import db_to_amplitude_ratio, watts_to_dbm
 
 BIAS_VOLTAGE = 0.65
@@ -254,11 +253,12 @@ def optimal_bias_static(model: DiodeModel,
 
 MIXING_BLOCK = 1 << 14
 """Samples :func:`mix_cells` solves at a time: a block holds
-``max(1, MIXING_BLOCK // m)`` cells of ``m`` solved samples, so the
-solver's working arrays stay near 1 MB. A cell's record is ``n`` samples,
-one common period of its tones (2048 for a default sweep cell); ``m`` is
-``n/2 + 1`` when both tones are whole numbers of hertz on odd bins, and
-``n`` otherwise."""
+``max(1, MIXING_BLOCK // m)`` cells of ``m`` solved samples, so each of
+the five float arrays that the solve holds at once is at most 128 KiB
+(0.66 MB in all) unless one cell alone is longer; reading the bins reuses
+the drive's array. A cell's record is ``n`` samples, one common period of
+its tones (2048 for a default sweep cell); ``m`` is ``n/2 + 1`` when both
+tones are whole numbers of hertz on odd bins, and ``n`` otherwise."""
 
 
 def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
@@ -271,28 +271,30 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
 
     The LNA power gain scales the amplitudes; the bias voltage and the
     amplified waveform are superimposed and drive the diode through the
-    chain's source impedance; the loop current is solved per sample and the
-    component at the IF ``|f2 - f1|`` is extracted from its DFT.
+    chain's source impedance; the loop current is solved per sample and its
+    DC and IF ``|f2 - f1|`` bins are read.
     Returns ``(if_power_dbm, dc_current)``, one value per cell each: the
     one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
     -200 dBm) and the DC bin of the current. A cell whose amplified tones
     are both zero is solved like the rest: its record is flat, so it reads
-    the floor and the loop current at its bias voltage. Anything but two
-    distinct tones raises ``ValueError`` before any cell is solved.
+    the floor and, bit for bit, the loop current at its bias voltage.
+    Anything but two distinct tones raises ``ValueError`` before any cell
+    is solved.
 
     One sampling plan of ``n`` samples and one pair of unit sines (one
     ``synthesize_waveform`` call) serve every cell. When both tones are
     whole numbers of hertz on odd bins ``k`` of the plan,
     ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
     ``(n/2 - j) mod n`` carry the same drive and hence the same current, so
-    only the ``n/2 + 1`` samples with ``j <= (n/2 - j) mod n`` are solved
-    and their currents are mirrored back into the whole record; otherwise
-    every sample is solved. The cells are solved :data:`MIXING_BLOCK`
-    samples at a time, each block's records read at their DC and IF bins by
-    one ``dft_spectrum`` call. Each cell's result is bit for bit that of
-    the one-cell call; against solving its whole record it is bit for bit
-    equal without the halving, and within rounding with it (1e-10 dB in IF
-    power, 1e-12 relative in DC current).
+    only the ``n/2 + 1`` samples with ``j <= (n/2 - j) mod n`` are solved;
+    otherwise every sample is solved. Each solved sample carries the DC and
+    IF weights of the DFT of every sample it stands for, so one read of a
+    record, centred on its first sample, serves both cases. The cells are
+    solved :data:`MIXING_BLOCK` samples at a time and read by numpy row
+    sums, not BLAS: each cell's result is bit for bit that of the one-cell
+    call, at any BLAS thread count. Against the FFT of its whole record it
+    is within rounding (1e-10 dB in IF power, 1e-12 relative in DC
+    current).
     """
     bias = np.asarray(bias_voltages, dtype=float)
     amplified, freqs, _ = check_tones(db_to_amplitude_ratio(
@@ -324,7 +326,14 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     # their sum weighted by its amplitudes, in the order and with the bits
     # of synthesising it alone
     sines = synthesize_waveform(np.eye(2), freqs, 0.0, rate, n)[:, solved]
-    if_bin = int(round(if_frequency / (rate / n)))
+    # the record's DC and IF bins as weights on the solved samples: sample
+    # j's DFT weights go to mirror[j]. With k the signed residue of if_bin j
+    # mod n, a mirrored pair's residues are k and -k, so their sines cancel
+    k = int(round(if_frequency / (rate / n))) * j % n
+    angle = (2.0 * np.pi / n) * np.where(2 * k > n, k - n, k)
+    weights = [np.bincount(mirror) / n,
+               np.bincount(mirror, np.cos(angle)) * (2.0 / n),
+               np.bincount(mirror, np.sin(angle)) * (2.0 / n)]
     loop = chain.loop_model()
     if_power_dbm = np.empty(bias.size)
     dc_current = np.empty(bias.size)
@@ -335,10 +344,14 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
         for a, sine in zip(amplified[cells].T, sines):
             v += a[:, None] * sine
         v += bias[cells][:, None]
-        current = terminal_current(loop, v)[:, mirror]
-        dc, i_if = dft_spectrum(current, [0, if_bin]).T
-        dc_current[cells] = dc.real
+        # centred on its first sample, a flat record sums to exactly 0
+        current = terminal_current(loop, v)
+        first = current[:, :1].copy()
+        current -= first
+        dc, re, im = (np.multiply(current, w, out=v).sum(axis=1)
+                      for w in weights)
+        dc_current[cells] = first[:, 0] + dc
         if_power_dbm[cells] = [watts_to_dbm(i * i * chain.if_load_ohms / 2.0)
-                               for i in np.abs(i_if).tolist()]
+                               for i in np.hypot(re, im).tolist()]
     return if_power_dbm, dc_current
 

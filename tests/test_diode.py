@@ -422,33 +422,16 @@ def bits(if_power_dbm, dc_current):
     return float(if_power_dbm).hex(), float(dc_current).hex()
 
 
-def is_per_cell_route(chain, bias, if_power_dbm, dc_current, amplitudes,
-                      frequencies):
-    """Whether a driven cell at bias voltage ``bias`` is the per-cell
-    route's: its DC bit for bit, and its IF power that of the route's IF
-    magnitude or of a magnitude one ulp either side. The kernel takes the magnitudes of a block with the
-    ufunc np.abs, the route of one complex scalar with abs (hypot), and the
-    two may round apart in the last bit."""
-    current, if_bin = full_record_current(chain, bias, amplitudes,
-                                          frequencies)
-    dc, i_if = dft_spectrum(current, [0, if_bin])
-    magnitude = abs(i_if)
-    powers = [if_power(chain, m).hex() for m in (
-        np.nextafter(magnitude, 0.0), magnitude,
-        np.nextafter(magnitude, np.inf))]
-    return (float(dc_current).hex() == float(dc.real).hex()
-            and float(if_power_dbm).hex() in powers)
-
-
-# how far a cell solved on half its record may read from the full record:
-# the mirrored samples' drive differs from their own in the last bits only
+# how far a cell may read from the FFT of its whole record: a mirrored
+# sample's drive differs from its own in the last bits only, and the kernel
+# sums weighted samples where the FFT runs butterflies
 IF_DB_BOUND = 1e-10
 DC_REL_BOUND = 1e-12
 
 
 def near_full_record(if_power_dbm, dc_current, expected):
-    """Whether a cell is within the half-record bound of ``expected``, the
-    per-cell route's (if_power_dbm, dc_current)."""
+    """Whether a cell is within rounding of ``expected``, the per-cell
+    route's (if_power_dbm, dc_current)."""
     return (abs(if_power_dbm - expected[0]) <= IF_DB_BOUND
             and abs(dc_current - expected[1]) <= DC_REL_BOUND * abs(
                 expected[1]))
@@ -545,7 +528,7 @@ class TestMixingKernel:
         # on 69 and 70 of a 0.5 GHz grid, and 37.5 GHz + 0.4 Hz, which
         # plan_sampling puts on the odd bin 75 beside 38.5 GHz on 77, is
         # synthesised 0.4 Hz off it: no sample mirrors another, and every
-        # cell is the per-cell route
+        # cell is within rounding of the per-cell route
         chain = default_chain()
         for pair, n in [((34e9, 35e9), 1024), ((34.5e9, 35e9), 2048),
                         ((37.5e9 + 0.4, 38.5e9), 2048)]:
@@ -556,9 +539,10 @@ class TestMixingKernel:
             assert [shape[1] for shape in solved] == [n] * len(solved)
             for i, bias in enumerate(self.BIASES):
                 for j, p in enumerate(self.POWERS):
-                    assert is_per_cell_route(
-                        chain, bias, if_power_dbm[i, j], dc_current[i, j],
-                        *two_tone(p, p - 5.0, *pair)), (
+                    assert near_full_record(
+                        if_power_dbm[i, j], dc_current[i, j],
+                        per_cell_route(chain, bias,
+                                       *two_tone(p, p - 5.0, *pair))), (
                         pair, bias, p)
 
     @settings(max_examples=60, deadline=timedelta(seconds=20),
@@ -566,9 +550,8 @@ class TestMixingKernel:
     @given(case=mixing_cases())
     def test_half_record_exactly_for_odd_bins_at_zero_phase(self, case):
         # the kernel solves n/2 + 1 samples a cell exactly when both tones
-        # sit on odd bins, and n otherwise; a cell solved on its whole
-        # record is the per-cell route (DC bit for bit, IF magnitude to one
-        # ulp), one solved on half of it lies within rounding of it
+        # sit on odd bins, and n otherwise; either way the cell lies within
+        # rounding of the per-cell route
         frequencies, biases, drive = case
         chain = default_chain()
         amplitudes = [[dbm_to_amplitude(p) for p in row] for row in drive]
@@ -584,21 +567,52 @@ class TestMixingKernel:
         assert solved and all(shape[1] == (n // 2 + 1 if half else n)
                               for shape in solved)
         for k, bias in enumerate(biases):
-            if half:
+            assert near_full_record(
+                if_power_dbm[k], dc_current[k],
+                per_cell_route(chain, bias, amplitudes[k], frequencies))
+
+    @pytest.mark.parametrize("pair", [(37.5e9, 38.5e9), (34e9, 35e9),
+                                      (34.5e9, 35e9)])
+    def test_sweep_grid_within_rounding_of_per_cell_route(self, pair):
+        # every cell of the 238-cell grid of the sweep benchmark, built as
+        # bias-sweep builds it (0 to 0.8 V in 50 mV steps, -60 to +5 dBm in
+        # 5 dB steps), on the odd-bin pair and on both mixed-parity pairs
+        chain = default_chain()
+        biases = [0.05 * k for k in range(17)]
+        powers = [-60.0 + 5.0 * k for k in range(14)]
+        if_power_dbm, dc_current = sweep(chain, biases, powers, pair)
+        for i, bias in enumerate(biases):
+            for j, p in enumerate(powers):
                 assert near_full_record(
-                    if_power_dbm[k], dc_current[k],
-                    per_cell_route(chain, bias, amplitudes[k], frequencies))
-            else:
-                assert is_per_cell_route(chain, bias, if_power_dbm[k],
-                                         dc_current[k], amplitudes[k],
-                                         frequencies)
+                    if_power_dbm[i, j], dc_current[i, j],
+                    per_cell_route(chain, bias,
+                                   *two_tone(p, p - 5.0, *pair))), (
+                    pair, bias, p)
+
+    @settings(max_examples=40, deadline=timedelta(seconds=20),
+              derandomize=True)
+    @given(pair=st.sampled_from([(37.5e9, 38.5e9), (34e9, 35e9)]),
+           biases=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=4))
+    def test_flat_records_read_the_floor_and_the_bias_current(self, pair,
+                                                              biases):
+        # an undriven cell's record is flat, so centred on its first sample
+        # it sums to exactly 0: its DC is the solve of its bias voltage bit
+        # for bit and its IF reads the floor, on the halved record of the
+        # odd-bin pair and on the whole record of the mixed-parity one
+        chain = default_chain()
+        if_power_dbm, dc_current = mix_cells(
+            chain, biases, [[0.0, 0.0]] * len(biases), pair)
+        for k, bias in enumerate(biases):
+            assert if_power_dbm[k] == DB_FLOOR
+            assert dc_current[k].hex() == terminal_current(
+                chain.loop_model(), bias).hex()
 
     @pytest.mark.parametrize("pair", [(37.5e9, 38.5e9), (34e9, 35e9)])
     @pytest.mark.parametrize("power", [-60.0, -40.0])
     def test_tone_phases_move_neither_dc_nor_if(self, pair, power):
         # the diode is memoryless, so phased tones only shift the record in
         # time: the per-cell route with random tone phases reads the
-        # kernel's zero-phase IF power and DC current (mirrored half record
+        # kernel's zero-phase IF power and DC current (half record
         # on 37.5/38.5 GHz, whole record on 34/35 GHz) within rounding
         chain = default_chain()
         tones = two_tone(power, power - 5.0, *pair)
