@@ -14,7 +14,6 @@ import numpy as np
 
 from selfmix.arrays import (
     ArrayGeometry,
-    combine_elements,
     effective_spacing,
     if_array_factor_cut,
     rf_array_factor_cut,
@@ -59,10 +58,14 @@ lobes = find_lobes(PatternGrid(theta, af_rf), floor)
 print(f"\nRF grating lobes above -3 dB: "
       + ", ".join(f"{math.degrees(t):+.1f} deg" for t in lobes))
 
-gain = combine_elements(np.ones(8), np.zeros(8))
-print(f"\n8-way coherent combining adds {gain:.2f} dB at broadside and, "
-      "thanks to the\nflat IF factor, keeps nearly all of it across the "
-      "whole angular range")
+# N in-phase IF signals add to N times one element's power, scaled by the
+# array factor's square off broadside
+full = 10.0 * math.log10(geometry.element_count)
+broadside = full + 20.0 * math.log10(af_if[np.argmin(np.abs(theta))])
+least = full + 20.0 * math.log10(af_if.min())
+print(f"\n{geometry.element_count}-element IF array gain: {broadside:.2f} dB "
+      f"at broadside, {least:.2f} dB at least\nover the whole cut, thanks "
+      "to the flat IF factor")
 
 try:
     import matplotlib

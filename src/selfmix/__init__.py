@@ -13,8 +13,8 @@ The package provides:
   sampling plans on plain arrays;
 * :mod:`selfmix.diode` -- Shockley-plus-series-resistance detector model,
   bias-point analysis and time-domain mixing sweeps;
-* :mod:`selfmix.arrays` -- array geometry, IF / RF array factors, effective
-  element spacing and an ideal combiner;
+* :mod:`selfmix.arrays` -- array geometry, IF / RF array factors and
+  effective element spacing;
 * :mod:`selfmix.patterns` -- pattern cuts, the ``cos_q`` and ``two_beam``
   element patterns, self-mixing pattern products, beamwidth and lobe
   metrics;

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .units import DB_FLOOR, SPEED_OF_LIGHT
+from .units import SPEED_OF_LIGHT
 
 _TWO_PI = 2.0 * math.pi
 # entries of each matrix of the array-factor kernel (bins x elements and
@@ -318,27 +318,3 @@ def effective_spacing(d_element: float, delta_f: float) -> float:
     if delta_f < 0.0:
         raise ValueError("delta_f must be >= 0")
     return d_element * delta_f / SPEED_OF_LIGHT
-
-
-def combine_elements(amplitudes: Sequence[float],
-                     phases: Sequence[float]) -> float:
-    """Power gain in dB of an ideal matched N-to-1 combiner.
-
-    Output amplitude is ``sum(phasors) / sqrt(N)``; the power gain is
-    referred to the first element's power, so N equal co-phased inputs
-    give ``10*log10(N)``. Full cancellation reports the -200 dB floor.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    if amplitudes.size == 0:
-        raise ValueError("combiner needs at least one input")
-    if amplitudes.shape != phases.shape:
-        raise ValueError("amplitudes and phases must have the same length")
-    if amplitudes[0] == 0.0:
-        raise ValueError("reference element amplitude must be non-zero")
-    n = amplitudes.size
-    total = np.sum(amplitudes * np.exp(1j * phases))
-    ratio = abs(total) / (math.sqrt(n) * abs(amplitudes[0]))
-    if ratio <= 0.0:
-        return DB_FLOOR
-    return max(DB_FLOOR, 20.0 * math.log10(ratio))

@@ -135,9 +135,12 @@ def _theta_grid_deg(cfg: dict, start_key: str = "theta_start_deg",
                     step_key: str = "theta_step_deg",
                     name: str = "theta") -> np.ndarray:
     """The strict grid ``start, start + step, ...`` up to ``stop`` of three
-    config keys (the theta cut's by default): at least two points, so a
-    stop that is not above the start or a step that is not positive is
-    refused by key name."""
+    config keys (the theta cut's by default): a stop that is not above the
+    start or a step that is not positive is refused by key name; a step
+    past the span gives one point. It is stricter than :func:`_grid`
+    because ``diode-iv`` prints the static optimum over ``(start, stop)``,
+    which needs ``start < stop``: were ``stop == start`` let through, the
+    command would exit 0 under ``--quiet`` and 3 without it."""
     start, stop, step = cfg[start_key], cfg[stop_key], cfg[step_key]
     if step <= 0.0 or stop <= start:
         raise ConfigError(f"need {stop_key} > {start_key} and "
@@ -160,7 +163,8 @@ def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
         if cfg["geometry_file"]:
             text = Path(cfg["geometry_file"]).read_text(encoding="utf-8")
             return arrays.parse_geometry(text, MAX_GRID_POINTS)
-        _check_grid_size(cfg["nx"] * cfg["ny"], "element")
+        # an axis below 1 gives no elements, which planar_grid refuses
+        _check_grid_size(max(cfg["nx"], 0) * max(cfg["ny"], 0), "element")
         return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
                                                 cfg["dx_m"], cfg["dy_m"])
 

@@ -61,8 +61,8 @@ class DiodeModel:
     """
 
     saturation_current: float
-    ideality: float = 1.2
-    series_resistance: float = 0.0
+    ideality: float
+    series_resistance: float
     thermal_voltage: float = 0.02585
 
     def __post_init__(self) -> None:

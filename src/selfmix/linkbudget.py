@@ -35,8 +35,8 @@ matched band; override per scenario as needed."""
 
 
 def check_link(tx_power_dbm: float, tx_gain_db: float, distance_m: float,
-               frequency_hz: float, rx_directivity_db: float = 0.0,
-               total_efficiency_db: float = 0.0) -> None:
+               frequency_hz: float, rx_directivity_db: float,
+               total_efficiency_db: float) -> None:
     """Raise ``ValueError`` for link terms :func:`friis_rx_power` cannot
     take, so that a caller can check every link before computing any."""
     if not distance_m > 0.0:

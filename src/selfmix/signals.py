@@ -108,29 +108,22 @@ def synthesize_waveform(amplitudes, frequencies: Sequence[float], phases,
     return w
 
 
-def dft_spectrum(records, bins: Sequence[int] | None = None) -> np.ndarray:
+def dft_spectrum(records) -> np.ndarray:
     """One-sided complex amplitudes of a batch of records (last axis time)
-    at ``bins``, or at every bin ``0 .. n // 2`` of an ``n``-sample record
-    when ``bins`` is None; the result has shape ``(..., len(bins))``.
+    at every bin ``0 .. n // 2`` of an ``n``-sample record; the result has
+    shape ``(..., n // 2 + 1)``, and a caller indexes the bins it needs.
 
     Scaled so that an on-bin tone of amplitude ``a`` reads a magnitude of
     exactly ``a`` and a DC level ``c`` reads ``c``: every bin is divided by
     ``n`` and doubled but DC and, for even ``n``, the Nyquist bin, which
-    are not mirrored. The chosen bins are picked before they are scaled, so
-    each equals its bin of the all-bins read bit for bit.
+    are not mirrored.
     """
     records = np.asarray(records, dtype=float)
     n = records.shape[-1]
     if n < MIN_SAMPLES:
         raise ValueError(f"waveform needs >= {MIN_SAMPLES} samples, got {n}")
     amps = np.fft.rfft(records)
-    if bins is None:
-        k = np.arange(n // 2 + 1)
-    else:
-        k = np.asarray(bins, dtype=int)
-        if k.ndim != 1 or not np.all((k >= 0) & (k <= n // 2)):
-            raise ValueError(f"bins must lie in 0..{n // 2}, got {bins}")
-        amps = amps[..., k]
+    k = np.arange(n // 2 + 1)
     amps /= n
     amps *= np.where((k > 0) & (2 * k != n), 2.0, 1.0)
     return amps

@@ -196,6 +196,6 @@ class Table:
         }
         return json.dumps(payload, indent=2) + "\n"
 
-    def write(self, path: str | Path, fmt: str = "csv") -> None:
+    def write(self, path: str | Path, fmt: str) -> None:
         text = self.to_csv() if fmt == "csv" else self.to_json()
         Path(path).write_text(text, encoding="utf-8", newline="")

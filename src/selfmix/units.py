@@ -51,11 +51,12 @@ def db_to_amplitude_ratio(gain_db: float) -> float:
                             "range as an amplitude ratio") from None
 
 
-def amplitude_ratio_to_db(ratio: np.ndarray | Sequence[float] | float,
-                          floor: float = DB_FLOOR) -> np.ndarray:
-    """Amplitude ratios -> power dB, element by element: ``floor`` where
-    ``ratio <= 0``, else ``max(20*log10(ratio), floor)``; a NaN stays NaN."""
+def amplitude_ratio_to_db(ratio: np.ndarray | Sequence[float] | float
+                          ) -> np.ndarray:
+    """Amplitude ratios -> power dB, element by element: :data:`DB_FLOOR`
+    where ``ratio <= 0``, else ``max(20*log10(ratio), DB_FLOOR)``; a NaN
+    stays NaN."""
     ratio = np.asarray(ratio, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        db = np.maximum(20.0 * np.log10(ratio), floor)
-    return np.where(ratio <= 0.0, floor, db)
+        db = np.maximum(20.0 * np.log10(ratio), DB_FLOOR)
+    return np.where(ratio <= 0.0, DB_FLOOR, db)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from selfmix import arrays
+from selfmix import arrays, validation
 from selfmix.arrays import (
     FACTOR_BLOCK,
     FACTOR_RHO,
     ArrayGeometry,
-    combine_elements,
     cut_phase_count,
     effective_spacing,
     if_array_factor_cut,
@@ -375,26 +374,32 @@ class TestEffectiveSpacing:
             effective_spacing(0.032, -1e9)
 
 
-class TestCombineElements:
-    def test_eight_cophased(self):
-        gain = combine_elements(np.ones(8), np.zeros(8))
-        assert gain == pytest.approx(10 * math.log10(8), abs=1e-9)
+class TestLimitingCaseCheck:
+    def test_zero_factor_fails_without_raising(self, monkeypatch):
+        # a dead cut floors its least gain at DB_FLOOR instead of log10(0)
+        monkeypatch.setattr(arrays, "if_array_factor_cut",
+                            lambda g, f1, f2, theta, phi_cut: np.zeros(
+                                np.size(theta)))
+        result = validation.check_limiting_case_array_gain()
+        assert not result.passed
+        assert "least 8-element array gain -190.9691 dB" in result.detail
 
-    def test_antiphase_cancellation(self):
-        assert combine_elements([1.0, 1.0], [0.0, math.pi]) == DB_FLOOR
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError, match="needs at least one input"):
-            combine_elements([], [])
-
-    def test_cophased_is_optimal(self):
-        rng = np.random.default_rng(41)
-        best = combine_elements(np.ones(6), np.zeros(6))
-        for _ in range(50):
-            perturbed = combine_elements(np.ones(6), rng.uniform(-1.0, 1.0, 6))
-            assert perturbed <= best + 1e-12
-
-
+    # each bound fails on its own: a flat AF of 0.9999985 is within the
+    # 0.01 dB gain bound, and one of 1.002 is above the AF bound
+    @pytest.mark.parametrize("minimum, least, passed", [
+        (1.0, "9.0309", True),
+        (0.5, "3.0103", False),
+        (0.9999985, "9.0309", False),
+        (1.002, "9.0483", False),
+    ])
+    def test_least_gain_reads_the_cut_minimum(self, monkeypatch, minimum,
+                                              least, passed):
+        monkeypatch.setattr(arrays, "if_array_factor_cut",
+                            lambda g, f1, f2, theta, phi_cut: np.full(
+                                np.size(theta), minimum))
+        result = validation.check_limiting_case_array_gain()
+        assert result.passed is passed
+        assert f"least 8-element array gain {least} dB" in result.detail
 
 
 def per_element_oracle(g, f1, f2, theta, phi, gains):
@@ -408,7 +413,7 @@ def per_element_oracle(g, f1, f2, theta, phi, gains):
     def if_tone(amplitudes, phases):
         w = synthesize_waveform(amplitudes, [f1, f2], phases, rate,
                                 round(rate * duration))
-        return complex(dft_spectrum(w * w, [round(if_freq * duration)])[0])
+        return complex(dft_spectrum(w * w)[round(if_freq * duration)])
 
     reference = if_tone([1.0, 0.5], 0.0)
     power_db = []

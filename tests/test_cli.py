@@ -198,6 +198,8 @@ class TestConfigHandling:
         ("bias-sweep", "source_impedance_ohm = 0",
          "source_impedance_ohm must be positive"),
         ("array-factor", "nx = 0", "shape (N, 2)"),
+        # two negative axes multiply to no grid, not to 2000000 elements
+        ("array-factor", "nx = -2000\nny = -1000", "shape (N, 2)"),
         ("array-factor", "GEOMETRY\n", "elements 0 and 1 coincide"),
         # the element pattern and its cut
         ("pattern", "cos_exponent = -1", "cos_q pattern needs q >= 0"),
@@ -592,6 +594,9 @@ class TestConfigHandling:
         ("pattern", "f1_hz = -37.5e9", 2),
         ("pattern", "f2_hz = 0", 2),
         ("diode-iv", "v_step_v = 5", 0),  # a one-point grid
+        # a span of zero width: the printed optimum needs start < stop
+        ("diode-iv", "v_stop_v = 0", 2),
+        ("array-factor", "theta_stop_deg = -90", 2),
     ])
     def test_exit_status_independent_of_quiet(self, tmp_path, capsys,
                                               command, text, code):

@@ -407,7 +407,7 @@ def per_cell_route(chain, bias, amplitudes, frequencies, phases=0.0):
         return DB_FLOOR, terminal_current(chain.loop_model(), bias)
     current, if_bin = full_record_current(chain, bias, amplitudes,
                                           frequencies, phases)
-    dc, i_if = dft_spectrum(current, [0, if_bin])
+    dc, i_if = dft_spectrum(current)[..., [0, if_bin]]
     return if_power(chain, abs(i_if)), float(dc.real)
 
 

@@ -47,20 +47,23 @@ class TestFriis:
 
     def test_invalid_params(self):
         cases = [
-            ((0.0, 25.0, 0.0, 34e9), {}, "distance_m must be positive"),
-            ((0.0, 25.0, 1.5, -34e9), {}, "frequency_hz must be positive"),
-            ((0.0, 25.0, 1.5, 34e9), {"total_efficiency_db": 0.5},
+            ((0.0, 25.0, 0.0, 34e9, 0.0, 0.0), "distance_m must be positive"),
+            ((0.0, 25.0, 1.5, -34e9, 0.0, 0.0),
+             "frequency_hz must be positive"),
+            ((0.0, 25.0, 1.5, 34e9, 0.0, 0.5),
              "total_efficiency_db must be <= 0"),
-            ((math.inf, 25.0, 1.5, 34e9), {}, "tx_power_dbm must be finite"),
-            ((0.0, math.nan, 1.5, 34e9), {}, "tx_gain_db must be finite"),
-            ((0.0, 25.0, 1.5, 34e9), {"rx_directivity_db": -math.inf},
+            ((math.inf, 25.0, 1.5, 34e9, 0.0, 0.0),
+             "tx_power_dbm must be finite"),
+            ((0.0, math.nan, 1.5, 34e9, 0.0, 0.0),
+             "tx_gain_db must be finite"),
+            ((0.0, 25.0, 1.5, 34e9, -math.inf, 0.0),
              "rx_directivity_db must be finite"),
         ]
-        for args, kwargs, message in cases:
+        for args, message in cases:
             with pytest.raises(ValueError, match=message):
-                friis_rx_power(*args, **kwargs)
+                friis_rx_power(*args)
             with pytest.raises(ValueError, match=message):
-                check_link(*args, **kwargs)
+                check_link(*args)
 
     def test_unknown_default_efficiency(self):
         with pytest.raises(ValueError, match="no default total efficiency "

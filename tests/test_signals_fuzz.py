@@ -1,6 +1,5 @@
-"""Fuzz of the batched record functions: a batch of records and a chosen set
-of bins give, element by element, the bits of the one-record and all-bins
-calls."""
+"""Fuzz of the batched record functions: a batch of records gives, element
+by element, the bits of the one-record calls."""
 
 from datetime import timedelta
 
@@ -33,8 +32,8 @@ def batches(draw):
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True)
-@given(batch=batches(), data=st.data())
-def test_batched_calls_equal_single_calls(batch, data):
+@given(batch=batches())
+def test_batched_calls_equal_single_calls(batch):
     amplitudes, frequencies, phases, samples = batch
     rate = float(samples)
     records = synthesize_waveform(amplitudes, frequencies, phases, rate,
@@ -52,8 +51,5 @@ def test_batched_calls_equal_single_calls(batch, data):
                                    np.tile(phases[0], (len(amplitudes), 1)),
                                    rate, samples)
     assert shared.tobytes() == repeated.tobytes()
-    # any set of bins is those bins of the all-bins read
-    full = dft_spectrum(records)
-    assert full.shape == (len(amplitudes), samples // 2 + 1)
-    bins = data.draw(st.lists(st.integers(0, samples // 2), max_size=6))
-    assert dft_spectrum(records, bins).tobytes() == full[:, bins].tobytes()
+    # one row of bins 0 .. n // 2 per record
+    assert dft_spectrum(records).shape == (len(amplitudes), samples // 2 + 1)
