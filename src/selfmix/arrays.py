@@ -90,14 +90,9 @@ class ArrayGeometry:
         return self.element_positions.shape[0]
 
     @classmethod
-    def linear(cls, count: int, spacing: float) -> "ArrayGeometry":
-        """Uniform linear array along x with the given element spacing."""
-        x = np.arange(count) * spacing
-        return cls(np.column_stack([x, np.zeros(count)]))
-
-    @classmethod
     def planar_grid(cls, nx: int, ny: int, dx: float, dy: float) -> "ArrayGeometry":
-        """Rectangular nx-by-ny grid (x-major ordering)."""
+        """Rectangular nx-by-ny grid (x-major ordering); ``ny = 1, dy = 0``
+        is the uniform linear array along x."""
         if nx < 1 or ny < 1:  # no elements, whatever the other axis asks
             return cls(np.empty((0, 2)))
         with np.errstate(over="ignore"):  # an infinite position is rejected

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
 from .tables import Table
-from .units import SPEED_OF_LIGHT, amplitude_ratio_to_db, dbm_to_amplitude
+from .units import amplitude_ratio_to_db, dbm_to_amplitude
 
 # Largest grid (directions, voltages, sweep cells, array elements), checked
 # before anything is allocated; far above the 18 001 directions of the
@@ -317,7 +317,7 @@ def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     model = _diode_from_config(cfg)
     grid = _theta_grid_deg(cfg, "v_start_v", "v_stop_v", "v_step_v",
                            "voltage")
-    current = np.asarray(diode.terminal_current(model, grid))
+    current = diode.terminal_current(model, grid)
     di_dv, d2i_dv2 = diode.iv_derivatives(model, grid)
     table = Table(columns=["voltage_v", "current_a", "di_dv_s",
                            "d2i_dv2_s_per_v"],
@@ -403,7 +403,7 @@ def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
                                    (abs(cfg["dy_m"]), cfg["ny"], "y")):
             if count > 1:
                 e_if = arrays.effective_spacing(pitch, delta_f)
-                e_rf = pitch * cfg["rf_freq_hz"] / SPEED_OF_LIGHT
+                e_rf = arrays.effective_spacing(pitch, cfg["rf_freq_hz"])
                 print(f"{axis}-pitch {pitch * 1e3:.1f} mm: effective IF "
                       f"spacing {e_if:.4f} wavelengths vs {e_rf:.3f} at RF")
     return Table(columns=["theta_deg", "phi_deg", "af_if", "af_rf",

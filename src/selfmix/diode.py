@@ -129,8 +129,8 @@ def default_chain(lna_gain_db: float = 25.0) -> MixingChain:
 def terminal_current(model: DiodeModel, v_terminal):
     """Current through the series combination of R_s and the junction.
 
-    Exact solution of ``i = I_s * expm1((v - i * R_s) / nV_T)``
-    (array-capable).
+    Exact solution of ``i = I_s * expm1((v - i * R_s) / nV_T)``, as an
+    array of the voltage's shape (0-d for a scalar voltage).
     With ``c = I_s R_s / nV_T``, the junction voltage ``u = v_j / nV_T``
     solves ``u + c * expm1(u) = v / nV_T``, so ``c * exp(u)`` is the Wright
     omega function of ``ln c + c + v / nV_T`` (Banwell & Jayakumar, Electron.
@@ -144,7 +144,6 @@ def terminal_current(model: DiodeModel, v_terminal):
     nvt = model.emission_voltage
     i_s = model.saturation_current
     c = i_s * model.series_resistance / nvt
-    scalar = np.isscalar(v_terminal) or np.ndim(v_terminal) == 0
     v = np.atleast_1d(np.asarray(v_terminal, dtype=float))
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal voltage must be finite")
@@ -185,31 +184,30 @@ def terminal_current(model: DiodeModel, v_terminal):
         # exp(u) overflows past u = 709: at R_s = 0 past v = 709 nV_T,
         # otherwise for c < 1e-307 * omega(z)
         raise ValueError("terminal current overflows for these diode parameters")
-    if scalar:
-        return float(i[0])
-    return i
+    return i.reshape(np.shape(v_terminal))
 
 
 def iv_derivatives(model: DiodeModel, v_terminal):
     """First and second derivative of the terminal I-V curve, exactly, as
-    the pair ``(di_dv, d2i_dv2)`` (floats for a scalar voltage).
+    the pair ``(di_dv, d2i_dv2)``, each of the voltage's shape (shape-()
+    ``np.float64`` values for a scalar voltage).
 
     With the junction conductance ``g = (i + I_s) / nV_T``,
     ``di/dv = g / (1 + g R_s)`` and ``d2i/dv2 = (g / nV_T) / (1 + g R_s)**3``.
     A denominator past the float range gives its limit 0; a derivative
     that is then undefined (``inf / inf``) raises ``ValueError``.
     """
-    i = np.asarray(terminal_current(model, v_terminal))
+    i = terminal_current(model, v_terminal)
     with np.errstate(over="ignore", invalid="ignore"):
         g = (i + model.saturation_current) / model.emission_voltage
         loaded = 1.0 + g * model.series_resistance
         di_dv = g / loaded
-        d2i_dv2 = g / model.emission_voltage / loaded ** 3
+        # np.power, not a float's ``**`` (libm pow, which may round
+        # otherwise): a scalar voltage gets its element's bits in a vector
+        d2i_dv2 = g / model.emission_voltage / np.power(loaded, 3)
     if np.isnan(di_dv).any() or np.isnan(d2i_dv2).any():
         raise ValueError(f"the I-V derivatives of {model} overflow the "
                          "float range")
-    if np.isscalar(v_terminal) or np.ndim(v_terminal) == 0:
-        return float(di_dv), float(d2i_dv2)
     return di_dv, d2i_dv2
 
 

@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .units import db_to_amplitude_ratio
+
 _HALF_PI = math.pi / 2.0
 
 
@@ -96,7 +98,9 @@ def self_mix_pattern(c1: PatternGrid, c2: PatternGrid) -> PatternGrid:
     if c1.theta_samples.shape != c2.theta_samples.shape or not np.array_equal(
             c1.theta_samples, c2.theta_samples):
         raise ValueError("pattern grids have different theta samples")
-    return PatternGrid(c1.theta_samples, c1.gains * c2.gains)
+    with np.errstate(over="ignore"):  # PatternGrid rejects an infinite gain
+        gains = c1.gains * c2.gains
+    return PatternGrid(c1.theta_samples, gains)
 
 
 def beamwidth_3db(p: PatternGrid) -> tuple[float, bool]:
@@ -116,36 +120,26 @@ def beamwidth_3db(p: PatternGrid) -> tuple[float, bool]:
     candidates = np.nonzero(gains == peak)[0]
     k = int(candidates[np.argmin(np.abs(theta[candidates]))])
     threshold = peak / math.sqrt(2.0)
-
-    def cross(indices) -> float | None:
-        prev = k
-        for i in indices:
-            if gains[i] < threshold:
-                g0, g1 = gains[prev], gains[i]
-                frac = (g0 - threshold) / (g0 - g1)
-                return float(theta[prev] + frac * (theta[i] - theta[prev]))
-            prev = i
-        return None
-
-    left = cross(range(k - 1, -1, -1))
-    right = cross(range(k + 1, theta.size))
-    if left is None or right is None:
+    below = np.flatnonzero(gains < threshold)
+    # the first samples below the threshold left and right of the peak (the
+    # peak itself is not below), and their neighbours toward the peak
+    split = int(np.searchsorted(below, k))
+    if split == 0 or split == below.size:
         return float(theta[-1] - theta[0]), True
+    i = below[[split - 1, split]]
+    prev = i + (1, -1)
+    frac = (gains[prev] - threshold) / (gains[prev] - gains[i])
+    left, right = (theta[prev] + frac * (theta[i] - theta[prev])).tolist()
     return right - left, False
 
 
 def find_lobes(p: PatternGrid, min_amplitude: float) -> list[float]:
     """Theta positions of local maxima with amplitude >= ``min_amplitude``
     (grid endpoints excluded)."""
-    gains = p.gains
-    theta = p.theta_samples
-    lobes = []
-    for i in range(1, gains.size - 1):
-        if gains[i] < min_amplitude:
-            continue
-        if gains[i] > gains[i - 1] and gains[i] >= gains[i + 1]:
-            lobes.append(float(theta[i]))
-    return lobes
+    g = p.gains
+    inner = g[1:-1]
+    mask = (inner >= min_amplitude) & (inner > g[:-2]) & (inner >= g[2:])
+    return p.theta_samples[1:-1][mask].tolist()
 
 
 def read_pattern_csv(source: str | Path) -> PatternGrid:
@@ -168,7 +162,7 @@ def read_pattern_csv(source: str | Path) -> PatternGrid:
             raise ValueError(f"{where}: expected theta_deg,gain_db, got {row!r}")
         try:
             theta.append(math.radians(float(row[0])))
-            gains.append(10.0 ** (float(row[1]) / 20.0))
+            gains.append(db_to_amplitude_ratio(float(row[1])))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
         except OverflowError:

@@ -112,7 +112,7 @@ def check_limiting_case_array_gain() -> CheckResult:
     """delta_f -> 0: IF array factor is 1 at every angle, so the least array
     gain ``10*log10(N) + 20*log10(min AF)`` of the cut is 10*log10(N)."""
     lam = SPEED_OF_LIGHT / 36e9
-    g = arrays.ArrayGeometry.linear(8, 10.0 * lam)
+    g = arrays.ArrayGeometry.planar_grid(8, 1, 10.0 * lam, 0.0)
     theta = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.25))
     af = arrays.if_array_factor_cut(g, 36.0e9 + 1e3, 36.0e9, theta, phi_cut=0.0)
     minimum = float(af.min())

@@ -96,7 +96,7 @@ class TestPathPhase:
     def test_linear_array_anchor(self):
         # 32 mm element, edge-on arrival, 36 GHz (about 4 RF wavelengths):
         # the two-element factor is |cos(phase / 2)|
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         expected = 2 * math.pi * 0.032 * 36e9 / C0
         assert rf_factor(g, 36e9, EDGE_ON) == pytest.approx(
             abs(math.cos(expected / 2)), rel=1e-12)
@@ -115,13 +115,13 @@ class TestElementIfSignal:
             1.0, abs=1e-12)
 
     def test_edge_on_anchor(self):
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         phase = 2 * math.pi * 0.032 * 1e9 / C0
         assert if_factor(g, 38.5e9, 37.5e9, EDGE_ON) == pytest.approx(
             math.cos(phase / 2), rel=1e-9)
 
     def test_only_difference_frequency_matters(self):
-        g = ArrayGeometry.linear(3, 0.032)
+        g = ArrayGeometry.planar_grid(3, 1, 0.032, 0.0)
         theta = np.linspace(-1.5, 1.5, 31)
         assert np.array_equal(if_array_factor_cut(g, 37.5e9, 38.5e9, theta, 0.0),
                               if_array_factor_cut(g, 39.5e9, 40.5e9, theta, 0.0))
@@ -135,7 +135,7 @@ class TestIfArrayFactor:
             assert if_factor(g, 37.5e9, 38.5e9, 0.0) == 1.0
 
     def test_two_element_edge_on(self):
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         expected = math.cos(math.pi * 0.032 * 1e9 / C0)
         assert if_factor(g, 38.5e9, 37.5e9, EDGE_ON) == pytest.approx(
             expected, rel=1e-12)
@@ -143,7 +143,7 @@ class TestIfArrayFactor:
 
     def test_vanishing_tone_spacing_keeps_full_gain(self):
         lam = C0 / 36e9
-        g = ArrayGeometry.linear(8, 10 * lam)
+        g = ArrayGeometry.planar_grid(8, 1, 10 * lam, 0.0)
         theta = np.radians(np.arange(-90, 90.01, 0.5))
         af = if_array_factor_cut(g, 36e9 + 1e3, 36e9, theta, 0.0)
         assert af.min() >= 0.999999
@@ -169,20 +169,20 @@ class TestRfArrayFactor:
 
     def test_grating_lobe_at_four_wavelength_spacing(self):
         f = 36e9
-        g = ArrayGeometry.linear(2, 4 * C0 / f)
+        g = ArrayGeometry.planar_grid(2, 1, 4 * C0 / f, 0.0)
         theta = math.asin(0.25)
         assert rf_factor(g, f, theta) == pytest.approx(1.0, abs=1e-12)
         assert math.degrees(theta) == pytest.approx(14.48, abs=0.01)
 
     def test_uniform_array_null(self):
         f = 36e9
-        g = ArrayGeometry.linear(4, 0.5 * C0 / f)
+        g = ArrayGeometry.planar_grid(4, 1, 0.5 * C0 / f, 0.0)
         assert rf_factor(g, f, math.asin(0.5)) < 1e-9
 
     def test_if_factor_wider_than_rf_factor(self):
         # the RF factor dips into its first null within a few degrees; the
         # IF factor of the same layout never even leaves its main lobe
-        g = ArrayGeometry.linear(4, 0.032)
+        g = ArrayGeometry.planar_grid(4, 1, 0.032, 0.0)
         theta = np.radians(np.arange(0, 90.01, 0.05))
         af_rf = rf_array_factor_cut(g, 38.5e9, theta, 0.0)
         af_if = if_array_factor_cut(g, 38.5e9, 37.5e9, theta, 0.0)
@@ -353,7 +353,7 @@ class TestKernel:
         assert cut_phase_count(short, 721) == 721 * (127 + 127)
 
     def test_empty_cut(self):
-        g = ArrayGeometry.linear(3, 0.032)
+        g = ArrayGeometry.planar_grid(3, 1, 0.032, 0.0)
         assert if_array_factor_cut(g, 37.5e9, 38.5e9, [], 0.0).shape == (0,)
 
 
@@ -490,7 +490,7 @@ class TestTimeDomainArray:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     def test_bad_gain_rejected(self, bad):
-        g = ArrayGeometry.linear(3, 0.032)
+        g = ArrayGeometry.planar_grid(3, 1, 0.032, 0.0)
         gains = np.ones((2, 2))
         gains[1, 0] = bad
         with pytest.raises(ValueError, match="element gains"):
@@ -500,7 +500,7 @@ class TestTimeDomainArray:
         (37.5e9, 37.5e9), (0.0, 38.5e9), (37.5e9, -1e9), (math.nan, 38.5e9),
         (math.inf, 38.5e9)])
     def test_tone_frequencies_validated(self, f1, f2):
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         with pytest.raises(ValueError, match="positive, finite, distinct"):
             simulate_array_timedomain(g, f1, f2, [0.1], 0.0)
 
@@ -512,7 +512,7 @@ class TestTimeDomainArray:
         # c1 * c2 and the phase difference, so under per-direction gains or
         # feed offsets the guard-free per-element route misreads the factor
         theta = np.array([0.0, 0.3, 0.7])
-        g = ArrayGeometry.linear(4, 0.05)
+        g = ArrayGeometry.planar_grid(4, 1, 0.05, 0.0)
         gains = np.ones((3, 2))
         if case == "gains":
             gains = np.column_stack([np.cos(theta) ** 0.5, np.cos(theta) ** 2])
@@ -529,7 +529,7 @@ class TestTimeDomainArray:
 
     @pytest.mark.parametrize("theta", [[3.2], [-3.2], [math.nan], [[0.1]]])
     def test_theta_outside_a_cut_rejected(self, theta):
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         with pytest.raises(ValueError, match="theta_signed"):
             timedomain_db(g, theta)
 
@@ -559,7 +559,7 @@ class TestTimeDomainArray:
         assert power == pytest.approx(10 * math.log10(8), abs=1e-9)
 
     def test_matches_if_array_factor(self):
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         af = if_factor(g, 37.5e9, 38.5e9, EDGE_ON)
         assert timedomain_db(g, [EDGE_ON])[0] - 10 * math.log10(2) == (
             pytest.approx(20 * math.log10(af), abs=1e-9))
@@ -574,7 +574,7 @@ class TestTimeDomainArray:
 
     def test_gain_shape_validated(self):
         # one gain pair per direction; per-element shapes are refused
-        g = ArrayGeometry.linear(2, 0.032)
+        g = ArrayGeometry.planar_grid(2, 1, 0.032, 0.0)
         for gains in (np.ones(3), np.ones(1), np.ones((2, 2))):
             with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
                 timedomain_db(g, [0.0], 0.0, gains)

@@ -224,6 +224,10 @@ class TestConfigHandling:
         ("pattern", "pattern_file_1 = TMP/huge_gain.csv\n"
                     "pattern_file_2 = TMP/huge_gain.csv",
          "huge_gain.csv:2: gain_db 1e6 is past the float range"),
+        # each cut fits the float range, their product does not
+        ("pattern", "pattern_file_1 = TMP/loud.csv\n"
+                    "pattern_file_2 = TMP/loud.csv",
+         "gains must be finite and >= 0"),
         # link parameters, and the default efficiency table's frequencies
         ("link-budget", "distance_m = 0", "distance_m must be positive"),
         ("link-budget", "eta1_db = 1", "eta1_db must be <= 0"),
@@ -241,6 +245,8 @@ class TestConfigHandling:
         geo.write_text("0.01 0.02\n0.01 0.02 180\n")
         (tmp_path / "one_cell.csv").write_text("theta_deg,gain_db\n-10\n")
         (tmp_path / "huge_gain.csv").write_text("theta_deg,gain_db\n-10,1e6\n")
+        (tmp_path / "loud.csv").write_text(
+            "theta_deg,gain_db\n-10,4000\n0,4000\n10,4000\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text.replace("GEOMETRY", f"geometry_file = {geo}")
                        .replace("TMP", str(tmp_path)) + "\n")

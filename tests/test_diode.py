@@ -174,8 +174,17 @@ class TestTerminalCurrent:
         assert v.size == 2048
         loop = chain.loop_model()
         vector = terminal_current(loop, v)
-        assert np.array_equal(vector,
-                              [terminal_current(loop, float(x)) for x in v])
+        di_dv, d2i_dv2 = iv_derivatives(loop, v)
+        # a scalar voltage gives a 0-d current, bit for bit the one-sample
+        # solve, and shape-() derivatives: each the vector call's element
+        for k, x in enumerate(v.tolist()):
+            i = terminal_current(loop, x)
+            assert type(i) is np.ndarray and i.shape == ()
+            assert i.tobytes() == terminal_current(loop, [x])[0].tobytes()
+            assert i == vector[k]
+            d1, d2 = iv_derivatives(loop, x)
+            assert type(d1) is type(d2) is np.float64
+            assert (d1, d2) == (di_dv[k], d2i_dv2[k])
 
     def test_in_place_steps_equal_the_textbook_update(self):
         # the buffered Newton loop keeps the operation order of the one-line
@@ -604,8 +613,8 @@ class TestMixingKernel:
             chain, biases, [[0.0, 0.0]] * len(biases), pair)
         for k, bias in enumerate(biases):
             assert if_power_dbm[k] == DB_FLOOR
-            assert dc_current[k].hex() == terminal_current(
-                chain.loop_model(), bias).hex()
+            assert dc_current[k].hex() == float(terminal_current(
+                chain.loop_model(), bias)).hex()
 
     @pytest.mark.parametrize("pair", [(37.5e9, 38.5e9), (34e9, 35e9)])
     @pytest.mark.parametrize("power", [-60.0, -40.0])
@@ -648,7 +657,8 @@ class TestMixingKernel:
         assert solved == [(6, 1025)]
         for i, bias in enumerate(self.BIASES):
             assert if_power_dbm[i, 0] == DB_FLOOR
-            assert dc_current[i, 0].hex() == terminal_current(loop, bias).hex()
+            assert dc_current[i, 0].hex() == float(
+                terminal_current(loop, bias)).hex()
             assert bits(if_power_dbm[i, 0], dc_current[i, 0]) == bits(
                 *per_cell_route(chain, bias, *two_tone(-5000.0, -5005.0)))
             assert near_full_record(

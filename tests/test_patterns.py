@@ -166,13 +166,44 @@ class TestBeamwidth:
         assert width == pytest.approx(beamwidth_3db(p)[0], abs=1e-12)
 
     def test_if_vs_rf_array_factor_width_ratio(self):
-        g = ArrayGeometry.linear(4, 0.032)
+        g = ArrayGeometry.planar_grid(4, 1, 0.032, 0.0)
         af_if = if_array_factor_cut(g, 38.5e9, 37.5e9, THETA, 0.0)
         af_rf = rf_array_factor_cut(g, 38.5e9, THETA, 0.0)
         width_if, _ = beamwidth_3db(PatternGrid(THETA, af_if))
         width_rf, rf_no_crossing = beamwidth_3db(PatternGrid(THETA, af_rf))
         assert not rf_no_crossing
         assert width_if / width_rf > 10.0
+
+    # a five-sample cut 0.1 rad apart, peak 1: the 3 dB threshold is
+    # 1/sqrt(2), so a crossing toward a 0 (or 0.5) sample lies a fraction
+    # 1 - 1/sqrt(2) (or 2 - sqrt(2)) of the step past the sample above it
+    @pytest.mark.parametrize("gains, floor, width, no_crossing, lobes", [
+        # peak tie at -0.2 and 0 rad, broken toward 0: both sides cross
+        ([1.0, 0.5, 1.0, 0.5, 0.0], 0.5, 0.2 * (2.0 - math.sqrt(2.0)),
+         False, [0.0]),
+        # crossings at both samples next to the peak
+        ([0.0, 0.0, 1.0, 0.0, 0.0], 0.5, 0.2 * (1.0 - math.sqrt(0.5)),
+         False, [0.0]),
+        # a peak at an edge has no crossing on its outer side
+        ([1.0, 0.5, 0.2, 0.1, 0.0], 0.0, 0.4, True, []),
+        # a two-sample plateau: only its first sample is a lobe
+        ([0.0, 1.0, 1.0, 0.0, 0.0], 0.5, 0.1 + 0.2 * (1.0 - math.sqrt(0.5)),
+         False, [-0.1]),
+        # a local maximum exactly at the floor is a lobe
+        ([0.0, 1.0, 0.0, 0.5, 0.0], 0.5, 0.2 * (1.0 - math.sqrt(0.5)),
+         False, [-0.1, 0.1]),
+        # endpoints above the floor and their neighbours are not lobes
+        ([0.9, 0.5, 1.0, 0.5, 0.9], 0.5, 0.2 * (2.0 - math.sqrt(2.0)),
+         False, [0.0]),
+    ])
+    def test_scan_rules(self, gains, floor, width, no_crossing, lobes):
+        p = PatternGrid(0.1 * np.arange(-2, 3), np.array(gains))
+        measured, crossing_missing = beamwidth_3db(p)
+        assert type(measured) is float and crossing_missing is no_crossing
+        assert measured == pytest.approx(width, abs=1e-15)
+        found = find_lobes(p, floor)
+        assert type(found) is list and all(type(t) is float for t in found)
+        assert found == pytest.approx(lobes, abs=1e-15)
 
 
 class TestPatternCsv:
