@@ -439,11 +439,12 @@ def cmd_pattern(cfg: dict, quiet: bool) -> Table:
                               "or neither")
     # element patterns and their cuts are built from config values: what
     # they reject (a negative exponent, a theta grid past +-90 deg or of
-    # fewer than 3 directions, a malformed pattern file) is bad config
+    # fewer than 3 directions, a malformed pattern file or one of more than
+    # MAX_GRID_POINTS rows) is bad config
     with _invariants_are_config_errors():
         if cfg["pattern_file_1"]:
-            c1 = patterns.read_pattern_csv(cfg["pattern_file_1"])
-            c2 = patterns.read_pattern_csv(cfg["pattern_file_2"])
+            c1, c2 = (patterns.read_pattern_csv(cfg[key], MAX_GRID_POINTS)
+                      for key in ("pattern_file_1", "pattern_file_2"))
         else:  # an analytic element has one pattern at both tones
             c1 = c2 = _element_pattern(cfg, theta)
         sm = patterns.self_mix_pattern(c1, c2).normalized()

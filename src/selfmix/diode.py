@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .signals import check_tones, plan_sampling, synthesize_waveform
-from .units import db_to_amplitude_ratio, watts_to_dbm
+from .units import amplitude_ratio_to_db, db_to_amplitude_ratio
 
 BIAS_VOLTAGE = 0.65
 """Terminal bias voltage of the receive chain's operating point, at which
@@ -98,17 +98,17 @@ def default_diode() -> DiodeModel:
 class MixingChain:
     """Receive chain collapsed to flat LNA gain + biased diode + IF load.
 
-    The bias voltage and the amplified receive waveform drive the diode
-    through ``source_impedance_ohms``, so the conduction loop sees
-    ``source_impedance_ohms + series_resistance``. Including the source in
-    the loop is what limits the current once the diode rectifies hard, and
-    it is what makes the bias voltage uncritical at strong drive.
+    The bias voltage and the amplified waveform drive the diode through
+    ``source_impedance_ohms``, so the loop sees ``source_impedance_ohms +
+    series_resistance``; that limits the current once the diode rectifies
+    hard and makes the bias voltage uncritical at strong drive. Both
+    impedances are required; :func:`default_chain` is the 50 ohm reference.
     """
 
     lna_gain_db: float
     diode: DiodeModel
-    if_load_ohms: float = 50.0
-    source_impedance_ohms: float = 50.0
+    if_load_ohms: float
+    source_impedance_ohms: float
 
     def __post_init__(self) -> None:
         if self.if_load_ohms <= 0.0 or self.source_impedance_ohms <= 0.0:
@@ -123,7 +123,8 @@ class MixingChain:
 def default_chain(lna_gain_db: float = 25.0) -> MixingChain:
     """Reference receive chain: 25 dB flat LNA, default diode, 50 ohm
     source and IF load; its operating point is :data:`BIAS_VOLTAGE`."""
-    return MixingChain(lna_gain_db=lna_gain_db, diode=default_diode())
+    return MixingChain(lna_gain_db=lna_gain_db, diode=default_diode(),
+                       if_load_ohms=50.0, source_impedance_ohms=50.0)
 
 
 def terminal_current(model: DiodeModel, v_terminal):
@@ -272,8 +273,9 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     chain's source impedance; the loop current is solved per sample and its
     DC and IF ``|f2 - f1|`` bins are read.
     Returns ``(if_power_dbm, dc_current)``, one value per cell each: the
-    one-sided IF current tone dissipated in ``if_load_ohms`` (floored at
-    -200 dBm) and the DC bin of the current. A cell whose amplified tones
+    one-sided IF current tone ``i`` dissipated in ``if_load_ohms`` (one
+    ``amplitude_ratio_to_db(i * sqrt(R_L / 2 mW))`` for all cells, floored
+    at -200 dBm) and the DC bin of the current. A cell whose amplified tones
     are both zero is solved like the rest: its record is flat, so it reads
     the floor and, bit for bit, the loop current at its bias voltage.
     Anything but two distinct tones raises ``ValueError`` before any cell
@@ -333,7 +335,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
                np.bincount(mirror, np.cos(angle)) * (2.0 / n),
                np.bincount(mirror, np.sin(angle)) * (2.0 / n)]
     loop = chain.loop_model()
-    if_power_dbm = np.empty(bias.size)
+    if_current = np.empty(bias.size)
     dc_current = np.empty(bias.size)
     per_block = max(1, MIXING_BLOCK // sines.shape[1])
     for start in range(0, bias.size, per_block):
@@ -349,7 +351,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
         dc, re, im = (np.multiply(current, w, out=v).sum(axis=1)
                       for w in weights)
         dc_current[cells] = first[:, 0] + dc
-        if_power_dbm[cells] = [watts_to_dbm(i * i * chain.if_load_ohms / 2.0)
-                               for i in np.hypot(re, im).tolist()]
-    return if_power_dbm, dc_current
+        if_current[cells] = np.hypot(re, im)
+    return (amplitude_ratio_to_db(  # i^2 R_L / 2 in dBm
+        if_current * math.sqrt(chain.if_load_ohms / 2e-3)), dc_current)
 

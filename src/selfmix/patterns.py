@@ -142,16 +142,22 @@ def find_lobes(p: PatternGrid, min_amplitude: float) -> list[float]:
     return p.theta_samples[1:-1][mask].tolist()
 
 
-def read_pattern_csv(source: str | Path) -> PatternGrid:
+def read_pattern_csv(source: str | Path, max_rows: int) -> PatternGrid:
     """Load a measured cut from CSV with header ``theta_deg,gain_db``;
-    gain_db is converted to linear amplitude via ``10**(db/20)``. A row
-    that is not two numbers raises ``ValueError`` naming its file and
-    line."""
+    gain_db is converted to linear amplitude via ``10**(db/20)``. A file of
+    more than ``max_rows`` non-blank data rows raises ``ValueError`` before
+    any row is parsed; a row that is not two numbers raises ``ValueError``
+    naming its file and line."""
     text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["theta_deg", "gain_db"]:
         raise ValueError("pattern CSV must start with header 'theta_deg,gain_db'")
+    rows = sum(bool(row and row[0].strip())
+               for row in csv.reader(io.StringIO(text))) - 1  # less the header
+    if rows > max_rows:
+        raise ValueError(f"pattern grid would have {rows} points; "
+                         f"the limit is {max_rows}")
     theta = []
     gains = []
     for row in reader:

@@ -26,13 +26,7 @@ DB_FLOOR = -200.0
 """Reported floor for quantities whose exact value would be -inf dB."""
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    if p_watts <= 0.0:
-        return DB_FLOOR
-    return max(DB_FLOOR, 10.0 * math.log10(p_watts / 1e-3))
-
-
-def dbm_to_amplitude(p_dbm: float, impedance: float = 50.0) -> float:
+def dbm_to_amplitude(p_dbm: float, impedance: float) -> float:
     """Peak voltage of a sine tone carrying ``p_dbm`` into ``impedance``."""
     try:
         watts = 1e-3 * 10.0 ** (p_dbm / 10.0)

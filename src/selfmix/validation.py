@@ -28,7 +28,6 @@ class CheckResult:
     passed: bool
     detail: str
     note: bool = False  # informational (known deviation), never a failure
-    values: tuple[float, ...] = ()  # the measured numbers behind detail
 
     @property
     def status(self) -> str:
@@ -86,8 +85,7 @@ def check_signal_oracle_equivalence(count: int = 20) -> CheckResult:
         name="signal oracle equivalence (self-convolution vs time-domain squaring)",
         passed=worst < 1e-9,
         detail=f"worst relative bin error {worst:.3e} over {count} random tone sets "
-               "(tolerance 1e-9)",
-        values=(worst,))
+               "(tolerance 1e-9)")
 
 
 def check_parseval() -> CheckResult:
@@ -299,8 +297,7 @@ def check_array_oracle_equivalence() -> CheckResult:
         name="array oracle equivalence (time-domain vs analytic product)",
         passed=worst < 1e-9 and compared >= 40,
         detail=f"worst |delta| {worst:.2e} dB over {compared} grid points "
-               "(tolerance 1e-9 dB)",
-        values=(worst, float(compared)))
+               "(tolerance 1e-9 dB)")
 
 
 def check_row_rotation_compensation() -> CheckResult:
@@ -318,13 +315,12 @@ def check_row_rotation_compensation() -> CheckResult:
         name="row-rotation compensation (180 deg feed flip on one row)",
         passed=ok,
         detail=f"IF combined power change {delta:.2e} dB (< 1e-9); RF "
-               f"broadside level {rf_db:.1f} dB (< -60)",
-        values=(delta, rf_db))
+               f"broadside level {rf_db:.1f} dB (< -60)")
 
 
 def direct_array_factor(g: arrays.ArrayGeometry, frequency: float,
                         theta: np.ndarray, phi: float,
-                        offsets: np.ndarray | None = None) -> np.ndarray:
+                        offsets: np.ndarray | None) -> np.ndarray:
     """``|mean_k exp(j*phase_k)|`` along a signed-theta cut by summing the
     phasor of every element in every direction: the oracle of the
     array-factor kernel."""
@@ -392,16 +388,16 @@ def check_array_factor_kernel() -> CheckResult:
 
 def check_square_law_slope() -> CheckResult:
     chain = diode.default_chain()
+    z = chain.source_impedance_ohms
     powers = [-60.0, -55.0, -50.0, -45.0]
-    drive = [(dbm_to_amplitude(p), dbm_to_amplitude(p - 5.0)) for p in powers]
+    drive = [[dbm_to_amplitude(q, z) for q in (p, p - 5.0)] for p in powers]
     out, _ = diode.mix_cells(chain, [diode.BIAS_VOLTAGE] * len(powers), drive,
                              (37.5e9, 38.5e9))
     slope = float(np.polyfit(powers, out, 1)[0])
     return CheckResult(
         name="square-law regime slope (default chain, -60..-45 dBm)",
         passed=abs(slope - 2.0) <= 0.05,
-        detail=f"fitted slope {slope:.4f} dB/dB (2.00 +/- 0.05)",
-        values=(slope,))
+        detail=f"fitted slope {slope:.4f} dB/dB (2.00 +/- 0.05)")
 
 
 def check_bias_optimum() -> list[CheckResult]:
@@ -465,8 +461,8 @@ def check_diode_solver() -> CheckResult:
     device = diode.default_diode()
     iv_grid = 0.002 * np.arange(451)
     chain = diode.default_chain()
-    peak = db_to_amplitude_ratio(chain.lna_gain_db) * (
-        dbm_to_amplitude(5.0) + dbm_to_amplitude(0.0))
+    peak = db_to_amplitude_ratio(chain.lna_gain_db) * sum(
+        dbm_to_amplitude(p, chain.source_impedance_ohms) for p in (5.0, 0.0))
     sweep_v = np.linspace(-peak, 0.8 + peak, 4001)
     h = 1e-4
     worst_i = worst_d = 0.0
@@ -503,16 +499,16 @@ def check_friis_anchors() -> CheckResult:
         name="Friis anchors (34 / 38.5 GHz, 1.5 m, 25 dB probe)",
         passed=ok,
         detail=f"-43.4 -> {v34:.3f}, -39.5 -> {v385:.3f}, ideal-antenna "
-               f"-41.6 -> {v34i:.3f} dBm",
-        values=(v34, v385, v34i))
+               f"-41.6 -> {v34i:.3f} dBm")
 
 
 def check_bias_insensitivity() -> CheckResult:
     chain = diode.default_chain(lna_gain_db=35.0)
+    z = chain.source_impedance_ohms
     bias = np.round(np.arange(0.0, 0.8001, 0.05), 10)
     spreads = {}
     for p in (-50.0, -20.0):
-        drive = [(dbm_to_amplitude(p), dbm_to_amplitude(p - 5.0))] * bias.size
+        drive = [[dbm_to_amplitude(q, z) for q in (p, p - 5.0)]] * bias.size
         vals, _ = diode.mix_cells(chain, bias, drive, (37.5e9, 38.5e9))
         spreads[p] = float(vals.max() - vals.min())
     ok = spreads[-20.0] < 3.0 and spreads[-50.0] > 10.0
@@ -520,8 +516,7 @@ def check_bias_insensitivity() -> CheckResult:
         name="bias insensitivity at strong drive (35 dB chain)",
         passed=ok,
         detail=f"IF spread over 0..0.8 V bias: {spreads[-20.0]:.2f} dB at "
-               f"-20 dBm (< 3), {spreads[-50.0]:.1f} dB at -50 dBm (> 10)",
-        values=(spreads[-20.0], spreads[-50.0]))
+               f"-20 dBm (< 3), {spreads[-50.0]:.1f} dB at -50 dBm (> 10)")
 
 
 def run_all() -> list[CheckResult]:

@@ -57,12 +57,9 @@ def test_04_signal_oracle_equivalence():
     start = time.perf_counter()
     result = validation.check_signal_oracle_equivalence(50)
     elapsed = time.perf_counter() - start
-    (worst,) = result.values
     assert result.passed, result.detail
-    assert worst < 1e-9
     assert elapsed < 10.0
-    report(4, f"50 random tone sets: worst relative bin error {worst:.2e} "
-              f"({elapsed:.2f} s)")
+    report(4, f"{result.detail} ({elapsed:.2f} s)")
 
 
 def test_05_array_oracle_equivalence():
@@ -71,24 +68,20 @@ def test_05_array_oracle_equivalence():
     elapsed = time.perf_counter() - start
     assert result.passed, result.detail
     assert elapsed < 30.0
-    worst, compared = result.values
-    report(5, f"3 random layouts x 19 angles: worst deviation {worst:.1e} dB "
-              f"over {compared:.0f} points ({elapsed:.2f} s)")
+    report(5, f"3 random layouts x 19 angles: {result.detail} "
+              f"({elapsed:.2f} s)")
 
 
 def test_06_row_rotation_compensation():
     result = validation.check_row_rotation_compensation()
     assert result.passed, result.detail
-    delta, rf_db = result.values
-    report(6, f"180 deg feed flip on one row: IF power change {delta:.1e} dB, "
-              f"RF broadside level {rf_db:.0f} dB")
+    report(6, f"180 deg feed flip on one row: {result.detail}")
 
 
 def test_07_square_law_slope():
     result = validation.check_square_law_slope()
     assert result.passed, result.detail
-    (slope,) = result.values
-    report(7, f"IF power slope {slope:.4f} dB/dB over -60..-45 dBm input")
+    report(7, f"IF power over -60..-45 dBm input: {result.detail}")
 
 
 def test_08_bias_optimum_existence():
@@ -106,9 +99,7 @@ def test_09_friis_anchors():
     # within 0.05 dB
     result = validation.check_friis_anchors()
     assert result.passed, result.detail
-    v34, v385, v34_ideal = result.values
-    report(9, f"receive power anchors: {v34:.2f} / {v385:.2f} dBm, "
-              f"lossless 34 GHz case {v34_ideal:.2f} dBm")
+    report(9, f"receive power anchors: {result.detail}")
 
 
 def test_10_high_power_bias_insensitivity():
@@ -118,6 +109,4 @@ def test_10_high_power_bias_insensitivity():
     # spread < 3 dB at -20 dBm, > 10 dB at -50 dBm
     result = validation.check_bias_insensitivity()
     assert result.passed, result.detail
-    spread_strong, spread_weak = result.values
-    report(10, f"IF spread across 0..0.8 V bias: {spread_strong:.2f} dB at "
-               f"-20 dBm input, {spread_weak:.1f} dB at -50 dBm")
+    report(10, result.detail)

@@ -230,7 +230,7 @@ class TestKernel:
         phi = 0.6
         for f, af in ((1e9, if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)),
                       (38.5e9, rf_array_factor_cut(g, 38.5e9, theta, phi))):
-            direct = direct_array_factor(g, f, theta, phi)
+            direct = direct_array_factor(g, f, theta, phi, None)
             assert np.max(np.abs(af - direct)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["if", "rf"])
@@ -250,7 +250,7 @@ class TestKernel:
         theta = np.arcsin(np.clip(s, -1.0, 1.0))
         if kind == "if":
             af = if_array_factor_cut(g, 38.5e9, 37.5e9, theta, phi)
-            direct = direct_array_factor(g, f, theta, phi)
+            direct = direct_array_factor(g, f, theta, phi, None)
         else:
             af = rf_array_factor_cut(g, f, theta, phi)
             direct = direct_array_factor(g, f, theta, phi, g.rf_phase_offsets)
@@ -268,7 +268,7 @@ class TestKernel:
             af_if = if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)
             af_rf = rf_array_factor_cut(g, 38.5e9, theta, phi)
             assert np.max(np.abs(
-                af_if - direct_array_factor(g, 1e9, theta, phi))) < 1e-12
+                af_if - direct_array_factor(g, 1e9, theta, phi, None))) < 1e-12
             assert np.max(np.abs(af_rf - direct_array_factor(
                 g, 38.5e9, theta, phi, g.rf_phase_offsets))) < 1e-12
 
@@ -302,7 +302,7 @@ class TestKernel:
         assert bins and max(bins) <= theta.size
         # phases near 8e6 rad carry about 1e-9 of rounding on either route
         assert np.max(np.abs(
-            af - direct_array_factor(g, 38.5e9, theta, 0.3))) < 1e-8
+            af - direct_array_factor(g, 38.5e9, theta, 0.3, None))) < 1e-8
 
     def test_blocks_stay_within_factor_block(self, monkeypatch):
         # more elements than one chunk of Taylor terms holds, and more bins

@@ -302,6 +302,32 @@ class TestConfigHandling:
         assert "element grid would have 4 points; the limit is 3" in err
         assert not out.exists()
 
+    def test_pattern_file_over_cap_exits_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the config's own theta grid (3 points) and layout (4 elements)
+        # are within the cap, so only a pattern file's rows can pass it
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4)
+
+        def pattern(rows):
+            cut = tmp_path / f"cut{rows}.csv"
+            cut.write_text("theta_deg,gain_db\n" + "".join(
+                f"{t},0\n" for t in np.linspace(-90.0, 90.0, rows)))
+            cfg = tmp_path / f"c{rows}.cfg"
+            cfg.write_text(f"nx = 2\nny = 2\ntheta_step_deg = 90\n"
+                           f"pattern_file_1 = {cut}\npattern_file_2 = {cut}\n")
+            out = tmp_path / f"x{rows}.csv"
+            return run(["pattern", "--config", str(cfg), "--out", str(out),
+                        "--quiet"]), out
+
+        status, out = pattern(5)
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "pattern grid would have 5 points; the limit is 4" in err
+        assert not out.exists()
+        status, out = pattern(4)
+        assert status == 0
+        assert len(read_csv(out)[1]) == 4
+
     def test_geometry_file_capped_before_later_lines_parse(
             self, tmp_path, capsys, monkeypatch):
         # the element count is checked before any line is parsed, so the

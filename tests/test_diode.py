@@ -12,7 +12,6 @@ from selfmix.diode import (
     BIAS_VOLTAGE,
     OMEGA_STEPS,
     DiodeModel,
-    MixingChain,
     NoInteriorMaximum,
     default_chain,
     default_diode,
@@ -22,7 +21,7 @@ from selfmix.diode import (
     terminal_current,
 )
 from selfmix.signals import dft_spectrum, plan_sampling, synthesize_waveform
-from selfmix.units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude, watts_to_dbm
+from selfmix.units import DB_FLOOR, db_to_amplitude_ratio, dbm_to_amplitude
 
 # explicit trio used for the solver-facing tests (separate from the fitted
 # default device)
@@ -30,8 +29,8 @@ TRIO = DiodeModel(saturation_current=1e-13, ideality=1.2, series_resistance=4.0)
 
 
 def two_tone(p1_dbm, p2_dbm, f1=37.5e9, f2=38.5e9):
-    """(amplitudes, frequencies) of a two-tone drive."""
-    return [dbm_to_amplitude(p1_dbm), dbm_to_amplitude(p2_dbm)], [f1, f2]
+    """(amplitudes, frequencies) of a two-tone drive from a 50 ohm source."""
+    return [dbm_to_amplitude(p, 50.0) for p in (p1_dbm, p2_dbm)], [f1, f2]
 
 
 def one_cell(chain, bias, amplitudes, frequencies):
@@ -51,7 +50,9 @@ def sweep(chain, biases, powers, pair=(37.5e9, 38.5e9)):
     """One mix_cells call over a bias x power grid, the second tone 5 dB
     below the first: (if_power_dbm, dc_current), each of shape
     (biases, powers)."""
-    drive = [(dbm_to_amplitude(p), dbm_to_amplitude(p - 5.0)) for p in powers]
+    z = chain.source_impedance_ohms
+    drive = [(dbm_to_amplitude(p, z), dbm_to_amplitude(p - 5.0, z))
+             for p in powers]
     if_power_dbm, dc_current = mix_cells(
         chain, np.repeat(biases, len(powers)), drive * len(biases), pair)
     shape = (len(biases), len(powers))
@@ -142,7 +143,8 @@ class TestTerminalCurrent:
 
         chain = default_chain()
         peak = db_to_amplitude_ratio(chain.lna_gain_db) * (
-            dbm_to_amplitude(5.0) + dbm_to_amplitude(0.0))
+            dbm_to_amplitude(5.0, chain.source_impedance_ohms)
+            + dbm_to_amplitude(0.0, chain.source_impedance_ohms))
         wide = np.linspace(-1e4, 1e4, 4001)
         cases = [(default_diode(), 0.002 * np.arange(451)),
                  (chain.loop_model(), np.linspace(-peak, 0.8 + peak, 4001))]
@@ -313,11 +315,10 @@ class TestSimulateMixing:
         chain = default_chain()
         p = -65.0
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
-        a1 = gain * dbm_to_amplitude(p)
-        a2 = gain * dbm_to_amplitude(p - 5.0)
+        a1 = gain * dbm_to_amplitude(p, chain.source_impedance_ohms)
+        a2 = gain * dbm_to_amplitude(p - 5.0, chain.source_impedance_ohms)
         _, g2 = iv_derivatives(chain.loop_model(), BIAS_VOLTAGE)
-        predicted = watts_to_dbm((0.5 * g2 * a1 * a2) ** 2
-                                 * chain.if_load_ohms / 2.0)
+        predicted = if_power(chain, 0.5 * g2 * a1 * a2)
         if_power_dbm, _ = one_cell(chain, BIAS_VOLTAGE, *two_tone(p, p - 5.0))
         assert if_power_dbm == pytest.approx(predicted, abs=1.0)
 
@@ -342,8 +343,31 @@ class TestMixingChain:
                                        "source_impedance_ohms"])
     def test_non_positive_impedance_rejected(self, field):
         with pytest.raises(ValueError, match="must be positive"):
-            MixingChain(lna_gain_db=25.0, diode=default_diode(),
-                        **{field: 0.0})
+            replace(default_chain(), **{field: 0.0})
+
+    def test_mixing_checks_drive_at_chain_impedance(self, monkeypatch):
+        # the validate mixing checks convert their input powers at their
+        # chain's own source impedance, not at a fixed 50 ohm
+        reference = diode.default_chain
+        monkeypatch.setattr(diode, "default_chain", lambda *a, **k: replace(
+            reference(*a, **k), source_impedance_ohms=75.0))
+        drives = []
+        mix = diode.mix_cells
+
+        def spy(chain, bias, amplitudes, pair):
+            drives.append(np.asarray(amplitudes, dtype=float))
+            return mix(chain, bias, amplitudes, pair)
+
+        monkeypatch.setattr(diode, "mix_cells", spy)
+        validation.check_square_law_slope()
+        validation.check_bias_insensitivity()
+        expected = [[[dbm_to_amplitude(p, 75.0),
+                      dbm_to_amplitude(p - 5.0, 75.0)] for p in powers]
+                    for powers in ([-60.0, -55.0, -50.0, -45.0],
+                                   [-50.0] * 17, [-20.0] * 17)]
+        assert len(drives) == len(expected)
+        for drive, amplitudes in zip(drives, expected):
+            np.testing.assert_array_equal(drive, amplitudes)
 
 
 class TestBiasPowerSweep:
@@ -421,8 +445,12 @@ def per_cell_route(chain, bias, amplitudes, frequencies, phases=0.0):
 
 
 def if_power(chain, magnitude):
-    """IF power in dBm of a one-sided IF current amplitude in the IF load."""
-    return watts_to_dbm(magnitude * magnitude * chain.if_load_ohms / 2.0)
+    """IF power in dBm of a one-sided IF current amplitude in the IF load,
+    by a scalar route of its own rather than the kernel's dB conversion."""
+    watts = magnitude * magnitude * chain.if_load_ohms / 2.0
+    if watts <= 0.0:
+        return DB_FLOOR
+    return max(DB_FLOOR, 10.0 * math.log10(watts / 1e-3))
 
 
 def bits(if_power_dbm, dc_current):
@@ -563,7 +591,8 @@ class TestMixingKernel:
         # rounding of the per-cell route
         frequencies, biases, drive = case
         chain = default_chain()
-        amplitudes = [[dbm_to_amplitude(p) for p in row] for row in drive]
+        amplitudes = [[dbm_to_amplitude(p, chain.source_impedance_ohms)
+                       for p in row] for row in drive]
         with pytest.MonkeyPatch.context() as mp:
             solved = recording_solves(mp)
             if_power_dbm, dc_current = mix_cells(chain, biases, amplitudes,
@@ -639,7 +668,7 @@ class TestMixingKernel:
         # one tone, three tones and two equal tones are refused before any
         # cell is solved
         solved = recording_solves(monkeypatch)
-        amplitudes = [[dbm_to_amplitude(-40.0)] * len(frequencies)] * 2
+        amplitudes = [[dbm_to_amplitude(-40.0, 50.0)] * len(frequencies)] * 2
         with pytest.raises(ValueError, match="two distinct tone"):
             mix_cells(default_chain(), [0.6, 0.65], amplitudes, frequencies)
         assert solved == []

@@ -116,7 +116,8 @@ class TestChainOutput:
         # 10 dB less drive on each tone moves the constant by under 0.1 dB
         chain = default_chain()
         p1, p2 = -65.0, -70.0
-        drive = [dbm_to_amplitude(p) for p in (p1, p2)]
+        drive = [dbm_to_amplitude(p, chain.source_impedance_ohms)
+                 for p in (p1, p2)]
         if_power_dbm = float(mix_cells(chain, [BIAS_VOLTAGE], [drive],
                                        (37.5e9, 38.5e9))[0][0])
         k = if_power_dbm - (p1 + chain.lna_gain_db) - (p2 + chain.lna_gain_db)

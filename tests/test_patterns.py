@@ -213,7 +213,7 @@ class TestPatternCsv:
         Table(["theta_deg", "gain_db"], np.column_stack([
             np.degrees(p.theta_samples),
             amplitude_ratio_to_db(p.gains)])).write(path, "csv")
-        back = read_pattern_csv(path)
+        back = read_pattern_csv(path, p.theta_samples.size)  # at the cap
         assert np.allclose(back.theta_samples, p.theta_samples, atol=1e-9)
         mask = p.gains > 1e-9  # the -200 dB floor clips true zeros
         assert np.allclose(back.gains[mask], p.gains[mask], rtol=1e-6)
@@ -222,7 +222,7 @@ class TestPatternCsv:
         path = tmp_path / "bad.csv"
         path.write_text("angle,value\n0,0\n")
         with pytest.raises(ValueError):
-            read_pattern_csv(path)
+            read_pattern_csv(path, 5)
 
     @pytest.mark.parametrize("row, message", [
         ("-10", "expected theta_deg,gain_db, got ['-10']"),
@@ -233,5 +233,13 @@ class TestPatternCsv:
         path = tmp_path / "cut.csv"
         path.write_text(f"theta_deg,gain_db\n-20,0\n\n{row}\n0,0\n")
         with pytest.raises(ValueError) as info:
-            read_pattern_csv(path)
+            read_pattern_csv(path, 5)
         assert str(info.value) == f"{path}:4: {message}"
+
+    def test_rows_capped_before_any_parses(self, tmp_path):
+        # blank lines do not count, and the malformed last row is never read
+        path = tmp_path / "cut.csv"
+        path.write_text("theta_deg,gain_db\n-20,0\n\n0,0\n20,loud\n")
+        with pytest.raises(ValueError, match="^pattern grid would have 3 "
+                                             "points; the limit is 2$"):
+            read_pattern_csv(path, 2)
