@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -100,22 +100,28 @@ class ArrayGeometry:
         return cls(np.column_stack([np.tile(x, ny), np.repeat(y, nx)]))
 
 
-def parse_geometry(text: str, max_elements: int) -> ArrayGeometry:
-    """Parse a geometry table: one element per line, whitespace- or
-    comma-separated columns ``x_m  y_m  [rf_phase_offset_deg]``; ``#`` starts
-    a comment. A table of more than ``max_elements`` element lines is
-    rejected with ``ValueError`` before any line is parsed."""
-    rows = [(lineno, raw, line)
-            for lineno, raw in enumerate(text.splitlines(), start=1)
-            if (line := raw.split("#", 1)[0].strip())]
-    if len(rows) > max_elements:
-        raise ValueError(f"element grid would have {len(rows)} points; "
+def parse_geometry(table: TextIO, max_elements: int) -> ArrayGeometry:
+    """Parse a geometry table from a seekable text stream (a file opened in
+    text mode, or ``io.StringIO(text)``): one element per line,
+    whitespace- or comma-separated columns ``x_m  y_m
+    [rf_phase_offset_deg]``; ``#`` starts a comment. The element lines are
+    counted in a first pass that keeps none of them, and a table of more
+    than ``max_elements`` is rejected with ``ValueError`` before any line
+    is parsed."""
+    count = sum(bool(raw.split("#", 1)[0].strip()) for raw in table)
+    if count > max_elements:
+        raise ValueError(f"element grid would have {count} points; "
                          f"the limit is {max_elements}")
+    table.seek(0)
     positions = []
     offsets = []
-    for lineno, raw, line in rows:
+    for lineno, raw in enumerate(table, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         parts = line.replace(",", " ").split()
         if len(parts) not in (2, 3):
+            raw = raw.rstrip("\r\n")
             raise ValueError(
                 f"geometry line {lineno}: expected 'x_m y_m "
                 f"[rf_phase_offset_deg]', got {raw!r}")

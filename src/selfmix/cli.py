@@ -37,11 +37,16 @@ from .units import amplitude_ratio_to_db, dbm_to_amplitude
 # before anything is allocated; far above the 18 001 directions of the
 # largest cut in use.
 MAX_GRID_POINTS = 1_000_000
-# Most phases an IF and RF array-factor cut pair may span, counted as the
-# direction x element work of a direct sum (arrays.cut_phase_count), so that
-# no cut runs for hours; above the 2 x 18 001 x 4096 of a summed 64 x 64
-# layout at 0.01 deg.
-MAX_CUT_PHASES = 200_000_000
+# Most work one command may ask for, checked before any of it runs, so that
+# no accepted config runs for hours. It counts, as measured on one 2-core
+# AVX-512 host: the phases of an IF and RF array-factor cut pair, as the
+# direction x element work of a direct sum (arrays.cut_phase_count; 2-6 ns
+# each, and above the 2 x 18 001 x 4096 of a summed 64 x 64 layout at
+# 0.01 deg); the solved samples of a bias-sweep, cells x the samples per
+# cell of diode.mixing_plan (45 ns each on the benchmark sweep grid, 96 ns
+# on 2^19-sample records: 9-19 s at the cap); and the tone samples that
+# spectrum synthesizes, tones x record length (20 ns each, 4 s at the cap).
+MAX_WORK = 200_000_000
 
 
 class ConfigError(ValueError):
@@ -161,8 +166,8 @@ def _invariants_are_config_errors() -> Iterator[None]:
 def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
     with _invariants_are_config_errors():
         if cfg["geometry_file"]:
-            text = Path(cfg["geometry_file"]).read_text(encoding="utf-8")
-            return arrays.parse_geometry(text, MAX_GRID_POINTS)
+            with Path(cfg["geometry_file"]).open(encoding="utf-8") as table:
+                return arrays.parse_geometry(table, MAX_GRID_POINTS)
         # an axis below 1 gives no elements, which planar_grid refuses
         _check_grid_size(max(cfg["nx"], 0) * max(cfg["ny"], 0), "element")
         return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],
@@ -171,10 +176,10 @@ def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
 
 def _factor_cuts(geometry: arrays.ArrayGeometry, cfg: dict, theta: np.ndarray,
                  phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """IF and RF array-factor cuts, checked against :data:`MAX_CUT_PHASES`."""
+    """IF and RF array-factor cuts, checked against :data:`MAX_WORK`."""
     _require_positive(cfg, "f1_hz", "f2_hz", "rf_freq_hz")
     _check_grid_size(arrays.cut_phase_count(geometry, theta.size),
-                     "array-factor phase", MAX_CUT_PHASES)
+                     "array-factor phase", MAX_WORK)
     return (arrays.if_array_factor_cut(geometry, cfg["f1_hz"], cfg["f2_hz"],
                                        theta, phi),
             arrays.rf_array_factor_cut(geometry, cfg["rf_freq_hz"], theta,
@@ -287,6 +292,9 @@ def cmd_spectrum(cfg: dict, quiet: bool) -> Table:
             raise ValueError(
                 "frequencies share no common grid coarse enough to sample "
                 f"with <= {signals.MAX_SAMPLES} points")
+    # the synthesis adds one sine pass over the record per tone
+    _check_grid_size(frequencies.size * samples, "spectrum tone sample",
+                     MAX_WORK)
     # the record's peak is at most the amplitude sum, and a DFT bin of its
     # square sums `samples` terms of at most peak**2; the factor 4 leaves
     # room for the FFT's partial sums and the one-sided doubling
@@ -362,6 +370,9 @@ def cmd_bias_sweep(cfg: dict, quiet: bool) -> Table:
     power = _grid(cfg["power_start_dbm"], cfg["power_stop_dbm"],
                   cfg["power_step_dbm"], "power")
     _check_grid_size(len(bias) * len(power), "bias x power")
+    _, _, solved = diode.mixing_plan((cfg["f1_hz"], cfg["f2_hz"]))
+    _check_grid_size(len(bias) * len(power) * solved,
+                     "bias-sweep solved sample", MAX_WORK)
     # cells in bias-major order; the second tone is driven
     # weaker_tone_offset_db relative to the first
     z = chain.source_impedance_ohms

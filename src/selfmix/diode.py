@@ -250,6 +250,25 @@ def optimal_bias_static(model: DiodeModel,
     return v, i
 
 
+def mixing_plan(tone_pair: Sequence[float]) -> tuple[float, int, int]:
+    """The sampling plan :func:`mix_cells` solves two distinct positive
+    tones ``tone_pair = (f1, f2)`` on, as ``(rate, n, m)``: a record of
+    ``n`` samples at ``rate``, one common period of the tones and their IF
+    ``|f2 - f1|``, of which ``m`` are solved per cell, ``n/2 + 1`` when
+    both tones are whole numbers of hertz on odd bins of the record and
+    ``n`` otherwise. Raises ``ValueError`` as :func:`plan_sampling` does."""
+    f1, f2 = tone_pair
+    # generous oversampling: the exponential diode produces products of all
+    # orders, and only very high orders may alias onto the IF bin this way
+    rate, duration = plan_sampling([f1, f2, abs(f2 - f1)], oversample=24.0)
+    n = int(round(duration * rate))
+    # plan_sampling accepts a tone a fraction of a hertz off a whole number,
+    # but it is synthesised off its bin, so only whole-hertz tones count as
+    # on one
+    odd = all(f == round(f) and round(f * duration) % 2 for f in tone_pair)
+    return rate, n, n // 2 + 1 if odd else n
+
+
 MIXING_BLOCK = 1 << 14
 """Samples :func:`mix_cells` solves at a time: a block holds
 ``max(1, MIXING_BLOCK // m)`` cells of ``m`` solved samples, so each of
@@ -281,9 +300,9 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     Anything but two distinct tones raises ``ValueError`` before any cell
     is solved.
 
-    One sampling plan of ``n`` samples and one pair of unit sines (one
-    ``synthesize_waveform`` call) serve every cell. When both tones are
-    whole numbers of hertz on odd bins ``k`` of the plan,
+    One sampling plan of ``n`` samples, :func:`mixing_plan`, and one pair
+    of unit sines (one ``synthesize_waveform`` call) serve every cell. When
+    both tones are whole numbers of hertz on odd bins ``k`` of the plan,
     ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
     ``(n/2 - j) mod n`` carry the same drive and hence the same current, so
     only the ``n/2 + 1`` samples with ``j <= (n/2 - j) mod n`` are solved;
@@ -305,21 +324,13 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     if bias.ndim != 1 or amplified.shape != (bias.size, 2):
         raise ValueError(f"amplitudes must have shape ({bias.size}, 2), "
                          f"got {amplified.shape}")
-    if_frequency = abs(freqs[1] - freqs[0])
-
-    # generous oversampling: the exponential diode produces products of all
-    # orders, and only very high orders may alias onto the IF bin this way
-    rate, duration = plan_sampling(freqs + [if_frequency], oversample=24.0)
-    n = int(round(duration * rate))
+    rate, n, m = mixing_plan(freqs)
     # odd-bin tones drive sample j and sample (n/2 - j) mod n alike, so only
-    # the representatives j <= (n/2 - j) mod n are solved and mirror[j]
-    # picks sample j's current among them; otherwise every sample is its own
-    # representative and the mirror is the identity. plan_sampling accepts a
-    # tone a fraction of a hertz off a whole number, but it is synthesised
-    # off its bin, so only whole-hertz tones count as on one.
+    # the m = n/2 + 1 representatives j <= (n/2 - j) mod n are solved and
+    # mirror[j] picks sample j's current among them; otherwise every sample
+    # is its own representative and the mirror is the identity
     j = np.arange(n)
-    odd = all(f == round(f) and round(f * duration) % 2 for f in freqs)
-    partner = (n // 2 - j) % n if odd else j
+    partner = (n // 2 - j) % n if m < n else j
     solved = j <= partner
     mirror = (np.cumsum(solved) - 1)[np.minimum(j, partner)]
     # one unit sine per tone, at the solved samples; a cell's waveform is
@@ -329,7 +340,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     # the record's DC and IF bins as weights on the solved samples: sample
     # j's DFT weights go to mirror[j]. With k the signed residue of if_bin j
     # mod n, a mirrored pair's residues are k and -k, so their sines cancel
-    k = int(round(if_frequency / (rate / n))) * j % n
+    k = int(round(abs(freqs[1] - freqs[0]) / (rate / n))) * j % n
     angle = (2.0 * np.pi / n) * np.where(2 * k > n, k - n, k)
     weights = [np.bincount(mirror) / n,
                np.bincount(mirror, np.cos(angle)) * (2.0 / n),

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -74,17 +75,17 @@ class TestGeometry:
         assert g.element_positions[4][1] == pytest.approx(0.036)
 
     def test_parse_table_with_offsets(self):
-        g = parse_geometry("""
+        g = parse_geometry(io.StringIO("""
             # x_m   y_m    rf_phase_offset_deg
             0.0     0.0
             0.032,  0.0,   180
-        """, 2)
+        """), 2)
         assert g.element_count == 2
         assert g.rf_phase_offsets[1] == pytest.approx(math.pi)
 
     def test_parse_empty_rejected(self):
         with pytest.raises(ValueError, match="contains no elements"):
-            parse_geometry("# only a comment\n", 1)
+            parse_geometry(io.StringIO("# only a comment\n"), 1)
 
 
 class TestPathPhase:

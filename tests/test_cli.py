@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selfmix import cli, diode, validation
+from selfmix import cli, diode, signals, validation
 from selfmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,17 +55,6 @@ class TestArrayFactorCommand:
                     "--out", str(out), "--quiet"]) == 0
         _, rows = read_csv(out)
         assert all(float(r[2]) == 1.0 for r in rows)
-
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("# reference layout\nf1_hz = 37.5e9\nf2_hz = 38.5e9\n")
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        assert run(["array-factor", "--config", str(cfg), "--out", str(out1),
-                    "--quiet"]) == 0
-        assert run(["array-factor", "--config", str(cfg), "--out", str(out2),
-                    "--quiet"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_if_beamwidth_dominates_rf_in_output(self, tmp_path):
         out = tmp_path / "af.csv"
@@ -201,6 +191,8 @@ class TestConfigHandling:
         # two negative axes multiply to no grid, not to 2000000 elements
         ("array-factor", "nx = -2000\nny = -1000", "shape (N, 2)"),
         ("array-factor", "GEOMETRY\n", "elements 0 and 1 coincide"),
+        ("array-factor", "geometry_file = TMP/missing-layout.txt",
+         "No such file or directory"),
         # the element pattern and its cut
         ("pattern", "cos_exponent = -1", "cos_q pattern needs q >= 0"),
         ("pattern", "element_kind = two_beam\nbeam_tilt_deg = 95",
@@ -344,6 +336,94 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "element grid would have 6 points; the limit is 3" in err
         assert "geometry line" not in err
+        assert not out.exists()
+
+    def test_geometry_file_refused_without_holding_its_lines(
+            self, tmp_path, capsys, monkeypatch):
+        # the count keeps no line and the file is streamed, so refusing a
+        # 2.2 MB table traces well under its size (a table whose lines are
+        # all kept traces about 36 MB)
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 200_000)
+        geo = tmp_path / "layout.txt"
+        geo.write_text("".join(f"{k * 1e-3} 0\n" for k in range(200_001)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"geometry_file = {geo}\n")
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            status = run(["array-factor", "--config", str(cfg), "--out",
+                          str(out), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "config error: element grid would have 200001 points; the limit "
+            "is 200000\n")
+        assert peak < 1_000_000
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, grid", [
+        # 3 x 2 cells of 1025 solved samples each at the default tone pair
+        pytest.param("bias-sweep", "bias_stop_v = 0.1\npower_stop_dbm = -55",
+                     "bias-sweep solved sample grid would have 6150 points",
+                     id="bias-sweep-half-records"),
+        # 34/35 GHz solves the whole 1024-sample record
+        pytest.param("bias-sweep", "bias_stop_v = 0.1\npower_stop_dbm = -55\n"
+                                   "f1_hz = 34e9\nf2_hz = 35e9",
+                     "bias-sweep solved sample grid would have 6144 points",
+                     id="bias-sweep-whole-records"),
+        # a carrier and four band tones over 2048 samples
+        pytest.param("spectrum", "",
+                     "spectrum tone sample grid would have 10240 points",
+                     id="spectrum"),
+    ])
+    def test_work_over_cap_exits_2_before_computing(
+            self, tmp_path, capsys, monkeypatch, command, text, grid):
+        def compute(*args, **kwargs):
+            raise AssertionError("work over the cap was computed")
+        monkeypatch.setattr(cli, "MAX_WORK", 5000)
+        monkeypatch.setattr(diode, "terminal_current", compute)
+        monkeypatch.setattr(signals, "synthesize_waveform", compute)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {grid}; the limit is 5000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, work", [
+        # 1000 x 1000 cells, each solving a 2^19-sample record: about 24 h
+        pytest.param(
+            "bias-sweep", "f1_hz = 1e9\nf2_hz = 1.00005e9\nbias_start_v = 0\n"
+                          "bias_stop_v = 0.999\nbias_step_v = 0.001\n"
+                          "power_start_dbm = -60\npower_stop_dbm = 39.9\n"
+                          "power_step_dbm = 0.1",
+            "bias-sweep solved sample grid would have 524288000000 points",
+            id="bias-sweep-1000x1000-at-50-khz"),
+        # 2 002 distinct tones on a 10 kHz grid, each a sine over 2^19
+        # samples: about 20 s
+        pytest.param(
+            "spectrum", "carrier_freq_hz = 0.99e9\nband_low_hz = 1e9\n"
+                        "band_high_hz = 1.02e9\nband_tone_count = 2001\n"
+                        "frequency_grid_hz = 1e4",
+            "spectrum tone sample grid would have 1049624576 points",
+            id="spectrum-2001-band-tones"),
+    ])
+    def test_hours_of_work_refused_at_once(self, tmp_path, capsys, command,
+                                           text, work):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {work}; the limit is "
+                                f"{cli.MAX_WORK}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [

@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from selfmix import cli  # noqa: E402
+from selfmix import cli, diode  # noqa: E402
 
 COUNTS = st.one_of(st.integers(-2, 40),
                    st.sampled_from([1000, 100_000, 1_000_001, 2 ** 40]))
@@ -89,7 +89,7 @@ def test_cut_configs_exit_cleanly(command, cfg, quiet):
         assert rows is not None and len(rows) <= cli.MAX_GRID_POINTS
         # a CLI grid is a product layout: each cut costs rows x (nx + ny)
         phases = 2 * len(rows) * (cfg.get("nx", 4) + cfg.get("ny", 2))
-        assert phases <= cli.MAX_CUT_PHASES
+        assert phases <= cli.MAX_WORK
         # no silent garbage: every cell is finite
         assert _all_finite(rows)
     else:
@@ -164,6 +164,11 @@ def test_sweep_configs_exit_cleanly(data):
     cells = _axis_count(cfg, "bias", "v") * _axis_count(cfg, "power", "dbm")
     assert len(rows) == cells <= 64
     assert _all_finite(rows)
+    # within the work cap, counted on the plan that the mixer solves
+    pair = [float(cfg.get(key, cli.BIAS_SWEEP_SCHEMA.keys[key][1]))
+            for key in ("f1_hz", "f2_hz")]
+    _, _, solved = diode.mixing_plan(pair)
+    assert cells * solved <= cli.MAX_WORK
 
 
 DIODE_KEYS = {k: SWEEP_KEYS[k] for k in (

@@ -561,7 +561,7 @@ class TestMixingKernel:
                     per_cell_route(chain, bias, *tones)), (bias, p)
 
     def test_mixed_parity_sweep_keeps_the_full_record(self, monkeypatch):
-        # 34/35 GHz sit on the bins 68 and 70 of a 1 GHz grid, 34.5/35 GHz
+        # 34/35 GHz sit on the bins 34 and 35 of a 1 GHz grid, 34.5/35 GHz
         # on 69 and 70 of a 0.5 GHz grid, and 37.5 GHz + 0.4 Hz, which
         # plan_sampling puts on the odd bin 75 beside 38.5 GHz on 77, is
         # synthesised 0.4 Hz off it: no sample mirrors another, and every
@@ -604,6 +604,8 @@ class TestMixingKernel:
         half = halved(frequencies)
         assert solved and all(shape[1] == (n // 2 + 1 if half else n)
                               for shape in solved)
+        # the shared plan, which the CLI's work cap counts, is the one solved
+        assert diode.mixing_plan(frequencies) == (rate, n, solved[0][1])
         for k, bias in enumerate(biases):
             assert near_full_record(
                 if_power_dbm[k], dc_current[k],
