@@ -42,10 +42,9 @@ MAX_GRID_POINTS = 1_000_000
 # AVX-512 host: the phases of an IF and RF array-factor cut pair, as the
 # direction x element work of a direct sum (arrays.cut_phase_count; 2-6 ns
 # each, and above the 2 x 18 001 x 4096 of a summed 64 x 64 layout at
-# 0.01 deg); the solved samples of a bias-sweep, cells x the samples per
-# cell of diode.mixing_plan (45 ns each on the benchmark sweep grid, 96 ns
-# on 2^19-sample records: 9-19 s at the cap); and the tone samples that
-# spectrum synthesizes, tones x record length (20 ns each, 4 s at the cap).
+# 0.01 deg); and the solved samples of a bias-sweep, cells x the samples
+# per cell of diode.mixing_plan (45 ns each on the benchmark sweep grid,
+# 96 ns on 2^19-sample records: 9-19 s at the cap).
 MAX_WORK = 200_000_000
 
 
@@ -292,9 +291,6 @@ def cmd_spectrum(cfg: dict, quiet: bool) -> Table:
             raise ValueError(
                 "frequencies share no common grid coarse enough to sample "
                 f"with <= {signals.MAX_SAMPLES} points")
-    # the synthesis adds one sine pass over the record per tone
-    _check_grid_size(frequencies.size * samples, "spectrum tone sample",
-                     MAX_WORK)
     # the record's peak is at most the amplitude sum, and a DFT bin of its
     # square sums `samples` terms of at most peak**2; the factor 4 leaves
     # room for the FFT's partial sums and the one-sided doubling

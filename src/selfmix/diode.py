@@ -17,9 +17,9 @@ each, with no FFT; the drive records come from
 :func:`selfmix.signals.synthesize_waveform`. The drive is a tone pair at
 zero phase: the diode is memoryless, so the tones' phases shift the record
 in time and move neither its DC nor its IF magnitude (Blachman, IEEE T-IT
-17(4), 1971). When both tones are whole numbers of hertz on odd bins of the
-record, samples ``j`` and ``n/2 - j`` see the same drive, so only half the
-record is solved and each solved sample carries the DFT weights of both.
+17(4), 1971). When both tones are on odd bins of the record, samples ``j``
+and ``n/2 - j`` see the same drive, so only half the record is solved and
+each solved sample carries the DFT weights of both.
 Amplifier and filters are collapsed into a flat gain and an ideal IF load;
 there is no junction capacitance and hence no frequency dependence. This
 keeps every qualitative behaviour of the real chain at desk scale: the
@@ -255,17 +255,14 @@ def mixing_plan(tone_pair: Sequence[float]) -> tuple[float, int, int]:
     tones ``tone_pair = (f1, f2)`` on, as ``(rate, n, m)``: a record of
     ``n`` samples at ``rate``, one common period of the tones and their IF
     ``|f2 - f1|``, of which ``m`` are solved per cell, ``n/2 + 1`` when
-    both tones are whole numbers of hertz on odd bins of the record and
-    ``n`` otherwise. Raises ``ValueError`` as :func:`plan_sampling` does."""
+    both tones are on odd bins of the record and ``n`` otherwise. Raises
+    ``ValueError`` as :func:`plan_sampling` does."""
     f1, f2 = tone_pair
     # generous oversampling: the exponential diode produces products of all
     # orders, and only very high orders may alias onto the IF bin this way
     rate, duration = plan_sampling([f1, f2, abs(f2 - f1)], oversample=24.0)
     n = int(round(duration * rate))
-    # plan_sampling accepts a tone a fraction of a hertz off a whole number,
-    # but it is synthesised off its bin, so only whole-hertz tones count as
-    # on one
-    odd = all(f == round(f) and round(f * duration) % 2 for f in tone_pair)
+    odd = all(round(f * duration) % 2 for f in tone_pair)
     return rate, n, n // 2 + 1 if odd else n
 
 
@@ -276,7 +273,7 @@ the five float arrays that the solve holds at once is at most 128 KiB
 (0.66 MB in all) unless one cell alone is longer; reading the bins reuses
 the drive's array. A cell's record is ``n`` samples, one common period of
 its tones (2048 for a default sweep cell); ``m`` is ``n/2 + 1`` when both
-tones are whole numbers of hertz on odd bins, and ``n`` otherwise."""
+tones are on odd bins, and ``n`` otherwise."""
 
 
 def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
@@ -302,7 +299,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
 
     One sampling plan of ``n`` samples, :func:`mixing_plan`, and one pair
     of unit sines (one ``synthesize_waveform`` call) serve every cell. When
-    both tones are whole numbers of hertz on odd bins ``k`` of the plan,
+    both tones are on odd bins ``k`` of the plan,
     ``sin(2 pi k (n/2 - j) / n) = sin(2 pi k j / n)``: samples ``j`` and
     ``(n/2 - j) mod n`` carry the same drive and hence the same current, so
     only the ``n/2 + 1`` samples with ``j <= (n/2 - j) mod n`` are solved;
@@ -334,8 +331,7 @@ def mix_cells(chain: MixingChain, bias_voltages: np.ndarray | Sequence[float],
     solved = j <= partner
     mirror = (np.cumsum(solved) - 1)[np.minimum(j, partner)]
     # one unit sine per tone, at the solved samples; a cell's waveform is
-    # their sum weighted by its amplitudes, in the order and with the bits
-    # of synthesising it alone
+    # their sum weighted by its amplitudes
     sines = synthesize_waveform(np.eye(2), freqs, 0.0, rate, n)[:, solved]
     # the record's DC and IF bins as weights on the solved samples: sample
     # j's DFT weights go to mirror[j]. With k the signed residue of if_bin j

@@ -11,7 +11,6 @@ field quantity, i.e. ``20*log10(amplitude)``.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,34 +143,39 @@ def find_lobes(p: PatternGrid, min_amplitude: float) -> list[float]:
 
 def read_pattern_csv(source: str | Path, max_rows: int) -> PatternGrid:
     """Load a measured cut from CSV with header ``theta_deg,gain_db``;
-    gain_db is converted to linear amplitude via ``10**(db/20)``. A file of
-    more than ``max_rows`` non-blank data rows raises ``ValueError`` before
-    any row is parsed; a row that is not two numbers raises ``ValueError``
-    naming its file and line."""
-    text = Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["theta_deg", "gain_db"]:
-        raise ValueError("pattern CSV must start with header 'theta_deg,gain_db'")
-    rows = sum(bool(row and row[0].strip())
-               for row in csv.reader(io.StringIO(text))) - 1  # less the header
-    if rows > max_rows:
-        raise ValueError(f"pattern grid would have {rows} points; "
-                         f"the limit is {max_rows}")
-    theta = []
-    gains = []
-    for row in reader:
-        if not row or not row[0].strip():
-            continue
-        where = f"{source}:{reader.line_num}"
-        if len(row) < 2:
-            raise ValueError(f"{where}: expected theta_deg,gain_db, got {row!r}")
-        try:
-            theta.append(math.radians(float(row[0])))
-            gains.append(db_to_amplitude_ratio(float(row[1])))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        except OverflowError:
-            raise ValueError(f"{where}: gain_db {row[1].strip()} is past the "
-                             "float range") from None
+    gain_db is converted to linear amplitude via ``10**(db/20)``. The file
+    is streamed: its non-blank data rows are counted in a first pass that
+    keeps none of them, and a file of more than ``max_rows`` raises
+    ``ValueError`` before any row is parsed; a row that is not two numbers
+    raises ``ValueError`` naming its file and line."""
+    with Path(source).open(encoding="utf-8") as table:
+        reader = csv.reader(table)
+        header = next(reader, [])
+        if [h.strip() for h in header[:2]] != ["theta_deg", "gain_db"]:
+            raise ValueError(
+                "pattern CSV must start with header 'theta_deg,gain_db'")
+        rows = sum(bool(row and row[0].strip()) for row in reader)
+        if rows > max_rows:
+            raise ValueError(f"pattern grid would have {rows} points; "
+                             f"the limit is {max_rows}")
+        table.seek(0)
+        reader = csv.reader(table)
+        next(reader)
+        theta = []
+        gains = []
+        for row in reader:
+            if not row or not row[0].strip():
+                continue
+            where = f"{source}:{reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(
+                    f"{where}: expected theta_deg,gain_db, got {row!r}")
+            try:
+                theta.append(math.radians(float(row[0])))
+                gains.append(db_to_amplitude_ratio(float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            except OverflowError:
+                raise ValueError(f"{where}: gain_db {row[1].strip()} is past "
+                                 "the float range") from None
     return PatternGrid(np.asarray(theta), np.asarray(gains))

@@ -15,10 +15,7 @@ is an array of any leading shape. Bin ``k`` of an ``n``-sample record at
 Spectral convention: one-sided amplitude spectrum, i.e. a sine tone of peak
 amplitude ``a`` shows up in :func:`dft_spectrum` with ``|complex_amplitude|
 == a`` at its bin, and a DC offset ``c`` shows up with magnitude ``c`` at the
-DC bin. Energy therefore reads ``dc**2 + sum(|a_k|**2) / 2``. Tones that do
-not fall on an exact DFT bin leak into neighbouring bins as usual; production
-code accepts any frequency, but exact results are only guaranteed on-bin
-(see :func:`plan_sampling`).
+DC bin. Energy therefore reads ``dc**2 + sum(|a_k|**2) / 2``.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-
-_TWO_PI = 2.0 * math.pi
 
 MIN_SAMPLES = 16
 """Shortest record :func:`synthesize_waveform` makes and :func:`dft_spectrum`
@@ -64,7 +59,7 @@ def check_tones(amplitudes, frequencies: Sequence[float], phases=0.0
     if np.shape(phases)[-1:] not in ((), freqs.shape):
         raise ValueError("need one phase per tone frequency")
     with np.errstate(invalid="ignore"):  # a non-finite phase, checked below
-        wrapped = (np.broadcast_to(phases, amps.shape) + math.pi) % _TWO_PI
+        wrapped = (np.broadcast_to(phases, amps.shape) + math.pi) % math.tau
     wrapped -= math.pi
     if not np.all(np.isfinite(wrapped)):
         raise ValueError("tone phases must be finite")
@@ -78,34 +73,34 @@ def synthesize_waveform(amplitudes, frequencies: Sequence[float], phases,
     ``(..., samples)``).
 
     ``w[..., i] = sum_k a[..., k] * sin(2*pi*f_k*t_i + phi[..., k])`` with
-    ``t_i = i / sample_rate``, the tones summed in order and the phases
-    broadcast and wrapped by :func:`check_tones`. Each row holds the bits of
+    ``t_i = i / sample_rate`` and the phases broadcast and wrapped by
+    :func:`check_tones`, built as one unscaled (``norm="forward"``) inverse
+    real FFT of bins that each hold the ``a/2 * exp(j(phi - pi/2))`` of
+    their tones: O(n log n) for any tone count. Each row holds the bits of
     the one-row call.
 
-    Raises ``ValueError`` on a tone set :func:`check_tones` refuses, when
-    ``sample_rate <= 2 * max(f_k)``, on fewer than :data:`MIN_SAMPLES`
-    samples, or when the record does not span one full period of the
-    slowest tone; the one-common-period records that :func:`plan_sampling`
-    produces put every tone and every mixing product of the tones on an
-    exact bin.
+    Raises ``ValueError`` on a tone set :func:`check_tones` refuses, on
+    fewer than :data:`MIN_SAMPLES` samples, or on a tone more than 1e-9 of
+    its bin index, the tolerance of :func:`plan_sampling`, off the bins
+    ``1 .. (samples - 1) // 2``: one that the record spans less than one
+    period of, that the rate cannot represent, or that lies between bins.
     """
     amps, freqs, phases = check_tones(amplitudes, frequencies, phases)
-    f_max, f_min = float(freqs.max()), float(freqs.min())
-    if not sample_rate > 2.0 * f_max:
-        raise ValueError(
-            f"sample rate {sample_rate} Hz cannot represent a {f_max} Hz tone")
     if samples < MIN_SAMPLES:
         raise ValueError(
             f"waveform needs >= {MIN_SAMPLES} samples, got {samples}")
-    if samples / sample_rate * f_min < 1.0 - 1e-12:
-        raise ValueError(
-            f"{samples} samples at {sample_rate} Hz do not cover one period "
-            f"of the {f_min} Hz tone")
-    t = np.arange(samples) / sample_rate
-    w = np.zeros(amps.shape[:-1] + (samples,))
-    for k, f in enumerate(freqs.tolist()):
-        w += amps[..., k, None] * np.sin(_TWO_PI * f * t + phases[..., k, None])
-    return w
+    with np.errstate(all="ignore"):  # a rate <= 0 or NaN is refused here
+        bins = freqs * samples / sample_rate
+        k = np.rint(bins)
+        on = (abs(bins - k) <= 1e-9 * bins) & (k >= 1) & (2 * k < samples)
+    if not on.all():
+        raise ValueError(f"tone {freqs[~on][0]} Hz lies off the bins 1 .. "
+                         f"{(samples - 1) // 2} of {samples} samples at "
+                         f"{sample_rate} Hz")
+    spectrum = np.zeros(amps.shape[:-1] + (samples // 2 + 1,), dtype=complex)
+    np.add.at(spectrum, (..., k.astype(int)),
+              0.5 * amps * np.exp(1j * (phases - 0.5 * math.pi)))
+    return np.fft.irfft(spectrum, samples, norm="forward")
 
 
 def dft_spectrum(records) -> np.ndarray:

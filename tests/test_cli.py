@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfmix import cli, diode, signals, validation
+from selfmix import cli, diode, validation
 from selfmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -363,6 +363,32 @@ class TestConfigHandling:
         assert peak < 1_000_000
         assert not out.exists()
 
+    def test_pattern_files_refused_without_holding_their_rows(
+            self, tmp_path, capsys, monkeypatch):
+        # the rows are counted in a pass over the open file that keeps none
+        # of them, so refusing a 2.5 MB cut traces well under its size (one
+        # held as its text and a StringIO copy traces about 22 MB)
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 200_000)
+        cut = tmp_path / "cut.csv"
+        cut.write_text("theta_deg,gain_db\n" + "".join(
+            f"{t:.6f},0\n" for t in np.linspace(-90.0, 90.0, 200_001)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"pattern_file_1 = {cut}\npattern_file_2 = {cut}\n")
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            status = run(["pattern", "--config", str(cfg), "--out", str(out),
+                          "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "config error: pattern grid would have 200001 points; the limit "
+            "is 200000\n")
+        assert peak < 1_000_000
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text, grid", [
         # 3 x 2 cells of 1025 solved samples each at the default tone pair
         pytest.param("bias-sweep", "bias_stop_v = 0.1\npower_stop_dbm = -55",
@@ -373,10 +399,6 @@ class TestConfigHandling:
                                    "f1_hz = 34e9\nf2_hz = 35e9",
                      "bias-sweep solved sample grid would have 6144 points",
                      id="bias-sweep-whole-records"),
-        # a carrier and four band tones over 2048 samples
-        pytest.param("spectrum", "",
-                     "spectrum tone sample grid would have 10240 points",
-                     id="spectrum"),
     ])
     def test_work_over_cap_exits_2_before_computing(
             self, tmp_path, capsys, monkeypatch, command, text, grid):
@@ -384,7 +406,6 @@ class TestConfigHandling:
             raise AssertionError("work over the cap was computed")
         monkeypatch.setattr(cli, "MAX_WORK", 5000)
         monkeypatch.setattr(diode, "terminal_current", compute)
-        monkeypatch.setattr(signals, "synthesize_waveform", compute)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text + "\n")
         out = tmp_path / "x.csv"
@@ -403,14 +424,6 @@ class TestConfigHandling:
                           "power_step_dbm = 0.1",
             "bias-sweep solved sample grid would have 524288000000 points",
             id="bias-sweep-1000x1000-at-50-khz"),
-        # 2 002 distinct tones on a 10 kHz grid, each a sine over 2^19
-        # samples: about 20 s
-        pytest.param(
-            "spectrum", "carrier_freq_hz = 0.99e9\nband_low_hz = 1e9\n"
-                        "band_high_hz = 1.02e9\nband_tone_count = 2001\n"
-                        "frequency_grid_hz = 1e4",
-            "spectrum tone sample grid would have 1049624576 points",
-            id="spectrum-2001-band-tones"),
     ])
     def test_hours_of_work_refused_at_once(self, tmp_path, capsys, command,
                                            text, work):
@@ -425,6 +438,40 @@ class TestConfigHandling:
         assert captured.err == (f"config error: {work}; the limit is "
                                 f"{cli.MAX_WORK}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, tones, samples, bound_s", [
+        # 2 002 distinct tones on a 10 kHz grid over 2^19 samples (about
+        # 20 s as one sine pass per tone)
+        pytest.param("carrier_freq_hz = 0.99e9\nband_low_hz = 1e9\n"
+                     "band_high_hz = 1.02e9\nband_tone_count = 2001\n"
+                     "frequency_grid_hz = 1e4", 2002, 1 << 19, 5.0,
+                     id="2001-band-tones"),
+        # every bin 4 .. 2^18 - 1 of a 2^20-sample record on a 1 Hz grid,
+        # the most distinct tones such a record holds below a quarter of
+        # its rate (about 4 h as one sine pass per tone)
+        pytest.param("carrier_freq_hz = 4\nband_low_hz = 5\n"
+                     "band_high_hz = 262143\nband_tone_count = 262139\n"
+                     "frequency_grid_hz = 1", 262140, 1 << 20, 15.0,
+                     id="262140-tones"),
+    ])
+    def test_many_tone_spectrum_runs_on_its_bins(self, tmp_path, text, tones,
+                                                 samples, bound_s):
+        # one inverse FFT builds the record whatever the tone count, so no
+        # work cap refuses it, and every tone reads its amplitude at its bin
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        assert time.perf_counter() - start < bound_s
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.shape == (samples // 2 + 1, 3)
+        tone_bins = np.flatnonzero(table[:, 1] > 1e-6)
+        assert tone_bins.size == tones
+        expected = np.full(tones, 0.25)
+        expected[np.argmin(table[tone_bins, 0])] = 1.0  # the carrier
+        assert np.allclose(table[tone_bins, 1], expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("command, text", [
         ("bias-sweep", "f1_hz = 38.5e9"),

@@ -476,12 +476,11 @@ def near_full_record(if_power_dbm, dc_current, expected):
 
 def halved(frequencies):
     """Whether mix_cells solves the tone pair on half its record: both
-    tones whole numbers of hertz on odd bins of the common grid."""
+    tones on odd bins of the common grid."""
     _, duration = plan_sampling(
         list(frequencies) + [abs(frequencies[1] - frequencies[0])],
         oversample=24.0)
-    return all(f == round(f) and round(f * duration) % 2 == 1
-               for f in frequencies)
+    return all(round(f * duration) % 2 == 1 for f in frequencies)
 
 
 @st.composite
@@ -561,14 +560,11 @@ class TestMixingKernel:
                     per_cell_route(chain, bias, *tones)), (bias, p)
 
     def test_mixed_parity_sweep_keeps_the_full_record(self, monkeypatch):
-        # 34/35 GHz sit on the bins 34 and 35 of a 1 GHz grid, 34.5/35 GHz
-        # on 69 and 70 of a 0.5 GHz grid, and 37.5 GHz + 0.4 Hz, which
-        # plan_sampling puts on the odd bin 75 beside 38.5 GHz on 77, is
-        # synthesised 0.4 Hz off it: no sample mirrors another, and every
-        # cell is within rounding of the per-cell route
+        # 34/35 GHz sit on the bins 34 and 35 of a 1 GHz grid and 34.5/35 GHz
+        # on 69 and 70 of a 0.5 GHz grid: no sample mirrors another, and
+        # every cell is within rounding of the per-cell route
         chain = default_chain()
-        for pair, n in [((34e9, 35e9), 1024), ((34.5e9, 35e9), 2048),
-                        ((37.5e9 + 0.4, 38.5e9), 2048)]:
+        for pair, n in [((34e9, 35e9), 1024), ((34.5e9, 35e9), 2048)]:
             with monkeypatch.context() as mp:
                 solved = recording_solves(mp)
                 if_power_dbm, dc_current = sweep(chain, self.BIASES,
@@ -581,6 +577,21 @@ class TestMixingKernel:
                         per_cell_route(chain, bias,
                                        *two_tone(p, p - 5.0, *pair))), (
                         pair, bias, p)
+
+    def test_near_whole_tone_is_built_on_its_bin(self, monkeypatch):
+        # plan_sampling puts 37.5 GHz + 0.4 Hz on the odd bin 75 of 37.5 GHz
+        # beside 38.5 GHz on 77, and the tone is synthesised on that bin:
+        # the sweep is solved on the halved record, bit for bit as at
+        # 37.5 GHz
+        chain = default_chain()
+        with monkeypatch.context() as mp:
+            solved = recording_solves(mp)
+            near = sweep(chain, self.BIASES, self.POWERS,
+                         (37.5e9 + 0.4, 38.5e9))
+        assert solved == [(15, 1025)]
+        whole = sweep(chain, self.BIASES, self.POWERS, (37.5e9, 38.5e9))
+        for got, expected in zip(near, whole):
+            assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=timedelta(seconds=20),
               derandomize=True)

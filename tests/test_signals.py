@@ -76,11 +76,17 @@ class TestSynthesize:
             synthesize_waveform([], [], 0.0, 16.0, 16)
 
     def test_nyquist_violation(self):
-        with pytest.raises(ValueError, match="cannot represent"):
-            synthesize_waveform([1.0], [10.0], 0.0, 20.0, 200)
+        # a 10 Hz tone sits on the Nyquist bin 100 at a 20 Hz rate, above
+        # it at 19 Hz, and on no bin at a rate of 0, below 0 or NaN
+        for rate in (20.0, 19.0, 0.0, -20.0, math.nan):
+            with pytest.raises(ValueError, match=r"tone 10.0 Hz lies off the "
+                                                 r"bins 1 \.\. 99 of 200"):
+                synthesize_waveform([1.0], [10.0], 0.0, rate, 200)
 
     def test_record_below_one_period(self):
-        with pytest.raises(ValueError, match="do not cover one period"):
+        # half a period: the tone lies below bin 1
+        with pytest.raises(ValueError, match=r"tone 1.0 Hz lies off the bins "
+                                             r"1 \.\. 15 of 32 samples"):
             synthesize_waveform([1.0], [1.0], 0.0, 64.0, 32)
 
 
