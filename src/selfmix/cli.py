@@ -134,17 +134,15 @@ def _grid_count(start: float, stop: float, step: float, name: str) -> int:
     return count
 
 
-def _theta_grid_deg(cfg: dict, start_key: str = "theta_start_deg",
-                    stop_key: str = "theta_stop_deg",
-                    step_key: str = "theta_step_deg",
-                    name: str = "theta") -> np.ndarray:
+def _strict_grid(cfg: dict, start_key: str, stop_key: str, step_key: str,
+                 name: str) -> np.ndarray:
     """The strict grid ``start, start + step, ...`` up to ``stop`` of three
-    config keys (the theta cut's by default): a stop that is not above the
-    start or a step that is not positive is refused by key name; a step
-    past the span gives one point. It is stricter than :func:`_grid`
-    because ``diode-iv`` prints the static optimum over ``(start, stop)``,
-    which needs ``start < stop``: were ``stop == start`` let through, the
-    command would exit 0 under ``--quiet`` and 3 without it."""
+    config keys: a stop that is not above the start or a step that is not
+    positive is refused by key name; a step past the span gives one point.
+    It is stricter than :func:`_grid` because ``diode-iv`` prints the static
+    optimum over ``(start, stop)``, which needs ``start < stop``: were
+    ``stop == start`` let through, the command would exit 0 under
+    ``--quiet`` and 3 without it."""
     start, stop, step = cfg[start_key], cfg[stop_key], cfg[step_key]
     if step <= 0.0 or stop <= start:
         raise ConfigError(f"need {stop_key} > {start_key} and "
@@ -319,8 +317,7 @@ DIODE_IV_SCHEMA = Schema(
 
 def cmd_diode_iv(cfg: dict, quiet: bool) -> Table:
     model = _diode_from_config(cfg)
-    grid = _theta_grid_deg(cfg, "v_start_v", "v_stop_v", "v_step_v",
-                           "voltage")
+    grid = _strict_grid(cfg, "v_start_v", "v_stop_v", "v_step_v", "voltage")
     current = diode.terminal_current(model, grid)
     di_dv, d2i_dv2 = diode.iv_derivatives(model, grid)
     table = Table(columns=["voltage_v", "current_a", "di_dv_s",
@@ -401,7 +398,8 @@ ARRAY_FACTOR_SCHEMA = Schema(
 
 def cmd_array_factor(cfg: dict, quiet: bool) -> Table:
     geometry = _geometry_from_config(cfg)
-    theta_deg = _theta_grid_deg(cfg)
+    theta_deg = _strict_grid(cfg, "theta_start_deg", "theta_stop_deg",
+                             "theta_step_deg", "theta")
     phi = math.radians(cfg["phi_cut_deg"])
     af_if, af_rf = _factor_cuts(geometry, cfg, np.radians(theta_deg), phi)
     if not quiet and not cfg["geometry_file"]:
@@ -437,7 +435,8 @@ PATTERN_SCHEMA = Schema(
 
 def cmd_pattern(cfg: dict, quiet: bool) -> Table:
     geometry = _geometry_from_config(cfg)
-    theta_deg = _theta_grid_deg(cfg)
+    theta_deg = _strict_grid(cfg, "theta_start_deg", "theta_stop_deg",
+                             "theta_step_deg", "theta")
     theta = np.radians(theta_deg)
     phi = math.radians(cfg["phi_cut_deg"])
     if cfg["pattern_file_1"] or cfg["pattern_file_2"]:

@@ -4,9 +4,9 @@ This module is the numerical ground truth for the rest of the package: the
 checks of :mod:`selfmix.validation` test the closed forms elsewhere against
 time-domain squaring (``w * w``) or the diode solve of a record that
 :func:`synthesize_waveform` makes, read at its bins by :func:`dft_spectrum`.
-No other module transforms a record. No filter stands between squaring and
-reading: on a record from :func:`plan_sampling` every mixing product falls
-on an exact bin and leaks into no other, so each is read from its bin.
+No other module transforms a record. Planner and synthesizer share one
+on-bin rule, :func:`_on_bin`, so every mixing product of a planned record
+falls on an exact bin: no filter stands between squaring and reading.
 
 Records are plain float arrays whose last axis is time; a batch of records
 is an array of any leading shape. Bin ``k`` of an ``n``-sample record at
@@ -21,7 +21,7 @@ DC bin. Energy therefore reads ``dc**2 + sum(|a_k|**2) / 2``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +66,13 @@ def check_tones(amplitudes, frequencies: Sequence[float], phases=0.0
     return amps, freqs, wrapped
 
 
+def _on_bin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one on-bin rule: ``k = rint(x)`` and whether each ``x`` (a tone
+    in hertz, or a bin index) is within ``1e-9 * x`` of its ``k >= 1``."""
+    k = np.rint(x)
+    return k, (abs(x - k) <= 1e-9 * x) & (k >= 1)
+
+
 def synthesize_waveform(amplitudes, frequencies: Sequence[float], phases,
                         sample_rate: float, samples: int) -> np.ndarray:
     """Sum-of-sines records on a uniform time grid, one per row of
@@ -80,19 +87,18 @@ def synthesize_waveform(amplitudes, frequencies: Sequence[float], phases,
     the one-row call.
 
     Raises ``ValueError`` on a tone set :func:`check_tones` refuses, on
-    fewer than :data:`MIN_SAMPLES` samples, or on a tone more than 1e-9 of
-    its bin index, the tolerance of :func:`plan_sampling`, off the bins
-    ``1 .. (samples - 1) // 2``: one that the record spans less than one
-    period of, that the rate cannot represent, or that lies between bins.
+    fewer than :data:`MIN_SAMPLES` samples, or on a tone whose bin index
+    ``f * samples / sample_rate`` fails :func:`_on_bin` or is not below
+    ``samples / 2``: one that the record spans less than one period of,
+    that the rate cannot represent, or that lies between bins.
     """
     amps, freqs, phases = check_tones(amplitudes, frequencies, phases)
     if samples < MIN_SAMPLES:
         raise ValueError(
             f"waveform needs >= {MIN_SAMPLES} samples, got {samples}")
     with np.errstate(all="ignore"):  # a rate <= 0 or NaN is refused here
-        bins = freqs * samples / sample_rate
-        k = np.rint(bins)
-        on = (abs(bins - k) <= 1e-9 * bins) & (k >= 1) & (2 * k < samples)
+        k, on = _on_bin(freqs * samples / sample_rate)
+    on &= 2 * k < samples
     if not on.all():
         raise ValueError(f"tone {freqs[~on][0]} Hz lies off the bins 1 .. "
                          f"{(samples - 1) // 2} of {samples} samples at "
@@ -118,54 +124,48 @@ def dft_spectrum(records) -> np.ndarray:
     if n < MIN_SAMPLES:
         raise ValueError(f"waveform needs >= {MIN_SAMPLES} samples, got {n}")
     amps = np.fft.rfft(records)
-    k = np.arange(n // 2 + 1)
     amps /= n
-    amps *= np.where((k > 0) & (2 * k != n), 2.0, 1.0)
+    amps[..., 1:(n + 1) // 2] *= 2.0
     return amps
 
 
-def plan_sampling(frequencies: Iterable[float],
+def plan_sampling(frequencies: Sequence[float],
                   oversample: float = 4.0) -> tuple[float, float]:
     """Choose ``(sample_rate, duration)`` putting every frequency on an exact
     DFT bin with rate above ``oversample`` times the highest one.
 
-    ``oversample`` defaults to the square-law minimum (content at ``f`` maps
-    to ``2 f``, Nyquist needs another factor 2); stronger nonlinearities
-    produce higher-order products that alias, and a larger factor pushes any
-    alias landing on a low-frequency bin to correspondingly higher (weaker)
-    product orders.
+    ``oversample`` defaults to the square-law minimum (``f`` maps to ``2 f``
+    and Nyquist needs another 2); a larger one pushes the aliases of a
+    stronger nonlinearity's products to higher, weaker orders.
 
-    Frequencies must be (near-)integer in Hz; the common grid is their gcd
-    ``res`` and the record is one common period: ``(n * res, 1 / res)`` with
-    ``n`` the smallest power of two that samples fast enough. Any periodic
-    waveform over these frequencies, and any memoryless function of one,
-    repeats after that period, so a longer record only repeats the samples
-    and leaves every bin of the grid unchanged. Raises
-    ``ValueError`` on no frequency, on one that is not positive and finite
-    (named), or if ``n`` would exceed :data:`MAX_SAMPLES` (wildly
-    incommensurate frequencies).
+    Each frequency must be a whole number ``k >= 1`` of hertz by
+    :func:`_on_bin`, which no tone below 0.5 Hz is. The record is one
+    common period of the exact gcd ``res`` of the ``k``: ``(n * res,
+    1 / res)`` with ``n`` the smallest power of two above ``oversample *
+    max(k) / res``. Any memoryless function of a waveform over these
+    frequencies repeats after that period, so a longer record leaves every
+    bin of the grid unchanged. Raises ``ValueError`` on no frequency, on
+    one that is not positive and finite or not whole (the first named), on
+    an ``oversample`` that is not finite and >= 2, or if ``n`` would exceed
+    :data:`MAX_SAMPLES` (wildly incommensurate frequencies).
     """
-    freqs = [float(f) for f in frequencies]
-    if not freqs:
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 1 or not freqs.size:
         raise ValueError("need at least one positive frequency")
-    for f in freqs:
-        if not 0.0 < f < math.inf:
-            raise ValueError(f"frequency {f} Hz is not positive and finite")
-    as_int = []
-    for f in freqs:
-        k = round(f)
-        if abs(f - k) > 1e-9 * max(f, 1.0):
-            raise ValueError(
-                f"frequency {f} Hz is not an integer number of hertz; "
-                "no exact common sampling grid exists")
-        as_int.append(int(k))
-    resolution = math.gcd(*as_int)
-    f_max = max(freqs)
-    n = MIN_SAMPLES
-    while n * resolution <= oversample * f_max:
-        n *= 2
-        if n > MAX_SAMPLES:
-            raise ValueError(
-                "frequencies share no common grid coarse enough to sample "
-                f"with <= {MAX_SAMPLES} points")
+    bad = freqs[~((freqs > 0.0) & (freqs < math.inf))]
+    if bad.size:
+        raise ValueError(f"frequency {bad[0]} Hz is not positive and finite")
+    if not 2.0 <= oversample < math.inf:
+        raise ValueError(f"need a finite oversample >= 2, got {oversample}")
+    whole, on = _on_bin(freqs)
+    if not on.all():
+        raise ValueError(
+            f"frequency {freqs[~on][0]} Hz is not an integer number of hertz "
+            ">= 1; no exact common sampling grid exists")
+    resolution = math.gcd(*map(int, whole.tolist()))  # exact past 2**63
+    top = oversample * float(whole.max()) / resolution
+    if not top < MAX_SAMPLES:
+        raise ValueError("frequencies share no common grid coarse enough to "
+                         f"sample with <= {MAX_SAMPLES} points")
+    n = max(MIN_SAMPLES, 1 << math.floor(top).bit_length())
     return float(n * resolution), 1.0 / resolution

@@ -707,6 +707,20 @@ class TestConfigHandling:
                        "coarse enough to sample with <= 1048576 points\n")
         assert not out.exists()
 
+    def test_sub_hertz_tone_exits_3_at_the_planner(self, tmp_path, capsys):
+        # 1e-10 Hz is no whole number of hertz: the planner refuses it by
+        # name before any record is built
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text("f1_hz = 1e-10\n")
+        out = tmp_path / "x.csv"
+        assert run(["bias-sweep", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("computation error: frequency 1e-10 Hz is not an "
+                       "integer number of hertz >= 1; no exact common "
+                       "sampling grid exists\n")
+        assert not out.exists()
+
     def test_solver_overflow_in_sweep_exits_3(self, tmp_path, capsys):
         # the loop solves at the 0.65 V bias; the 120 dBm cell swings it
         # past the overflow guard inside the mixing kernel

@@ -169,10 +169,9 @@ class TestTerminalCurrent:
         chain = default_chain()
         gain = db_to_amplitude_ratio(chain.lna_gain_db)
         amplitudes, frequencies = two_tone(0.0, -5.0)
-        rate, duration = plan_sampling([37.5e9, 38.5e9, 1e9], oversample=24.0)
+        rate, n, _ = diode.mixing_plan(frequencies)
         v = BIAS_VOLTAGE + synthesize_waveform(
-            gain * np.array(amplitudes), frequencies, 0.0, rate,
-            round(rate * duration))
+            gain * np.array(amplitudes), frequencies, 0.0, rate, n)
         assert v.size == 2048
         loop = chain.loop_model()
         vector = terminal_current(loop, v)
@@ -423,12 +422,10 @@ def full_record_current(chain, bias, amplitudes, frequencies, phases=0.0):
     if_frequency = abs(frequencies[1] - frequencies[0])
     amplified = db_to_amplitude_ratio(chain.lna_gain_db) * np.asarray(
         amplitudes)
-    rate, duration = plan_sampling(list(frequencies) + [if_frequency],
-                                   oversample=24.0)
-    rf = synthesize_waveform(amplified, frequencies, phases, rate,
-                             round(rate * duration))
+    rate, n, _ = diode.mixing_plan(frequencies)
+    rf = synthesize_waveform(amplified, frequencies, phases, rate, n)
     return (terminal_current(chain.loop_model(), bias + rf),
-            round(if_frequency * duration))
+            round(if_frequency * n / rate))
 
 
 def per_cell_route(chain, bias, amplitudes, frequencies, phases=0.0):
@@ -477,10 +474,8 @@ def near_full_record(if_power_dbm, dc_current, expected):
 def halved(frequencies):
     """Whether mix_cells solves the tone pair on half its record: both
     tones on odd bins of the common grid."""
-    _, duration = plan_sampling(
-        list(frequencies) + [abs(frequencies[1] - frequencies[0])],
-        oversample=24.0)
-    return all(round(f * duration) % 2 == 1 for f in frequencies)
+    rate, n, _ = diode.mixing_plan(frequencies)
+    return all(round(f * n / rate) % 2 == 1 for f in frequencies)
 
 
 @st.composite
@@ -608,15 +603,10 @@ class TestMixingKernel:
             solved = recording_solves(mp)
             if_power_dbm, dc_current = mix_cells(chain, biases, amplitudes,
                                                  frequencies)
-        if_frequency = abs(frequencies[1] - frequencies[0])
-        rate, duration = plan_sampling(frequencies + [if_frequency],
-                                       oversample=24.0)
-        n = round(rate * duration)
-        half = halved(frequencies)
-        assert solved and all(shape[1] == (n // 2 + 1 if half else n)
-                              for shape in solved)
         # the shared plan, which the CLI's work cap counts, is the one solved
-        assert diode.mixing_plan(frequencies) == (rate, n, solved[0][1])
+        _, n, m = diode.mixing_plan(frequencies)
+        assert m == (n // 2 + 1 if halved(frequencies) else n)
+        assert solved and all(shape[1] == m for shape in solved)
         for k, bias in enumerate(biases):
             assert near_full_record(
                 if_power_dbm[k], dc_current[k],
@@ -712,7 +702,7 @@ class TestMixingKernel:
         # raises plan_sampling's error and solves no cell
         solved = recording_solves(monkeypatch)
         with pytest.raises(ValueError, match="share no common grid") as expected:
-            plan_sampling([34e9 + 1.0, 35e9 + 1.0, 1e9], oversample=24.0)
+            diode.mixing_plan((34e9 + 1.0, 35e9 + 1.0))
         with pytest.raises(ValueError, match="share no common grid") as raised:
             sweep(default_chain(), [0.6, 0.65], [-40.0, -30.0],
                   (34e9 + 1.0, 35e9 + 1.0))
@@ -724,9 +714,7 @@ class TestMixingKernel:
         # periods of the IF would need 2^22, past the sample budget); the
         # memoryless chain sees only the tone amplitudes
         chain = default_chain()
-        rate, duration = plan_sampling([37.5e9, 37.501e9, 1e6],
-                                       oversample=24.0)
-        assert round(rate * duration) == 1 << 20
+        assert diode.mixing_plan((37.5e9, 37.501e9))[1] == 1 << 20
         close, _ = one_cell(chain, BIAS_VOLTAGE,
                             *two_tone(-30.0, -35.0, 37.5e9, 37.501e9))
         wide, _ = one_cell(chain, BIAS_VOLTAGE, *two_tone(-30.0, -35.0))

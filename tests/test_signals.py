@@ -303,8 +303,7 @@ def test_one_period_bins_equal_two_period_bins():
             (rng.uniform(0.1, 1.0), rng.uniform(-math.pi, math.pi))
             for _ in freqs]).T
         if_frequency = abs(freqs[1] - freqs[0])
-        rate, duration = plan_sampling(list(freqs) + [if_frequency],
-                                       oversample=24.0)
+        rate, duration = plan_sampling(list(freqs) + [if_frequency])
         for detector in (lambda x: x * x, np.expm1):
             bins = []
             for periods in (1, 2):
@@ -320,6 +319,45 @@ def test_one_period_bins_equal_two_period_bins():
 def test_plan_sampling_rejects_fractional_hz():
     with pytest.raises(ValueError, match="not an integer number of hertz"):
         plan_sampling([10.0, 10.5])
+
+
+def test_plan_sampling_refuses_a_tone_below_half_a_hertz():
+    # 1e-10 Hz rounds to 0 Hz, which no record holds: refused and named,
+    # not left out of the gcd
+    with pytest.raises(ValueError, match=r"^frequency 1e-10 Hz is not an "
+                       r"integer number of hertz >= 1;"):
+        plan_sampling([5.0, 1e-10])
+
+
+@pytest.mark.parametrize("frequencies, plan", [
+    # one common period of the exact gcd 2^63 Hz, 16 samples
+    ([2.0 ** 63, 3 * 2.0 ** 63], (2.0 ** 67, 2.0 ** -63)),
+    ([2.0 ** 64, 2.0 ** 63], (2.0 ** 67, 2.0 ** -63)),
+])
+def test_plan_sampling_is_exact_past_int64(frequencies, plan):
+    assert plan_sampling(frequencies) == plan
+
+
+def test_plan_sampling_refuses_a_grid_past_int64_too_fine():
+    # a 4096 Hz gcd of tones near 2^64 Hz needs 2^56 samples
+    with pytest.raises(ValueError, match="share no common grid"):
+        plan_sampling([2.0 ** 64, 2.0 ** 64 + 4096.0])
+
+
+def test_plan_depends_on_the_whole_hertz_only():
+    # a top tone just below its whole hertz plans as the whole hertz, so
+    # its bin stays below Nyquist at the least oversampling
+    tones = [7.0, 8.0 - 4e-9]
+    assert plan_sampling(tones, 2.0) == plan_sampling([7.0, 8.0], 2.0)
+    rate, duration = plan_sampling(tones, 2.0)
+    synthesize_waveform([1.0, 1.0], tones, 0.0, rate, round(rate * duration))
+
+
+@pytest.mark.parametrize("oversample", [1.9, 0.0, -4.0, math.nan, math.inf])
+def test_plan_sampling_refuses_oversampling_below_two(oversample):
+    # below 2 a tone could sit at or past the Nyquist bin of its plan
+    with pytest.raises(ValueError, match="need a finite oversample >= 2"):
+        plan_sampling([5.0, 7.0], oversample)
 
 
 @pytest.mark.parametrize("bad", [-3.0, 0.0, math.nan, math.inf])

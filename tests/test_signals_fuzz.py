@@ -1,7 +1,7 @@
 """Fuzz of the record functions: a batch of records gives, element by
-element, the bits of the one-record calls, and every tone set that
-plan_sampling accepts is synthesised on its bins, as the per-tone sine sum
-of validation."""
+element, the bits of the one-record calls, plan_sampling refuses exactly
+the tone sets with a tone below 0.5 Hz, and every tone set that it accepts
+is synthesised on its bins, as the per-tone sine sum of validation."""
 
 from datetime import timedelta
 
@@ -64,11 +64,13 @@ def test_batched_calls_equal_single_calls(batch):
 
 @st.composite
 def planned_tone_sets(draw):
-    """(amplitudes, on_bin, off_bin, phases): rows x tones amplitudes and
-    phases, one to four distinct multiples 1 .. 250 of a common grid, and
+    """(amplitudes, on_bin, off_bin, phases, low): rows x tones amplitudes
+    and phases, one to four distinct multiples 1 .. 250 of a common grid,
     the same tones each moved off its whole number of hertz by up to 0.999
-    of plan_sampling's tolerance, 1e-9 of its frequency, and less than
-    half a hertz (up to 0.499 Hz at 1 GHz)."""
+    of the on-bin tolerance, 1e-9 of its frequency, and less than half a
+    hertz (up to 0.499 Hz at 1 GHz; a 1 Hz tone can move below 1 Hz), and
+    a third of the time up to two tones below 0.5 Hz, ``low``, that
+    ``off_bin`` also holds."""
     grid = draw(st.sampled_from([1.0, 7.0, 1e4, 5e8, 1e9]))
     multiples = draw(st.lists(st.integers(1, 250), min_size=1, max_size=4,
                               unique=True))
@@ -77,23 +79,37 @@ def planned_tone_sets(draw):
                            max_size=len(on_bin)))
     off_bin = [f + d * min(0.999e-9 * f, 0.499)
                for f, d in zip(on_bin, shifts)]
+    low = draw(st.one_of(st.just([]), st.just([]), st.lists(
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        min_size=1, max_size=2)))
+    position = draw(st.integers(0, len(off_bin)))
+    off_bin[position:position] = low
     rows = draw(st.integers(1, 3))
     amplitudes = draw(hnp.arrays(float, (rows, len(on_bin)),
                                  elements=st.floats(0.0, 1e3)))
     phases = draw(hnp.arrays(float, (rows, len(on_bin)),
                              elements=st.floats(-1e3, 1e3)))
-    return amplitudes, on_bin, off_bin, phases
+    return amplitudes, on_bin, off_bin, phases, low
 
 
-@settings(max_examples=80, deadline=timedelta(seconds=20), derandomize=True)
+@settings(max_examples=120, deadline=timedelta(seconds=20), derandomize=True)
 @given(case=planned_tone_sets())
 def test_planned_tone_sets_are_built_on_their_bins(case):
-    amplitudes, on_bin, off_bin, phases = case
+    amplitudes, on_bin, off_bin, phases, low = case
+    # the planner refuses exactly the sets with a tone below 0.5 Hz, and
+    # names the first
+    if low:
+        with pytest.raises(ValueError, match=f"^frequency {low[0]} Hz is "
+                           "not an integer number of hertz >= 1;"):
+            plan_sampling(off_bin)
+        return
     rate, duration = plan_sampling(off_bin)
+    # a tone inside the on-bin tolerance plans as its whole number of hertz
+    assert plan_sampling(on_bin) == (rate, duration)
     samples = round(rate * duration)
+    # and synthesize_waveform fills every plan, with each tone built on its
+    # bin, bit for bit as the whole multiple of the grid
     records = synthesize_waveform(amplitudes, off_bin, phases, rate, samples)
-    # a tone inside plan_sampling's tolerance is built on its bin, bit for
-    # bit as the whole multiple of the grid
     assert records.tobytes() == synthesize_waveform(
         amplitudes, on_bin, phases, rate, samples).tobytes()
     # within 1e-12 of its amplitude sum of the sine sum, which has no FFT

@@ -189,7 +189,8 @@ class TestCommandTables:
 
     def cuts(self, schema):
         cfg = schema.resolve({})
-        theta_deg = cli._theta_grid_deg(cfg)
+        theta_deg = cli._strict_grid(cfg, "theta_start_deg", "theta_stop_deg",
+                                     "theta_step_deg", "theta")
         return cfg, theta_deg, math.radians(cfg["phi_cut_deg"])
 
     def test_array_factor(self, tmp_path):
