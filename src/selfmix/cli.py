@@ -2,10 +2,11 @@
 
 One flat parser and one table of commands, :data:`COMMANDS`, which gives
 each its help line and config :class:`Schema`. A config file is flat
-key-value text (``key = value`` per line, ``#`` comments); every physical
-key carries a unit suffix (``_hz``, ``_m``, ``_dbm``, ``_v``, ...) and
-unknown keys are rejected. Each ``cmd_*`` but :func:`cmd_validate` takes
-``(cfg, quiet)`` and returns the :class:`Table` that :func:`main` writes to
+key-value text (``key = value`` per line, ``#`` comments), streamed by
+:meth:`Schema.read` and refused at its first bad line, such as an unknown
+key; every physical key carries a unit suffix (``_hz``, ``_m``, ``_dbm``,
+``_v``, ...). Each ``cmd_*`` but :func:`cmd_validate` takes ``(cfg,
+quiet)`` and returns the :class:`Table` that :func:`main` writes to
 ``--out``. Identical configs yield byte-identical files.
 
 Exit status: 0 on success; 2 for a configuration error, raised as
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .tables import Table
+from .tables import Table, json_document
 from .units import amplitude_ratio_to_db, dbm_to_amplitude
 
 # Largest grid (directions, voltages, sweep cells, array elements), checked
@@ -56,61 +56,55 @@ _EPILOG = ("exit status: 0 success, 2 configuration error (bad key/value,\n"
            "unreadable file), 3 computation error (solver or model failure)")
 
 
-def _parse_config_text(text: str, source: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', "
-                              f"got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"{source}:{lineno}: empty key or value")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
-
-
 class Schema:
     """Typed key set for one subcommand's config."""
 
     def __init__(self, **keys: tuple[Callable, object]):
         self.keys = keys  # name -> (parser, default)
 
-    def resolve(self, raw: dict[str, str]) -> dict:
-        unknown = set(raw) - set(self.keys)
-        if unknown:
-            raise ConfigError(
-                "unknown config key(s): " + ", ".join(sorted(unknown))
-                + "; allowed: " + ", ".join(sorted(self.keys)))
-        out = {}
-        for name, (parse, default) in self.keys.items():
-            if name in raw:
-                try:
-                    out[name] = parse(raw[name])
-                except ValueError as exc:
-                    raise ConfigError(f"config key {name}: {exc}") from exc
-                if isinstance(out[name], float) and not math.isfinite(out[name]):
-                    raise ConfigError(f"config key {name}: must be finite, "
-                                      f"got {raw[name]!r}")
-            else:
-                out[name] = default
-        return out
-
-
-def _load_config(path: str | None, schema: Schema) -> dict:
-    if path is None:
-        return schema.resolve({})
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return schema.resolve(_parse_config_text(p.read_text(encoding="utf-8"),
-                                             str(path)))
+    def read(self, path: str | None) -> dict:
+        """The defaults, overridden by the ``key = value`` lines of the file
+        at ``path`` (none if ``None``). The file is streamed and each value
+        parsed as it is read; the first malformed line, repeated or unknown
+        key, or bad or non-finite value is refused at its line, so no more
+        than one value per key is ever held."""
+        cfg = {name: default for name, (_, default) in self.keys.items()}
+        if path is None:
+            return cfg
+        if not Path(path).is_file():
+            raise ConfigError(f"config file not found: {path}")
+        given = set()
+        try:
+            with open(path, encoding="utf-8") as lines:
+                for lineno, raw in enumerate(lines, start=1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    where = f"{path}:{lineno}"
+                    if "=" not in line:
+                        raw = raw.rstrip("\n")
+                        raise ConfigError(f"{where}: expected 'key = value', "
+                                          f"got {raw!r}")
+                    key, value = (part.strip() for part in line.split("=", 1))
+                    if not key or not value:
+                        raise ConfigError(f"{where}: empty key or value")
+                    if key in given:
+                        raise ConfigError(f"{where}: duplicate key {key!r}")
+                    if key not in self.keys:
+                        raise ConfigError(
+                            f"unknown config key(s): {key}; allowed: "
+                            + ", ".join(sorted(self.keys)))
+                    given.add(key)
+                    try:
+                        cfg[key] = parsed = self.keys[key][0](value)
+                    except ValueError as exc:
+                        raise ConfigError(f"config key {key}: {exc}") from exc
+                    if isinstance(parsed, float) and not math.isfinite(parsed):
+                        raise ConfigError(f"config key {key}: must be "
+                                          f"finite, got {value!r}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text") from exc
+        return cfg
 
 
 def _check_grid_size(points: int | float, name: str,
@@ -281,14 +275,9 @@ def cmd_spectrum(cfg: dict, quiet: bool) -> Table:
             np.append(snapped[0], band[order]))
     rate, duration = signals.plan_sampling(frequencies)
     # a printed spectrum resolves the slowest tone over at least four
-    # periods: repeat the common period, which keeps every bin exact
-    samples = int(round(duration * rate))
-    while samples / rate * frequencies.min() < 4.0:
-        samples *= 2
-        if samples > signals.MAX_SAMPLES:
-            raise ValueError(
-                "frequencies share no common grid coarse enough to sample "
-                f"with <= {signals.MAX_SAMPLES} points")
+    # periods: the common period, repeated (bins stay exact) 1, 2 or 4 times
+    periods = round(frequencies.min() * duration)
+    samples = round(duration * rate) << (3 // periods).bit_length()
     # the record's peak is at most the amplitude sum, and a DFT bin of its
     # square sums `samples` terms of at most peak**2; the factor 4 leaves
     # room for the FFT's partial sums and the one-sided doubling
@@ -544,8 +533,7 @@ def cmd_validate(out: str | None, fmt: str, quiet: bool) -> int:
             if fmt == "csv":
                 csv.writer(fh, lineterminator="\n").writerows(rows)
             else:
-                fh.write(json.dumps({"columns": rows[0], "rows": rows[1:]},
-                                    indent=2) + "\n")
+                fh.write(json_document(rows[0], rows[1:]))
     if not quiet:
         notes = sum(1 for r in results if r.note)
         print(f"{len(results) - len(failures) - notes} passed, "
@@ -610,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
                               "existing directory")
         if schema is None:
             return command(args.out, args.format, args.quiet)
-        table = command(_load_config(args.config, schema), args.quiet)
+        table = command(schema.read(args.config), args.quiet)
         table.write(args.out, args.format)
         if not args.quiet:
             print(f"wrote {len(table.rows)} rows to {args.out}")

@@ -30,8 +30,8 @@ MIN_SAMPLES = 16
 reads."""
 
 MAX_SAMPLES = 1 << 20
-"""Longest record :func:`plan_sampling` chooses (and the longest the
-``spectrum`` subcommand repeats one to)."""
+"""Longest record :func:`plan_sampling` chooses and
+:func:`synthesize_waveform` makes."""
 
 
 def check_tones(amplitudes, frequencies: Sequence[float], phases=0.0
@@ -87,15 +87,19 @@ def synthesize_waveform(amplitudes, frequencies: Sequence[float], phases,
     the one-row call.
 
     Raises ``ValueError`` on a tone set :func:`check_tones` refuses, on
-    fewer than :data:`MIN_SAMPLES` samples, or on a tone whose bin index
-    ``f * samples / sample_rate`` fails :func:`_on_bin` or is not below
-    ``samples / 2``: one that the record spans less than one period of,
-    that the rate cannot represent, or that lies between bins.
+    fewer than :data:`MIN_SAMPLES` or more than :data:`MAX_SAMPLES`
+    samples, or on a tone whose bin index ``f * samples / sample_rate``
+    fails :func:`_on_bin` or is not below ``samples / 2``: one that the
+    record spans less than one period of, that the rate cannot represent,
+    or that lies between bins.
     """
     amps, freqs, phases = check_tones(amplitudes, frequencies, phases)
     if samples < MIN_SAMPLES:
         raise ValueError(
             f"waveform needs >= {MIN_SAMPLES} samples, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"waveform needs <= {MAX_SAMPLES} samples, got {samples}")
     with np.errstate(all="ignore"):  # a rate <= 0 or NaN is refused here
         k, on = _on_bin(freqs * samples / sample_rate)
     on &= 2 * k < samples
@@ -146,8 +150,9 @@ def plan_sampling(frequencies: Sequence[float],
     frequencies repeats after that period, so a longer record leaves every
     bin of the grid unchanged. Raises ``ValueError`` on no frequency, on
     one that is not positive and finite or not whole (the first named), on
-    an ``oversample`` that is not finite and >= 2, or if ``n`` would exceed
-    :data:`MAX_SAMPLES` (wildly incommensurate frequencies).
+    an ``oversample`` that is not finite and >= 2, if ``n`` would exceed
+    :data:`MAX_SAMPLES` (wildly incommensurate frequencies), or if the
+    rate would pass the float range.
     """
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or not freqs.size:
@@ -168,4 +173,8 @@ def plan_sampling(frequencies: Sequence[float],
         raise ValueError("frequencies share no common grid coarse enough to "
                          f"sample with <= {MAX_SAMPLES} points")
     n = max(MIN_SAMPLES, 1 << math.floor(top).bit_length())
-    return float(n * resolution), 1.0 / resolution
+    try:
+        return float(n * resolution), 1.0 / resolution
+    except OverflowError:
+        raise ValueError(f"a sample rate of {n} x the {resolution:g} Hz "
+                         "common grid passes the float range") from None

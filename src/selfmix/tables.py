@@ -169,6 +169,11 @@ def format_floats(rows: np.ndarray) -> str:
                     for lo in range(0, rows.shape[0], step)).decode("ascii")
 
 
+def json_document(columns: list[str], rows: list[list]) -> str:
+    """``{"columns": ..., "rows": ...}`` as indented, newline-ended JSON."""
+    return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+
+
 @dataclass
 class Table:
     """Named columns over one 2-D float ``ndarray``, one row per line.
@@ -187,14 +192,10 @@ class Table:
         return ",".join(self.columns) + "\n" + format_floats(self.rows)
 
     def to_json(self) -> str:
-        # every cell round-trips through its 9-digit form, so that JSON and
-        # CSV agree
-        payload = {
-            "columns": list(self.columns),
-            "rows": [[float(f"{v:.9g}") for v in row]
-                     for row in self.rows.tolist()],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # each cell is read back from its CSV text, so JSON and CSV agree
+        return json_document(self.columns, [
+            [float(cell) for cell in line.split(",")]
+            for line in format_floats(self.rows).splitlines()])
 
     def write(self, path: str | Path, fmt: str) -> None:
         text = self.to_csv() if fmt == "csv" else self.to_json()

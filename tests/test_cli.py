@@ -113,6 +113,78 @@ class TestConfigHandling:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_config_refused_at_its_first_bad_line(self, tmp_path, capsys):
+        # a million unknown keys: the first is refused at its line, so the
+        # error names one key and the file is never held (read whole, the
+        # keys took seconds, hundreds of MB and an 11 MB error line)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("".join(f"key_{k} = 1.0\n" for k in range(1_000_000)))
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            status = run(["bias-sweep", "--config", str(cfg), "--out",
+                          str(out), "--quiet"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert elapsed < 1.0
+        assert peak < 1_000_000
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config key(s): key_0; "
+                              "allowed: bias_start_v, ")
+        assert err.count("\n") == 1
+        assert len(err) < 1000
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # file order, not the sorted order of the keys
+        ("zeta = 1\nalpha = 2", "unknown config key(s): zeta; allowed: "),
+        # a bad value before an unknown key, and after it
+        ("nx = two\nwarp_factor = 9",
+         "config key nx: invalid literal for int() with base 10: 'two'"),
+        ("warp_factor = 9\nnx = two", "unknown config key(s): warp_factor; "),
+        ("nx = 1\nnx = 2\njust some words", "c.cfg:2: duplicate key 'nx'"),
+        ("dx_m = inf\nnx = 1\nnx = 2", "config key dx_m: must be finite"),
+    ])
+    def test_first_offending_line_wins(self, tmp_path, capsys, text,
+                                       message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        assert run(["array-factor", "--config", str(cfg), "--out",
+                    str(tmp_path / "x.csv"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert err.count("\n") == 1
+
+    def test_config_not_utf8_exits_2_naming_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# r\u00e9glage\nnx = 2\n".encode("latin-1"))
+        out = tmp_path / "x.csv"
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: not UTF-8 text\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+    def test_config_lines_end_at_newlines_only(self, tmp_path, ending):
+        # every newline convention ends a line; a vertical tab does not, so
+        # the value of nx runs on past it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(f"nx = 1{ending}ny = 1{ending}".encode())
+        out = tmp_path / "af.csv"
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 0
+        _, rows = read_csv(out)
+        assert all(float(r[2]) == 1.0 for r in rows)
+        cfg.write_text("nx = 1\vny = 1\n")
+        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 2
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["array-factor", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path / "x.csv")]) == 2
@@ -705,6 +777,30 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err == ("computation error: frequencies share no common grid "
                        "coarse enough to sample with <= 1048576 points\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # one common period of 2^19 samples holds one period of the 1 Hz
+        # carrier; four of them need 2^21 samples, past the record cap
+        pytest.param("carrier_freq_hz = 1\nband_low_hz = 131071\n"
+                     "band_high_hz = 131071\nband_tone_count = 1\n"
+                     "frequency_grid_hz = 1",
+                     "waveform needs <= 1048576 samples, got 2097152",
+                     id="four-periods-past-the-record-cap"),
+        # 16 samples per 2.5e307 Hz period: a rate past the float range
+        pytest.param("carrier_freq_hz = 2.5e307\nband_low_hz = 2.5e307\n"
+                     "band_high_hz = 2.5e307\nband_tone_count = 1",
+                     "a sample rate of 16 x the 2.5e+307 Hz common grid "
+                     "passes the float range", id="rate-past-the-float-range"),
+    ])
+    def test_unsampleable_spectrum_exits_3(self, tmp_path, capsys, text,
+                                           message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                    "--quiet"]) == 3
+        assert capsys.readouterr().err == f"computation error: {message}\n"
         assert not out.exists()
 
     def test_sub_hertz_tone_exits_3_at_the_planner(self, tmp_path, capsys):

@@ -169,6 +169,12 @@ class TestDftSpectrum:
         with pytest.raises(ValueError, match="needs >= 16 samples"):
             dft_spectrum(np.zeros(8))
 
+    def test_too_many_samples(self):
+        # refused before the record is allocated
+        with pytest.raises(ValueError, match="needs <= 1048576 samples, "
+                                             "got 1048577"):
+            synthesize_waveform([1.0], [1.0], 0.0, 8.0, (1 << 20) + 1)
+
     def test_nyquist_bin_is_not_doubled(self):
         # (-1)**i is a cosine at the Nyquist rate, read with its amplitude
         w = np.cos(math.pi * np.arange(64))
@@ -336,6 +342,12 @@ def test_plan_sampling_refuses_a_tone_below_half_a_hertz():
 ])
 def test_plan_sampling_is_exact_past_int64(frequencies, plan):
     assert plan_sampling(frequencies) == plan
+
+
+def test_plan_sampling_refuses_a_rate_past_the_float_range():
+    with pytest.raises(ValueError, match=r"^a sample rate of 16 x the "
+                                         r"2\.5e\+307 Hz common grid passes"):
+        plan_sampling([2.5e307])
 
 
 def test_plan_sampling_refuses_a_grid_past_int64_too_fine():

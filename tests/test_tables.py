@@ -188,7 +188,7 @@ class TestCommandTables:
     from the same cut arrays."""
 
     def cuts(self, schema):
-        cfg = schema.resolve({})
+        cfg = schema.read(None)
         theta_deg = cli._strict_grid(cfg, "theta_start_deg", "theta_stop_deg",
                                      "theta_step_deg", "theta")
         return cfg, theta_deg, math.radians(cfg["phi_cut_deg"])
