@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from .tables import data_lines, split_fields
 from .units import SPEED_OF_LIGHT
 
 _TWO_PI = 2.0 * math.pi
@@ -100,38 +102,30 @@ class ArrayGeometry:
         return cls(np.column_stack([np.tile(x, ny), np.repeat(y, nx)]))
 
 
-def parse_geometry(table: TextIO, max_elements: int) -> ArrayGeometry:
-    """Parse a geometry table from a seekable text stream (a file opened in
-    text mode, or ``io.StringIO(text)``): one element per line,
-    whitespace- or comma-separated columns ``x_m  y_m
-    [rf_phase_offset_deg]``; ``#`` starts a comment. The element lines are
-    counted in a first pass that keeps none of them, and a table of more
-    than ``max_elements`` is rejected with ``ValueError`` before any line
-    is parsed."""
-    count = sum(bool(raw.split("#", 1)[0].strip()) for raw in table)
+def parse_geometry(path: str | Path, max_elements: int) -> ArrayGeometry:
+    """The layout in the table at ``path``: one element per line, columns
+    ``x_m y_m [rf_phase_offset_deg]``. The lines are counted in a first
+    pass that keeps none, and more than ``max_elements`` raise
+    ``ValueError`` before any is parsed."""
+    count = sum(1 for _ in data_lines(path))
     if count > max_elements:
         raise ValueError(f"element grid would have {count} points; "
                          f"the limit is {max_elements}")
-    table.seek(0)
-    positions = []
-    offsets = []
-    for lineno, raw in enumerate(table, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
+    rows = []
+    for where, text in data_lines(path):
+        parts = split_fields(where, text)
         if len(parts) not in (2, 3):
-            raw = raw.rstrip("\r\n")
-            raise ValueError(
-                f"geometry line {lineno}: expected 'x_m y_m "
-                f"[rf_phase_offset_deg]', got {raw!r}")
-        x, y = float(parts[0]), float(parts[1])
-        off_deg = float(parts[2]) if len(parts) == 3 else 0.0
-        positions.append((x, y))
-        offsets.append(math.radians(off_deg))
-    if not positions:
-        raise ValueError("geometry table contains no elements")
-    return ArrayGeometry(np.asarray(positions), np.asarray(offsets))
+            raise ValueError(f"{where}: expected 'x_m y_m "
+                             f"[rf_phase_offset_deg]', got {text!r}")
+        try:
+            rows.append([float(part) for part in parts]
+                        + [0.0] * (3 - len(parts)))  # no offset: 0 deg
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"geometry table {path} contains no elements")
+    table = np.array(rows)
+    return ArrayGeometry(table[:, :2], np.radians(table[:, 2]))
 
 
 def if_array_factor_cut(g: ArrayGeometry, f1: float, f2: float,

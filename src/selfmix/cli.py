@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import arrays, diode, linkbudget, patterns, signals, validation
-from .tables import Table, json_document
+from .tables import Table, data_lines, json_document
 from .units import amplitude_ratio_to_db, dbm_to_amplitude
 
 # Largest grid (directions, voltages, sweep cells, array elements), checked
@@ -68,43 +68,32 @@ class Schema:
         parsed as it is read; the first malformed line, repeated or unknown
         key, or bad or non-finite value is refused at its line, so no more
         than one value per key is ever held."""
-        cfg = {name: default for name, (_, default) in self.keys.items()}
+        defaults = {name: default for name, (_, default) in self.keys.items()}
         if path is None:
-            return cfg
+            return defaults
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        given = set()
-        try:
-            with open(path, encoding="utf-8") as lines:
-                for lineno, raw in enumerate(lines, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    where = f"{path}:{lineno}"
-                    if "=" not in line:
-                        raw = raw.rstrip("\n")
-                        raise ConfigError(f"{where}: expected 'key = value', "
-                                          f"got {raw!r}")
-                    key, value = (part.strip() for part in line.split("=", 1))
-                    if not key or not value:
-                        raise ConfigError(f"{where}: empty key or value")
-                    if key in given:
-                        raise ConfigError(f"{where}: duplicate key {key!r}")
-                    if key not in self.keys:
-                        raise ConfigError(
-                            f"unknown config key(s): {key}; allowed: "
-                            + ", ".join(sorted(self.keys)))
-                    given.add(key)
-                    try:
-                        cfg[key] = parsed = self.keys[key][0](value)
-                    except ValueError as exc:
-                        raise ConfigError(f"config key {key}: {exc}") from exc
-                    if isinstance(parsed, float) and not math.isfinite(parsed):
-                        raise ConfigError(f"config key {key}: must be "
-                                          f"finite, got {value!r}")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text") from exc
-        return cfg
+        cfg = {}
+        with _invariants_are_config_errors():
+            for where, line in data_lines(path):
+                key, _, value = (part.strip() for part in line.partition("="))
+                if not key or not value:
+                    raise ConfigError(f"{where}: expected 'key = value', "
+                                      f"got {line!r}")
+                if key in cfg:
+                    raise ConfigError(f"{where}: duplicate key {key!r}")
+                if key not in self.keys:
+                    raise ConfigError(
+                        f"unknown config key(s): {key}; allowed: "
+                        + ", ".join(sorted(self.keys)))
+                try:
+                    cfg[key] = parsed = self.keys[key][0](value)
+                except ValueError as exc:
+                    raise ConfigError(f"config key {key}: {exc}") from exc
+                if isinstance(parsed, float) and not math.isfinite(parsed):
+                    raise ConfigError(f"config key {key}: must be "
+                                      f"finite, got {value!r}")
+        return defaults | cfg
 
 
 def _check_grid_size(points: int | float, name: str,
@@ -146,8 +135,8 @@ def _strict_grid(cfg: dict, start_key: str, stop_key: str, step_key: str,
 
 @contextlib.contextmanager
 def _invariants_are_config_errors() -> Iterator[None]:
-    """An invariant a model object rejects when built from config values is
-    a configuration error (exit 2), not a computation error."""
+    """A refusal of an input file, or of a model object built from config
+    values, is a configuration error (exit 2), not a computation error."""
     try:
         yield
     except ValueError as exc:
@@ -157,8 +146,8 @@ def _invariants_are_config_errors() -> Iterator[None]:
 def _geometry_from_config(cfg: dict) -> arrays.ArrayGeometry:
     with _invariants_are_config_errors():
         if cfg["geometry_file"]:
-            with Path(cfg["geometry_file"]).open(encoding="utf-8") as table:
-                return arrays.parse_geometry(table, MAX_GRID_POINTS)
+            return arrays.parse_geometry(cfg["geometry_file"],
+                                         MAX_GRID_POINTS)
         # an axis below 1 gives no elements, which planar_grid refuses
         _check_grid_size(max(cfg["nx"], 0) * max(cfg["ny"], 0), "element")
         return arrays.ArrayGeometry.planar_grid(cfg["nx"], cfg["ny"],

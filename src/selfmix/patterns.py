@@ -4,13 +4,12 @@ Pattern values are linear *field amplitudes* (dimensionless, >= 0) tabulated
 over a theta cut; a square-law receiver observing a two-tone signal sees
 the product of the element's amplitude patterns at the two tone
 frequencies, so the self-mixed receive pattern is the point-wise product of
-the two cuts. The ``gain_db`` column of a pattern file is power dB of the
-field quantity, i.e. ``20*log10(amplitude)``.
+the two cuts. A pattern file is a ``theta_deg,gain_db`` table, whose
+``gain_db`` is power dB of the field quantity, i.e. ``20*log10(amplitude)``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .tables import data_lines, split_fields
 from .units import db_to_amplitude_ratio
 
 _HALF_PI = math.pi / 2.0
@@ -142,40 +142,33 @@ def find_lobes(p: PatternGrid, min_amplitude: float) -> list[float]:
 
 
 def read_pattern_csv(source: str | Path, max_rows: int) -> PatternGrid:
-    """Load a measured cut from CSV with header ``theta_deg,gain_db``;
-    gain_db is converted to linear amplitude via ``10**(db/20)``. The file
-    is streamed: its non-blank data rows are counted in a first pass that
-    keeps none of them, and a file of more than ``max_rows`` raises
-    ``ValueError`` before any row is parsed; a row that is not two numbers
-    raises ``ValueError`` naming its file and line."""
-    with Path(source).open(encoding="utf-8") as table:
-        reader = csv.reader(table)
-        header = next(reader, [])
-        if [h.strip() for h in header[:2]] != ["theta_deg", "gain_db"]:
+    """Load a measured cut from the table at ``source``: a header
+    ``theta_deg,gain_db``, then one row of the two per line, gain_db
+    converted to linear amplitude via ``10**(db/20)``. The rows are counted
+    in a first pass that keeps none, and more than ``max_rows`` raise
+    ``ValueError`` before any is parsed."""
+    rows = sum(1 for _ in data_lines(source)) - 1
+    if rows > max_rows:
+        raise ValueError(f"pattern grid would have {rows} points; "
+                         f"the limit is {max_rows}")
+    lines = data_lines(source)
+    where, header = next(lines, (source, ""))
+    if not header or (split_fields(where, header)
+                      != ["theta_deg", "gain_db"]):
+        raise ValueError(f"{where}: pattern file must start with header "
+                         "'theta_deg,gain_db'")
+    theta, gains = [], []
+    for where, text in lines:
+        row = split_fields(where, text)
+        if len(row) != 2:
             raise ValueError(
-                "pattern CSV must start with header 'theta_deg,gain_db'")
-        rows = sum(bool(row and row[0].strip()) for row in reader)
-        if rows > max_rows:
-            raise ValueError(f"pattern grid would have {rows} points; "
-                             f"the limit is {max_rows}")
-        table.seek(0)
-        reader = csv.reader(table)
-        next(reader)
-        theta = []
-        gains = []
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            where = f"{source}:{reader.line_num}"
-            if len(row) < 2:
-                raise ValueError(
-                    f"{where}: expected theta_deg,gain_db, got {row!r}")
-            try:
-                theta.append(math.radians(float(row[0])))
-                gains.append(db_to_amplitude_ratio(float(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            except OverflowError:
-                raise ValueError(f"{where}: gain_db {row[1].strip()} is past "
-                                 "the float range") from None
+                f"{where}: expected theta_deg,gain_db, got {row!r}")
+        try:
+            theta.append(math.radians(float(row[0])))
+            gains.append(db_to_amplitude_ratio(float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        except OverflowError:
+            raise ValueError(f"{where}: gain_db {row[1]} is past the float "
+                             "range") from None
     return PatternGrid(np.asarray(theta), np.asarray(gains))

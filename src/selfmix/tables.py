@@ -1,4 +1,5 @@
-"""Deterministic tables of floats (CSV / JSON) for the CLI.
+"""Deterministic tables of floats (CSV / JSON) for the CLI, and the one
+reader of its input files (:func:`data_lines`, :func:`split_fields`).
 
 Floats are formatted to 9 significant digits, exactly as ``"%.9g" % v``;
 identical inputs therefore produce byte-identical files. CSV is RFC-4180
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -200,3 +202,37 @@ class Table:
     def write(self, path: str | Path, fmt: str) -> None:
         text = self.to_csv() if fmt == "csv" else self.to_json()
         Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+# Characters of an input line before its newline: far above any line the
+# input formats need, a 4096-byte PATH_MAX included.
+MAX_LINE = 1 << 16
+
+
+def data_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """``(where, text)`` for each line of the UTF-8 file at ``path`` that
+    holds more than a ``#`` comment: ``text`` stripped of the comment and
+    whitespace, ``where`` as ``"PATH:N"``. Bad UTF-8, or a line of more
+    than :data:`MAX_LINE` characters (never held whole), raises
+    ``ValueError``."""
+    try:
+        with open(path, encoding="utf-8") as lines:
+            # MAX_LINE characters and their newline come back whole
+            for lineno, raw in enumerate(
+                    iter(lambda: lines.readline(MAX_LINE + 1), ""), start=1):
+                if len(raw) > MAX_LINE and raw[-1] != "\n":
+                    raise ValueError(f"{path}:{lineno}: line longer than "
+                                     f"{MAX_LINE} characters")
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    yield f"{path}:{lineno}", text
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text") from exc
+
+
+def split_fields(where: str, text: str) -> list[str]:
+    """The fields of a table line, separated by a comma and/or whitespace;
+    an empty field raises ``ValueError`` naming ``where``."""
+    if any(not field.strip() for field in text.split(",")):
+        raise ValueError(f"{where}: empty field in {text!r}")
+    return text.replace(",", " ").split()

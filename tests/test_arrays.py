@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -74,18 +73,22 @@ class TestGeometry:
         assert g.element_positions[1][0] == pytest.approx(0.032)
         assert g.element_positions[4][1] == pytest.approx(0.036)
 
-    def test_parse_table_with_offsets(self):
-        g = parse_geometry(io.StringIO("""
+    def test_parse_table_with_offsets(self, tmp_path):
+        path = tmp_path / "layout.txt"
+        path.write_text("""
             # x_m   y_m    rf_phase_offset_deg
             0.0     0.0
             0.032,  0.0,   180
-        """), 2)
+        """)
+        g = parse_geometry(path, 2)
         assert g.element_count == 2
         assert g.rf_phase_offsets[1] == pytest.approx(math.pi)
 
-    def test_parse_empty_rejected(self):
+    def test_parse_empty_rejected(self, tmp_path):
+        path = tmp_path / "layout.txt"
+        path.write_text("# only a comment\n")
         with pytest.raises(ValueError, match="contains no elements"):
-            parse_geometry(io.StringIO("# only a comment\n"), 1)
+            parse_geometry(path, 1)
 
 
 class TestPathPhase:

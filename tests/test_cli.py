@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfmix import cli, diode, validation
+from selfmix import cli, diode, tables, validation
 from selfmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +30,27 @@ def run_module(args, **kwargs):
 
 def run(args):
     return main(args)
+
+
+# the config key of each input file kind and a command that reads it
+INPUT_KEYS = {"config": ("array-factor", []),
+              "geometry": ("array-factor", ["geometry_file"]),
+              "pattern": ("pattern", ["pattern_file_1", "pattern_file_2"])}
+
+
+def input_file_run(tmp_path, kind, data):
+    """Run a command on an input file of ``kind`` holding ``data`` (bytes),
+    the config itself or a file it names; returns the exit status, the
+    file's path and the output path."""
+    command, keys = INPUT_KEYS[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(data)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{key} = {path}\n" for key in keys))
+    out = tmp_path / "x.csv"
+    status = run([command, "--config", str(path if kind == "config" else cfg),
+                  "--out", str(out), "--quiet"])
+    return status, path, out
 
 
 def read_csv(path):
@@ -160,14 +181,36 @@ class TestConfigHandling:
         assert message in err
         assert err.count("\n") == 1
 
-    def test_config_not_utf8_exits_2_naming_its_file(self, tmp_path, capsys):
-        cfg = tmp_path / "latin1.cfg"
-        cfg.write_bytes("# r\u00e9glage\nnx = 2\n".encode("latin-1"))
-        out = tmp_path / "x.csv"
-        assert run(["array-factor", "--config", str(cfg), "--out", str(out),
-                    "--quiet"]) == 2
+    @pytest.mark.parametrize("kind, body", [
+        ("config", "nx = 2"), ("geometry", "0 0"),
+        ("pattern", "theta_deg,gain_db")], ids=list(INPUT_KEYS))
+    def test_config_not_utf8_exits_2_naming_its_file(self, tmp_path, capsys,
+                                                     kind, body):
+        status, path, out = input_file_run(
+            tmp_path, kind, f"# r\u00e9glage\n{body}\n".encode("latin-1"))
+        assert status == 2
         assert capsys.readouterr().err == (
-            f"config error: {cfg}: not UTF-8 text\n")
+            f"config error: {path}: not UTF-8 text\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", list(INPUT_KEYS))
+    def test_long_line_refused_without_holding_it(self, tmp_path, capsys,
+                                                  kind):
+        # a 5 MB comment line: read MAX_LINE + 1 characters at a time, it
+        # is refused at its line holding no more than that (held whole, it
+        # traces about 10 MB)
+        data = b"#" + b"x" * 5_000_000 + b"\nnx = 2\n"
+        tracemalloc.start()
+        try:
+            status, path, out = input_file_run(tmp_path, kind, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}:1: line longer than {tables.MAX_LINE} "
+            "characters\n")
+        assert peak < 1_000_000
         assert not out.exists()
 
     @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
@@ -265,6 +308,14 @@ class TestConfigHandling:
         ("array-factor", "GEOMETRY\n", "elements 0 and 1 coincide"),
         ("array-factor", "geometry_file = TMP/missing-layout.txt",
          "No such file or directory"),
+        # malformed geometry files, named by file and line
+        ("array-factor", "geometry_file = TMP/no_y.txt",
+         "no_y.txt:1: empty field in '0.03,,180'"),
+        ("array-factor", "geometry_file = TMP/bad_number.txt",
+         "bad_number.txt:2: could not convert string to float: 'abc'"),
+        ("array-factor", "geometry_file = TMP/four_columns.txt",
+         "four_columns.txt:1: expected 'x_m y_m [rf_phase_offset_deg]', "
+         "got '0 0 0 0'"),
         # the element pattern and its cut
         ("pattern", "cos_exponent = -1", "cos_q pattern needs q >= 0"),
         ("pattern", "element_kind = two_beam\nbeam_tilt_deg = 95",
@@ -285,6 +336,9 @@ class TestConfigHandling:
         ("pattern", "pattern_file_1 = TMP/one_cell.csv\n"
                     "pattern_file_2 = TMP/one_cell.csv",
          "one_cell.csv:2: expected theta_deg,gain_db, got ['-10']"),
+        ("pattern", "pattern_file_1 = TMP/no_theta.csv\n"
+                    "pattern_file_2 = TMP/no_theta.csv",
+         "no_theta.csv:3: empty field in ',5'"),
         ("pattern", "pattern_file_1 = TMP/huge_gain.csv\n"
                     "pattern_file_2 = TMP/huge_gain.csv",
          "huge_gain.csv:2: gain_db 1e6 is past the float range"),
@@ -307,7 +361,12 @@ class TestConfigHandling:
                                          text, message):
         geo = tmp_path / "layout.txt"
         geo.write_text("0.01 0.02\n0.01 0.02 180\n")
+        (tmp_path / "no_y.txt").write_text("0.03,,180\n")
+        (tmp_path / "bad_number.txt").write_text("0 0\n0.03 abc\n")
+        (tmp_path / "four_columns.txt").write_text("0 0 0 0\n")
         (tmp_path / "one_cell.csv").write_text("theta_deg,gain_db\n-10\n")
+        (tmp_path / "no_theta.csv").write_text(
+            "theta_deg,gain_db\n-10,0\n,5\n0,0\n10,0\n")
         (tmp_path / "huge_gain.csv").write_text("theta_deg,gain_db\n-10,1e6\n")
         (tmp_path / "loud.csv").write_text(
             "theta_deg,gain_db\n-10,4000\n0,4000\n10,4000\n")

@@ -228,6 +228,11 @@ class TestPatternCsv:
         ("-10", "expected theta_deg,gain_db, got ['-10']"),
         ("-10,1e6", "gain_db 1e6 is past the float range"),
         ("-10,loud", "could not convert string to float: 'loud'"),
+        # a field is what lies between commas and whitespace: no quoting
+        ('"-10",0', """could not convert string to float: '"-10"'"""),
+        ("-10,,0", "empty field in '-10,,0'"),
+        # a stray space makes a third field, not a gain of 0 dB
+        ("-10,0 .5", "expected theta_deg,gain_db, got ['-10', '0', '.5']"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "cut.csv"
@@ -235,6 +240,16 @@ class TestPatternCsv:
         with pytest.raises(ValueError) as info:
             read_pattern_csv(path, 5)
         assert str(info.value) == f"{path}:4: {message}"
+
+    def test_comments_and_whitespace_read_as_csv(self, tmp_path):
+        plain = tmp_path / "cut.csv"
+        plain.write_text("theta_deg,gain_db\n-10,-3\n0,0\n10,-3\n")
+        spaced = tmp_path / "cut.txt"
+        spaced.write_text("# measured cut\n\n  theta_deg  gain_db\n"
+                          "-10\t-3  # left\n0 , 0\n\n10 -3\n")
+        a, b = read_pattern_csv(plain, 3), read_pattern_csv(spaced, 3)
+        assert np.array_equal(a.theta_samples, b.theta_samples)
+        assert np.array_equal(a.gains, b.gains)
 
     def test_rows_capped_before_any_parses(self, tmp_path):
         # blank lines do not count, and the malformed last row is never read

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from selfmix import cli, patterns
-from selfmix.tables import FORMAT_BLOCK, Table, format_floats
+from selfmix.tables import (FORMAT_BLOCK, MAX_LINE, Table, data_lines,
+                            format_floats, split_fields)
 from selfmix.units import DB_FLOOR, amplitude_ratio_to_db
 
 
@@ -221,3 +222,39 @@ class TestCommandTables:
         assert out.read_text() == per_cell_csv(
             ["theta_deg", "gain_db", "af_if", "af_rf", "total_if_db",
              "total_rf_db"], rows)
+
+
+class TestInputLines:
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+    def test_line_cap_is_exact(self, tmp_path, ending):
+        # MAX_LINE characters before a newline, or before the end of the
+        # file, are read; one more is refused at its line
+        path = tmp_path / "c.cfg"
+        line = "nx = 1".ljust(MAX_LINE)
+        path.write_bytes(f"{line}{ending}{line}".encode())
+        assert list(data_lines(path)) == [(f"{path}:1", "nx = 1"),
+                                          (f"{path}:2", "nx = 1")]
+        for text, lineno in [(f"{line} {ending}{line}", 1),
+                             (f"{line}{ending}{line} ", 2)]:
+            path.write_bytes(text.encode())
+            with pytest.raises(ValueError) as info:
+                list(data_lines(path))
+            assert str(info.value) == (
+                f"{path}:{lineno}: line longer than {MAX_LINE} characters")
+
+    @pytest.mark.parametrize("text, fields", [
+        ("0.064,\t0.036, 90", ["0.064", "0.036", "90"]),
+        ("0 , 0", ["0", "0"]),
+        ("-10 \t 5", ["-10", "5"]),
+        ("0.03,,180", None),
+        (",5", None),
+        ("0,5,", None),
+        ("0 , , 5", None),
+    ])
+    def test_fields_split_at_commas_and_whitespace(self, text, fields):
+        if fields is not None:
+            assert split_fields("f:1", text) == fields
+        else:
+            with pytest.raises(ValueError) as info:
+                split_fields("f:1", text)
+            assert str(info.value) == f"f:1: empty field in {text!r}"
