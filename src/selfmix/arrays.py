@@ -16,7 +16,10 @@ factor-N power gain over the whole angular range.
 A per-element RF phase offset (e.g. a 180-degree feed rotation of one
 antenna row) enters both tones identically and cancels in the self-mixed
 IF signal; the same offset applied to an RF-combined array nulls the
-broadside response. :mod:`selfmix.validation` checks both.
+broadside response. :mod:`selfmix.validation` checks both. One kernel,
+:func:`array_factor`, gives the complex mean of the weighted element
+phasors, each phase referred to element 0; the IF and RF cuts are its
+magnitude, the RF cut with the feed offsets as element weights.
 """
 
 from __future__ import annotations
@@ -128,14 +131,38 @@ def parse_geometry(path: str | Path, max_elements: int) -> ArrayGeometry:
     return ArrayGeometry(table[:, :2], np.radians(table[:, 2]))
 
 
+def array_factor(g: ArrayGeometry, frequency: float,
+                 theta_signed: np.ndarray | Sequence[float], phi_cut: float,
+                 weights: np.ndarray | None) -> np.ndarray:
+    """``mean_k w_k exp(j*phase_k)`` along a signed-theta cut, ``w_k =
+    weights`` (None: all 1), ``phase_k = 2*pi*frequency*((r_k - r_0).u)/c0``
+    about element 0: the sub-layout means of :func:`_cut_layouts` times
+    their common weight. Element phases that overflow raise
+    :class:`ValueError` before any direction is evaluated."""
+    # signed theta at fixed phi is |theta| at phi or phi + pi: along the cut
+    # every phase is a_k * sin(theta), a_k the phase per unit sin(theta) of
+    # element k relative to element 0
+    along = np.array([math.cos(phi_cut), math.sin(phi_cut)])
+    wavenumber = _TWO_PI * frequency / SPEED_OF_LIGHT
+    layouts, common = _cut_layouts(g, weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        slopes = [wavenumber * ((pos - g.element_positions[0]) @ along)
+                  for pos, _ in layouts]
+    if not all(np.all(np.isfinite(a)) for a in slopes):
+        raise ValueError("array factor is not finite: the element "
+                         "phases overflow")
+    s = np.sin(np.asarray(theta_signed, dtype=float))
+    return math.prod((_phasor_mean(s, a, w) for a, (_, w) in
+                      zip(slopes, layouts)), start=common)
+
+
 def if_array_factor_cut(g: ArrayGeometry, f1: float, f2: float,
                         theta_signed: np.ndarray | Sequence[float],
                         phi_cut: float) -> np.ndarray:
     """Normalized IF array factor ``|sum_k exp(j*dphi_k)| / N`` along a
     signed-theta cut; ``dphi_k`` is set by ``f1 - f2`` only, and static RF
     feed offsets cancel."""
-    return _array_factor(g, f1 - f2, np.asarray(theta_signed, dtype=float),
-                         phi_cut, offsets=None)
+    return np.abs(array_factor(g, f1 - f2, theta_signed, phi_cut, None))
 
 
 def rf_array_factor_cut(g: ArrayGeometry, f_rf: float,
@@ -143,20 +170,21 @@ def rf_array_factor_cut(g: ArrayGeometry, f_rf: float,
                         phi_cut: float) -> np.ndarray:
     """Normalized RF array factor along a signed-theta cut; static feed
     offsets do enter here."""
-    return _array_factor(g, f_rf, np.asarray(theta_signed, dtype=float),
-                         phi_cut, offsets=g.rf_phase_offsets)
+    offsets = g.rf_phase_offsets  # relative to element 0's: equal ones weigh 1
+    return np.abs(array_factor(g, f_rf, theta_signed, phi_cut,
+                               np.exp(1j * (offsets - offsets[0]))))
 
 
 def cut_phase_count(g: ArrayGeometry, directions: int) -> int:
     """Nominal work of the IF and RF cut pair of ``directions`` directions
     each: per cut, ``directions * (|X| + |Y|)`` for a factorised product
-    layout, ``directions * N`` otherwise (the IF cut passes no feed offsets,
-    the RF cut ``g.rf_phase_offsets``). It bounds the (direction, element)
-    pairs of a direct sum; the kernel itself evaluates one exponential per
-    (direction bin, element) and a Taylor polynomial per direction."""
+    layout, ``directions * N`` otherwise (equal feed offsets give equal RF
+    weights). It bounds the (direction, element) pairs of a direct sum; the
+    kernel itself evaluates one exponential per (direction bin, element)
+    and a Taylor polynomial per direction."""
     return directions * sum(p.shape[0]
-                            for offsets in (None, g.rf_phase_offsets)
-                            for p, _ in _cut_layouts(g, offsets))
+                            for weights in (None, g.rf_phase_offsets)
+                            for p, _ in _cut_layouts(g, weights)[0])
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -167,51 +195,31 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return s[np.append(True, s[1:] != s[:-1])]
 
 
-def _cut_layouts(g: ArrayGeometry, offsets: np.ndarray | None
-                 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Sub-layouts and their offsets whose phasor means multiply to the cut.
+def _cut_layouts(g: ArrayGeometry, weights: np.ndarray | None) -> tuple[
+        list[tuple[np.ndarray, np.ndarray | None]], complex]:
+    """Sub-layouts with their weights, and a common weight, whose phasor
+    means about element 0 times that weight make the cut.
 
-    A product layout, whose distinct x values X and y values Y give
-    ``|X| * |Y| = N`` (exact, as no two elements coincide), with no or equal
-    feed offsets factorises into the sub-layouts (X, 0) and (0, Y). Every
-    other layout is one sub-layout of all elements. A common feed phase
-    drops out of the magnitude, so equal offsets are passed as None."""
-    pos = g.element_positions
-    if offsets is not None and np.all(offsets == offsets[0]):
-        offsets = None
+    Equal weights are one common weight (exact for a complex value). A
+    product layout (distinct x values X, y values Y, ``|X| * |Y| = N``:
+    exact, as no two elements coincide) with no other weights factorises
+    into the sub-layouts (X, y_0) and (x_0, Y) through element 0 = (x_0,
+    y_0), whose phases about element 0 add up to each element's and stay
+    within the layout's span. Any other layout is one sub-layout."""
+    pos, common = g.element_positions, 1.0
+    if weights is not None and np.all(weights == weights[0]):
+        weights, common = None, weights[0]
     xs, ys = _distinct(pos[:, 0]), _distinct(pos[:, 1])
-    if xs.size * ys.size == pos.shape[0] and offsets is None:
-        return [(np.column_stack([xs, np.zeros(xs.size)]), None),
-                (np.column_stack([np.zeros(ys.size), ys]), None)]
-    return [(pos, offsets)]
-
-
-def _array_factor(g: ArrayGeometry, frequency: float, theta: np.ndarray,
-                  phi_cut: float, offsets: np.ndarray | None) -> np.ndarray:
-    """``|mean_k exp(j*phase_k)|`` per direction, the product over the
-    sub-layouts of :func:`_cut_layouts`. Element phases that overflow raise
-    :class:`ValueError` before any direction is evaluated."""
-    # signed theta at fixed phi is |theta| at phi or phi + pi: along the cut
-    # every phase is a_k * sin(theta) + offset_k, a_k the phase per unit
-    # sin(theta) of element k relative to element 0
-    along = np.array([math.cos(phi_cut), math.sin(phi_cut)])
-    wavenumber = _TWO_PI * frequency / SPEED_OF_LIGHT
-    layouts = []
-    for pos, off in _cut_layouts(g, offsets):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            slopes = wavenumber * ((pos - pos[0]) @ along)
-        if not np.all(np.isfinite(slopes)):
-            raise ValueError("array factor is not finite: the element "
-                             "phases overflow")
-        layouts.append((slopes, None if off is None else np.exp(1j * off)))
-    s = np.sin(theta)
-    return math.prod(_phasor_mean(s, slopes, weights)
-                     for slopes, weights in layouts)
+    if xs.size * ys.size == pos.shape[0] and weights is None:
+        return [(np.column_stack([xs, np.full(xs.size, pos[0, 1])]), None),
+                (np.column_stack([np.full(ys.size, pos[0, 0]), ys]), None)
+                ], common
+    return [(pos, weights)], common
 
 
 def _phasor_mean(s: np.ndarray, slopes: np.ndarray,
                  weights: np.ndarray | None) -> np.ndarray:
-    """``|mean_k w_k exp(j*a_k*s)|`` for each ``s = sin(theta)``, with
+    """``mean_k w_k exp(j*a_k*s)`` for each ``s = sin(theta)``, with
     ``a_k = slopes`` (finite) and ``w_k = weights`` (None: all 1).
 
     A blocked Taylor expansion in ``s`` (Anderson & Dahleh, "Rapid
@@ -243,7 +251,7 @@ def _phasor_mean(s: np.ndarray, slopes: np.ndarray,
     first = np.append(first, s.size)
     chunk = min(slopes.size, FACTOR_BLOCK // (FACTOR_ORDER + 1))
     per_block = FACTOR_BLOCK // chunk // _GEMM_ROWS * _GEMM_ROWS
-    af = np.empty(s.size)
+    af = np.empty(s.size, dtype=complex)
     for lo in range(0, bins.size, per_block):
         hi = min(lo + per_block, bins.size)
         coeffs = _bin_moments(bins[lo:hi], b, weights, chunk).T.copy()
@@ -253,7 +261,7 @@ def _phasor_mean(s: np.ndarray, slopes: np.ndarray,
         for m in range(FACTOR_ORDER - 1, -1, -1):
             acc *= tt
             acc += coeffs[m][local]
-        af[order[span]] = np.abs(acc) / slopes.size
+        af[order[span]] = acc / slopes.size
     return af
 
 

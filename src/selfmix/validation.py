@@ -336,28 +336,29 @@ def check_row_rotation_compensation() -> CheckResult:
 
 def direct_array_factor(g: arrays.ArrayGeometry, frequency: float,
                         theta: np.ndarray, phi: float,
-                        offsets: np.ndarray | None) -> np.ndarray:
-    """``|mean_k exp(j*phase_k)|`` along a signed-theta cut by summing the
-    phasor of every element in every direction: the oracle of the
+                        weights: np.ndarray | None) -> np.ndarray:
+    """``mean_k w_k exp(j*phase_k)`` along a signed-theta cut, each phase
+    relative to element 0 and ``w_k = weights`` (None: all 1), by summing
+    the phasor of every element in every direction: the oracle of the
     array-factor kernel."""
-    pos = g.element_positions
+    pos = g.element_positions - g.element_positions[0]
     path = (np.outer(np.sin(theta) * math.cos(phi), pos[:, 0])
             + np.outer(np.sin(theta) * math.sin(phi), pos[:, 1]))
-    phases = 2.0 * math.pi * frequency / SPEED_OF_LIGHT * path
-    if offsets is not None:
-        phases += offsets
-    return np.hypot(np.cos(phases).sum(axis=1),
-                    np.sin(phases).sum(axis=1)) / g.element_count
+    phasors = np.exp(2j * math.pi * frequency / SPEED_OF_LIGHT * path)
+    if weights is not None:
+        phasors *= weights
+    return phasors.mean(axis=1)
 
 
 def _kernel_cuts() -> list[tuple[arrays.ArrayGeometry, tuple[float, ...]]]:
-    """Layouts and cut planes: the 4x2 reference grid and a non-uniform
-    4 x 3 product with equal feed offsets, at phi = 0.6 and at pi/2 (where
-    the x sub-layout of the factorised cut is degenerate); 128 elements
-    jittered by up to a quarter pitch about a 16 x 8 grid with random feed
-    offsets; and two 4 x 4 sub-arrays 2 m apart with random feed offsets, an
-    aperture whose RF cut spreads over hundreds of Taylor bins with element
-    phases at the bin radius."""
+    """Layouts and cut planes: the 4x2 reference grid with its rows rolled
+    (element 0 off the corner) and a non-uniform 4 x 3 product with equal
+    feed offsets, at phi = 0.6 and at pi/2 (where the x sub-layout of the
+    factorised cut is degenerate); 128 elements jittered by up to a quarter
+    pitch about a 16 x 8 grid with random feed offsets; and two 4 x 4
+    sub-arrays 2 m apart with random feed offsets, an aperture whose RF cut
+    spreads over hundreds of Taylor bins with element phases at the bin
+    radius."""
     rng = np.random.default_rng(11)
     xs = np.array([0.0, 0.011, 0.030, 0.052])
     ys = np.array([-0.02, 0.017, 0.041])
@@ -365,9 +366,10 @@ def _kernel_cuts() -> list[tuple[arrays.ArrayGeometry, tuple[float, ...]]]:
     jittered = np.column_stack([
         (ix.ravel() + rng.uniform(-0.25, 0.25, ix.size)) * 0.032,
         (iy.ravel() + rng.uniform(-0.25, 0.25, iy.size)) * 0.036])
-    sub = arrays.ArrayGeometry.planar_grid(4, 4, 0.032, 0.036).element_positions
+    grid, sub = (arrays.ArrayGeometry.planar_grid(4, ny, 0.032, 0.036)
+                 .element_positions for ny in (2, 4))
     both = (0.6, math.pi / 2.0)
-    return [(arrays.ArrayGeometry.planar_grid(4, 2, 0.032, 0.036), both),
+    return [(arrays.ArrayGeometry(np.roll(grid, 4, axis=0)), both),
             (arrays.ArrayGeometry(np.column_stack([np.tile(xs, 3),
                                                    np.repeat(ys, 4)]),
                                   np.full(12, 0.7)), both),
@@ -378,28 +380,27 @@ def _kernel_cuts() -> list[tuple[arrays.ArrayGeometry, tuple[float, ...]]]:
 
 
 def check_array_factor_kernel() -> CheckResult:
-    """The array-factor kernel (product factorisation and blocked Taylor
-    expansion) against an element-by-element phasor sum, IF and RF, at
-    0.5 deg over the layouts and cut planes of :func:`_kernel_cuts`."""
+    """The complex array-factor kernel against an element-by-element
+    phasor sum, both about element 0, IF (no weights) and RF (feed offsets
+    as weights), at 0.5 deg over the layouts and planes of _kernel_cuts."""
     theta = np.radians(np.arange(-90.0, 90.0 + 1e-9, 0.5))
     worst = 0.0
     for g, planes in _kernel_cuts():
+        feeds = np.exp(1j * g.rf_phase_offsets)
         for phi in planes:
-            cuts = ((1.0e9, None, arrays.if_array_factor_cut(
-                        g, 37.5e9, 38.5e9, theta, phi)),
-                    (38.5e9, g.rf_phase_offsets, arrays.rf_array_factor_cut(
-                        g, 38.5e9, theta, phi)))
-            for frequency, offsets, af in cuts:
-                direct = direct_array_factor(g, frequency, theta, phi, offsets)
+            for frequency, weights in ((1.0e9, None), (38.5e9, feeds)):
+                af = arrays.array_factor(g, frequency, theta, phi, weights)
+                direct = direct_array_factor(g, frequency, theta, phi, weights)
                 worst = max(worst, float(np.max(np.abs(af - direct))))
     return CheckResult(
         name="array-factor kernel vs element-by-element sum (product, "
              "jittered and 2 m layouts)",
         passed=worst <= 1e-12,
-        detail=f"worst |delta| {worst:.1e} over the 4x2 grid and a "
-               "non-uniform 4x3 product with equal feed offsets (two cut "
-               "planes), 128 jittered elements and two 4x4 sub-arrays 2 m "
-               "apart with unequal feed offsets, IF and RF (tolerance 1e-12)")
+        detail=f"worst complex |delta| {worst:.1e} about element 0 over the "
+               "4x2 grid with element 0 off its corner and a non-uniform 4x3 "
+               "product with equal feed offsets (two cut planes), 128 "
+               "jittered elements and two 4x4 sub-arrays 2 m apart with "
+               "unequal feed offsets, IF and RF (tolerance 1e-12)")
 
 
 def check_square_law_slope() -> CheckResult:

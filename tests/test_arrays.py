@@ -8,6 +8,7 @@ from selfmix.arrays import (
     FACTOR_BLOCK,
     FACTOR_RHO,
     ArrayGeometry,
+    array_factor,
     cut_phase_count,
     effective_spacing,
     if_array_factor_cut,
@@ -205,7 +206,8 @@ class TestKernel:
         # more than three blocks of FACTOR_BLOCK // 64 directions, ending in
         # a one-direction block: 64 elements summed one by one, and a
         # non-uniform 64 x 64 product layout with equal feed offsets, whose
-        # 64-element sub-layouts are summed
+        # 64-element sub-layouts are summed; the complex cut, with the feed
+        # offsets as weights, keeps the bits of its real and imaginary parts
         rng = np.random.default_rng(5)
         summed = ArrayGeometry(random_geometry(rng, 64).element_positions,
                                rng.uniform(-math.pi, math.pi, 64))
@@ -215,16 +217,67 @@ class TestKernel:
             np.tile(xs, 64), np.repeat(ys, 64)]), np.full(64 * 64, 0.9))
         theta = np.linspace(-math.pi / 2, math.pi / 2,
                             3 * (FACTOR_BLOCK // 64) + 1)
+        frequency = -1e9 if kind == "if" else 38.5e9
         for g in (summed, product):
             def cut(t):
                 if kind == "if":
                     return if_array_factor_cut(g, 37.5e9, 38.5e9, t, 0.4)
                 return rf_array_factor_cut(g, 38.5e9, t, 0.4)
 
-            full = cut(theta)
-            single = np.array([cut(theta[i:i + 1])[0]
-                               for i in range(theta.size)])
-            assert np.array_equal(full, single)
+            def complex_cut(t):
+                return array_factor(g, frequency, t, 0.4,
+                                    np.exp(1j * g.rf_phase_offsets))
+
+            for route in (cut, complex_cut):
+                full = route(theta)
+                single = np.array([route(theta[i:i + 1])[0]
+                                   for i in range(theta.size)])
+                assert np.array_equal(full.real, single.real)
+                assert np.array_equal(full.imag, single.imag)
+
+    @pytest.mark.parametrize("frequency", [1e9, 38.5e9])
+    def test_complex_factor_about_element_0(self, frequency):
+        # product layouts whose element 0 is not the corner: the 4 x 2 grid
+        # with its rows rolled, and a non-uniform 4 x 3 product with equal
+        # nonzero feed offsets, with its element 0 inside
+        grid = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
+        rolled = ArrayGeometry(np.roll(grid.element_positions, 4, axis=0))
+        xs = np.array([0.030, 0.052, 0.0, 0.011])
+        ys = np.array([0.017, 0.041, -0.02])
+        offset = ArrayGeometry(np.column_stack([np.tile(xs, 3),
+                                                np.repeat(ys, 4)]),
+                               np.full(12, 0.7))
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 181)
+        for g in (rolled, offset):
+            for weights in (None, np.exp(1j * g.rf_phase_offsets)):
+                for phi in (0.6, math.pi / 2, 2.5):
+                    af = array_factor(g, frequency, theta, phi, weights)
+                    direct = direct_array_factor(g, frequency, theta, phi,
+                                                 weights)
+                    assert np.max(np.abs(af - direct)) < 1e-12
+
+    @pytest.mark.parametrize("layout", ["summed", "product"])
+    def test_reordering_moves_the_reference(self, layout):
+        # element 0 is the phase reference: a layout with its elements (and
+        # weights) reordered has the factor times exp(j*k*(r_0 - r_0')*u)
+        rng = np.random.default_rng(21)
+        if layout == "summed":
+            pos = rng.uniform(0.0, 0.3, size=(30, 2))
+        else:
+            pos = ArrayGeometry.planar_grid(6, 5, 0.032,
+                                            0.036).element_positions
+        weights = np.exp(1j * rng.uniform(-math.pi, math.pi, len(pos)))
+        perm = rng.permutation(len(pos))
+        assert perm[0] != 0
+        theta = np.linspace(-math.pi / 2, math.pi / 2, 361)
+        phi, f = 0.8, 38.5e9
+        g, moved = ArrayGeometry(pos), ArrayGeometry(pos[perm])
+        for w, w_moved in ((None, None), (weights, weights[perm])):
+            af = array_factor(g, f, theta, phi, w)
+            af_moved = array_factor(moved, f, theta, phi, w_moved)
+            shift = (pos[0] - pos[perm[0]]) @ [math.cos(phi), math.sin(phi)]
+            turn = np.exp(2j * math.pi * f / C0 * shift * np.sin(theta))
+            assert np.max(np.abs(af_moved - af * turn)) < 1e-12
 
     def test_layout_one_short_of_a_product_is_summed(self):
         # a 4 x 4 grid less one element must not take the product route
@@ -234,7 +287,7 @@ class TestKernel:
         phi = 0.6
         for f, af in ((1e9, if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)),
                       (38.5e9, rf_array_factor_cut(g, 38.5e9, theta, phi))):
-            direct = direct_array_factor(g, f, theta, phi, None)
+            direct = np.abs(direct_array_factor(g, f, theta, phi, None))
             assert np.max(np.abs(af - direct)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["if", "rf"])
@@ -254,10 +307,11 @@ class TestKernel:
         theta = np.arcsin(np.clip(s, -1.0, 1.0))
         if kind == "if":
             af = if_array_factor_cut(g, 38.5e9, 37.5e9, theta, phi)
-            direct = direct_array_factor(g, f, theta, phi, None)
+            direct = np.abs(direct_array_factor(g, f, theta, phi, None))
         else:
             af = rf_array_factor_cut(g, f, theta, phi)
-            direct = direct_array_factor(g, f, theta, phi, g.rf_phase_offsets)
+            direct = np.abs(direct_array_factor(
+                g, f, theta, phi, np.exp(1j * g.rf_phase_offsets)))
         assert np.max(np.abs(af - direct)) < 1e-12
 
     def test_random_wide_apertures(self):
@@ -271,10 +325,11 @@ class TestKernel:
             phi = rng.uniform(-math.pi, math.pi)
             af_if = if_array_factor_cut(g, 37.5e9, 38.5e9, theta, phi)
             af_rf = rf_array_factor_cut(g, 38.5e9, theta, phi)
-            assert np.max(np.abs(
-                af_if - direct_array_factor(g, 1e9, theta, phi, None))) < 1e-12
-            assert np.max(np.abs(af_rf - direct_array_factor(
-                g, 38.5e9, theta, phi, g.rf_phase_offsets))) < 1e-12
+            assert np.max(np.abs(af_if - np.abs(
+                direct_array_factor(g, 1e9, theta, phi, None)))) < 1e-12
+            assert np.max(np.abs(af_rf - np.abs(direct_array_factor(
+                g, 38.5e9, theta, phi,
+                np.exp(1j * g.rf_phase_offsets))))) < 1e-12
 
     @pytest.mark.parametrize("layout", ["summed", "product"])
     def test_broadside_exactly_one(self, layout):
@@ -305,8 +360,8 @@ class TestKernel:
         af = rf_array_factor_cut(g, 38.5e9, theta, 0.3)
         assert bins and max(bins) <= theta.size
         # phases near 8e6 rad carry about 1e-9 of rounding on either route
-        assert np.max(np.abs(
-            af - direct_array_factor(g, 38.5e9, theta, 0.3, None))) < 1e-8
+        assert np.max(np.abs(af - np.abs(
+            direct_array_factor(g, 38.5e9, theta, 0.3, None)))) < 1e-8
 
     def test_blocks_stay_within_factor_block(self, monkeypatch):
         # more elements than one chunk of Taylor terms holds, and more bins
@@ -332,8 +387,8 @@ class TestKernel:
         theta = np.linspace(-math.pi / 2, math.pi / 2, 301)
         af = rf_array_factor_cut(g, 38.5e9, theta, 0.2)
         assert len(entries) > 4 and max(entries) <= FACTOR_BLOCK
-        assert np.max(np.abs(af - direct_array_factor(
-            g, 38.5e9, theta, 0.2, g.rf_phase_offsets))) < 1e-12
+        assert np.max(np.abs(af - np.abs(direct_array_factor(
+            g, 38.5e9, theta, 0.2, np.exp(1j * g.rf_phase_offsets))))) < 1e-12
 
     def test_overflowing_slopes_raise_before_binning(self, monkeypatch):
         def unreachable(*args):
@@ -551,7 +606,7 @@ class TestTimeDomainArray:
         def fail(*args, **kwargs):
             raise AssertionError("the oracle called the fast path")
 
-        monkeypatch.setattr(arrays, "_array_factor", fail)
+        monkeypatch.setattr(arrays, "array_factor", fail)
         monkeypatch.setattr(arrays, "_phasor_mean", fail)
         g = ArrayGeometry.planar_grid(4, 2, 0.032, 0.036)
         assert timedomain_db(g, [0.0])[0] == pytest.approx(
